@@ -16,6 +16,7 @@ Pinned formats:
     strata:     area_id,stratum,population[,deaths]
     rates:      stratum,rate
     archive:    chain,iter,param,index,value  plus "<path>.meta" key = value
+                (read as a whole table: rows in any order, values bit-exact)
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 from .mcmc import ChainArchive, McmcConfig
 from .prep import IndicatorPanel, StrataTable
 
@@ -347,91 +349,132 @@ def write_rates(path, strata, rates) -> None:
 # -- chain archives ----------------------------------------------------------
 
 
+_ARCHIVE_HEADER = ("chain", "iter", "param", "index", "value")
+_CONFIG_KEYS = ("n_chains", "n_iter", "burn_in", "thin", "seed")
+
+
 def write_archive(archive: ChainArchive, path) -> None:
     """Long-format draw file plus a "<path>.meta" sidecar.
 
-    The sidecar keeps only deterministic keys (sampler config and model
-    identity), never wall time, so repeated runs are byte-identical.
+    The file is never quoted, so parameter names cannot contain
+    ``,"=#`` or a line break. The sidecar keeps only deterministic keys
+    (sampler config and model identity), never wall time, so repeated
+    runs are byte-identical.
     """
     path = Path(path)
+    bad = [name for name in archive.param_names if set(name) & set(',"=#\n\r')]
+    if bad:
+        raise ValidationError(f"parameter names {bad} contain one of , \" = # or a line break")
+    iterations = archive.iterations.tolist()
     with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("chain", "iter", "param", "index", "value"))
+        handle.write(",".join(_ARCHIVE_HEADER) + "\n")
         for c, chain in enumerate(archive.chains):
             for name in sorted(chain):
-                draws = chain[name]
-                flat = draws.reshape(draws.shape[0], -1)
-                for s, iteration in enumerate(archive.iterations):
-                    for idx in range(flat.shape[1]):
-                        writer.writerow(
-                            (c, iteration, name, idx, _fmt(float(flat[s, idx])))
-                        )
-    cfg = archive.config
+                rows = chain[name].reshape(len(iterations), -1).tolist()
+                heads = [f"{c},{iteration},{name}," for iteration in iterations]
+                tails = [f"{idx}," for idx in range(int(np.prod(archive.shape(name))))]
+                block = "".join(
+                    [f"{head}{tail}{value!r}\n" for head, row in zip(heads, rows)
+                     for tail, value in zip(tails, row)]
+                )
+                handle.write(block.replace(",nan\n", ",\n"))  # NaN is an empty cell
+    lines = [f"{key} = {getattr(archive.config, key)}" for key in _CONFIG_KEYS]
+    lines += [f"param.{name} = {(archive.shape(name) or ('scalar',))[0]}"
+              for name in archive.param_names]
+    lines += [f"{key} = {archive.metadata[key]}" for key in sorted(archive.metadata)
+              if key != "wall_time_s"]  # nondeterministic, stays in memory only
     with atomic_write(str(path) + ".meta") as handle:
-        for key, value in (
-            ("n_chains", cfg.n_chains),
-            ("n_iter", cfg.n_iter),
-            ("burn_in", cfg.burn_in),
-            ("thin", cfg.thin),
-            ("seed", cfg.seed),
-        ):
-            handle.write(f"{key} = {value}\n")
-        for name in archive.param_names:
-            shape = archive.shape(name)
-            handle.write(
-                f"param.{name} = {'scalar' if not shape else shape[0]}\n"
-            )
-        for key in sorted(archive.metadata):
-            if key == "wall_time_s":  # nondeterministic, stays in memory only
-                continue
-            handle.write(f"{key} = {archive.metadata[key]}\n")
+        handle.write("".join(line + "\n" for line in lines))
 
 
 def read_archive(path) -> ChainArchive:
+    """Read an archive as one table, rows in any order.
+
+    The sidecar lists every parameter and its width, and the file must
+    hold exactly one row for each chain, iteration, parameter and index.
+    Chain 0 fixes the draw order by first appearance; an empty value is
+    NaN. Anything else raises :class:`SchemaError` naming the file and,
+    where one exists, the line.
+    """
     path = Path(path)
     meta = read_config(str(path) + ".meta")
-    config = McmcConfig(
-        n_chains=int(meta.pop("n_chains")),
-        n_iter=int(meta.pop("n_iter")),
-        burn_in=int(meta.pop("burn_in")),
-        thin=int(meta.pop("thin")),
-        seed=int(meta.pop("seed")),
-    )
-    scalars = set()
-    for key in [k for k in meta if k.startswith("param.")]:
-        if meta[key] == "scalar":
-            scalars.add(key[len("param."):])
-        meta.pop(key)
-    rows = _open_rows(path)
-    _require_header(path, rows[0], ("chain", "iter", "param", "index", "value"))
-    values: dict[tuple[int, str], dict[tuple[int, int], float]] = {}
-    widths: dict[str, int] = {}
-    iter_order: list[int] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        c = int(row[0])
-        iteration = int(row[1])
-        name = row[2].strip()
-        idx = int(row[3])
-        val = _parse_float(path, lineno, "value", row[4])
-        values.setdefault((c, name), {})[(iteration, idx)] = val
-        widths[name] = max(widths.get(name, 0), idx + 1)
-        if c == 0 and iteration not in iter_order:
-            iter_order.append(iteration)
-    n_chains = 1 + max(c for c, _ in values)
-    chains = []
-    for c in range(n_chains):
-        chain = {}
-        for name, width in widths.items():
-            arr = np.empty((len(iter_order), width))
-            cell = values[(c, name)]
-            for s, iteration in enumerate(iter_order):
-                for idx in range(width):
-                    arr[s, idx] = cell[(iteration, idx)]
-            chain[name] = arr[:, 0] if name in scalars else arr
-        chains.append(chain)
-    return ChainArchive(chains, np.array(iter_order), config, metadata=dict(meta))
+    try:
+        config = McmcConfig(**{key: int(meta.pop(key)) for key in _CONFIG_KEYS})
+        shapes = {key[6:]: meta.pop(key) for key in sorted(meta) if key.startswith("param.")}
+        width = np.array([1 if shape == "scalar" else int(shape) for shape in shapes.values()])
+    except (KeyError, ValueError) as exc:
+        raise SchemaError(f"{path}.meta: missing or malformed entry: {exc}") from None
+    if not shapes:
+        raise SchemaError(f"{path}.meta: no param.<name> entries")
+    if not path.exists():
+        raise SchemaError(f"{path}: file not found")
+    # one character wider than any listed name, so that no longer name matches
+    names = np.array(list(shapes), dtype=f"U{max(map(len, shapes)) + 1}")
+    dtype = np.dtype([("chain", "i8"), ("iter", "i8"), ("param", names.dtype),
+                      ("index", "i8"), ("value", "f8")])
+    with open(path, encoding="utf-8") as handle:
+        _require_header(path, handle.readline().rstrip("\n").split(","), _ARCHIVE_HEADER)
+        # an empty value cell is a missing draw, which the float parser spells "nan"
+        lines = (line.replace(",\n", ",nan\n") for line in handle)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file without rows
+                rows = np.loadtxt(lines, dtype, comments=None, delimiter=",", ndmin=1)
+        except ValueError:
+            why = "expected 5 cells: integer chain, iter and index, a name and a number"
+            raise _archive_error(path, why) from None
+    chain, iteration, index = rows["chain"], rows["iter"], rows["index"]
+    stamps, first = np.unique(iteration[chain == 0], return_index=True)
+    if len(stamps) == 0:
+        raise SchemaError(f"{path}: no rows for chain 0")
+    k = np.minimum(np.searchsorted(names, rows["param"]), len(names) - 1)
+    at = np.minimum(np.searchsorted(stamps, iteration), len(stamps) - 1)
+    fits = (names[k] == rows["param"]) & (stamps[at] == iteration)
+    fits &= (chain >= 0) & (index >= 0) & (index < width[k])
+    if not fits.all():
+        why = "param not in the .meta file, chain or index out of range, or iter not in chain 0"
+        raise _archive_error(path, why, int(np.argmin(fits)))
+    n_chains, n_draws, order = int(chain.max()) + 1, len(stamps), stamps[np.argsort(first)]
+    draw = np.argsort(np.argsort(first))[at]  # place of each row's iter in chain-0 order
+    offsets = np.cumsum(np.concatenate(([0], n_chains * n_draws * width)))
+    cell = offsets[k] + (chain * n_draws + draw) * width[k] + index
+    filled = np.bincount(cell, minlength=offsets[-1])
+    if filled.max() > 1:
+        repeat = np.flatnonzero(cell == cell[np.argmax(filled[cell] > 1)])[1]
+        raise _archive_error(path, "duplicate chain, iter, param and index", int(repeat))
+    if filled.min() == 0:
+        p = int(np.searchsorted(offsets, filled.argmin(), side="right")) - 1
+        c, s, idx = np.unravel_index(filled.argmin() - offsets[p], (n_chains, n_draws, width[p]))
+        raise SchemaError(
+            f"{path}: no row for chain {c}, iter {order[s]}, param {names[p]}, index {idx}"
+        )
+    values = np.empty(offsets[-1])
+    values[cell] = rows["value"]
+    blocks = np.split(values, offsets[1:-1])
+    chains = [{} for _ in range(n_chains)]
+    for (name, shape), block, w in zip(shapes.items(), blocks, width):
+        for c, draws in enumerate(block.reshape(n_chains, n_draws, w)):
+            chains[c][name] = draws[:, 0] if shape == "scalar" else draws
+    return ChainArchive(chains, order, config, metadata=meta)
+
+
+def _archive_error(path, why, row=None) -> SchemaError:
+    """Name the line of parsed row ``row`` (blank lines hold none) or,
+    without ``row``, the first line that does not parse."""
+    with open(path, encoding="utf-8") as handle:
+        lines = ((n, line.rstrip()) for n, line in enumerate(handle, 1) if n > 1 and line != "\n")
+        for r, (lineno, line) in enumerate(lines):
+            if r == row or (row is None and not _archive_row_parses(line.split(","))):
+                return SchemaError(f"{path}:{lineno}: {why}: {line!r}")
+    return SchemaError(f"{path}: {why}")
+
+
+def _archive_row_parses(cells) -> bool:
+    try:
+        int(cells[0]), int(cells[1]), int(cells[3]), float(cells[4] or "nan")
+    except (ValueError, IndexError):
+        return False
+    return len(cells) == len(_ARCHIVE_HEADER)
 
 
 def read_config(path) -> dict[str, str]:

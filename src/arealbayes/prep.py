@@ -234,7 +234,8 @@ def expected_counts(strata: StrataTable, rates: np.ndarray | None = None) -> np.
 
     ``rates`` defaults to the table's own, else to internally derived
     pooled rates. Areas with zero total population get E = 0 and a
-    warning; downstream models exclude them.
+    warning; the stage-2 Poisson likelihood leaves them out, so their
+    random effects follow the prior.
     """
     if rates is None:
         rates = strata.rates if strata.rates is not None else derive_reference_rates(strata)

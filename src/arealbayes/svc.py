@@ -101,8 +101,8 @@ class SvcModelSpec:
                 "covariate has missing values; apply a drop-node or impute "
                 "policy before building the model spec"
             )
-        if not (self.offsets > 0).all():
-            raise ValidationError("offsets (expected counts) must be positive")
+        if not (np.isfinite(self.offsets) & (self.offsets >= 0)).all():
+            raise ValidationError("offsets (expected counts) must be finite and nonnegative")
         if self.latent_factors is not None:
             self.latent_factors = np.asarray(self.latent_factors, dtype=float)
             if self.latent_factors.ndim != 2 or self.latent_factors.shape[0] != self.n_areas:
@@ -192,7 +192,11 @@ def linear_predictor(state: SvcModelState, spec: SvcModelSpec, i: int) -> float:
 
 
 class PoissonLikelihood:
-    """Poisson(mu E) outcome; NaN counts are suppressed areas."""
+    """Poisson(mu E) outcome; NaN counts are suppressed areas.
+
+    Areas with E = 0 (no population) carry no likelihood either, like
+    suppressed areas; their observed count must then be 0 or missing.
+    """
 
     def __init__(self, counts: np.ndarray, offsets: np.ndarray):
         y = np.asarray(counts, dtype=float)
@@ -204,6 +208,13 @@ class PoissonLikelihood:
             raise ValidationError("counts must be nonnegative")
         if not np.allclose(y[mask], np.rint(y[mask])):
             raise ValidationError("counts must be integers")
+        empty = offsets == 0
+        if (empty & (y > 0)).any():
+            raise ValidationError(
+                f"area(s) {np.flatnonzero(empty & (y > 0)).tolist()} have observed "
+                "counts but expected count 0"
+            )
+        mask &= ~empty
         self.y = y
         self.offsets = offsets
         self.mask = mask
@@ -457,9 +468,13 @@ def _run_stage2_chain(payload):
     step_v = [0.3] * n
     step_delta = [0.3] * n
 
+    # the divergence abort looks at the late burn-in, or at the whole run
+    # when there is no burn-in
     half_burn = config.burn_in // 2
+    check_at = config.burn_in or config.n_iter
     late_proposals = 0
     late_divergent = 0
+    divergent = 0
 
     keep: dict[str, list] = {"beta": []}
     if spec.has_convolution:
@@ -472,7 +487,7 @@ def _run_stage2_chain(payload):
     for it in range(1, config.n_iter + 1):
         in_burn = it <= config.burn_in
         gamma = it ** -0.6 if in_burn else 0.0
-        late = in_burn and it > half_burn
+        late = half_burn < it <= check_at
 
         # fixed effects, per coordinate
         for k in range(K):
@@ -483,6 +498,7 @@ def _run_stage2_chain(payload):
             if late:
                 late_proposals += 1
             if np.max(np.abs(theta_new)) > PREDICTOR_BOUND:
+                divergent += 1
                 if late:
                     late_divergent += 1
                 acc_prob = 0.0
@@ -515,6 +531,7 @@ def _run_stage2_chain(payload):
             )
             accept_counts["phi"] += acc
             proposal_counts["phi"] += n
+            divergent += div[0]
             if late:
                 late_proposals += n
                 late_divergent += div[0]
@@ -531,6 +548,7 @@ def _run_stage2_chain(payload):
             )
             accept_counts["v"] += acc
             proposal_counts["v"] += n
+            divergent += div[0]
             if late:
                 late_proposals += n
                 late_divergent += div[0]
@@ -552,6 +570,7 @@ def _run_stage2_chain(payload):
                 )
                 accept_counts["delta"] += acc
                 proposal_counts["delta"] += n
+                divergent += div[0]
                 if late:
                     late_proposals += n
                     late_divergent += div[0]
@@ -576,13 +595,13 @@ def _run_stage2_chain(payload):
                         rng.gamma(prior_a + rank / 2.0, 1.0 / (prior_b + quad / 2.0))
                     )
 
-        if it == config.burn_in and late_proposals:
+        if it == check_at and late_proposals:
             frac = late_divergent / late_proposals
             if frac > 0.10:
                 raise RuntimeError(
                     f"persistent divergence: {frac:.1%} of proposals in the "
-                    f"late burn-in pushed |log mu| past {PREDICTOR_BOUND}; "
-                    "check offsets and covariate scaling"
+                    f"{'late burn-in' if config.burn_in else 'run'} pushed |log mu| "
+                    f"past {PREDICTOR_BOUND}; check offsets and covariate scaling"
                 )
 
         if config.is_retained(it):
@@ -602,7 +621,7 @@ def _run_stage2_chain(payload):
         for blk in accept_counts
         if proposal_counts[blk]
     }
-    return draws, rates
+    return draws, rates, divergent
 
 
 def fit_stage2_mcmc(
@@ -618,8 +637,11 @@ def fit_stage2_mcmc(
 ) -> ChainArchive:
     """Sample the active rung's posterior and return the thinned archive.
 
-    Suppressed areas (NaN counts) stay in the graph, their random effects
-    driven by the prior, and contribute no likelihood. With
+    Suppressed areas (NaN counts) and areas with zero expected count stay
+    in the graph, their random effects driven by the prior, and contribute
+    no likelihood. Each chain's number of proposals that pushed
+    ``|log mu|`` past ``PREDICTOR_BOUND`` is recorded as metadata
+    ``chain<c>_divergent``. With
     ``sample_precisions=False`` the precisions stay at
     ``initial_precisions``, which is how the Laplace cross-check matches
     hyperparameters.
@@ -662,12 +684,13 @@ def fit_stage2_mcmc(
         "likelihood": likelihood,
         "wall_time_s": f"{time.time() - started:.3f}",
     }
-    for c, (_, rates) in enumerate(results):
+    for c, (_, rates, divergent) in enumerate(results):
         metadata[f"chain{c}_acceptance"] = ";".join(
             f"{blk}={rate:.3f}" for blk, rate in sorted(rates.items())
         )
+        metadata[f"chain{c}_divergent"] = str(divergent)
     return ChainArchive(
-        [draws for draws, _ in results],
+        [draws for draws, _, _ in results],
         config.retained_iterations(),
         config,
         metadata=metadata,

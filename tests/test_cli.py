@@ -232,6 +232,19 @@ class TestFitStage2AndSummaries:
         assert lines[0].startswith("param,index,rhat,ess")
         assert len(lines) == 1 + 3 + 1  # 3 beta coords + tau_v
 
+    def test_malformed_archive_is_one_line_error(self, full_pipeline, tmp_path, capsys):
+        work, _ = full_pipeline
+        archive = tmp_path / "stage2.csv"
+        header, first, *rest = (work / "stage2.csv").read_text().splitlines(keepends=True)
+        archive.write_text(header + first.replace("0,", "0,x", 1) + "".join(rest))
+        (tmp_path / "stage2.csv.meta").write_bytes((work / "stage2.csv.meta").read_bytes())
+        code = run(["diagnose", "--archive", archive])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: SchemaError:")
+        assert "stage2.csv:2: expected 5 cells: integer chain, iter and index" in err
+
     def test_diagnose_morans_i(self, full_pipeline, capsys):
         work, simulated = full_pipeline
         assert run([

@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arealbayes import fileio
-from arealbayes.errors import SchemaError
+from arealbayes.errors import SchemaError, ValidationError
 from arealbayes.mcmc import ChainArchive, McmcConfig
 from arealbayes.prep import IndicatorPanel, StrataTable
 from arealbayes.simulate import make_lattice
@@ -162,6 +167,39 @@ class TestArchive:
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a1.csv.meta").read_bytes() == (tmp_path / "a2.csv.meta").read_bytes()
 
+    def test_golden_bytes(self, tmp_path):
+        config = McmcConfig(n_chains=2, n_iter=30, burn_in=10, thin=10, seed=11)
+        chains = [
+            {
+                "tau": np.array([1.5, np.nan]),
+                "beta": np.array([[-0.0, 1e-310], [1.7976931348623157e308, 0.1]]),
+            },
+            {
+                "tau": np.array([2.0, 1e-5]),
+                "beta": np.array([[-1.25, 3.0], [1e22, -2.5e-7]]),
+            },
+        ]
+        archive = ChainArchive(
+            chains, config.retained_iterations(), config,
+            metadata={"model": "stage2_svc_M2", "wall_time_s": "1.23", "accept_beta": "0.4"},
+        )
+        path = tmp_path / "archive.csv"
+        fileio.write_archive(archive, path)
+        assert path.read_bytes() == (
+            b"chain,iter,param,index,value\n"
+            b"0,20,beta,0,-0.0\n0,20,beta,1,1e-310\n"
+            b"0,30,beta,0,1.7976931348623157e+308\n0,30,beta,1,0.1\n"
+            b"0,20,tau,0,1.5\n0,30,tau,0,\n"
+            b"1,20,beta,0,-1.25\n1,20,beta,1,3.0\n"
+            b"1,30,beta,0,1e+22\n1,30,beta,1,-2.5e-07\n"
+            b"1,20,tau,0,2.0\n1,30,tau,0,1e-05\n"
+        )
+        assert (tmp_path / "archive.csv.meta").read_bytes() == (
+            b"n_chains = 2\nn_iter = 30\nburn_in = 10\nthin = 10\nseed = 11\n"
+            b"param.beta = 2\nparam.tau = scalar\n"
+            b"accept_beta = 0.4\nmodel = stage2_svc_M2\n"
+        )
+
     def test_meta_excludes_wall_time_style_keys(self, tmp_path):
         archive = self._archive()
         path = tmp_path / "archive.csv"
@@ -169,6 +207,129 @@ class TestArchive:
         meta = (tmp_path / "archive.csv.meta").read_text()
         assert "seed = 7" in meta
         assert "model = stage2_svc_M3" in meta
+
+
+    def test_rows_in_any_order(self, tmp_path):
+        archive = self._archive()
+        path = tmp_path / "archive.csv"
+        fileio.write_archive(archive, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+
+        def key(row):
+            # chain 1 first, tau_v before beta, index-major: each chain-0
+            # block still stamps the iterations in draw order
+            chain, _, param, index, _ = row.split(",")
+            return -int(chain), param == "beta", index
+
+        rows.sort(key=key)
+        path.write_text(header + "".join(rows))
+        back = fileio.read_archive(path)
+        assert back.iterations.tolist() == archive.iterations.tolist()
+        for c in range(2):
+            for name in archive.param_names:
+                assert np.array_equal(back.chains[c][name], archive.chains[c][name])
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a=b", "a#b"])
+    def test_rejects_names_that_need_quoting(self, tmp_path, name):
+        archive = self._archive()
+        for chain in archive.chains:
+            chain[name] = chain.pop("tau_v")
+        with pytest.raises(ValidationError, match="parameter name"):
+            fileio.write_archive(archive, tmp_path / "archive.csv")
+
+    def _corrupt(self, tmp_path, edit):
+        path = tmp_path / "archive.csv"
+        fileio.write_archive(self._archive(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
+        return path
+
+    @pytest.mark.parametrize("column", [0, 1, 3])
+    def test_non_integer_cell_names_line(self, tmp_path, column):
+        def edit(lines):
+            cells = lines[3].split(",")
+            cells[column] = "1.5"
+            lines[3] = ",".join(cells)
+            return lines
+
+        path = self._corrupt(tmp_path, edit)
+        with pytest.raises(SchemaError, match=r"archive.csv:4: expected 5 cells: integer chain"):
+            fileio.read_archive(path)
+
+    @pytest.mark.parametrize(
+        "edit", [("beta", "gamma"), (",beta,1,", ",beta,2,"), ("1,40,", "1,41,")]
+    )
+    def test_row_outside_meta_or_chain0_names_line(self, tmp_path, edit):
+        def apply(lines):
+            row = next(r for r, line in enumerate(lines) if edit[0] in line)
+            lines[row] = lines[row].replace(*edit)
+            return lines
+
+        path = self._corrupt(tmp_path, apply)
+        with pytest.raises(SchemaError, match=r"archive.csv:\d+: param not in the .meta file"):
+            fileio.read_archive(path)
+
+    def test_missing_row_is_named(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda lines: lines[:4] + lines[5:])
+        with pytest.raises(
+            SchemaError, match=r"archive.csv: no row for chain 0, iter 30, param beta, index 1"
+        ):
+            fileio.read_archive(path)
+
+    def test_duplicate_row_names_line(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda lines: lines + [lines[3]])
+        with pytest.raises(SchemaError, match=r"archive.csv:20: duplicate chain, iter, param"):
+            fileio.read_archive(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_chains=st.integers(1, 3),
+        n_draws=st.integers(1, 4),
+        widths=st.dictionaries(
+            st.text("abcxyz_.0123456789", min_size=1, max_size=8),
+            st.one_of(st.none(), st.integers(1, 3)),
+            min_size=1, max_size=3,
+        ),
+        metadata=st.dictionaries(
+            st.text("abcdefgh_", min_size=1, max_size=6),
+            st.text("abc0123456789._-", min_size=1, max_size=8),
+            max_size=3,
+        ),
+        data=st.data(),
+    )
+    def test_round_trip_is_bit_exact(self, n_chains, n_draws, widths, metadata, data):
+        metadata = {f"m_{key}": value for key, value in metadata.items()}
+        config = McmcConfig(n_chains=n_chains, n_iter=10 + 3 * n_draws, burn_in=10, thin=3, seed=1)
+        chains = [
+            {
+                name: np.array(
+                    data.draw(
+                        st.lists(
+                            st.floats(allow_nan=True, allow_infinity=True),
+                            min_size=n_draws * (width or 1), max_size=n_draws * (width or 1),
+                        )
+                    )
+                ).reshape((n_draws,) if width is None else (n_draws, width))
+                for name, width in widths.items()
+            }
+            for _ in range(n_chains)
+        ]
+        archive = ChainArchive(chains, config.retained_iterations(), config, metadata)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "archive.csv"
+            fileio.write_archive(archive, path)
+            back = fileio.read_archive(path)
+        assert back.config == config
+        assert back.iterations.tolist() == archive.iterations.tolist()
+        assert back.metadata == metadata
+        for c in range(n_chains):
+            for name in widths:
+                got, want = back.chains[c][name], archive.chains[c][name]
+                assert got.shape == want.shape
+                # NaN is stored as an empty cell, so only its position survives
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                keep = ~np.isnan(want)
+                assert got[keep].tobytes() == want[keep].tobytes()
 
 
 class TestAtomicWrite:

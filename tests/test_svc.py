@@ -9,6 +9,7 @@ from arealbayes.errors import ValidationError
 from arealbayes.graph import build_graph
 from arealbayes.icar import IcarField, precision_matrix
 from arealbayes.mcmc import ChainArchive, McmcConfig, effective_sample_size
+from arealbayes.prep import StrataTable, expected_counts
 from arealbayes.simulate import make_lattice, sample_icar, simulate_stage2
 from arealbayes.svc import (
     GaussianLikelihood,
@@ -495,6 +496,38 @@ class TestFitStage2:
         with pytest.raises(RuntimeError, match="divergence"):
             fit_stage2_mcmc(spec, counts, g, config)
 
+    @pytest.mark.parametrize("burn_in", [200, 0])
+    def test_divergence_guard_runs_at_any_burn_in(self, burn_in):
+        # every slope proposal moves log mu by ~1e7 at the covariate's ends
+        g = make_lattice(2, 3)
+        spec = SvcModelSpec(
+            rung="M1", covariate=np.linspace(-1e8, 1e8, 6), offsets=np.full(6, 30.0)
+        )
+        config = McmcConfig(n_chains=1, n_iter=400, burn_in=burn_in, thin=1, seed=36)
+        with pytest.raises(RuntimeError, match="persistent divergence"):
+            fit_stage2_mcmc(spec, np.full(6, 30.0), g, config)
+
+    def test_zero_population_area_is_left_out_of_likelihood(self):
+        strata = StrataTable(
+            ["a", "b"], ["s"], np.array([[1000.0], [0.0]]), np.array([[12.0], [0.0]])
+        )
+        with pytest.warns(UserWarning, match="zero population"):
+            expected = expected_counts(strata)
+        assert expected.tolist() == [12.0, 0.0]
+        observed = strata.deaths.sum(axis=1)
+        assert PoissonLikelihood(observed, expected).mask.tolist() == [True, False]
+        g = build_graph([(0, 1)], n_areas=2)
+        spec = SvcModelSpec(
+            rung="M3", covariate=np.array([0.2, -0.2]), offsets=expected,
+            latent_factors=np.array([[0.5], [-0.5]]),
+        )
+        config = McmcConfig(n_chains=1, n_iter=300, burn_in=100, thin=2, seed=40)
+        archive = fit_stage2_mcmc(spec, observed, g, config)
+        assert np.isfinite(archive.get("phi")).all()
+        assert archive.get("phi")[:, 1].std() > 0
+        with pytest.raises(ValidationError, match="expected count 0"):
+            fit_stage2_mcmc(spec, np.array([12.0, 3.0]), g, config)
+
     def test_acceptance_rates_recorded(self):
         g = make_lattice(3, 3)
         spec, truth = convolution_pieces(g, "M4", seed=37)
@@ -503,6 +536,7 @@ class TestFitStage2:
         archive = fit_stage2_mcmc(spec, counts, g, config)
         assert "chain0_acceptance" in archive.metadata
         assert "delta=" in archive.metadata["chain0_acceptance"]
+        assert archive.metadata["chain0_divergent"] == "0"
 
 
 class TestLaplace:
@@ -573,10 +607,12 @@ class TestSpecValidation:
             )
 
     def test_nonpositive_offsets_rejected(self):
-        with pytest.raises(ValidationError, match="positive"):
-            SvcModelSpec(
-                rung="M1", covariate=np.zeros(2), offsets=np.array([1.0, 0.0])
-            )
+        # zero is allowed: an area without population carries no likelihood
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValidationError, match="nonnegative"):
+                SvcModelSpec(
+                    rung="M1", covariate=np.zeros(2), offsets=np.array([1.0, bad])
+                )
 
     def test_factor_rungs_need_factors(self):
         with pytest.raises(ValidationError, match="factor"):
