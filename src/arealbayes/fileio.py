@@ -357,14 +357,22 @@ def write_archive(archive: ChainArchive, path) -> None:
     """Long-format draw file plus a "<path>.meta" sidecar.
 
     The file is never quoted, so parameter names cannot contain
-    ``,"=#`` or a line break. The sidecar keeps only deterministic keys
-    (sampler config and model identity), never wall time, so repeated
-    runs are byte-identical.
+    ``,"=#`` or a line break. The sidecar is a ``key = value`` file read
+    back by :func:`read_config`, so metadata keys cannot contain ``=#``
+    or a line break and metadata values cannot contain ``#`` or a line
+    break. The sidecar keeps only deterministic keys (sampler config and
+    model identity), never wall time, so repeated runs are byte-identical.
     """
     path = Path(path)
     bad = [name for name in archive.param_names if set(name) & set(',"=#\n\r')]
     if bad:
         raise ValidationError(f"parameter names {bad} contain one of , \" = # or a line break")
+    bad = [key for key in archive.metadata if set(key) & set("=#\n\r")]
+    if bad:
+        raise ValidationError(f"metadata keys {bad} contain one of = # or a line break")
+    bad = [key for key, value in archive.metadata.items() if set(str(value)) & set("#\n\r")]
+    if bad:
+        raise ValidationError(f"metadata values of {bad} contain # or a line break")
     iterations = archive.iterations.tolist()
     with atomic_write(path) as handle:
         handle.write(",".join(_ARCHIVE_HEADER) + "\n")

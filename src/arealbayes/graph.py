@@ -32,6 +32,9 @@ __all__ = [
 class SpatialGraph:
     """Symmetric weighted adjacency over ``n_areas`` areal units.
 
+    Every array attribute is built once, at construction, and is
+    read-only.
+
     Attributes
     ----------
     n_areas : int
@@ -41,58 +44,88 @@ class SpatialGraph:
     neighbor_weights : list[list[float]]
         Edge weights parallel to ``neighbor_lists``; symmetric by
         construction (``w_ij == w_ji``).
+    indptr, indices, weights : ndarray
+        The same adjacency in CSR form: the neighbours of ``i`` are
+        ``indices[indptr[i]:indptr[i + 1]]``.
+    edge_i, edge_j, edge_w : ndarray
+        Each undirected edge once, ``edge_i < edge_j``, ordered by
+        ``edge_i`` and then ``edge_j``.
     weight_sums : ndarray
         ``w_{i+} = sum_j w_ij`` per area. Zero exactly for islands.
+    wplus_eff : ndarray
+        ``weight_sums`` with 1 in place of each island's 0, the divisor
+        of the island policy's N(0, sigma^2) prior.
+    island_mask, island_indices : ndarray
+        Degree-0 areas, as a mask and as sorted indices.
     component_labels : ndarray
         Connected-component id per area, numbered by smallest member index.
+    component_sizes : ndarray
+        Number of areas per component, by label.
     """
 
     def __init__(self, neighbor_lists, neighbor_weights, n_areas):
         self.n_areas = int(n_areas)
         self.neighbor_lists = neighbor_lists
         self.neighbor_weights = neighbor_weights
+        degrees = np.array([len(nb) for nb in neighbor_lists], dtype=np.int64)
+        self.indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+        self.indices = np.array(
+            [j for nb in neighbor_lists for j in nb], dtype=np.int64
+        )
+        self.weights = np.array(
+            [w for wts in neighbor_weights for w in wts], dtype=float
+        )
+        rows = np.repeat(np.arange(self.n_areas), degrees)
+        upper = self.indices > rows
+        self.edge_i = rows[upper]
+        self.edge_j = self.indices[upper]
+        self.edge_w = self.weights[upper]
         self.weight_sums = np.array(
             [math.fsum(w) for w in neighbor_weights], dtype=float
         )
+        self.island_mask = degrees == 0
+        self.island_indices = np.flatnonzero(self.island_mask)
+        self.wplus_eff = np.where(self.island_mask, 1.0, self.weight_sums)
         self.component_labels = _label_components(neighbor_lists, self.n_areas)
         self.n_components = int(self.component_labels.max()) + 1 if self.n_areas else 0
-        self.is_binary = all(
-            w == 1.0 for weights in neighbor_weights for w in weights
+        self.component_sizes = np.bincount(
+            self.component_labels, minlength=self.n_components
         )
+        by_label = np.argsort(self.component_labels, kind="stable")
+        self._components = (
+            np.split(by_label, np.cumsum(self.component_sizes)[:-1])
+            if self.n_areas else []
+        )
+        self.is_binary = bool(np.all(self.weights == 1.0))
+        for arr in (
+            self.indptr, self.indices, self.weights, self.edge_i, self.edge_j,
+            self.edge_w, self.weight_sums, self.wplus_eff, self.island_mask,
+            self.island_indices, self.component_labels, self.component_sizes,
+            *self._components,
+        ):
+            arr.flags.writeable = False
 
     def degree(self, i: int) -> int:
         return len(self.neighbor_lists[i])
 
     @property
-    def island_mask(self) -> np.ndarray:
-        """Boolean mask of degree-0 areas."""
-        return np.array([len(nb) == 0 for nb in self.neighbor_lists])
-
-    @property
     def n_edges(self) -> int:
-        return sum(len(nb) for nb in self.neighbor_lists) // 2
+        return len(self.edge_i)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield each undirected edge once as ``(i, j, w)`` with ``i < j``."""
-        for i, (nbs, wts) in enumerate(zip(self.neighbor_lists, self.neighbor_weights)):
-            for j, w in zip(nbs, wts):
-                if i < j:
-                    yield i, j, w
+        return zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_w.tolist())
 
     def dense_weights(self) -> np.ndarray:
         """Dense symmetric weight matrix. Intended for small-n oracles."""
         W = np.zeros((self.n_areas, self.n_areas))
-        for i, j, w in self.edges():
-            W[i, j] = w
-            W[j, i] = w
+        W[self.edge_i, self.edge_j] = self.edge_w
+        W[self.edge_j, self.edge_i] = self.edge_w
         return W
 
     def components(self) -> list[np.ndarray]:
-        """Member indices of each connected component, by label order."""
-        return [
-            np.flatnonzero(self.component_labels == c)
-            for c in range(self.n_components)
-        ]
+        """Sorted member indices of each connected component, by label order."""
+        return list(self._components)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpatialGraph):
@@ -213,12 +246,11 @@ def subgraph(graph: SpatialGraph, keep: Sequence[int] | np.ndarray) -> tuple[Spa
         original = np.unique(keep.astype(int))
         if len(original) and (original[0] < 0 or original[-1] >= graph.n_areas):
             raise ValidationError("keep indices out of range")
-    new_index = {int(old): new for new, old in enumerate(original)}
-    edges = [
-        (new_index[i], new_index[j], w)
-        for i, j, w in graph.edges()
-        if i in new_index and j in new_index
-    ]
+    new_index = np.full(graph.n_areas, -1)
+    new_index[original] = np.arange(len(original))
+    ei, ej = new_index[graph.edge_i], new_index[graph.edge_j]
+    both = (ei >= 0) & (ej >= 0)
+    edges = zip(ei[both].tolist(), ej[both].tolist(), graph.edge_w[both].tolist())
     return build_graph(edges, n_areas=len(original)), original
 
 
@@ -269,13 +301,9 @@ def morans_i(
     if s0 == 0.0:
         raise ValidationError("graph has no edges among observed areas")
 
-    cross = 0.0
-    s1 = 0.0
-    for i, (nbs, wts) in enumerate(zip(graph.neighbor_lists, graph.neighbor_weights)):
-        zi = z[i]
-        for j, w in zip(nbs, wts):
-            cross += w * zi * z[j]
-            s1 += 2.0 * w * w
+    ei, ej, w = graph.edge_i, graph.edge_j, graph.edge_w
+    cross = 2.0 * float(w @ (z[ei] * z[ej]))
+    s1 = 4.0 * float(w @ w)
     stat = (n / s0) * cross / denom
     e_i = -1.0 / (n - 1)
 
@@ -293,14 +321,7 @@ def morans_i(
         for k in range(permutations):
             xp = rng.permutation(x)
             zp = xp - xp.mean()
-            c = 0.0
-            for i, (nbs, wts) in enumerate(
-                zip(graph.neighbor_lists, graph.neighbor_weights)
-            ):
-                zi = zp[i]
-                for j, w in zip(nbs, wts):
-                    c += w * zi * zp[j]
-            sims[k] = (n / s0) * c / float(zp @ zp)
+            sims[k] = (n / s0) * 2.0 * float(w @ (zp[ei] * zp[ej])) / float(zp @ zp)
         var = float(np.var(sims, ddof=1))
         zscore = (stat - e_i) / math.sqrt(var) if var > 0 else math.inf
         extreme = np.sum(np.abs(sims - e_i) >= abs(stat - e_i))

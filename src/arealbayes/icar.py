@@ -92,11 +92,7 @@ def icar_logdensity_unnormalized(field: IcarField) -> float:
     ``Q = diag(w_{i+}) - W``; the N in the power of sigma counts all
     areas. Invariant under adding a constant per connected component.
     """
-    vals = field.values
-    quad = 0.0
-    for i, j, w in field.graph.edges():
-        d = vals[i] - vals[j]
-        quad += w * d * d
+    quad = _edge_quad(field.graph, field.values)
     n = field.graph.n_areas
     return -n * math.log(math.sqrt(field.variance)) - quad / (2.0 * field.variance)
 
@@ -120,21 +116,6 @@ def center_by_component(
     return out, shifts
 
 
-def _sweep_cache(graph: SpatialGraph):
-    """Plain-list views of the adjacency used by the tight sweep loop."""
-    cache = getattr(graph, "_icar_sweep_cache", None)
-    if cache is None:
-        wplus_eff = [w if w > 0 else 1.0 for w in graph.weight_sums]
-        cache = (
-            [list(nb) for nb in graph.neighbor_lists],
-            [list(w) for w in graph.neighbor_weights],
-            wplus_eff,
-            graph.is_binary,
-        )
-        graph._icar_sweep_cache = cache
-    return cache
-
-
 def gibbs_sweep_values(
     values: list,
     graph: SpatialGraph,
@@ -152,7 +133,8 @@ def gibbs_sweep_values(
     ``normals`` supplies one standard normal draw per site so the caller
     controls the random stream.
     """
-    nbr_idx, nbr_w, wplus_eff, binary = _sweep_cache(graph)
+    nbr_idx, nbr_w, binary = graph.neighbor_lists, graph.neighbor_weights, graph.is_binary
+    wplus_eff = graph.wplus_eff.tolist()
     inv_var = 1.0 / variance
     n = len(values)
     sqrt = math.sqrt
@@ -215,14 +197,25 @@ def precision_matrix(graph: SpatialGraph, island_proper: bool = False) -> np.nda
     N(0, sigma^2) island prior; otherwise their rows are identically zero.
     Intended for oracles, simulation and the Laplace mode, not for large n.
     """
-    Q = np.diag(graph.weight_sums.copy())
-    for i, j, w in graph.edges():
-        Q[i, j] -= w
-        Q[j, i] -= w
+    Q = np.diag(graph.weight_sums)
+    Q[graph.edge_i, graph.edge_j] = -graph.edge_w
+    Q[graph.edge_j, graph.edge_i] = -graph.edge_w
     if island_proper:
-        for i in np.flatnonzero(graph.island_mask):
-            Q[i, i] = 1.0
+        Q[graph.island_indices, graph.island_indices] = 1.0
     return Q
+
+
+def _edge_quad(graph: SpatialGraph, values: np.ndarray) -> float:
+    """``sum_{j<i} w_ij (x_i - x_j)^2``, summed in edge order.
+
+    The running sum adds the terms one by one in the order of
+    :meth:`SpatialGraph.edges`, so the result does not depend on how numpy
+    would block a pairwise reduction.
+    """
+    if not len(graph.edge_w):
+        return 0.0
+    d = values[graph.edge_i] - values[graph.edge_j]
+    return float(np.cumsum(graph.edge_w * d * d)[-1])
 
 
 def quad_form_and_rank(graph: SpatialGraph, values: np.ndarray) -> tuple[float, int]:
@@ -236,11 +229,9 @@ def quad_form_and_rank(graph: SpatialGraph, values: np.ndarray) -> tuple[float, 
     update needs: shape gains rank/2 and rate gains quad/2.
     """
     values = np.asarray(values, dtype=float)
-    quad = 0.0
-    for i, j, w in graph.edges():
-        d = values[i] - values[j]
-        quad += w * d * d
-    islands = np.flatnonzero(graph.island_mask)
-    quad += float(np.sum(values[islands] ** 2))
+    islands = graph.island_indices
+    quad = _edge_quad(graph, values)
+    if len(islands):
+        quad += float(np.sum(values[islands] ** 2))
     rank = graph.n_areas - graph.n_components + len(islands)
     return quad, rank

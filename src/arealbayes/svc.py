@@ -13,14 +13,20 @@ phi, v and delta get Gamma(shape 1, rate 0.5) priors by default, with the
 diffuse Gamma(1, 0.0005) available for sensitivity runs.
 
 The reference estimator is an adaptive Metropolis-within-Gibbs sampler:
-per-coordinate random-walk updates for beta, single-site updates for phi,
-v and delta (the latter two against their ICAR prior conditionals), and
-conjugate Gamma draws for the precisions with the rank of each ICAR block
-corrected per connected component. After every v or delta sweep the field
-is recentered and the subtracted mean absorbed into b0 (for v) or b1 (for
-delta), which leaves every area's linear predictor unchanged on a
-connected graph. Step sizes adapt toward 0.44 acceptance during burn-in
-only and are frozen afterwards.
+per-coordinate random-walk updates for beta, single-site random-walk
+updates for phi, v and delta (the latter two against their ICAR prior
+conditionals), and conjugate Gamma draws for the precisions with the rank
+of each ICAR block corrected per connected component. The single-site
+updates run one colour class at a time: a greedy colouring of the graph
+in ascending area order splits the areas into classes that share no edge,
+so the areas of a class are conditionally independent and move together
+in one set of array operations (phi, whose prior is iid, is one class).
+Each area still has its own step size, acceptance test and divergence
+check, and draws one normal and one uniform per sweep. After every v or
+delta sweep the field is recentered and the subtracted mean absorbed into
+b0 (for v) or b1 (for delta), which leaves every area's linear predictor
+unchanged on a connected graph. Step sizes adapt toward 0.44 acceptance
+during burn-in only and are frozen afterwards.
 
 A Newton-mode Laplace approximation at fixed precisions is provided as an
 independent cross-check and for empirical-Bayes selection of the
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import sparse, special, stats
 
 from . import icar
 from .errors import DimensionMismatchError, ValidationError
@@ -293,6 +299,16 @@ def _make_likelihood(likelihood, counts, spec, noise_variance):
     raise ValidationError(f"unknown likelihood {likelihood!r}")
 
 
+def _fit_likelihood(likelihood, counts, spec, noise_variance):
+    """The likelihood of a fit, which at least one area must carry."""
+    lik = _make_likelihood(likelihood, counts, spec, noise_variance)
+    if not np.any(lik.mask):
+        raise ValidationError(
+            "no area carries likelihood: every count is missing or has expected count 0"
+        )
+    return lik
+
+
 def loglik_poisson(state: SvcModelState, spec: SvcModelSpec, counts: np.ndarray) -> float:
     """Poisson log likelihood over observed areas at the state's predictor."""
     lik = PoissonLikelihood(counts, spec.offsets)
@@ -311,8 +327,7 @@ def center_and_absorb(values: np.ndarray, graph: SpatialGraph) -> tuple[np.ndarr
     re-equilibrates.
     """
     centered, shifts = icar.center_by_component(values, graph)
-    sizes = np.array([len(c) for c in graph.components()], dtype=float)
-    return centered, float(shifts @ sizes) / graph.n_areas
+    return centered, float(shifts @ graph.component_sizes) / graph.n_areas
 
 
 def beta_log_acceptance_ratio(
@@ -343,87 +358,115 @@ def beta_log_acceptance_ratio(
 # ---------------------------------------------------------------------------
 
 
-def _site_sweep(
-    values: list,
-    theta: list,
-    exp_theta: list,
-    coef: list | None,
-    lik_y: list,
-    lik_e: list,
-    lik_obs: list,
-    gaussian_s2: float | None,
-    prior_prec_scale: float,
-    prior_kind: str,
-    nbr_idx,
-    nbr_w,
-    wplus_eff,
-    steps: list,
-    normals: list,
-    log_us: list,
-    adapt_gamma: float,
-    div_counter: list,
-) -> int:
-    """One ascending single-site Metropolis sweep over a latent field.
+def _colour_classes(graph: SpatialGraph) -> list[np.ndarray]:
+    """Greedy colouring in ascending area order, as sorted index arrays.
 
-    ``prior_kind`` is "icar" (conditional mean from current neighbours,
-    precision ``tau * w_{i+}``; islands fall back to N(0, 1/tau)) or
-    "iid" (N(0, 1/tau)). ``coef`` multiplies the field in the predictor
-    (None means 1). Mutates values, theta, exp_theta and steps in place and
-    returns the number of accepted moves.
+    Each area takes the smallest colour that none of its lower-indexed
+    neighbours holds, so no edge joins two areas of one class and the
+    areas of a class are conditionally independent under the ICAR prior.
     """
-    n = len(values)
-    accepted = 0
-    exp = math.exp
-    for i in range(n):
-        step = steps[i]
-        cur = values[i]
-        prop = cur + step * normals[i]
-        c = 1.0 if coef is None else coef[i]
-        t_old = theta[i]
-        t_new = t_old + c * (prop - cur)
-        if t_new > PREDICTOR_BOUND or t_new < -PREDICTOR_BOUND:
-            div_counter[0] += 1
-            if adapt_gamma:
-                steps[i] = step * exp(-adapt_gamma * 0.44)
-            continue
-        if prior_kind == "icar":
-            nbs = nbr_idx[i]
-            if nbs:
-                s = 0.0
-                for j, w in zip(nbs, nbr_w[i]):
-                    s += w * values[j]
-                m = s / wplus_eff[i]
-                pp = prior_prec_scale * wplus_eff[i]
-            else:
-                m = 0.0
-                pp = prior_prec_scale
+    colour = [0] * graph.n_areas
+    for i, nbs in enumerate(graph.neighbor_lists):
+        taken = {colour[j] for j in nbs if j < i}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[i] = c
+    colour = np.array(colour)
+    return [np.flatnonzero(colour == c) for c in range(int(colour.max()) + 1)]
+
+
+def _sweep_blocks(classes, W, wplus, coef, lik_a, lik_b) -> list[tuple]:
+    """Per-class constants of :func:`_field_sweep`.
+
+    ``classes`` holds index arrays, or one slice for a field that moves
+    all at once; ``W`` is the CSR weight matrix, None for the iid prior
+    whose mean is 0; ``wplus`` the prior precision per unit tau; ``coef``
+    multiplies the field in the predictor (None means 1); ``lik_a`` and
+    ``lik_b`` are the likelihood's per-area constants, zero where an area
+    carries none.
+    """
+    return [
+        (
+            idx,
+            None if W is None else W[idx],
+            None if W is None else 2.0 / wplus[idx],
+            0.5 * wplus[idx],
+            None if coef is None else coef[idx],
+            lik_a[idx],
+            lik_b[idx],
+        )
+        for idx in classes
+    ]
+
+
+def _field_sweep(
+    blocks: list[tuple],
+    values: np.ndarray,
+    theta: np.ndarray,
+    exp_theta: np.ndarray | None,
+    prior_prec_scale: float,
+    steps: np.ndarray,
+    normals: np.ndarray,
+    log_us: np.ndarray,
+    adapt_gamma: float,
+) -> tuple[int, int]:
+    """One random-walk Metropolis sweep over a latent field, a colour class at a time.
+
+    Each area of a class is proposed ``values[i] + steps[i] * normals[i]``
+    and accepted against its own prior conditional (mean
+    ``sum_j w_ij values_j / w_{i+}`` and precision ``tau * w_{i+}``, or 0
+    and ``tau`` for the iid prior and for islands) and its own likelihood
+    term: Poisson when ``exp_theta`` is given (``lik_a``, ``lik_b`` = y, E),
+    else Gaussian (``lik_a``, ``lik_b`` = y, 1 / (2 s^2)). A proposal that
+    moves ``|theta_i|`` past ``PREDICTOR_BOUND`` is divergent and
+    rejected. With ``adapt_gamma`` > 0 each area's step moves toward 0.44
+    acceptance. Mutates values, theta, exp_theta and steps and returns
+    (accepted, divergent).
+    """
+    accepted = divergent = 0
+    for idx, block, two_over_wplus, half_wplus, coef, lik_a, lik_b in blocks:
+        cur = values[idx]
+        step = steps[idx]
+        move = step * normals[idx]
+        prop = cur + move
+        t_old = theta[idx]
+        t_new = t_old + (move if coef is None else coef * move)
+        div = np.abs(t_new) > PREDICTOR_BOUND
+        n_div = int(np.count_nonzero(div))
+        if n_div:
+            t_new = np.where(div, t_old, t_new)
+            divergent += n_div
+        # (cur - m)^2 - (prop - m)^2 = -move * (cur + prop - 2 m)
+        mid = cur + prop
+        if block is not None:
+            mid -= two_over_wplus * (block @ values)
+        logr = (-prior_prec_scale * half_wplus) * move * mid
+        if exp_theta is None:
+            r_old = lik_a - t_old
+            r_new = lik_a - t_new
+            logr += (r_old * r_old - r_new * r_new) * lik_b
         else:
-            m = 0.0
-            pp = prior_prec_scale
-        d_old = cur - m
-        d_new = prop - m
-        logr = 0.5 * pp * (d_old * d_old - d_new * d_new)
-        e_new = 0.0
-        if lik_obs[i]:
-            if gaussian_s2 is None:
-                e_new = exp(t_new)
-                logr += lik_y[i] * (t_new - t_old) - lik_e[i] * (e_new - exp_theta[i])
-            else:
-                r_old = lik_y[i] - t_old
-                r_new = lik_y[i] - t_new
-                logr += (r_old * r_old - r_new * r_new) / (2.0 * gaussian_s2)
-        if logr >= 0.0 or log_us[i] < logr:
-            values[i] = prop
-            theta[i] = t_new
-            if lik_obs[i] and gaussian_s2 is None:
-                exp_theta[i] = e_new
-            accepted += 1
-            acc_prob = 1.0
-        else:
-            acc_prob = exp(logr) if logr > -700 else 0.0
+            e_old = exp_theta[idx]
+            e_new = np.exp(t_new)
+            logr += lik_a * (t_new - t_old) - lik_b * (e_new - e_old)
+        # log u < 0, so this also accepts every logr >= 0
+        accept = log_us[idx] < logr
+        if n_div:
+            accept &= ~div
+        values[idx] = np.where(accept, prop, cur)
+        theta[idx] = np.where(accept, t_new, t_old)
+        if exp_theta is not None:
+            exp_theta[idx] = np.where(accept, e_new, e_old)
+        accepted += int(np.count_nonzero(accept))
         if adapt_gamma:
-            steps[i] = step * exp(adapt_gamma * (acc_prob - 0.44))
-    return accepted
+            acc_prob = np.where(
+                accept, 1.0, np.where(logr > -700.0, np.exp(np.minimum(logr, 0.0)), 0.0)
+            )
+            if n_div:
+                acc_prob[div] = 0.0
+            steps[idx] = step * np.exp(adapt_gamma * (acc_prob - 0.44))
+    return accepted, divergent
 
 
 def _run_stage2_chain(payload):
@@ -442,8 +485,6 @@ def _run_stage2_chain(payload):
     prior_b = spec.precision_prior_rate
     beta_var = spec.beta_prior_variance
 
-    nbr_idx, nbr_w, wplus_eff, _ = icar._sweep_cache(graph)
-
     # deterministic start
     beta = np.zeros(K)
     if gaussian_s2 is None:
@@ -458,15 +499,21 @@ def _run_stage2_chain(payload):
         taus.update(initial_precisions)
 
     theta_np = X @ beta
-    coef_x = spec.covariate.tolist()
-    lik_y = lik.y.tolist() if gaussian_s2 is None else np.where(lik.mask, lik.y, 0.0).tolist()
-    lik_e = lik.offsets.tolist() if gaussian_s2 is None else [0.0] * n
-    lik_obs = lik.mask.tolist()
-
     step_beta = np.full(K, 0.1)
-    step_phi = [0.3] * n
-    step_v = [0.3] * n
-    step_delta = [0.3] * n
+    if spec.has_convolution:
+        lik_a = np.where(lik.mask, lik.y, 0.0)
+        if gaussian_s2 is None:
+            lik_b = np.where(lik.mask, lik.offsets, 0.0)
+        else:
+            lik_b = np.where(lik.mask, 1.0 / (2.0 * gaussian_s2), 0.0)
+        W = sparse.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n))
+        classes = _colour_classes(graph)
+        field_blocks = {
+            "phi": _sweep_blocks([slice(None)], None, np.ones(n), None, lik_a, lik_b),
+            "v": _sweep_blocks(classes, W, graph.wplus_eff, None, lik_a, lik_b),
+            "delta": _sweep_blocks(classes, W, graph.wplus_eff, spec.covariate, lik_a, lik_b),
+        }
+        field_steps = {name: np.full(n, 0.3) for name in field_blocks}
 
     # the divergence abort looks at the late burn-in, or at the whole run
     # when there is no burn-in
@@ -483,6 +530,19 @@ def _run_stage2_chain(payload):
         keep.update({"delta": [], "tau_delta": []})
     accept_counts = {"beta": 0, "phi": 0, "v": 0, "delta": 0}
     proposal_counts = {"beta": 0, "phi": 0, "v": 0, "delta": 0}
+
+    def sweep(name, values, theta, exp_theta, gamma, late):
+        nonlocal divergent, late_proposals, late_divergent
+        acc, div = _field_sweep(
+            field_blocks[name], values, theta, exp_theta, taus[f"tau_{name}"],
+            field_steps[name], rng.standard_normal(n), np.log(rng.random(n)), gamma,
+        )
+        accept_counts[name] += acc
+        proposal_counts[name] += n
+        divergent += div
+        if late:
+            late_proposals += n
+            late_divergent += div
 
     for it in range(1, config.n_iter + 1):
         in_burn = it <= config.burn_in
@@ -517,64 +577,19 @@ def _run_stage2_chain(payload):
                 step_beta[k] *= math.exp(gamma * (acc_prob - 0.44))
 
         if spec.has_convolution:
-            theta = theta_np.tolist()
-            exp_theta = np.exp(np.clip(theta_np, -700, 700)).tolist()
-
-            div = [0]
-            phi_list = phi.tolist()
-            acc = _site_sweep(
-                phi_list, theta, exp_theta, None, lik_y, lik_e, lik_obs,
-                gaussian_s2, taus["tau_phi"], "iid",
-                nbr_idx, nbr_w, wplus_eff, step_phi,
-                rng.standard_normal(n).tolist(), np.log(rng.random(n)).tolist(),
-                gamma, div,
-            )
-            accept_counts["phi"] += acc
-            proposal_counts["phi"] += n
-            divergent += div[0]
-            if late:
-                late_proposals += n
-                late_divergent += div[0]
-            phi = np.asarray(phi_list)
-
-            div = [0]
-            v_list = v.tolist()
-            acc = _site_sweep(
-                v_list, theta, exp_theta, None, lik_y, lik_e, lik_obs,
-                gaussian_s2, taus["tau_v"], "icar",
-                nbr_idx, nbr_w, wplus_eff, step_v,
-                rng.standard_normal(n).tolist(), np.log(rng.random(n)).tolist(),
-                gamma, div,
-            )
-            accept_counts["v"] += acc
-            proposal_counts["v"] += n
-            divergent += div[0]
-            if late:
-                late_proposals += n
-                late_divergent += div[0]
-            v, shift = center_and_absorb(np.asarray(v_list), graph)
+            theta = theta_np.copy()
+            exp_theta = None if gaussian_s2 is not None else np.exp(np.clip(theta, -700, 700))
+            sweep("phi", phi, theta, exp_theta, gamma, late)
+            sweep("v", v, theta, exp_theta, gamma, late)
+            v, shift = center_and_absorb(v, graph)
             beta[0] += shift
 
             if spec.has_svc:
-                theta_np = X @ beta + phi + v + spec.covariate * delta
-                theta = theta_np.tolist()
-                exp_theta = np.exp(np.clip(theta_np, -700, 700)).tolist()
-                div = [0]
-                delta_list = delta.tolist()
-                acc = _site_sweep(
-                    delta_list, theta, exp_theta, coef_x, lik_y, lik_e, lik_obs,
-                    gaussian_s2, taus["tau_delta"], "icar",
-                    nbr_idx, nbr_w, wplus_eff, step_delta,
-                    rng.standard_normal(n).tolist(), np.log(rng.random(n)).tolist(),
-                    gamma, div,
-                )
-                accept_counts["delta"] += acc
-                proposal_counts["delta"] += n
-                divergent += div[0]
-                if late:
-                    late_proposals += n
-                    late_divergent += div[0]
-                delta, shift = center_and_absorb(np.asarray(delta_list), graph)
+                theta = X @ beta + phi + v + spec.covariate * delta
+                if exp_theta is not None:
+                    exp_theta = np.exp(np.clip(theta, -700, 700))
+                sweep("delta", delta, theta, exp_theta, gamma, late)
+                delta, shift = center_and_absorb(delta, graph)
                 beta[1] += shift
 
             theta_np = X @ beta + phi + v
@@ -655,7 +670,7 @@ def fit_stage2_mcmc(
         raise DimensionMismatchError(
             f"graph has {graph.n_areas} areas, spec has {spec.n_areas}"
         )
-    _make_likelihood(likelihood, counts, spec, noise_variance)  # validate early
+    _fit_likelihood(likelihood, counts, spec, noise_variance)  # validate early
 
     entropies = [
         int(s.generate_state(1)[0])
@@ -760,7 +775,7 @@ def fit_stage2_laplace(
     with the current gradient norm.
     """
     counts = np.asarray(counts, dtype=float)
-    lik = _make_likelihood(likelihood, counts, spec, noise_variance)
+    lik = _fit_likelihood(likelihood, counts, spec, noise_variance)
     if graph.n_areas != spec.n_areas:
         raise DimensionMismatchError("graph and spec disagree on n_areas")
     precisions = dict(precisions or {})

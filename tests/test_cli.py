@@ -232,6 +232,27 @@ class TestFitStage2AndSummaries:
         assert lines[0].startswith("param,index,rhat,ess")
         assert len(lines) == 1 + 3 + 1  # 3 beta coords + tau_v
 
+    def test_all_counts_suppressed_is_one_line_error(self, full_pipeline, tmp_path, capsys):
+        work, simulated = full_pipeline
+        header, *rows = (work / "counts.csv").read_text().splitlines()
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join([header] + [
+            ",".join([area, "", expected]) for area, _, expected in (r.split(",") for r in rows)
+        ]) + "\n")
+        for extra in ([], ["--laplace", "--tau-phi", "5", "--tau-v", "5"]):
+            code = run([
+                "fit-stage2", "--counts", counts,
+                "--covariates", work / "covariates.csv",
+                "--adjacency", simulated / "adjacency.csv",
+                "--model", "M3", "--out", tmp_path / "stage2.csv",
+                "--iters", "50", "--burnin", "10", "--thin", "1",
+                "--chains", "1", "--seed", "24", *extra,
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("error: ValidationError: no area carries likelihood")
+
     def test_malformed_archive_is_one_line_error(self, full_pipeline, tmp_path, capsys):
         work, _ = full_pipeline
         archive = tmp_path / "stage2.csv"

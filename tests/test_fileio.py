@@ -237,6 +237,25 @@ class TestArchive:
         with pytest.raises(ValidationError, match="parameter name"):
             fileio.write_archive(archive, tmp_path / "archive.csv")
 
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("indicator_names", "a#1;b", "metadata values"),
+            ("note", "two\nlines", "metadata values"),
+            ("note", "cr\rhere", "metadata values"),
+            ("a=b", "x", "metadata keys"),
+            ("a#b", "x", "metadata keys"),
+            ("a\nb", "x", "metadata keys"),
+        ],
+    )
+    def test_rejects_metadata_the_sidecar_would_truncate(self, tmp_path, key, value, match):
+        # read_config cuts a line at '#', so "a#1;b" would read back as "a"
+        archive = self._archive()
+        archive.metadata[key] = value
+        with pytest.raises(ValidationError, match=match):
+            fileio.write_archive(archive, tmp_path / "archive.csv")
+        assert not (tmp_path / "archive.csv").exists()
+
     def _corrupt(self, tmp_path, edit):
         path = tmp_path / "archive.csv"
         fileio.write_archive(self._archive(), path)

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from helpers import random_connected_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import null_space
 
+from arealbayes import svc
 from arealbayes.errors import ValidationError
 from arealbayes.graph import build_graph
 from arealbayes.icar import IcarField, precision_matrix
@@ -37,6 +41,11 @@ from arealbayes.svc import (
 )
 
 SIX_NODE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
+# connected, with triangles (so at least 3 colour classes) and unequal weights
+WEIGHTED_SEVEN_EDGES = [
+    (0, 1, 1.5), (1, 2, 0.7), (0, 2, 2.0), (2, 3, 1.2), (3, 4, 0.9),
+    (4, 5, 1.8), (5, 6, 0.6), (3, 6, 1.1), (4, 6, 1.3),
+]
 
 
 def m1_spec(n=5, seed=0, offsets=None):
@@ -444,6 +453,78 @@ class TestSamplerGaussianExactness:
             assert abs(draws.mean() - v_mean[i]) < 3 * se + 1e-4
 
 
+    def test_m4_weighted_graph_matches_conjugate_posterior(self):
+        graph = build_graph(WEIGHTED_SEVEN_EDGES, n_areas=7)
+        assert len(svc._colour_classes(graph)) >= 3
+        assert not graph.is_binary
+        rng = np.random.default_rng(46)
+        n = 7
+        spec = SvcModelSpec(
+            rung="M4",
+            covariate=rng.uniform(-1, 1, n),
+            offsets=np.ones(n),
+            latent_factors=np.zeros((n, 0)),
+        )
+        noise_var = 0.5
+        taus = {"tau_phi": 4.0, "tau_v": 6.0, "tau_delta": 3.0}
+        y = rng.standard_normal(n) * 2.0
+
+        config = McmcConfig(n_chains=2, n_iter=20_000, burn_in=2_000, thin=2, seed=47)
+        archive = fit_stage2_mcmc(
+            spec, y, graph, config,
+            likelihood="gaussian", noise_variance=noise_var,
+            sample_precisions=False, initial_precisions=taus,
+        )
+
+        # closed form: y = X beta + phi + U a + diag(x) U b, Gaussian everything
+        X = np.column_stack([np.ones(n), spec.covariate])
+        U = null_space(np.ones((1, n)))
+        A = np.hstack([X, np.eye(n), U, spec.covariate[:, None] * U])
+        Kq = U.T @ precision_matrix(graph) @ U
+        r = n - 1
+        P = np.zeros((A.shape[1],) * 2)
+        P[0, 0] = P[1, 1] = 1.0 / 1000.0
+        P[2 : 2 + n, 2 : 2 + n] = taus["tau_phi"] * np.eye(n)
+        P[2 + n : 2 + n + r, 2 + n : 2 + n + r] = taus["tau_v"] * Kq
+        P[2 + n + r :, 2 + n + r :] = taus["tau_delta"] * Kq
+        H = A.T @ A / noise_var + P
+        mean_u = np.linalg.solve(H, A.T @ y / noise_var)
+        expected = {
+            "beta": mean_u[:2],
+            "phi": mean_u[2 : 2 + n],
+            "v": U @ mean_u[2 + n : 2 + n + r],
+            "delta": U @ mean_u[2 + n + r :],
+        }
+
+        for name, means in expected.items():
+            for i, mean in enumerate(means):
+                draws = archive.get(name)[:, i]
+                ess = max(effective_sample_size(archive, name, i), 50.0)
+                se = draws.std(ddof=1) / math.sqrt(ess)
+                assert abs(draws.mean() - mean) < 3 * se + 1e-4, (name, i)
+
+
+class TestColourClasses:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), n_islands=st.integers(0, 3))
+    def test_classes_partition_areas_into_independent_sets(self, seed, n, n_islands):
+        rng = np.random.default_rng(seed)
+        edges = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
+        graph = build_graph(edges, n_areas=n + n_islands)
+        classes = svc._colour_classes(graph)
+        members = np.concatenate(classes)
+        assert sorted(members.tolist()) == list(range(graph.n_areas))
+        colour = np.empty(graph.n_areas, dtype=int)
+        for c, idx in enumerate(classes):
+            assert idx.tolist() == sorted(idx.tolist())
+            colour[idx] = c
+        assert not np.any(colour[graph.edge_i] == colour[graph.edge_j])
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 7), (15, 15)])
+    def test_rook_lattice_takes_two_classes(self, rows, cols):
+        assert len(svc._colour_classes(make_lattice(rows, cols))) == 2
+
+
 class TestFitStage2:
     def test_m1_quick_recovery_and_reproducibility(self):
         g = make_lattice(5, 5)
@@ -527,6 +608,22 @@ class TestFitStage2:
         assert archive.get("phi")[:, 1].std() > 0
         with pytest.raises(ValidationError, match="expected count 0"):
             fit_stage2_mcmc(spec, np.array([12.0, 3.0]), g, config)
+
+    @pytest.mark.parametrize(
+        "counts, offsets",
+        [(np.full(4, np.nan), np.full(4, 10.0)), (np.array([0.0, 0.0, np.nan, 0.0]), np.zeros(4))],
+    )
+    def test_no_likelihood_anywhere_is_a_validation_error(self, counts, offsets):
+        g = make_lattice(2, 2)
+        spec = SvcModelSpec(
+            rung="M3", covariate=np.linspace(-1, 1, 4), offsets=offsets,
+            latent_factors=np.zeros((4, 1)),
+        )
+        config = McmcConfig(n_chains=1, n_iter=20, burn_in=10, thin=1, seed=0)
+        with pytest.raises(ValidationError, match="no area carries likelihood"):
+            fit_stage2_mcmc(spec, counts, g, config)
+        with pytest.raises(ValidationError, match="no area carries likelihood"):
+            fit_stage2_laplace(spec, counts, g)
 
     def test_acceptance_rates_recorded(self):
         g = make_lattice(3, 3)
