@@ -12,9 +12,11 @@ meaning the coefficient of 1/x in the exponent (so the conjugate update
 is shape + n/2, rate + rss/2).
 
 Every update below draws from an exact full conditional; the eta sweep
-delegates to :mod:`arealbayes.icar` and is followed by per-component
-centering. Missing indicator cells contribute to nothing: fits are
-bitwise invariant to whatever garbage sits in masked-out entries.
+delegates to :mod:`arealbayes.icar`, which draws one colour class of
+non-adjacent areas at a time, and is followed by per-component centering
+(:func:`arealbayes.icar.center_by_component`). Missing indicator cells
+contribute to nothing: fits are bitwise invariant to whatever garbage
+sits in masked-out entries.
 
 One fit handles one latent factor; multiple factors are fit by calling
 :func:`fit_stage1` once per indicator block.
@@ -259,32 +261,26 @@ def _run_stage1_chain(payload):
                 setattr(state, key, np.asarray(value, dtype=float))
 
     alpha, lam, sigma2 = state.alpha, state.loadings, state.sigma2
-    eta_list = state.eta.values.tolist()
-    comp_idx = [idx for idx in graph.components()]
+    eta_arr = state.eta.values.copy()
     n = graph.n_areas
     variance = spec.eta_variance
 
     keep = {"alpha": [], "lambda": [], "eta": [], "sigma2": []}
     for it in range(1, config.n_iter + 1):
-        eta_arr = np.asarray(eta_list)
         alpha = _draw_alpha(rng, cache, lam, sigma2, eta_arr, spec)
         lam = _draw_lambda(rng, cache, alpha, sigma2, eta_arr, spec)
         sigma2 = _draw_sigma2(rng, cache, alpha, lam, eta_arr, spec)
         prec, pwm = _eta_likelihood_terms(cache, alpha, lam, sigma2)
-        normals = rng.standard_normal(n).tolist()
         icar.gibbs_sweep_values(
-            eta_list, graph, variance, prec.tolist(), pwm.tolist(), normals
+            eta_arr, graph, variance, prec, pwm, rng.standard_normal(n)
         )
-        eta_arr = np.asarray(eta_list)
-        for idx in comp_idx:
-            eta_arr[idx] -= eta_arr[idx].mean()
+        eta_arr, _ = icar.center_by_component(eta_arr, graph)
         logr = _signflip_log_ratio(cache, alpha, sigma2, eta_arr, spec.anchor_index)
         u = rng.random()
         if logr >= 0.0 or math.log(u) < logr:
             eta_arr = -eta_arr
             lam = -lam
             lam[spec.anchor_index] = 1.0
-        eta_list = eta_arr.tolist()
         if config.is_retained(it):
             keep["alpha"].append(alpha.copy())
             keep["lambda"].append(lam.copy())

@@ -16,7 +16,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import sparse, stats
 
 from .errors import ValidationError
 
@@ -61,6 +61,16 @@ class SpatialGraph:
         Connected-component id per area, numbered by smallest member index.
     component_sizes : ndarray
         Number of areas per component, by label.
+    colour_classes : list[ndarray]
+        Greedy colouring in ascending area order, as sorted member indices
+        per colour: each area takes the smallest colour that none of its
+        lower-indexed neighbours holds. No edge joins two areas of one
+        class, so under an ICAR prior the areas of a class are
+        conditionally independent given the rest of the field.
+    colour_blocks : list[scipy.sparse.csr_matrix]
+        The rows ``colour_classes[c]`` of the weight matrix W, so
+        ``colour_blocks[c] @ x`` gives ``sum_j w_ij x_j`` for every area
+        ``i`` of class ``c``.
     """
 
     def __init__(self, neighbor_lists, neighbor_weights, n_areas):
@@ -96,12 +106,17 @@ class SpatialGraph:
             np.split(by_label, np.cumsum(self.component_sizes)[:-1])
             if self.n_areas else []
         )
-        self.is_binary = bool(np.all(self.weights == 1.0))
+        self.colour_classes = _colour_classes(neighbor_lists)
+        W = sparse.csr_matrix(
+            (self.weights, self.indices, self.indptr), shape=(self.n_areas,) * 2
+        )
+        self.colour_blocks = [W[idx] for idx in self.colour_classes]
         for arr in (
             self.indptr, self.indices, self.weights, self.edge_i, self.edge_j,
             self.edge_w, self.weight_sums, self.wplus_eff, self.island_mask,
             self.island_indices, self.component_labels, self.component_sizes,
-            *self._components,
+            *self._components, *self.colour_classes,
+            *(a for b in self.colour_blocks for a in (b.data, b.indices, b.indptr)),
         ):
             arr.flags.writeable = False
 
@@ -159,6 +174,19 @@ def _label_components(neighbor_lists, n: int) -> np.ndarray:
                     stack.append(v)
         current += 1
     return labels
+
+
+def _colour_classes(neighbor_lists) -> list[np.ndarray]:
+    colour = [0] * len(neighbor_lists)
+    for i, nbs in enumerate(neighbor_lists):
+        taken = {colour[j] for j in nbs if j < i}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[i] = c
+    colour = np.array(colour, dtype=np.int64)
+    n_colours = int(colour.max()) + 1 if len(colour) else 0
+    return [np.flatnonzero(colour == c) for c in range(n_colours)]
 
 
 def build_graph(

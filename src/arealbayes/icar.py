@@ -14,13 +14,18 @@ sigma^2 / w_{i+})``. Degree-0 areas (islands) have no ICAR conditional;
 the package-wide island policy gives them an independent ``N(0, sigma^2)``
 prior instead, which keeps the joint density proper and is what
 :func:`sample_icar_gibbs_sweep` and :func:`quad_form_and_rank` implement.
+
+The Gibbs sweep is chromatic: areas that share no edge are conditionally
+independent given the rest of the field, so the sweep draws one colour
+class of the graph (:attr:`SpatialGraph.colour_classes`) at a time, every
+site of the class at once from its exact full conditional, with the
+neighbour sums taken from the class's CSR row block of W.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -106,56 +111,50 @@ def project_sum_to_zero(field: IcarField) -> IcarField:
 def center_by_component(
     values: np.ndarray, graph: SpatialGraph
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract each component's mean; also return the subtracted means."""
-    out = np.array(values, dtype=float)
-    shifts = np.empty(graph.n_components)
-    for c, idx in enumerate(graph.components()):
-        m = out[idx].mean()
-        out[idx] -= m
-        shifts[c] = m
-    return out, shifts
+    """Subtract each component's mean; also return the subtracted means.
+
+    On a connected graph this is ``values - values.mean()``. Otherwise the
+    component sums come from one ``np.bincount`` over the component
+    labels, which can round differently in the last bits from a
+    per-component ``mean``.
+    """
+    values = np.asarray(values, dtype=float)
+    if graph.n_components == 1:
+        m = values.mean()
+        return values - m, np.array([m])
+    labels = graph.component_labels
+    means = (
+        np.bincount(labels, weights=values, minlength=graph.n_components)
+        / graph.component_sizes
+    )
+    return values - means[labels], means
 
 
 def gibbs_sweep_values(
-    values: list,
+    values: np.ndarray,
     graph: SpatialGraph,
     variance: float,
-    lik_precision: Sequence[float],
-    lik_weighted_mean: Sequence[float],
-    normals: Sequence[float],
+    lik_precision: np.ndarray,
+    lik_weighted_mean: np.ndarray,
+    normals: np.ndarray,
 ) -> None:
-    """One ascending-order single-site Gibbs sweep, in place.
+    """One colour-class single-site Gibbs sweep, in place.
 
     Each site is drawn from the exact Normal full conditional formed by
     the ICAR prior conditional and a Gaussian likelihood term given as
     (precision, precision * mean) per area. Islands use the N(0, variance)
-    island prior. ``values`` is a plain Python list and is mutated;
-    ``normals`` supplies one standard normal draw per site so the caller
-    controls the random stream.
+    island prior. The classes of :attr:`SpatialGraph.colour_classes` run
+    in colour order and the sites of a class are drawn at once, so each
+    site sees the current values of its neighbours. ``values`` is a float
+    array and is mutated; ``normals[i]`` is the standard normal draw of
+    area ``i``, so the caller controls the random stream.
     """
-    nbr_idx, nbr_w, binary = graph.neighbor_lists, graph.neighbor_weights, graph.is_binary
-    wplus_eff = graph.wplus_eff.tolist()
-    inv_var = 1.0 / variance
-    n = len(values)
-    sqrt = math.sqrt
-    if binary:
-        for i in range(n):
-            s = 0.0
-            for j in nbr_idx[i]:
-                s += values[j]
-            post_prec = wplus_eff[i] * inv_var + lik_precision[i]
-            values[i] = (s * inv_var + lik_weighted_mean[i]) / post_prec + normals[
-                i
-            ] / sqrt(post_prec)
-    else:
-        for i in range(n):
-            s = 0.0
-            for j, w in zip(nbr_idx[i], nbr_w[i]):
-                s += w * values[j]
-            post_prec = wplus_eff[i] * inv_var + lik_precision[i]
-            values[i] = (s * inv_var + lik_weighted_mean[i]) / post_prec + normals[
-                i
-            ] / sqrt(post_prec)
+    post_prec = graph.wplus_eff / variance + lik_precision
+    # conditional mean = neighbour sum * scale + the likelihood's share
+    scale = 1.0 / (variance * post_prec)
+    offset = lik_weighted_mean / post_prec + normals / np.sqrt(post_prec)
+    for idx, block in zip(graph.colour_classes, graph.colour_blocks):
+        values[idx] = scale[idx] * (block @ values) + offset[idx]
 
 
 def sample_icar_gibbs_sweep(
@@ -164,12 +163,12 @@ def sample_icar_gibbs_sweep(
     lik_weighted_mean: np.ndarray,
     rng: np.random.Generator,
 ) -> IcarField:
-    """Sweep every site in ascending index order, then re-center.
+    """Sweep every site a colour class at a time, then re-center.
 
     ``lik_precision[i]`` and ``lik_weighted_mean[i]`` are the Gaussian
     likelihood contribution of area ``i`` in natural parameters (precision
     and precision-weighted mean); zeros mean "no data at this site" and
-    yield a draw from the prior conditional. The ascending order and the
+    yield a draw from the prior conditional. The fixed class order and the
     one-draw-per-site stream make sweeps bitwise reproducible for a given
     generator state.
     """
@@ -180,13 +179,12 @@ def sample_icar_gibbs_sweep(
         raise DimensionMismatchError("likelihood contributions must have length n_areas")
     if (lik_precision < 0).any():
         raise ValidationError("likelihood precisions must be nonnegative")
-    values = field.values.tolist()
-    normals = rng.standard_normal(n).tolist()
+    values = field.values.copy()
     gibbs_sweep_values(
         values, field.graph, field.variance,
-        lik_precision.tolist(), lik_weighted_mean.tolist(), normals,
+        lik_precision, lik_weighted_mean, rng.standard_normal(n),
     )
-    centered, _ = center_by_component(np.asarray(values), field.graph)
+    centered, _ = center_by_component(values, field.graph)
     return replace(field, values=centered)
 
 

@@ -17,10 +17,12 @@ per-coordinate random-walk updates for beta, single-site random-walk
 updates for phi, v and delta (the latter two against their ICAR prior
 conditionals), and conjugate Gamma draws for the precisions with the rank
 of each ICAR block corrected per connected component. The single-site
-updates run one colour class at a time: a greedy colouring of the graph
-in ascending area order splits the areas into classes that share no edge,
-so the areas of a class are conditionally independent and move together
-in one set of array operations (phi, whose prior is iid, is one class).
+updates run one colour class at a time: the graph's greedy colouring in
+ascending area order (``SpatialGraph.colour_classes``) splits the areas
+into classes that share no edge, so the areas of a class are
+conditionally independent and move together in one set of array
+operations on the class's CSR row block of W (phi, whose prior is iid,
+is one class).
 Each area still has its own step size, acceptance test and divergence
 check, and draws one normal and one uniform per sweep. After every v or
 delta sweep the field is recentered and the subtracted mean absorbed into
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy import sparse, special, stats
+from scipy import special, stats
 
 from . import icar
 from .errors import DimensionMismatchError, ValidationError
@@ -358,45 +360,27 @@ def beta_log_acceptance_ratio(
 # ---------------------------------------------------------------------------
 
 
-def _colour_classes(graph: SpatialGraph) -> list[np.ndarray]:
-    """Greedy colouring in ascending area order, as sorted index arrays.
-
-    Each area takes the smallest colour that none of its lower-indexed
-    neighbours holds, so no edge joins two areas of one class and the
-    areas of a class are conditionally independent under the ICAR prior.
-    """
-    colour = [0] * graph.n_areas
-    for i, nbs in enumerate(graph.neighbor_lists):
-        taken = {colour[j] for j in nbs if j < i}
-        c = 0
-        while c in taken:
-            c += 1
-        colour[i] = c
-    colour = np.array(colour)
-    return [np.flatnonzero(colour == c) for c in range(int(colour.max()) + 1)]
-
-
-def _sweep_blocks(classes, W, wplus, coef, lik_a, lik_b) -> list[tuple]:
+def _sweep_blocks(classes, blocks, wplus, coef, lik_a, lik_b) -> list[tuple]:
     """Per-class constants of :func:`_field_sweep`.
 
     ``classes`` holds index arrays, or one slice for a field that moves
-    all at once; ``W`` is the CSR weight matrix, None for the iid prior
-    whose mean is 0; ``wplus`` the prior precision per unit tau; ``coef``
-    multiplies the field in the predictor (None means 1); ``lik_a`` and
-    ``lik_b`` are the likelihood's per-area constants, zero where an area
-    carries none.
+    all at once; ``blocks`` the matching CSR row blocks of W, None for the
+    iid prior whose mean is 0; ``wplus`` the prior precision per unit tau;
+    ``coef`` multiplies the field in the predictor (None means 1);
+    ``lik_a`` and ``lik_b`` are the likelihood's per-area constants, zero
+    where an area carries none.
     """
     return [
         (
             idx,
-            None if W is None else W[idx],
-            None if W is None else 2.0 / wplus[idx],
+            block,
+            None if block is None else 2.0 / wplus[idx],
             0.5 * wplus[idx],
             None if coef is None else coef[idx],
             lik_a[idx],
             lik_b[idx],
         )
-        for idx in classes
+        for idx, block in zip(classes, blocks)
     ]
 
 
@@ -506,12 +490,13 @@ def _run_stage2_chain(payload):
             lik_b = np.where(lik.mask, lik.offsets, 0.0)
         else:
             lik_b = np.where(lik.mask, 1.0 / (2.0 * gaussian_s2), 0.0)
-        W = sparse.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n))
-        classes = _colour_classes(graph)
+        classes, blocks = graph.colour_classes, graph.colour_blocks
         field_blocks = {
-            "phi": _sweep_blocks([slice(None)], None, np.ones(n), None, lik_a, lik_b),
-            "v": _sweep_blocks(classes, W, graph.wplus_eff, None, lik_a, lik_b),
-            "delta": _sweep_blocks(classes, W, graph.wplus_eff, spec.covariate, lik_a, lik_b),
+            "phi": _sweep_blocks([slice(None)], [None], np.ones(n), None, lik_a, lik_b),
+            "v": _sweep_blocks(classes, blocks, graph.wplus_eff, None, lik_a, lik_b),
+            "delta": _sweep_blocks(
+                classes, blocks, graph.wplus_eff, spec.covariate, lik_a, lik_b
+            ),
         }
         field_steps = {name: np.full(n, 0.3) for name in field_blocks}
 

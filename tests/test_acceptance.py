@@ -119,10 +119,9 @@ def test_criterion_02_stage1_conditionals():
         pwm_pin = pin * eta
         prec_pin[site], pwm_pin[site] = prec[site], pwm[site]
         draws = np.empty(n_draws)
-        values = eta.tolist()
-        pl, wl = prec_pin.tolist(), pwm_pin.tolist()
+        values = eta.copy()
         for s in range(n_draws):
-            gibbs_sweep_values(values, graph, 1.0, pl, wl, rng.standard_normal(6).tolist())
+            gibbs_sweep_values(values, graph, 1.0, prec_pin, pwm_pin, rng.standard_normal(6))
             draws[s] = values[site]
         nb_sum = sum(eta[j] for j in graph.neighbor_lists[site])
         wplus = graph.weight_sums[site]

@@ -178,11 +178,10 @@ class TestConditionals:
         rng = np.random.default_rng(7)
         n_draws = 100_000
         draws = np.empty(n_draws)
-        values = self.eta_true.tolist()
-        pl, wl = prec_pin.tolist(), pwm_pin.tolist()
+        values = self.eta_true.copy()
         for s in range(n_draws):
             gibbs_sweep_values(
-                values, self.graph, 1.0, pl, wl, rng.standard_normal(6).tolist()
+                values, self.graph, 1.0, prec_pin, pwm_pin, rng.standard_normal(6)
             )
             draws[s] = values[i]
 

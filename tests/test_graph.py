@@ -41,6 +41,21 @@ class TestBuildGraph:
             ]
             assert build_graph(shuffled, n_areas=20) == g1
 
+    def test_colour_blocks_are_the_weight_rows_of_each_class(self):
+        g = build_graph(
+            [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (2, 3, 1.5), (5, 6, 0.25)],
+            n_areas=8,
+        )
+        assert [idx.tolist() for idx in g.colour_classes] == [[0, 3, 4, 5, 7], [1, 6], [2]]
+        W = g.dense_weights()
+        for idx, block in zip(g.colour_classes, g.colour_blocks):
+            assert np.array_equal(block.toarray(), W[idx])
+            assert not idx.flags.writeable and not block.data.flags.writeable
+
+    def test_empty_graph_has_no_colour_classes(self):
+        g = build_graph([], n_areas=0)
+        assert g.colour_classes == [] and g.colour_blocks == []
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValidationError, match="self-loop"):
             build_graph([(2, 2, 1.0)], n_areas=3)

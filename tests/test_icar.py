@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import grid_moments, random_connected_graph
+from scipy.linalg import null_space
 
 from arealbayes.errors import ValidationError
 from arealbayes.graph import build_graph
@@ -150,11 +151,10 @@ class TestGibbsSweep:
             prec[i] = lik_prec[i]
             pwm[i] = lik_prec[i] * lik_mean[i]
             draws = np.empty(n_draws)
-            values = state.tolist()
+            values = state.copy()
             normals_all = rng.standard_normal((n_draws, 5))
-            prec_l, pwm_l = prec.tolist(), pwm.tolist()
             for s in range(n_draws):
-                gibbs_sweep_values(values, g, sigma2, prec_l, pwm_l, normals_all[s].tolist())
+                gibbs_sweep_values(values, g, sigma2, prec, pwm, normals_all[s])
                 draws[s] = values[i]
 
             wplus = g.weight_sums[i]
@@ -181,11 +181,114 @@ class TestGibbsSweep:
         field = sample_icar_gibbs_sweep(field, prec, prec * rng.standard_normal(10), rng)
         assert np.max(np.abs(field.component_sums())) < 1e-8
 
+    def test_sweep_matches_site_by_site_reference(self):
+        # one site at a time in class order, with Python floats; no edge
+        # joins two sites of a class, so this is the same draw
+        rng = np.random.default_rng(10)
+        edges = [(i, j, rng.uniform(0.2, 3.0)) for i, j, _ in random_connected_graph(rng, 12, 8)]
+        g = build_graph(edges + [(13, 14, 0.6)], n_areas=16)
+        sigma2 = 0.6
+        prec = rng.uniform(0.0, 2.0, 16)
+        pwm = rng.standard_normal(16)
+        normals = rng.standard_normal(16)
+        values = rng.standard_normal(16)
+        expected = values.tolist()
+        for i in np.concatenate(g.colour_classes).tolist():
+            s = sum(w * expected[j] for j, w in zip(g.neighbor_lists[i], g.neighbor_weights[i]))
+            wplus = g.weight_sums[i] if g.degree(i) else 1.0  # island prior N(0, sigma2)
+            post = wplus / sigma2 + prec[i]
+            expected[i] = (s / sigma2 + pwm[i]) / post + normals[i] / math.sqrt(post)
+        gibbs_sweep_values(values, g, sigma2, prec, pwm, normals)
+        assert np.allclose(values, expected, rtol=1e-12, atol=1e-12)
+
     def test_negative_precision_rejected(self):
         g = build_graph([(0, 1)])
         field = IcarField(g, np.zeros(2))
         with pytest.raises(ValidationError, match="nonnegative"):
             sample_icar_gibbs_sweep(field, np.array([-1.0, 0.0]), np.zeros(2), np.random.default_rng(0))
+
+
+# two weighted components with triangles (so three colour classes), no islands
+TWO_TRIANGLE_EDGES = [
+    (0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (2, 3, 1.5),
+    (4, 5, 1.0), (5, 6, 0.7), (4, 6, 2.5), (6, 7, 1.2), (7, 8, 0.8), (8, 4, 0.4),
+]
+
+
+def gaussian_moments_z(draws, mean, cov, edge_i, edge_j, n_batches=100):
+    """Batch-means z-scores of per-site means and variances and of the
+    covariances of adjacent pairs, against the closed-form moments."""
+    d = draws - mean
+    stats = np.hstack([draws, d * d, d[:, edge_i] * d[:, edge_j]])
+    expected = np.concatenate([mean, np.diag(cov), cov[edge_i, edge_j]])
+    usable = len(stats) // n_batches * n_batches
+    batches = stats[:usable].reshape(n_batches, -1, stats.shape[1]).mean(axis=1)
+    se = batches.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    return (batches.mean(axis=0) - expected) / se
+
+
+class TestSweepGaussianOracle:
+    """The sweep against closed-form Gaussian moments, covariances included:
+    a sweep that moves neighbouring areas together (all areas in one class,
+    a Jacobi sweep) keeps the means but not the covariances."""
+
+    sigma2 = 0.7
+
+    def setup_method(self):
+        self.graph = build_graph(TWO_TRIANGLE_EDGES)
+        assert self.graph.n_components == 2 and not len(self.graph.island_indices)
+        assert len(self.graph.colour_classes) == 3
+        self.Q = precision_matrix(self.graph) / self.sigma2
+
+    def test_sweep_kernel_matches_unconstrained_gmrf(self):
+        # with a likelihood term at every site the sweep alone targets the
+        # proper GMRF N(P^-1 b, P^-1), P = Q / sigma2 + diag(prec)
+        g, n = self.graph, self.graph.n_areas
+        rng = np.random.default_rng(21)
+        prec = rng.uniform(0.3, 2.0, n)
+        pwm = prec * rng.normal(0.0, 1.5, n)
+        cov = np.linalg.inv(self.Q + np.diag(prec))
+        mean = cov @ pwm
+
+        n_draws = 100_000
+        normals = rng.standard_normal((n_draws, n))
+        draws = np.empty((n_draws, n))
+        values = np.zeros(n)
+        for _ in range(200):
+            gibbs_sweep_values(values, g, self.sigma2, prec, pwm, rng.standard_normal(n))
+        for s in range(n_draws):
+            gibbs_sweep_values(values, g, self.sigma2, prec, pwm, normals[s])
+            draws[s] = values
+        z = gaussian_moments_z(draws, mean, cov, g.edge_i, g.edge_j)
+        assert np.max(np.abs(z)) < 4.0, z
+
+    def test_sweep_matches_constrained_gmrf(self):
+        # Centering after a sweep draws from the GMRF conditioned on zero
+        # component sums when the target is flat along each component's
+        # constant: no likelihood precision, and a linear term that sums to
+        # zero within each component.
+        g, n = self.graph, self.graph.n_areas
+        rng = np.random.default_rng(22)
+        prec = np.zeros(n)
+        pwm = rng.normal(0.0, 1.0, n)
+        for idx in g.components():
+            pwm[idx] -= pwm[idx].mean()
+        A = (g.component_labels[None, :] == np.arange(2)[:, None]).astype(float)
+        U = null_space(A)
+        cov = U @ np.linalg.inv(U.T @ (self.Q + np.diag(prec)) @ U) @ U.T
+        mean = cov @ pwm
+
+        n_draws = 100_000
+        field = IcarField(g, np.zeros(n), variance=self.sigma2)
+        for _ in range(200):
+            field = sample_icar_gibbs_sweep(field, prec, pwm, rng)
+        draws = np.empty((n_draws, n))
+        for s in range(n_draws):
+            field = sample_icar_gibbs_sweep(field, prec, pwm, rng)
+            draws[s] = field.values
+        assert np.max(np.abs(draws @ A.T)) < 1e-10
+        z = gaussian_moments_z(draws, mean, cov, g.edge_i, g.edge_j)
+        assert np.max(np.abs(z)) < 4.0, z
 
 
 class TestPrecisionMatrix:
@@ -231,6 +334,20 @@ class TestQuadFormAndRank:
         assert quad == pytest.approx(4.0 + 9.0 + 0.25)
         # n - components + islands = 4 - 3 + 2
         assert rank == 3
+
+    def test_center_by_component_matches_per_component_means(self):
+        rng = np.random.default_rng(11)
+        edges = random_connected_graph(rng, 9) + [(10, 11, 1.0), (11, 12, 2.0)]
+        g = build_graph(edges, n_areas=14)
+        values = rng.standard_normal(14) * 100.0
+        centered, shifts = center_by_component(values, g)
+        for c, idx in enumerate(g.components()):
+            assert shifts[c] == pytest.approx(values[idx].mean(), rel=1e-13, abs=1e-13)
+            assert np.allclose(centered[idx], values[idx] - values[idx].mean(), rtol=0, atol=1e-12)
+        connected = make_lattice(4, 5)
+        x = rng.standard_normal(20)
+        centered, shifts = center_by_component(x, connected)
+        assert np.array_equal(centered, x - x.mean()) and shifts.tolist() == [x.mean()]
 
     def test_center_by_component_returns_shifts(self):
         g = build_graph([(0, 1)], n_areas=3)

@@ -455,8 +455,8 @@ class TestSamplerGaussianExactness:
 
     def test_m4_weighted_graph_matches_conjugate_posterior(self):
         graph = build_graph(WEIGHTED_SEVEN_EDGES, n_areas=7)
-        assert len(svc._colour_classes(graph)) >= 3
-        assert not graph.is_binary
+        assert len(graph.colour_classes) >= 3
+        assert not np.all(graph.weights == 1.0)
         rng = np.random.default_rng(46)
         n = 7
         spec = SvcModelSpec(
@@ -511,7 +511,7 @@ class TestColourClasses:
         rng = np.random.default_rng(seed)
         edges = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
         graph = build_graph(edges, n_areas=n + n_islands)
-        classes = svc._colour_classes(graph)
+        classes = graph.colour_classes
         members = np.concatenate(classes)
         assert sorted(members.tolist()) == list(range(graph.n_areas))
         colour = np.empty(graph.n_areas, dtype=int)
@@ -522,7 +522,7 @@ class TestColourClasses:
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 7), (15, 15)])
     def test_rook_lattice_takes_two_classes(self, rows, cols):
-        assert len(svc._colour_classes(make_lattice(rows, cols))) == 2
+        assert len(make_lattice(rows, cols).colour_classes) == 2
 
 
 class TestFitStage2:
