@@ -11,6 +11,7 @@ seed always produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -429,7 +430,10 @@ def _cmd_fit_stage2(args) -> int:
             active = ["tau_phi", "tau_v"] if spec.has_convolution else []
             if spec.has_svc:
                 active.append("tau_delta")
-            grid = [dict(zip(active, point)) for point in _cartesian(values, len(active))]
+            grid = [
+                dict(zip(active, point))
+                for point in itertools.product(values, repeat=len(active))
+            ]
             fit, table = svc.laplace_precision_grid(spec, observed, graph, grid)
             print(f"empirical Bayes selected {table[int(np.argmax([t[1] for t in table]))][0]}")
         else:
@@ -455,13 +459,6 @@ def _cmd_fit_stage2(args) -> int:
         f"{archive.n_retained} retained draws -> {args.out}"
     )
     return 0
-
-
-def _cartesian(values, k):
-    if k == 0:
-        return [()]
-    rest = _cartesian(values, k - 1)
-    return [(v, *r) for v in values for r in rest]
 
 
 def _cmd_diagnose(args) -> int:

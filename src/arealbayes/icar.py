@@ -193,7 +193,7 @@ def precision_matrix(graph: SpatialGraph, island_proper: bool = False) -> np.nda
 
     With ``island_proper=True`` islands get a unit diagonal, matching the
     N(0, sigma^2) island prior; otherwise their rows are identically zero.
-    Intended for oracles, simulation and the Laplace mode, not for large n.
+    Intended for oracles and simulation, not for large n.
     """
     Q = np.diag(graph.weight_sums)
     Q[graph.edge_i, graph.edge_j] = -graph.edge_w

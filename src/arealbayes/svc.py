@@ -32,7 +32,14 @@ during burn-in only and are frozen afterwards.
 
 A Newton-mode Laplace approximation at fixed precisions is provided as an
 independent cross-check and for empirical-Bayes selection of the
-precisions over a user grid.
+precisions over a user grid. It is sparse throughout: the latent vector
+(beta, phi, v, delta) is kept in area coordinates, the ICAR blocks are
+held to zero sum on every multi-area component by sparse indicator
+constraint columns C (islands, under their proper prior, get none), and
+each Newton step factors the bordered system [[H, C], [C', 0]] once with
+``scipy.sparse.linalg.splu`` for the step, the constrained log
+determinant and, at the mode, the fixed-effect sds. ``gradient_norm`` is
+the max-norm of the gradient projected onto the constraint set.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import sparse, special, stats
+from scipy.sparse.linalg import splu
 
 from . import icar
 from .errors import DimensionMismatchError, ValidationError
@@ -702,35 +710,73 @@ def fit_stage2_mcmc(
 # ---------------------------------------------------------------------------
 
 
-def _component_basis(graph: SpatialGraph) -> np.ndarray:
-    """Orthonormal basis of the per-component sum-to-zero subspace.
+def _sum_to_zero_columns(graph: SpatialGraph, n_rows: int, starts) -> sparse.csc_matrix:
+    """Sum-to-zero constraint columns for ICAR blocks of a latent vector.
 
-    Components of size m contribute m - 1 Helmert columns; islands keep a
-    single identity column because the island policy gives them a proper
-    independent prior rather than a constraint.
+    One indicator column per multi-area component for each block of
+    ``n_areas`` rows starting at a row in ``starts``. Islands get no
+    column: the island policy gives them a proper independent prior
+    rather than a constraint.
     """
-    n = graph.n_areas
-    cols = []
-    for idx in graph.components():
-        m = len(idx)
-        if m == 1:
-            col = np.zeros(n)
-            col[idx[0]] = 1.0
-            cols.append(col)
+    labels = graph.component_labels
+    multi = graph.component_sizes > 1
+    areas = np.flatnonzero(multi[labels])
+    k = int(multi.sum())
+    cols = (np.cumsum(multi) - 1)[labels[areas]]
+    rows = np.add.outer(np.asarray(starts, dtype=np.int64), areas).ravel()
+    cols = np.add.outer(k * np.arange(len(starts)), cols).ravel()
+    return sparse.csc_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(n_rows, k * len(starts))
+    )
+
+
+def _parity(perm: np.ndarray) -> int:
+    """Sign of a permutation: ``(-1) ** (length - number of cycles)``."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if seen[start]:
             continue
-        for k in range(1, m):
-            col = np.zeros(n)
-            col[idx[:k]] = 1.0
-            col[idx[k]] = -k
-            cols.append(col / math.sqrt(k * (k + 1)))
-    return np.column_stack(cols) if cols else np.zeros((n, 0))
+        cycles += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def _bordered_lu(M, C) -> tuple:
+    """``splu`` of ``[[M, C], [C', 0]]`` and log det of M on ``null(C')``.
+
+    The columns of C are component indicators with disjoint supports, so
+    ``|det [[M, C], [C', 0]]| = det(T' M T) * prod_c m_c`` for any
+    orthonormal basis T of the null space of C', m_c being the column
+    sizes, and its sign is ``(-1)^k`` times the sign of ``det(T' M T)``,
+    k the number of columns. The positive-definiteness guard asks for
+    ``(-1)^k``; the sign comes from U's diagonal and the parities of the
+    row and column permutations (L has a unit diagonal).
+    """
+    k = C.shape[1]
+    # minimum degree on the symmetric pattern: about half the fill of the
+    # default COLAMD ordering on a bordered M4 curvature matrix
+    lu = splu(
+        sparse.bmat([[M, C], [C.T, None]], format="csc"), permc_spec="MMD_AT_PLUS_A"
+    )
+    diag = lu.U.diagonal()
+    sign = np.prod(np.sign(diag)) * _parity(lu.perm_r) * _parity(lu.perm_c)
+    if sign != (-1) ** k:
+        raise RuntimeError("prior or curvature matrix is not positive definite")
+    sizes = np.asarray(C.sum(axis=0)).ravel()
+    return lu, float(np.sum(np.log(np.abs(diag))) - np.sum(np.log(sizes)))
 
 
 class LaplaceFit(NamedTuple):
+    """Mode, fixed-effect sds, convergence record and log marginal of a
+    :func:`fit_stage2_laplace` fit."""
+
     state: SvcModelState
     beta_sd: np.ndarray
-    covariance: np.ndarray
-    design: np.ndarray
     gradient_norm: float
     n_newton: int
     log_marginal: float
@@ -749,12 +795,25 @@ def fit_stage2_laplace(
     """Gaussian approximation of the latent field at fixed precisions.
 
     Newton-Raphson climbs log-likelihood plus log-prior of the joint
-    latent vector (beta, phi, v, delta), the ICAR blocks parameterised in
-    their sum-to-zero subspaces so the objective is strictly concave. The
-    returned mode and curvature define the Gaussian approximation to the
-    latent field's full conditional; ``log_marginal`` is the resulting
-    approximate log marginal of the fixed precisions (up to a constant),
-    the quantity :func:`laplace_precision_grid` maximises.
+    latent vector ``z = (beta, phi, v, delta)`` in area coordinates, with
+    the ICAR blocks held to zero sum on every multi-area component by a
+    sparse constraint matrix C (one indicator column per component and
+    ICAR block; islands carry their proper prior and no constraint). The
+    design ``A = [X | I | I | diag(x)]`` and the prior precision
+    ``P = blockdiag(I / sigma_beta^2, tau_phi I, tau_v Q, tau_delta Q)``
+    are sparse, so the curvature ``H = A' diag(w) A + P`` is sparse plus
+    the dense rows of the fixed effects. Each Newton step factors the
+    bordered system ``[[H, C], [C', 0]]`` once with ``splu``; that factor
+    gives the constrained step, log det of H on the constraint set and,
+    at the mode, ``beta_sd`` (the fixed-effect rows of the constrained
+    inverse). The prior's ``[[Q, C], [C', 0]]`` is factored once per fit.
+    ``log_marginal`` is the resulting approximate log marginal of the
+    fixed precisions (up to a constant), the quantity
+    :func:`laplace_precision_grid` maximises.
+
+    ``gradient_norm`` is the max-norm of the log-posterior gradient
+    projected orthogonally onto the constraint set, i.e. with each
+    component's mean removed from the v and delta blocks.
 
     Diverging steps are halved; more than 50 halvings on one step raises
     with the current gradient norm.
@@ -769,62 +828,58 @@ def fit_stage2_laplace(
     tau_delta = float(precisions.get("tau_delta", 2.0))
 
     n = spec.n_areas
-    X = spec.fixed_design()
     K = spec.n_fixed
-    blocks = [("beta", X)]
-    prior_blocks = [np.full(K, 1.0 / spec.beta_prior_variance)]
-    dense_prior: list[tuple[int, np.ndarray]] = []
+    eye = sparse.identity(n, format="csr")
+    blocks = [sparse.csr_matrix(spec.fixed_design())]
+    priors = [sparse.identity(K) / spec.beta_prior_variance]
+    icar_taus = []
+    logdet_p = K * math.log(1.0 / spec.beta_prior_variance)
     if spec.has_convolution:
-        blocks.append(("phi", np.eye(n)))
-        prior_blocks.append(np.full(n, tau_phi))
-        U = _component_basis(graph)
-        Qp = icar.precision_matrix(graph, island_proper=True)
-        Kv = U.T @ Qp @ U
-        blocks.append(("v", U))
-        dense_prior.append((sum(b.shape[1] for _, b in blocks[:-1]), tau_v * Kv))
-        prior_blocks.append(None)
+        Q = sparse.diags(graph.wplus_eff) - sparse.csr_matrix(
+            (graph.weights, graph.indices, graph.indptr), shape=(n, n)
+        )
+        Cq = _sum_to_zero_columns(graph, n, [0])
+        _, logdet_q = _bordered_lu(Q.tocsc(), Cq)
+        blocks += [eye, eye]
+        priors += [tau_phi * eye, tau_v * Q]
+        icar_taus.append(tau_v)
+        logdet_p += n * math.log(tau_phi)
         if spec.has_svc:
-            blocks.append(("delta", spec.covariate[:, None] * U))
-            dense_prior.append((sum(b.shape[1] for _, b in blocks[:-1]), tau_delta * Kv))
-            prior_blocks.append(None)
-
-    A = np.hstack([b for _, b in blocks])
+            blocks.append(sparse.diags(spec.covariate))
+            priors.append(tau_delta * Q)
+            icar_taus.append(tau_delta)
+        for tau in icar_taus:
+            logdet_p += (n - Cq.shape[1]) * math.log(tau) + logdet_q
+    A = sparse.hstack(blocks, format="csr")
+    P = sparse.block_diag(priors, format="csr")
     d = A.shape[1]
-    P = np.zeros((d, d))
-    offset = 0
-    for (name, b), diag in zip(blocks, prior_blocks):
-        width = b.shape[1]
-        if diag is not None:
-            P[offset : offset + width, offset : offset + width] = np.diag(diag)
-        offset += width
-    for off, dense in dense_prior:
-        P[off : off + dense.shape[0], off : off + dense.shape[0]] = dense
+    starts = K + n * np.arange(1, 1 + len(icar_taus))
+    C = _sum_to_zero_columns(graph, d, starts)
+    C_sizes = np.asarray(C.sum(axis=0)).ravel()
 
-    u = np.zeros(d)
+    z = np.zeros(d)
     if isinstance(lik, PoissonLikelihood):
-        u[0] = math.log(max(lik.y_obs.sum(), 0.5) / lik.e_obs.sum())
+        z[0] = math.log(max(lik.y_obs.sum(), 0.5) / lik.e_obs.sum())
 
-    def objective(uvec):
-        return lik.loglik(A @ uvec) - 0.5 * float(uvec @ P @ uvec)
+    def objective(zvec):
+        return lik.loglik(A @ zvec) - 0.5 * float(zvec @ (P @ zvec))
 
-    obj = objective(u)
+    obj = objective(z)
     grad_norm = math.inf
-    H = None
     for it in range(1, max_newton + 1):
-        theta = A @ u
-        g_lik, w = lik.grad_hess_diag(theta)
-        grad = A.T @ g_lik - P @ u
-        grad_norm = float(np.max(np.abs(grad)))
-        H = (A.T * w) @ A + P
+        g_lik, w = lik.grad_hess_diag(A @ z)
+        grad = A.T @ g_lik - P @ z
+        grad_norm = float(np.max(np.abs(grad - C @ ((C.T @ grad) / C_sizes))))
+        lu, logdet_h = _bordered_lu((A.T @ sparse.diags(w) @ A + P).tocsc(), C)
         if grad_norm < grad_tol:
             break
-        step = np.linalg.solve(H, grad)
+        step = lu.solve(np.concatenate([grad, np.zeros(C.shape[1])]))[:d]
         t = 1.0
         # acceptance tolerance is relative: near the mode the true
         # improvement sits below the float noise of the objective itself
         slack = 1e-9 * (1.0 + abs(obj))
         for halving in range(51):
-            candidate = u + t * step
+            candidate = z + t * step
             cand_obj = objective(candidate)
             if np.isfinite(cand_obj) and cand_obj >= obj - slack:
                 break
@@ -834,46 +889,27 @@ def fit_stage2_laplace(
                 f"Newton step failed after 50 halvings; gradient max-norm "
                 f"{grad_norm:.3e}"
             )
-        u = candidate
+        z = candidate
         obj = cand_obj
     else:
-        if grad_norm >= grad_tol:
-            raise RuntimeError(
-                f"Newton did not converge in {max_newton} iterations; "
-                f"gradient max-norm {grad_norm:.3e}"
-            )
+        raise RuntimeError(
+            f"Newton did not converge in {max_newton} iterations; "
+            f"gradient max-norm {grad_norm:.3e}"
+        )
 
-    cov = np.linalg.inv(H)
-    offset = 0
-    parts = {}
-    for name, b in blocks:
-        width = b.shape[1]
-        parts[name] = (b, u[offset : offset + width], offset)
-        offset += width
-    beta = parts["beta"][1]
+    beta_sd = np.sqrt(np.diag(lu.solve(np.eye(d + C.shape[1], K))[:K]))
+    fields = z[K:].reshape(-1, n)
     state = SvcModelState(
-        beta=beta.copy(),
-        phi=parts["phi"][1].copy() if "phi" in parts else None,
-        v=IcarField(graph, parts["v"][0] @ parts["v"][1], 1.0 / tau_v) if "v" in parts else None,
-        delta=IcarField(graph, _component_basis(graph) @ parts["delta"][1], 1.0 / tau_delta)
-        if "delta" in parts
-        else None,
+        beta=z[:K].copy(),
+        phi=fields[0].copy() if spec.has_convolution else None,
+        v=IcarField(graph, fields[1].copy(), 1.0 / tau_v) if spec.has_convolution else None,
+        delta=IcarField(graph, fields[2].copy(), 1.0 / tau_delta) if spec.has_svc else None,
         tau_phi=tau_phi if spec.has_convolution else None,
         tau_v=tau_v if spec.has_convolution else None,
         tau_delta=tau_delta if spec.has_svc else None,
     )
-    beta_sd = np.sqrt(np.diag(cov)[:K])
 
-    sign_p, logdet_p = np.linalg.slogdet(P)
-    sign_h, logdet_h = np.linalg.slogdet(H)
-    if sign_p <= 0 or sign_h <= 0:
-        raise RuntimeError("prior or curvature matrix is not positive definite")
-    log_marginal = (
-        lik.loglik(A @ u)
-        - 0.5 * float(u @ P @ u)
-        + 0.5 * logdet_p
-        - 0.5 * logdet_h
-    )
+    log_marginal = obj + 0.5 * logdet_p - 0.5 * logdet_h
     a, b = spec.precision_prior_shape, spec.precision_prior_rate
     if spec.has_convolution:
         log_marginal += float(stats.gamma.logpdf(tau_phi, a, scale=1.0 / b))
@@ -881,7 +917,7 @@ def fit_stage2_laplace(
     if spec.has_svc:
         log_marginal += float(stats.gamma.logpdf(tau_delta, a, scale=1.0 / b))
 
-    return LaplaceFit(state, beta_sd, cov, A, grad_norm, it, log_marginal)
+    return LaplaceFit(state, beta_sd, grad_norm, it, log_marginal)
 
 
 def laplace_precision_grid(

@@ -4,6 +4,8 @@ Everything here is deliberately independent of the package's own
 computation paths: dense matrices, double loops and grid quadrature only.
 """
 
+import math
+
 import numpy as np
 
 
@@ -70,3 +72,15 @@ def random_connected_graph(rng, n, extra_edges=3):
             have.add(key)
             extra_edges -= 1
     return edges
+
+
+def gaussian_moments_z(draws, mean, cov, edge_i, edge_j, n_batches=100):
+    """Batch-means z-scores of per-site means and variances and of the
+    covariances of adjacent pairs, against the closed-form moments."""
+    d = draws - mean
+    stats = np.hstack([draws, d * d, d[:, edge_i] * d[:, edge_j]])
+    expected = np.concatenate([mean, np.diag(cov), cov[edge_i, edge_j]])
+    usable = len(stats) // n_batches * n_batches
+    batches = stats[:usable].reshape(n_batches, -1, stats.shape[1]).mean(axis=1)
+    se = batches.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    return (batches.mean(axis=0) - expected) / se

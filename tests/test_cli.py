@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arealbayes import fileio
+from arealbayes import cli, fileio, svc
 from arealbayes.cli import main
 
 
@@ -178,6 +178,36 @@ class TestFitStage2AndSummaries:
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "term,estimate,sd"
         assert len(rows) == 4  # header + intercept, ice, health
+
+    def test_laplace_tau_grid(self, full_pipeline, capsys):
+        work, simulated = full_pipeline
+        out = work / "laplace_grid.csv"
+        argv = [str(a) for a in (
+            "fit-stage2",
+            "--counts", work / "counts.csv",
+            "--covariates", work / "covariates.csv",
+            "--adjacency", simulated / "adjacency.csv",
+            "--model", "M3", "--out", out, "--laplace", "--tau-grid", "1,10,40",
+        )]
+        capsys.readouterr()
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+
+        spec, observed, graph, _, _ = cli._load_stage2_inputs(cli._build_parser().parse_args(argv))
+        grid = [{"tau_phi": a, "tau_v": b} for a in (1.0, 10.0, 40.0) for b in (1.0, 10.0, 40.0)]
+        best, table = svc.laplace_precision_grid(spec, observed, graph, grid)
+        assert [point for point, _ in table] == grid
+        top = max(table, key=lambda row: row[1])[0]
+        assert f"empirical Bayes selected {top}" in printed
+        assert {"tau_phi": best.state.tau_phi, "tau_v": best.state.tau_v} == top
+
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "term,estimate,sd"
+        cells = [line.split(",") for line in lines[1:]]
+        assert [c[0] for c in cells] == ["intercept", "ice", "health"]
+        # the table writes floats by repr, so they read back exactly
+        assert [float(c[1]) for c in cells] == best.state.beta.tolist()
+        assert [float(c[2]) for c in cells] == best.beta_sd.tolist()
 
     def test_summaries(self, full_pipeline):
         work, simulated = full_pipeline

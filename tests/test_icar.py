@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import grid_moments, random_connected_graph
+from helpers import gaussian_moments_z, grid_moments, random_connected_graph
 from scipy.linalg import null_space
 
 from arealbayes.errors import ValidationError
@@ -213,18 +213,6 @@ TWO_TRIANGLE_EDGES = [
     (0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (2, 3, 1.5),
     (4, 5, 1.0), (5, 6, 0.7), (4, 6, 2.5), (6, 7, 1.2), (7, 8, 0.8), (8, 4, 0.4),
 ]
-
-
-def gaussian_moments_z(draws, mean, cov, edge_i, edge_j, n_batches=100):
-    """Batch-means z-scores of per-site means and variances and of the
-    covariances of adjacent pairs, against the closed-form moments."""
-    d = draws - mean
-    stats = np.hstack([draws, d * d, d[:, edge_i] * d[:, edge_j]])
-    expected = np.concatenate([mean, np.diag(cov), cov[edge_i, edge_j]])
-    usable = len(stats) // n_batches * n_batches
-    batches = stats[:usable].reshape(n_batches, -1, stats.shape[1]).mean(axis=1)
-    se = batches.std(axis=0, ddof=1) / math.sqrt(n_batches)
-    return (batches.mean(axis=0) - expected) / se
 
 
 class TestSweepGaussianOracle:

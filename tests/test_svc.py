@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_connected_graph
+from helpers import gaussian_moments_z, random_connected_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.linalg import null_space
+from scipy.linalg import block_diag, null_space
 
 from arealbayes import svc
 from arealbayes.errors import ValidationError
@@ -503,6 +503,20 @@ class TestSamplerGaussianExactness:
                 se = draws.std(ddof=1) / math.sqrt(ess)
                 assert abs(draws.mean() - mean) < 3 * se + 1e-4, (name, i)
 
+        # per-site variances and adjacent-pair covariances (phi, v, delta)
+        # against the closed-form H^-1: a sweep that moves neighbouring
+        # areas together keeps the means but not these
+        T = block_diag(np.eye(2 + n), U, U)
+        draws = np.hstack([archive.get(name) for name in expected])
+        pair_i, pair_j = (
+            np.concatenate([2 + k * n + ends for k in range(3)])
+            for ends in (graph.edge_i, graph.edge_j)
+        )
+        z = gaussian_moments_z(
+            draws, T @ mean_u, T @ np.linalg.inv(H) @ T.T, pair_i, pair_j
+        )
+        assert np.max(np.abs(z)) < 4.0, z
+
 
 class TestColourClasses:
     @settings(max_examples=40, deadline=None)
@@ -692,6 +706,185 @@ class TestLaplace:
         best, table = laplace_precision_grid(spec, counts, g, grid)
         assert len(table) == 4
         assert best.log_marginal == max(lm for _, lm in table)
+
+    def test_m4_on_a_56x56_lattice(self):
+        # 3136 areas, about 9400 latent values: a dense curvature matrix
+        # would take about 0.7 GB. The truth is a smooth deterministic
+        # surface because sample_icar stops at 2500 areas.
+        side = 56
+        g = make_lattice(side, side)
+        n = g.n_areas
+        row, col = np.divmod(np.arange(n), side)
+        r, c = row / (side - 1), col / (side - 1)
+        x = 0.6 * np.sin(3 * r + 2 * c) - 0.3
+        f = np.cos(4 * r) * np.sin(3 * c)
+        v = 0.4 * np.sin(2 * np.pi * r) * np.cos(np.pi * c)
+        delta = 0.3 * np.cos(np.pi * (r - c))
+        theta = -0.2 + 0.3 * x + 0.2 * f + (v - v.mean()) + x * (delta - delta.mean())
+        offsets = np.full(n, 40.0)
+        counts = np.random.default_rng(90).poisson(offsets * np.exp(theta)).astype(float)
+        spec = SvcModelSpec(rung="M4", covariate=x, offsets=offsets, latent_factors=f[:, None])
+        taus = {"tau_phi": 20.0, "tau_v": 5.0, "tau_delta": 5.0}
+        fit = fit_stage2_laplace(spec, counts, g, taus)
+
+        # log-posterior gradient at the mode, projected onto zero sums
+        s = fit.state
+        resid = counts - offsets * np.exp(linear_predictor_vector(s, spec))
+
+        def icar_grad(values, tau):
+            qx = g.weight_sums * values
+            np.subtract.at(qx, g.edge_i, g.edge_w * values[g.edge_j])
+            np.subtract.at(qx, g.edge_j, g.edge_w * values[g.edge_i])
+            return -tau * qx
+
+        grads = [
+            spec.fixed_design().T @ resid - s.beta / spec.beta_prior_variance,
+            resid - taus["tau_phi"] * s.phi,
+        ]
+        for field, weight, tau in ((s.v, 1.0, taus["tau_v"]), (s.delta, x, taus["tau_delta"])):
+            grad = weight * resid + icar_grad(field.values, tau)
+            grads.append(grad - grad.mean())
+            assert abs(field.values.sum()) < 1e-8
+        assert max(np.max(np.abs(gr)) for gr in grads) < 1e-6
+        assert fit.gradient_norm < 1e-6
+
+
+# two weighted multi-area components with interleaved indices and two
+# islands (6 and 10): components {0, 2, 5, 7} and {1, 3, 4, 8, 9}
+ORACLE_EDGES = [
+    (0, 2, 1.5), (2, 5, 0.7), (0, 5, 2.0), (5, 7, 1.2),
+    (1, 3, 0.9), (3, 4, 1.8), (4, 8, 0.6), (1, 8, 1.1), (8, 9, 1.3), (3, 9, 0.4),
+]
+ORACLE_SUPPRESSED = [2, 6]
+
+
+class TestLaplaceDenseOracle:
+    """The Laplace fit against dense computations in a per-component
+    orthonormal sum-to-zero basis (``null_space`` columns per multi-area
+    component, a unit column per island), on a weighted graph with two
+    multi-area components, two islands and suppressed areas."""
+
+    def setup_method(self):
+        self.graph = build_graph(ORACLE_EDGES, n_areas=11)
+        g = self.graph
+        assert len(g.island_indices) == 2 and np.sum(g.component_sizes > 1) == 2
+        n = g.n_areas
+        cols = []
+        for idx in g.components():
+            block = np.zeros((n, max(len(idx) - 1, 1)))
+            block[idx] = null_space(np.ones((1, len(idx)))) if len(idx) > 1 else 1.0
+            cols.append(block)
+        self.U = np.hstack(cols)
+        self.Kq = self.U.T @ precision_matrix(g, island_proper=True) @ self.U
+
+    def spec(self, rung, seed):
+        rng = np.random.default_rng(seed)
+        n = self.graph.n_areas
+        return SvcModelSpec(
+            rung=rung,
+            covariate=rng.uniform(-1, 1, n),
+            offsets=rng.uniform(20.0, 60.0, n),
+            latent_factors=rng.standard_normal((n, 1)),
+        )
+
+    def dense_pieces(self, spec, taus):
+        """Design A and prior precision P of (beta, phi, a[, b]) with
+        v = U a and delta = U b."""
+        n, U = spec.n_areas, self.U
+        X = spec.fixed_design()
+        blocks = [X, np.eye(n), U] + ([spec.covariate[:, None] * U] if spec.has_svc else [])
+        diag = [np.full(X.shape[1], 1.0 / spec.beta_prior_variance), np.full(n, taus["tau_phi"])]
+        dense = [taus["tau_v"] * self.Kq] + ([taus["tau_delta"] * self.Kq] if spec.has_svc else [])
+        A = np.hstack(blocks)
+        P = np.zeros((A.shape[1],) * 2)
+        k = X.shape[1] + n
+        P[:k, :k] = np.diag(np.concatenate(diag))
+        for D in dense:
+            P[k : k + len(D), k : k + len(D)] = D
+            k += len(D)
+        return A, P
+
+    def gamma_priors(self, spec, taus):
+        a, b = spec.precision_prior_shape, spec.precision_prior_rate
+        return sum(float(stats.gamma.logpdf(t, a, scale=1.0 / b)) for t in taus.values())
+
+    @pytest.mark.parametrize("rung", ["M3", "M4"])
+    def test_gaussian_log_marginal_is_exact(self, rung):
+        spec = self.spec(rung, seed=60)
+        n, U, x = spec.n_areas, self.U, spec.covariate
+        rng = np.random.default_rng(61)
+        y = rng.normal(0.0, 1.5, n)
+        y[ORACLE_SUPPRESSED] = np.nan
+        obs = np.isfinite(y)
+        noise_var = 0.6
+        X = spec.fixed_design()
+        field = U @ np.linalg.solve(self.Kq, U.T)
+        points = [
+            {"tau_phi": 2.0, "tau_v": 0.5, "tau_delta": 3.0},
+            {"tau_phi": 8.0, "tau_v": 4.0, "tau_delta": 0.7},
+            {"tau_phi": 0.9, "tau_v": 12.0, "tau_delta": 1.5},
+        ]
+        for taus in points:
+            if rung == "M3":
+                taus = {k: taus[k] for k in ("tau_phi", "tau_v")}
+            cov = (
+                noise_var * np.eye(n)
+                + spec.beta_prior_variance * X @ X.T
+                + np.eye(n) / taus["tau_phi"]
+                + field / taus["tau_v"]
+            )
+            if rung == "M4":
+                cov += x[:, None] * field * x[None, :] / taus["tau_delta"]
+            expected = stats.multivariate_normal(
+                mean=np.zeros(obs.sum()), cov=cov[np.ix_(obs, obs)]
+            ).logpdf(y[obs]) + self.gamma_priors(spec, taus)
+            fit = fit_stage2_laplace(
+                spec, y, self.graph, taus, likelihood="gaussian", noise_variance=noise_var
+            )
+            assert abs(fit.log_marginal - expected) < 1e-8, (taus, fit.log_marginal, expected)
+
+    @pytest.mark.parametrize("rung", ["M3", "M4"])
+    def test_poisson_mode_and_beta_sd_match_dense_newton(self, rung):
+        spec = self.spec(rung, seed=62)
+        n, U = spec.n_areas, self.U
+        rng = np.random.default_rng(63)
+        theta = -0.2 + 0.4 * spec.covariate + rng.normal(0.0, 0.3, n)
+        counts = rng.poisson(spec.offsets * np.exp(theta)).astype(float)
+        counts[ORACLE_SUPPRESSED] = np.nan
+        obs = np.isfinite(counts)
+        y, e = np.where(obs, counts, 0.0), np.where(obs, spec.offsets, 0.0)
+        taus = {"tau_phi": 5.0, "tau_v": 2.0, "tau_delta": 4.0}
+        if rung == "M3":
+            del taus["tau_delta"]
+        A, P = self.dense_pieces(spec, taus)
+
+        u = np.zeros(A.shape[1])
+        for _ in range(100):
+            rate = e * np.exp(A @ u)
+            grad = A.T @ (y - rate) - P @ u
+            H = A.T @ (rate[:, None] * A) + P
+            u = u + np.linalg.solve(H, grad)
+            if np.max(np.abs(grad)) < 1e-11:
+                break
+        rate = e * np.exp(A @ u)
+        H = A.T @ (rate[:, None] * A) + P
+        K = spec.n_fixed
+        fit = fit_stage2_laplace(spec, counts, self.graph, taus)
+        s = fit.state
+        assert np.max(np.abs(s.beta - u[:K])) < 1e-8
+        assert np.max(np.abs(s.phi - u[K : K + n])) < 1e-8
+        r = U.shape[1]
+        assert np.max(np.abs(s.v.values - U @ u[K + n : K + n + r])) < 1e-8
+        if rung == "M4":
+            assert np.max(np.abs(s.delta.values - U @ u[K + n + r :])) < 1e-8
+        assert np.max(np.abs(fit.beta_sd - np.sqrt(np.diag(np.linalg.inv(H))[:K]))) < 1e-8
+        loglik = PoissonLikelihood(counts, spec.offsets).loglik(A @ u)
+        log_marginal = (
+            loglik - 0.5 * u @ P @ u
+            + 0.5 * np.linalg.slogdet(P)[1] - 0.5 * np.linalg.slogdet(H)[1]
+            + self.gamma_priors(spec, taus)
+        )
+        assert abs(fit.log_marginal - log_marginal) < 1e-8
 
 
 class TestSpecValidation:
