@@ -1,4 +1,4 @@
-"""Stage 1: spatial latent factor model fit by conjugate Gibbs sampling.
+"""Stage 1: spatial latent factor model fit by Metropolis-within-Gibbs.
 
 Model, per indicator p and area i:
 
@@ -11,12 +11,26 @@ N(0, 1000) and sigma2_p ~ inverse-gamma(shape 0.5, rate 0.0005), rate
 meaning the coefficient of 1/x in the exponent (so the conjugate update
 is shape + n/2, rate + rss/2).
 
-Every update below draws from an exact full conditional; the eta sweep
-delegates to :mod:`arealbayes.icar`, which draws one colour class of
-non-adjacent areas at a time, and is followed by per-component centering
-(:func:`arealbayes.icar.center_by_component`). Missing indicator cells
-contribute to nothing: fits are bitwise invariant to whatever garbage
-sits in masked-out entries.
+One iteration runs, in order:
+
+* alpha, the free lambda and sigma2, each drawn from its exact full
+  conditional;
+* a sweep of eta through :mod:`arealbayes.icar`, which draws one colour
+  class of non-adjacent areas at a time from its exact site conditionals,
+  followed by per-component centering
+  (:func:`arealbayes.icar.center_by_component`). Sweep-then-centre is not
+  an exact draw of the constrained field: it matches the constrained
+  posterior on the scalars but not every eta mean in small components;
+* a sign flip, a Metropolis step that negates eta and the free loadings
+  together;
+* a scale move (:func:`_scale_move`), a Metropolis step along the orbit
+  (eta, free lambda) -> (s eta, free lambda / s) whose step adapts toward
+  0.44 acceptance during burn-in. Single-site eta updates change the
+  field's amplitude only slowly, and the free loadings follow that
+  amplitude; the move resolves that coupling (Liu & Sabatti 2000).
+
+Missing indicator cells contribute to nothing: fits are bitwise invariant
+to whatever garbage sits in masked-out entries.
 
 One fit handles one latent factor; multiple factors are fit by calling
 :func:`fit_stage1` once per indicator block.
@@ -57,6 +71,9 @@ __all__ = [
 ]
 
 SIGMA2_FLOOR = 1e-12
+# initial standard deviation of log s in the scale move; adapted in burn-in
+SCALE_STEP = 0.05
+INIT_KEYS = ("alpha", "loadings", "eta", "sigma2")
 
 
 @dataclass(frozen=True)
@@ -107,15 +124,19 @@ class FactorModelState:
 
 
 class _PanelCache:
-    """Mask-aware sufficient-statistic pieces reused by every update."""
+    """Mask-aware sufficient-statistic pieces reused by every update.
+
+    The panel is held transposed, indicators by areas (``Zt`` with masked
+    cells at zero, ``Mt`` the 0/1 mask), so every per-indicator reduction
+    runs along a contiguous row.
+    """
 
     def __init__(self, panel: IndicatorPanel):
         mask = panel.observed_mask
-        self.M = mask.astype(float)
-        self.Z = np.where(mask, panel.values, 0.0)
-        self.n_obs = self.M.sum(axis=0)
-        self.colsum_z = self.Z.sum(axis=0)
-        self.n_areas, self.n_indicators = panel.values.shape
+        self.Mt = np.ascontiguousarray(mask.T, dtype=float)
+        self.Zt = np.ascontiguousarray(np.where(mask, panel.values, 0.0).T)
+        self.n_obs = self.Mt.sum(axis=1)
+        self.colsum_z = self.Zt.sum(axis=1)
 
 
 def loglik_stage1(state: FactorModelState, panel: IndicatorPanel) -> float:
@@ -127,30 +148,31 @@ def loglik_stage1(state: FactorModelState, panel: IndicatorPanel) -> float:
     return float(cell[mask].sum())
 
 
-def _draw_alpha(rng, cache, lam, sigma2, eta_arr, spec):
+def _draw_alpha(rng, cache, lam, sigma2, mt_eta, spec):
+    """Intercepts given the rest; ``mt_eta`` is ``Mt @ eta``."""
     prec = cache.n_obs / sigma2 + 1.0 / spec.alpha_prior_variance
-    rhs = (cache.colsum_z - lam * (cache.M.T @ eta_arr)) / sigma2
+    rhs = (cache.colsum_z - lam * mt_eta) / sigma2
     return rhs / prec + rng.standard_normal(spec.n_indicators) / np.sqrt(prec)
 
 
-def _draw_lambda(rng, cache, alpha, sigma2, eta_arr, spec):
-    mt_eta = cache.M.T @ eta_arr
-    mt_eta2 = cache.M.T @ (eta_arr * eta_arr)
-    zt_eta = cache.Z.T @ eta_arr
-    prec = mt_eta2 / sigma2 + 1.0 / spec.loading_prior_variance
-    rhs = (zt_eta - alpha * mt_eta) / sigma2
+def _draw_lambda(rng, cache, alpha, sigma2, eta, mt_eta, spec):
+    """Loadings given the rest, the anchor reset to 1; ``mt_eta`` is ``Mt @ eta``."""
+    prec = (cache.Mt @ (eta * eta)) / sigma2 + 1.0 / spec.loading_prior_variance
+    rhs = (cache.Zt @ eta - alpha * mt_eta) / sigma2
     lam = rhs / prec + rng.standard_normal(spec.n_indicators) / np.sqrt(prec)
     lam[spec.anchor_index] = 1.0
     return lam
 
 
-def _draw_sigma2(rng, cache, alpha, lam, eta_arr, spec):
-    mean = alpha[None, :] + eta_arr[:, None] * lam[None, :]
-    resid = cache.Z - cache.M * mean
-    rss = np.einsum("ij,ij->j", resid, resid)
+def _draw_sigma2(rng, cache, alpha, lam, eta, spec):
+    resid = lam[:, None] * eta
+    resid += alpha[:, None]
+    resid *= cache.Mt
+    np.subtract(cache.Zt, resid, out=resid)
+    rss = np.einsum("ij,ij->i", resid, resid)
     shape = spec.sigma2_prior_shape + cache.n_obs / 2.0
     rate = spec.sigma2_prior_rate + rss / 2.0
-    draw = 1.0 / rng.gamma(shape, 1.0 / rate)
+    draw = 1.0 / (rng.standard_gamma(shape) * (1.0 / rate))
     if (draw < SIGMA2_FLOOR).any():
         warnings.warn("sigma2 draw underflowed; floored at 1e-12")
         draw = np.maximum(draw, SIGMA2_FLOOR)
@@ -164,20 +186,94 @@ def _eta_likelihood_terms(cache, alpha, lam, sigma2):
     precision-weighted mean is sum_p lambda_p (z_ip - alpha_p) / sigma2_p.
     """
     lam_over_s2 = lam / sigma2
-    prec = cache.M @ (lam * lam_over_s2)
-    pwm = cache.Z @ lam_over_s2 - cache.M @ (alpha * lam_over_s2)
+    prec = (lam * lam_over_s2) @ cache.Mt
+    pwm = lam_over_s2 @ cache.Zt - (alpha * lam_over_s2) @ cache.Mt
     return prec, pwm
+
+
+def _draw_eta(rng, cache, graph, variance, alpha, lam, sigma2, eta):
+    """One colour-class sweep of ``eta`` (mutated), then centering."""
+    prec, pwm = _eta_likelihood_terms(cache, alpha, lam, sigma2)
+    icar.gibbs_sweep_values(
+        eta, graph, variance, prec, pwm, rng.standard_normal(graph.n_areas)
+    )
+    return icar.center_by_component(eta, graph)[0]
+
+
+def _anchor_cross(cache, alpha, sigma2, eta, anchor) -> float:
+    """``sum_i m_ia (z_ia - alpha_a) eta_i / sigma2_a`` for the anchor a."""
+    zc = cache.Zt[anchor] - cache.Mt[anchor] * alpha[anchor]
+    return float(zc @ eta) / sigma2[anchor]
+
+
+def _signflip(rng, cache, spec, alpha, sigma2, eta, lam):
+    """Metropolis step that jointly negates eta and the free loadings.
+
+    With the anchor loading pinned at +1, the flip only changes the anchor
+    indicator's fit; every prior involved is symmetric, so the log ratio
+    is ``-2 * _anchor_cross``. The move lets a chain that latched onto the
+    sign-mirrored mode cross back in one step instead of waiting out an
+    essentially infinite tunneling time. Returns ``(eta, lam)``.
+    """
+    logr = -2.0 * _anchor_cross(cache, alpha, sigma2, eta, spec.anchor_index)
+    u = rng.random()
+    if logr >= 0.0 or math.log(u) < logr:
+        lam = -lam
+        lam[spec.anchor_index] = 1.0
+        return -eta, lam
+    return eta, lam
+
+
+def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, step):
+    """Metropolis step along the orbit (eta, free lambda) -> (s eta, lambda / s).
+
+    The anchor loading stays at 1 and log s ~ N(0, step^2). The free
+    indicators' likelihood is unchanged by the map, so with
+
+        A = eta' Q eta / eta_variance + sum_i m_ia eta_i^2 / sigma2_a
+        B = sum_i m_ia (z_ia - alpha_a) eta_i / sigma2_a
+
+    the log ratio is ``-(s^2 - 1) A / 2 + (s - 1) B + (d - (P - 1)) log s
+    - (sum_free lambda^2 / 2 v_lambda) (s^-2 - 1)``, where the power of s is
+    the Jacobian on the d free eta coordinates
+    (:func:`arealbayes.icar.centered_dimension`) and the P - 1 free
+    loadings. Returns ``(eta, lam, acceptance probability)``.
+    """
+    a = spec.anchor_index
+    diff = eta[graph.edge_i] - eta[graph.edge_j]
+    island = eta[graph.island_indices]
+    quad = float((graph.edge_w * diff) @ diff) + float(island @ island)
+    big_a = quad / spec.eta_variance + float((cache.Mt[a] * eta) @ eta) / sigma2[a]
+    big_b = _anchor_cross(cache, alpha, sigma2, eta, a)
+    free_ss = float(lam @ lam) - 1.0  # the anchor loading is exactly 1
+    power = icar.centered_dimension(graph) - (spec.n_indicators - 1)
+
+    log_s = step * rng.standard_normal()
+    s = math.exp(log_s)
+    logr = (
+        -0.5 * (s * s - 1.0) * big_a
+        + (s - 1.0) * big_b
+        + power * log_s
+        - free_ss / (2.0 * spec.loading_prior_variance) * (1.0 / (s * s) - 1.0)
+    )
+    if logr >= 0.0 or math.log(rng.random()) < logr:
+        lam = lam / s
+        lam[a] = 1.0
+        return eta * s, lam, 1.0
+    return eta, lam, math.exp(logr) if logr > -700.0 else 0.0
 
 
 def gibbs_update_alpha(state, panel, spec, rng) -> FactorModelState:
     cache = _PanelCache(panel)
-    alpha = _draw_alpha(rng, cache, state.loadings, state.sigma2, state.eta.values, spec)
+    eta = state.eta.values
+    alpha = _draw_alpha(rng, cache, state.loadings, state.sigma2, cache.Mt @ eta, spec)
     return replace(state, alpha=alpha)
 
 
 def gibbs_update_lambda(state, panel, spec, rng) -> FactorModelState:
     cache = _PanelCache(panel)
-    lam = _draw_lambda(rng, cache, state.alpha, state.sigma2, state.eta.values, spec)
+    eta = state.eta.values
+    lam = _draw_lambda(rng, cache, state.alpha, state.sigma2, eta, cache.Mt @ eta, spec)
     return replace(state, loadings=lam)
 
 
@@ -189,36 +285,20 @@ def gibbs_update_sigma2(state, panel, spec, rng) -> FactorModelState:
 
 def gibbs_update_eta(state, panel, spec, rng) -> FactorModelState:
     cache = _PanelCache(panel)
-    prec, pwm = _eta_likelihood_terms(cache, state.alpha, state.loadings, state.sigma2)
-    eta = icar.sample_icar_gibbs_sweep(state.eta, prec, pwm, rng)
-    return replace(state, eta=eta)
-
-
-def _signflip_log_ratio(cache, alpha, sigma2, eta_arr, anchor) -> float:
-    """Log Metropolis ratio of jointly negating eta and the free loadings.
-
-    With the anchor loading pinned at +1, the flip only changes the anchor
-    indicator's fit; every prior involved is symmetric. The move lets a
-    chain that latched onto the sign-mirrored mode cross back in one step
-    instead of waiting out an essentially infinite tunneling time.
-    """
-    zc = cache.Z[:, anchor] - cache.M[:, anchor] * alpha[anchor]
-    return -2.0 * float(zc @ eta_arr) / sigma2[anchor]
+    field = state.eta
+    eta = _draw_eta(
+        rng, cache, field.graph, field.variance,
+        state.alpha, state.loadings, state.sigma2, field.values.copy(),
+    )
+    return replace(state, eta=replace(field, values=eta))
 
 
 def gibbs_update_signflip(state, panel, spec, rng) -> FactorModelState:
     cache = _PanelCache(panel)
-    logr = _signflip_log_ratio(
-        cache, state.alpha, state.sigma2, state.eta.values, spec.anchor_index
+    eta, lam = _signflip(
+        rng, cache, spec, state.alpha, state.sigma2, state.eta.values, state.loadings
     )
-    u = rng.random()
-    if logr >= 0.0 or math.log(u) < logr:
-        lam = -state.loadings
-        lam[spec.anchor_index] = 1.0
-        return replace(
-            state, loadings=lam, eta=replace(state.eta, values=-state.eta.values)
-        )
-    return state
+    return replace(state, loadings=lam, eta=replace(state.eta, values=eta))
 
 
 def _initial_state(cache, graph, spec) -> FactorModelState:
@@ -233,58 +313,58 @@ def _initial_state(cache, graph, spec) -> FactorModelState:
         warnings.simplefilter("ignore", RuntimeWarning)
         n = np.maximum(cache.n_obs, 1.0)
         alpha = cache.colsum_z / n
-        ssq = np.einsum("ij,ij->j", cache.Z, cache.Z) - n * alpha**2
+        ssq = np.einsum("ij,ij->i", cache.Zt, cache.Zt) - n * alpha**2
         sigma2 = np.maximum(ssq / np.maximum(n - 1.0, 1.0), 1e-6)
     lam = np.ones(spec.n_indicators)
     a = spec.anchor_index
-    eta0 = cache.Z[:, a] - cache.M[:, a] * alpha[a]
+    eta0 = cache.Zt[a] - cache.Mt[a] * alpha[a]
     eta0, _ = icar.center_by_component(eta0, graph)
     eta = IcarField(graph, eta0, spec.eta_variance)
     return FactorModelState(alpha, lam, eta, sigma2)
 
 
+def _override(state, overrides, graph, spec) -> FactorModelState:
+    """``state`` with one chain's ``init_overrides`` applied and checked."""
+    if not isinstance(overrides, dict):
+        raise ValidationError(
+            f"init_overrides entries must be dicts, got {type(overrides).__name__}"
+        )
+    unknown = sorted(set(overrides) - set(INIT_KEYS))
+    if unknown:
+        raise ValidationError(
+            f"init_overrides: unknown key(s) {', '.join(unknown)}; "
+            f"allowed: {', '.join(INIT_KEYS)}"
+        )
+    values = dict(overrides)
+    if "eta" in values:
+        values["eta"] = IcarField(graph, values["eta"], spec.eta_variance)
+    return replace(state, **values)
+
+
 def _run_stage1_chain(payload):
-    (z, m, graph, spec, config, entropy, overrides) = payload
+    (cache, graph, spec, config, entropy, state) = payload
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    cache = _PanelCache.__new__(_PanelCache)
-    cache.Z, cache.M = z, m
-    cache.n_obs = m.sum(axis=0)
-    cache.colsum_z = z.sum(axis=0)
-    cache.n_areas, cache.n_indicators = z.shape
-
-    state = _initial_state(cache, graph, spec)
-    if overrides:
-        for key, value in overrides.items():
-            if key == "eta":
-                state.eta = IcarField(graph, np.asarray(value, float), spec.eta_variance)
-            else:
-                setattr(state, key, np.asarray(value, dtype=float))
-
     alpha, lam, sigma2 = state.alpha, state.loadings, state.sigma2
-    eta_arr = state.eta.values.copy()
-    n = graph.n_areas
-    variance = spec.eta_variance
+    eta = state.eta.values.copy()
+    step = SCALE_STEP
 
     keep = {"alpha": [], "lambda": [], "eta": [], "sigma2": []}
     for it in range(1, config.n_iter + 1):
-        alpha = _draw_alpha(rng, cache, lam, sigma2, eta_arr, spec)
-        lam = _draw_lambda(rng, cache, alpha, sigma2, eta_arr, spec)
-        sigma2 = _draw_sigma2(rng, cache, alpha, lam, eta_arr, spec)
-        prec, pwm = _eta_likelihood_terms(cache, alpha, lam, sigma2)
-        icar.gibbs_sweep_values(
-            eta_arr, graph, variance, prec, pwm, rng.standard_normal(n)
+        mt_eta = cache.Mt @ eta
+        alpha = _draw_alpha(rng, cache, lam, sigma2, mt_eta, spec)
+        lam = _draw_lambda(rng, cache, alpha, sigma2, eta, mt_eta, spec)
+        sigma2 = _draw_sigma2(rng, cache, alpha, lam, eta, spec)
+        eta = _draw_eta(rng, cache, graph, spec.eta_variance, alpha, lam, sigma2, eta)
+        eta, lam = _signflip(rng, cache, spec, alpha, sigma2, eta, lam)
+        eta, lam, acc_prob = _scale_move(
+            rng, cache, graph, spec, alpha, lam, sigma2, eta, step
         )
-        eta_arr, _ = icar.center_by_component(eta_arr, graph)
-        logr = _signflip_log_ratio(cache, alpha, sigma2, eta_arr, spec.anchor_index)
-        u = rng.random()
-        if logr >= 0.0 or math.log(u) < logr:
-            eta_arr = -eta_arr
-            lam = -lam
-            lam[spec.anchor_index] = 1.0
+        if it <= config.burn_in:
+            step *= math.exp(it**-0.6 * (acc_prob - 0.44))
         if config.is_retained(it):
             keep["alpha"].append(alpha.copy())
             keep["lambda"].append(lam.copy())
-            keep["eta"].append(eta_arr.copy())
+            keep["eta"].append(eta.copy())
             keep["sigma2"].append(sigma2.copy())
     return {name: np.array(draws) for name, draws in keep.items()}
 
@@ -297,12 +377,14 @@ def fit_stage1(
     n_workers: int = 1,
     init_overrides: list[dict] | None = None,
 ) -> ChainArchive:
-    """Run the full Gibbs sampler and return the thinned archive.
+    """Run the full sampler and return the thinned archive.
 
     ``init_overrides`` optionally replaces parts of the deterministic
-    initial state per chain (a list of dicts with keys among alpha,
-    loadings, eta, sigma2), which is how overdispersed starts for
-    convergence checks are set up.
+    initial state per chain: a list of one dict per chain, with keys among
+    alpha, loadings, eta, sigma2 (an empty dict keeps the default start).
+    This is how overdispersed starts for convergence checks are set up.
+    The overrides pass through the state's own shape and positivity
+    checks.
     """
     if spec is None:
         spec = FactorModelSpec(n_indicators=panel.n_indicators)
@@ -314,6 +396,11 @@ def fit_stage1(
         raise DimensionMismatchError(
             f"panel has {panel.n_areas} areas, graph has {graph.n_areas}"
         )
+    if init_overrides is not None and len(init_overrides) != config.n_chains:
+        raise ValidationError(
+            f"init_overrides has {len(init_overrides)} entries for "
+            f"{config.n_chains} chains; give one dict per chain"
+        )
     mask = panel.observed_mask
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -324,14 +411,15 @@ def fit_stage1(
             "fitting anyway"
         )
 
+    cache = _PanelCache(panel)
+    start = _initial_state(cache, graph, spec)
+    states = [
+        start if init_overrides is None else _override(start, init_overrides[c], graph, spec)
+        for c in range(config.n_chains)
+    ]
     entropies = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(config.n_chains)]
-    z = np.where(mask, panel.values, 0.0)
-    m = mask.astype(float)
     payloads = [
-        (
-            z, m, graph, spec, config, entropies[c],
-            None if init_overrides is None else init_overrides[c],
-        )
+        (cache, graph, spec, config, entropies[c], states[c])
         for c in range(config.n_chains)
     ]
     started = time.time()

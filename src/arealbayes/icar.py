@@ -130,6 +130,15 @@ def center_by_component(
     return values - means[labels], means
 
 
+def centered_dimension(graph: SpatialGraph) -> int:
+    """Dimension of the subspace :func:`center_by_component` projects onto.
+
+    One sum-to-zero constraint per component it centres; islands are
+    centred too, which pins them at 0, so this is ``n - n_components``.
+    """
+    return graph.n_areas - graph.n_components
+
+
 def gibbs_sweep_values(
     values: np.ndarray,
     graph: SpatialGraph,

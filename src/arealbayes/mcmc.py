@@ -14,6 +14,7 @@ sequentially or in parallel.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -167,8 +168,6 @@ def gelman_rubin(archive: ChainArchive, param: str, index=None, split: bool = Tr
     vector parameter without ``index``, the worst (largest) component
     value is returned.
     """
-    if archive.n_chains < 2 and split is False:
-        raise ValidationError("gelman_rubin needs at least 2 chains")
     if archive.n_chains < 2:
         raise ValidationError("gelman_rubin needs at least 2 chains")
     if archive.n_retained < 10:
@@ -269,6 +268,10 @@ def posterior_summary(archive: ChainArchive, param: str, index=None) -> Posterio
         raise ValidationError("pass index= to select a component of a vector parameter")
     q = np.quantile(draws, [0.025, 0.5, 0.975])
     n = len(draws)
-    mean = math.fsum(draws) / n
-    sd = math.sqrt(math.fsum((d - mean) ** 2 for d in draws) / (n - 1)) if n > 1 else 0.0
+    mean = math.fsum(draws.tolist()) / n
+    # squares through libm pow, as a scalar ``** 2`` computes them; numpy's
+    # array square is an exactly rounded product and differs in the last
+    # bit for a few values, which would change the sd of some columns
+    squares = map(math.pow, (draws - mean).tolist(), itertools.repeat(2.0))
+    sd = math.sqrt(math.fsum(squares) / (n - 1)) if n > 1 else 0.0
     return PosteriorSummary(mean, sd, float(q[0]), float(q[1]), float(q[2]))

@@ -3,6 +3,7 @@ import pytest
 
 from arealbayes import cli, fileio, svc
 from arealbayes.cli import main
+from arealbayes.mcmc import ChainArchive, McmcConfig
 
 
 def run(argv):
@@ -305,6 +306,35 @@ class TestFitStage2AndSummaries:
         ]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "variable,morans_i,z_score,p_value"
+
+
+class TestDiagnoseGolden:
+    def test_diagnose_csv_bytes_on_a_fixed_archive(self, tmp_path):
+        # Pinned output of `diagnose` on a seeded archive. The sd of beta[1]
+        # is one of the values whose last bit changes when the squared
+        # deviations are taken as numpy's exactly rounded array square
+        # instead of through libm pow, so the bytes pin that too.
+        rng = np.random.default_rng(46)
+        config = McmcConfig(n_chains=2, n_iter=120, burn_in=60, thin=1, seed=5)
+        chains = []
+        for _ in range(2):
+            beta = np.cumsum(rng.standard_normal((60, 2)), axis=0) * 0.1 + [1.0, -2.0]
+            chains.append({"beta": beta, "tau": np.exp(rng.standard_normal(60))})
+        archive = ChainArchive(
+            chains, config.retained_iterations(), config, metadata={"model": "fixture"}
+        )
+        fileio.write_archive(archive, tmp_path / "archive.csv")
+        out = tmp_path / "diagnose.csv"
+        assert run(["diagnose", "--archive", tmp_path / "archive.csv", "--out", out]) == 0
+        assert out.read_bytes() == (
+            b"param,index,rhat,ess,mean,sd,q025,median,q975\n"
+            b"beta,0,1.2001503459884557,9.04161254075289,1.227195415680452,"
+            b"0.27844924294810347,0.7744682223565121,1.1760033775004062,1.7702148546318783\n"
+            b"beta,1,2.5254076662521774,9.058584549804529,-2.0502192905829317,"
+            b"0.3666653882662238,-2.7662633031209953,-1.9896351274384094,-1.47190188578267\n"
+            b"tau,0,1.022401190127211,120.0,1.6616615051806034,"
+            b"2.4478424345700556,0.09395956405316434,0.9087271589545387,6.299214691111982\n"
+        )
 
 
 class TestConfigFile:

@@ -5,7 +5,7 @@ import pytest
 from helpers import grid_logpdf_to_cdf, ks_statistic
 from scipy import stats
 
-from arealbayes.errors import ValidationError
+from arealbayes.errors import DimensionMismatchError, ValidationError
 from arealbayes.factor import (
     FactorModelSpec,
     FactorModelState,
@@ -21,7 +21,7 @@ from arealbayes.factor import (
     summarize_loadings,
 )
 from arealbayes.graph import build_graph
-from arealbayes.icar import IcarField
+from arealbayes.icar import IcarField, precision_matrix
 from arealbayes.mcmc import ChainArchive, McmcConfig, gelman_rubin
 from arealbayes.prep import IndicatorPanel
 from arealbayes.simulate import make_lattice, sample_icar, simulate_stage1
@@ -225,6 +225,64 @@ class TestConditionals:
         assert abs(new.eta.values.sum()) < 1e-8
 
 
+class TestScaleMove:
+    """The scale move alone, iterated from a fixed state, keeps the
+    posterior restricted to its orbit (s eta, free lambda / s)."""
+
+    def test_log_s_matches_orbit_density(self):
+        from arealbayes.factor import _PanelCache, _scale_move
+
+        # two multi-area components, two islands
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (5, 6), (6, 7), (7, 8)]
+        graph = build_graph(edges, n_areas=11)
+        assert graph.n_components == 4 and len(graph.island_indices) == 2
+        rng = np.random.default_rng(31)
+        eta0 = rng.standard_normal(11) * 0.4
+        eta0[[9, 10]] = 0.0
+        for comp in ([0, 1, 2, 3, 4], [5, 6, 7, 8]):
+            eta0[comp] -= eta0[comp].mean()
+        alpha = np.array([0.2, -0.1, 0.3])
+        lam0 = np.array([1.0, 1.3, -0.6])
+        sigma2 = np.array([0.5, 0.3, 0.4])
+        values = alpha + eta0[:, None] * lam0 + rng.standard_normal((11, 3)) * 0.6
+        values[[1, 6, 9], 0] = np.nan  # missing anchor cells, one on an island
+        panel = toy_panel(values)
+        spec = FactorModelSpec(n_indicators=3)
+
+        # the orbit density of t = log s, computed apart from the sampler:
+        # the joint density at (e^t eta0, lam0 / e^t) times the Jacobian
+        # e^(t (d - (P - 1))), d counting the free eta coordinates (islands
+        # are pinned at 0, so each multi-area component of size m adds m - 1)
+        Q = precision_matrix(graph, island_proper=True)
+        observed = ~np.isnan(values)
+        z = np.where(observed, values, 0.0)
+        d = (5 - 1) + (4 - 1)
+
+        def logpdf(t):
+            s = math.exp(t)
+            eta, lam = s * eta0, lam0 / s
+            lam[0] = 1.0
+            resid = (z - alpha - eta[:, None] * lam) * observed
+            return (
+                -0.5 * eta @ Q @ eta
+                - 0.5 * np.sum(resid**2 / sigma2)
+                - np.sum(lam[1:] ** 2) / (2 * spec.loading_prior_variance)
+                + t * (d - 2)
+            )
+
+        cache = _PanelCache(panel)
+        eta, lam = eta0.copy(), lam0.copy()
+        n_moves, thin = 100_000, 10
+        draws = np.empty(n_moves // thin)
+        for k in range(n_moves):
+            eta, lam, _ = _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, 0.6)
+            assert lam[0] == 1.0
+            if k % thin == thin - 1:
+                draws[k // thin] = math.log(lam0[1] / lam[1])
+        assert np.allclose(eta, eta0 * math.exp(draws[-1]))
+        xs, cdf = grid_logpdf_to_cdf(logpdf, draws.min() - 1, draws.max() + 1)
+        assert ks_statistic(draws, xs, cdf) < 0.02
+
 class TestGewekeStylePriorCheck:
     def test_gibbs_kernel_holds_prior_marginals(self):
         # successive-conditional simulator: parameters stay prior
@@ -357,6 +415,47 @@ class TestFitStage1:
         for c in range(2):
             for name in seq.param_names:
                 assert np.array_equal(seq.chains[c][name], par.chains[c][name])
+
+
+class TestInitOverrides:
+    def setup_method(self):
+        self.graph = make_lattice(3, 3)
+        self.panel, self.eta = simulate_stage1(
+            self.graph, np.array([1.0, 1.2]), np.array([0.2, 0.2]), seed=4
+        )
+        self.config = McmcConfig(n_chains=2, n_iter=30, burn_in=10, thin=2, seed=8)
+
+    def fit(self, overrides):
+        return fit_stage1(self.panel, self.graph, config=self.config, init_overrides=overrides)
+
+    def test_one_dict_per_chain(self):
+        for overrides in ([{"eta": self.eta}], [{}, {}, {}]):
+            with pytest.raises(ValidationError, match="one dict per chain"):
+                self.fit(overrides)
+        with pytest.raises(ValidationError, match="must be dicts"):
+            self.fit([{}, None])
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValidationError, match="unknown key.*lambda.*allowed"):
+            self.fit([{}, {"lambda": [1.0, 0.5]}])
+
+    def test_overrides_pass_the_state_checks(self):
+        with pytest.raises(DimensionMismatchError):
+            self.fit([{"sigma2": [0.5]}, {}])
+        with pytest.raises(ValidationError, match="sigma2 must be positive"):
+            self.fit([{}, {"sigma2": [0.5, -1.0]}])
+        with pytest.raises(DimensionMismatchError):
+            self.fit([{"eta": self.eta[:4]}, {}])
+
+    def test_overrides_set_the_start_of_their_chain(self):
+        plain = fit_stage1(self.panel, self.graph, config=self.config)
+        empty = self.fit([{}, {}])
+        moved = self.fit([{}, {"sigma2": [0.05, 2.0], "eta": -self.eta}])
+        for name in plain.param_names:
+            assert np.array_equal(plain.chains[0][name], empty.chains[0][name])
+            assert np.array_equal(plain.chains[1][name], empty.chains[1][name])
+            assert np.array_equal(plain.chains[0][name], moved.chains[0][name])
+        assert not np.array_equal(plain.chains[1]["alpha"], moved.chains[1]["alpha"])
 
 
 class TestSummaries:

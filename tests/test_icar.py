@@ -10,6 +10,7 @@ from arealbayes.graph import build_graph
 from arealbayes.icar import (
     IcarField,
     center_by_component,
+    centered_dimension,
     gibbs_sweep_values,
     icar_conditional,
     icar_logdensity_unnormalized,
@@ -112,6 +113,12 @@ class TestProjection:
         once = project_sum_to_zero(field)
         twice = project_sum_to_zero(once)
         assert np.array_equal(once.values, twice.values)
+
+    def test_centered_dimension_is_the_rank_of_the_centering(self):
+        # two multi-area components and two islands
+        g = build_graph([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], n_areas=8)
+        image = np.column_stack([center_by_component(e, g)[0] for e in np.eye(8)])
+        assert centered_dimension(g) == np.linalg.matrix_rank(image) == 4
 
 
 class TestGibbsSweep:
