@@ -73,7 +73,7 @@ __all__ = [
 SIGMA2_FLOOR = 1e-12
 # initial standard deviation of log s in the scale move; adapted in burn-in
 SCALE_STEP = 0.05
-INIT_KEYS = ("alpha", "loadings", "eta", "sigma2")
+INIT_KEYS = ("eta", "sigma2")
 
 
 @dataclass(frozen=True)
@@ -381,10 +381,11 @@ def fit_stage1(
 
     ``init_overrides`` optionally replaces parts of the deterministic
     initial state per chain: a list of one dict per chain, with keys among
-    alpha, loadings, eta, sigma2 (an empty dict keeps the default start).
-    This is how overdispersed starts for convergence checks are set up.
-    The overrides pass through the state's own shape and positivity
-    checks.
+    eta and sigma2 (an empty dict keeps the default start), checked like
+    the state itself. This sets up overdispersed starts for convergence
+    checks. Only eta and sigma2 disperse a start: the first alpha draw
+    reads neither the previous alpha nor, for a centred eta on a complete
+    panel, the loadings.
     """
     if spec is None:
         spec = FactorModelSpec(n_indicators=panel.n_indicators)

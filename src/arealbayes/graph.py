@@ -3,8 +3,11 @@
 A :class:`SpatialGraph` stores an undirected, weighted adjacency structure
 over ``n_areas`` areal units (counties, lattice cells, ...). It is the
 backbone of every intrinsic-CAR computation in this package: conditionals,
-quadratic forms and constrained sweeps all read neighbour lists and weight
-sums from here.
+quadratic forms and constrained sweeps all read its arrays. The CSR
+arrays are the only stored form of the adjacency: the edge arrays,
+components, colour classes and the Python neighbour lists are derived from
+them, and :func:`build_graph` builds them from an edge list in array
+operations.
 
 Graphs are immutable after construction and safe to share across worker
 processes.
@@ -17,6 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse, stats
+from scipy.sparse import csgraph
 
 from .errors import ValidationError
 
@@ -30,28 +34,26 @@ __all__ = [
 
 
 class SpatialGraph:
-    """Symmetric weighted adjacency over ``n_areas`` areal units.
+    """Symmetric weighted adjacency over ``n_areas`` areal units, in CSR form.
 
-    Every array attribute is built once, at construction, and is
-    read-only.
+    :func:`build_graph` validates an edge list and builds the CSR arrays.
+    The constructor trusts them (symmetric, sorted rows, positive weights)
+    and derives every other attribute from them once, read-only.
 
     Attributes
     ----------
     n_areas : int
         Number of areal units, indexed ``0 .. n_areas - 1``.
-    neighbor_lists : list[list[int]]
-        Sorted adjacent indices per area. ``i`` never lists itself.
-    neighbor_weights : list[list[float]]
-        Edge weights parallel to ``neighbor_lists``; symmetric by
-        construction (``w_ij == w_ji``).
     indptr, indices, weights : ndarray
-        The same adjacency in CSR form: the neighbours of ``i`` are
-        ``indices[indptr[i]:indptr[i + 1]]``.
+        The adjacency in CSR form: the neighbours of ``i`` are
+        ``indices[indptr[i]:indptr[i + 1]]``, sorted, with weights
+        ``weights[indptr[i]:indptr[i + 1]]`` (``w_ij == w_ji``).
     edge_i, edge_j, edge_w : ndarray
         Each undirected edge once, ``edge_i < edge_j``, ordered by
         ``edge_i`` and then ``edge_j``.
     weight_sums : ndarray
-        ``w_{i+} = sum_j w_ij`` per area. Zero exactly for islands.
+        ``w_{i+} = sum_j w_ij`` per area, exactly rounded (``math.fsum``).
+        Zero exactly for islands.
     wplus_eff : ndarray
         ``weight_sums`` with 1 in place of each island's 0, the divisor
         of the island policy's N(0, sigma^2) prior.
@@ -71,45 +73,38 @@ class SpatialGraph:
         The rows ``colour_classes[c]`` of the weight matrix W, so
         ``colour_blocks[c] @ x`` gives ``sum_j w_ij x_j`` for every area
         ``i`` of class ``c``.
+    neighbor_lists, neighbor_weights : list[list]
+        The CSR rows as Python lists, derived on access.
     """
 
-    def __init__(self, neighbor_lists, neighbor_weights, n_areas):
-        self.n_areas = int(n_areas)
-        self.neighbor_lists = neighbor_lists
-        self.neighbor_weights = neighbor_weights
-        degrees = np.array([len(nb) for nb in neighbor_lists], dtype=np.int64)
-        self.indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
-        self.indices = np.array(
-            [j for nb in neighbor_lists for j in nb], dtype=np.int64
-        )
-        self.weights = np.array(
-            [w for wts in neighbor_weights for w in wts], dtype=float
-        )
-        rows = np.repeat(np.arange(self.n_areas), degrees)
-        upper = self.indices > rows
-        self.edge_i = rows[upper]
-        self.edge_j = self.indices[upper]
-        self.edge_w = self.weights[upper]
-        self.weight_sums = np.array(
-            [math.fsum(w) for w in neighbor_weights], dtype=float
-        )
+    def __init__(self, n_areas, indptr, indices, weights):
+        n = self.n_areas = int(n_areas)
+        self.indptr, self.indices, self.weights = indptr, indices, weights = (
+            np.asarray(indptr, np.int64), np.asarray(indices, np.int64), np.asarray(weights, float))
+        degrees = np.diff(indptr)
+        rows = np.repeat(np.arange(n), degrees)
+        upper = indices > rows
+        self.edge_i, self.edge_j, self.edge_w = rows[upper], indices[upper], weights[upper]
+        if np.array_equal(weights, np.round(weights)) and weights.sum() < 2**53:
+            # integer weights: every partial sum is exact, as in math.fsum
+            self.weight_sums = np.bincount(rows, weights, n).astype(float)
+        else:
+            self.weight_sums = np.array([math.fsum(w) for w in self.neighbor_weights])
         self.island_mask = degrees == 0
         self.island_indices = np.flatnonzero(self.island_mask)
         self.wplus_eff = np.where(self.island_mask, 1.0, self.weight_sums)
-        self.component_labels = _label_components(neighbor_lists, self.n_areas)
-        self.n_components = int(self.component_labels.max()) + 1 if self.n_areas else 0
-        self.component_sizes = np.bincount(
-            self.component_labels, minlength=self.n_components
-        )
+        W = sparse.csr_matrix((weights, indices, indptr), shape=(n, n))
+        labels = csgraph.connected_components(W, directed=False)[1]
+        # number the components in order of their smallest member
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        self.component_labels = np.argsort(np.argsort(first))[inverse]
+        self.n_components = len(first)
+        self.component_sizes = np.bincount(self.component_labels, minlength=self.n_components)
         by_label = np.argsort(self.component_labels, kind="stable")
         self._components = (
-            np.split(by_label, np.cumsum(self.component_sizes)[:-1])
-            if self.n_areas else []
+            np.split(by_label, np.cumsum(self.component_sizes)[:-1]) if n else []
         )
-        self.colour_classes = _colour_classes(neighbor_lists)
-        W = sparse.csr_matrix(
-            (self.weights, self.indices, self.indptr), shape=(self.n_areas,) * 2
-        )
+        self.colour_classes = _colour_classes(self.neighbor_lists)
         self.colour_blocks = [W[idx] for idx in self.colour_classes]
         for arr in (
             self.indptr, self.indices, self.weights, self.edge_i, self.edge_j,
@@ -120,8 +115,22 @@ class SpatialGraph:
         ):
             arr.flags.writeable = False
 
+    def _rows(self, values: np.ndarray) -> list[list]:
+        flat, ptr = values.tolist(), self.indptr.tolist()
+        return [flat[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+    @property
+    def neighbor_lists(self) -> list[list[int]]:
+        """Sorted adjacent indices per area. ``i`` never lists itself."""
+        return self._rows(self.indices)
+
+    @property
+    def neighbor_weights(self) -> list[list[float]]:
+        """Edge weights parallel to :attr:`neighbor_lists`."""
+        return self._rows(self.weights)
+
     def degree(self, i: int) -> int:
-        return len(self.neighbor_lists[i])
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     @property
     def n_edges(self) -> int:
@@ -145,11 +154,8 @@ class SpatialGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpatialGraph):
             return NotImplemented
-        return (
-            self.n_areas == other.n_areas
-            and self.neighbor_lists == other.neighbor_lists
-            and self.neighbor_weights == other.neighbor_weights
-        )
+        return self.n_areas == other.n_areas and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("indptr", "indices", "weights"))
 
     def __repr__(self) -> str:
         return (
@@ -158,104 +164,101 @@ class SpatialGraph:
         )
 
 
-def _label_components(neighbor_lists, n: int) -> np.ndarray:
-    labels = np.full(n, -1, dtype=int)
-    current = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            u = stack.pop()
-            for v in neighbor_lists[u]:
-                if labels[v] < 0:
-                    labels[v] = current
-                    stack.append(v)
-        current += 1
-    return labels
-
-
 def _colour_classes(neighbor_lists) -> list[np.ndarray]:
-    colour = [0] * len(neighbor_lists)
+    colour = []
     for i, nbs in enumerate(neighbor_lists):
         taken = {colour[j] for j in nbs if j < i}
         c = 0
         while c in taken:
             c += 1
-        colour[i] = c
+        colour.append(c)
     colour = np.array(colour, dtype=np.int64)
-    n_colours = int(colour.max()) + 1 if len(colour) else 0
-    return [np.flatnonzero(colour == c) for c in range(n_colours)]
+    return [np.flatnonzero(colour == c) for c in range(colour.max(initial=-1) + 1)]
+
+
+def _edge_array(edges) -> np.ndarray:
+    """Edges as an (m, 3) float array ``[i, j, w]``; a 2-tuple gets weight 1."""
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        arr = np.array(edges, dtype=float)
+    except ValueError:  # a mix of 2- and 3-tuples
+        arr = np.array([(*e, 1.0) if len(e) == 2 else e for e in edges], dtype=float)
+    arr = arr.reshape(len(arr), -1) if arr.size else np.zeros((0, 3))
+    arr = np.column_stack([arr, np.ones(len(arr))]) if arr.shape[1] == 2 else arr
+    if arr.shape[1] != 3:
+        raise ValidationError("each edge must be (i, j) or (i, j, weight)")
+    return arr
 
 
 def build_graph(
-    edges: Iterable[tuple[int, int, float]] | Iterable[tuple[int, int]],
+    edges: Iterable[tuple[int, int, float]] | Iterable[tuple[int, int]] | np.ndarray,
     n_areas: int | None = None,
 ) -> SpatialGraph:
     """Build a canonical symmetric graph from an undirected edge list.
 
-    Each edge is ``(i, j)`` or ``(i, j, weight)``; missing weights default
-    to 1.0 (binary contiguity). Listing an edge in either orientation, or
-    repeatedly with the same weight, is accepted; repeating it with a
-    different weight is a validation error, as is a self loop or a negative
-    weight. Pairs not listed have weight zero. Areas never mentioned are
+    Each edge is ``(i, j)`` or ``(i, j, weight)``, or a row of an (m, 2) or
+    (m, 3) array; missing weights default to 1.0 (binary contiguity).
+    Listing an edge in either orientation, or repeatedly with the same
+    weight, is accepted, and the first weight listed is kept; repeating it
+    with a different weight is a validation error, as is a self loop, an
+    area index that is negative or not an integer, or a weight that is
+    negative or not finite. The first bad edge in input order is reported;
+    an index beyond ``n_areas`` only after all of them. Pairs not listed,
+    or listed with weight zero, have no edge. Areas never mentioned are
     islands, which are permitted here and handled by each downstream
     module's island policy.
 
     Parameters
     ----------
-    edges : iterable of (i, j[, weight])
+    edges : iterable of (i, j[, weight]), or an (m, 2) or (m, 3) array
     n_areas : int, optional
         Total number of areas. Defaults to ``max index + 1``; pass it
         explicitly when trailing areas are islands.
     """
-    pair_weights: dict[tuple[int, int], float] = {}
-    max_idx = -1
-    for edge in edges:
-        if len(edge) == 2:
-            i, j = edge
-            w = 1.0
-        else:
-            i, j, w = edge
-        i, j, w = int(i), int(j), float(w)
-        if i == j:
-            raise ValidationError(f"self-loop on area {i} is not allowed")
-        if w < 0:
-            raise ValidationError(f"negative weight {w} on edge ({i}, {j})")
-        key = (i, j) if i < j else (j, i)
-        if key in pair_weights:
-            if not math.isclose(pair_weights[key], w, rel_tol=1e-12, abs_tol=1e-12):
-                raise ValidationError(
-                    f"conflicting weights for edge {key}: "
-                    f"{pair_weights[key]} vs {w}"
-                )
-        else:
-            pair_weights[key] = w
-        max_idx = max(max_idx, i, j)
-
+    arr = _edge_array(edges)
+    i, j, w = arr.T
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # group the listings of each pair, in input order within a pair
+    order = np.lexsort((np.arange(len(arr)), hi, lo))
+    lo_s, hi_s, w_s = lo[order], hi[order], w[order]
+    first = np.ones(len(arr), dtype=bool)
+    first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
+    first_w = np.empty(len(arr))
+    first_w[order] = w_s[first][np.cumsum(first) - 1]
+    with np.errstate(invalid="ignore"):
+        checks = {  # message: mask of the edges it reports, in priority order
+            "area indices must be nonnegative integers, got edge ({i}, {j})": ~(
+                (lo >= 0) & np.isfinite(hi) & (i == np.floor(i)) & (j == np.floor(j))),
+            "self-loop on area {i} is not allowed": i == j,
+            "non-finite weight {w} on edge ({i}, {j})": ~np.isfinite(w),
+            "negative weight {w} on edge ({i}, {j})": w < 0,
+            # math.isclose(first_w, w, rel_tol=1e-12, abs_tol=1e-12), elementwise
+            "conflicting weights for edge ({lo}, {hi}): {first_w} vs {w}": ~(
+                np.abs(w - first_w) <= 1e-12 * np.maximum(np.maximum(abs(w), abs(first_w)), 1)),
+        }
+    bad = np.logical_or.reduce(list(checks.values()))
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(m for m, mask in checks.items() if mask[k])
+        index = {name: (int(x) if x.is_integer() else x)
+                 for name, x in dict(i=i[k], j=j[k], lo=lo[k], hi=hi[k]).items()}
+        raise ValidationError(message.format(**index, w=float(w[k]), first_w=float(first_w[k])))
+    max_idx = int(hi.max()) if len(arr) else -1
     n = max_idx + 1 if n_areas is None else int(n_areas)
     if n_areas is not None and max_idx >= n:
-        raise ValidationError(
-            f"edge index {max_idx} out of range for n_areas={n}"
-        )
+        raise ValidationError(f"edge index {max_idx} out of range for n_areas={n}")
     if n < 0:
         raise ValidationError("n_areas must be nonnegative")
+    keep = first & (w_s != 0.0)
+    return _from_pairs(n, lo_s[keep].astype(np.int64), hi_s[keep].astype(np.int64), w_s[keep])
 
-    neighbor_lists: list[list[int]] = [[] for _ in range(n)]
-    neighbor_weights: list[list[float]] = [[] for _ in range(n)]
-    for (i, j), w in sorted(pair_weights.items()):
-        if w == 0.0:
-            continue
-        neighbor_lists[i].append(j)
-        neighbor_weights[i].append(w)
-        neighbor_lists[j].append(i)
-        neighbor_weights[j].append(w)
-    for i in range(n):
-        order = np.argsort(neighbor_lists[i], kind="stable")
-        neighbor_lists[i] = [neighbor_lists[i][k] for k in order]
-        neighbor_weights[i] = [neighbor_weights[i][k] for k in order]
-    return SpatialGraph(neighbor_lists, neighbor_weights, n)
+
+def _from_pairs(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> SpatialGraph:
+    """The graph of distinct int64 pairs ``i < j`` with positive weights ``w``."""
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return SpatialGraph(n, indptr, cols[order], np.concatenate([w, w])[order])
 
 
 def subgraph(graph: SpatialGraph, keep: Sequence[int] | np.ndarray) -> tuple[SpatialGraph, np.ndarray]:
@@ -278,8 +281,8 @@ def subgraph(graph: SpatialGraph, keep: Sequence[int] | np.ndarray) -> tuple[Spa
     new_index[original] = np.arange(len(original))
     ei, ej = new_index[graph.edge_i], new_index[graph.edge_j]
     both = (ei >= 0) & (ej >= 0)
-    edges = zip(ei[both].tolist(), ej[both].tolist(), graph.edge_w[both].tolist())
-    return build_graph(edges, n_areas=len(original)), original
+    # relabelling is monotone, so the kept edges stay distinct pairs i < j
+    return _from_pairs(len(original), ei[both], ej[both], graph.edge_w[both]), original
 
 
 class MoranResult(NamedTuple):

@@ -77,15 +77,15 @@ def icar_conditional(field: IcarField, i: int) -> tuple[float, float]:
 
     Raises for islands; callers must apply their island policy instead.
     """
-    nbs = field.graph.neighbor_lists[i]
-    if not nbs:
+    graph = field.graph
+    row = slice(graph.indptr[i], graph.indptr[i + 1])
+    if row.start == row.stop:
         raise ValidationError(
             f"area {i} is an island: the ICAR conditional is undefined"
         )
-    wts = field.graph.neighbor_weights[i]
-    wplus = field.graph.weight_sums[i]
+    wplus = graph.weight_sums[i]
     s = 0.0
-    for j, w in zip(nbs, wts):
+    for j, w in zip(graph.indices[row].tolist(), graph.weights[row].tolist()):
         s += w * field.values[j]
     return s / wplus, field.variance / wplus
 

@@ -28,15 +28,10 @@ def make_lattice(rows: int, cols: int) -> SpatialGraph:
     """Rook-contiguity lattice, indexed row-major; needs rows, cols >= 2."""
     if rows < 2 or cols < 2:
         raise ValidationError("lattice needs rows >= 2 and cols >= 2")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges.append((i, i + 1, 1.0))
-            if r + 1 < rows:
-                edges.append((i, i + cols, 1.0))
-    return build_graph(edges, n_areas=rows * cols)
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    i = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    j = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    return build_graph(np.column_stack([i, j]), n_areas=rows * cols)
 
 
 def sample_icar(

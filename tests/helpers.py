@@ -84,3 +84,86 @@ def gaussian_moments_z(draws, mean, cov, edge_i, edge_j, n_batches=100):
     batches = stats[:usable].reshape(n_batches, -1, stats.shape[1]).mean(axis=1)
     se = batches.std(axis=0, ddof=1) / math.sqrt(n_batches)
     return (batches.mean(axis=0) - expected) / se
+
+
+def oracle_graph(edges, n_areas=None) -> dict:
+    """Every array of a SpatialGraph, built the dict-and-list way.
+
+    Edges go through a dict keyed by the sorted pair (the first weight
+    listed is kept), Python neighbour lists sorted per area, a depth-first
+    component search and the greedy colouring in ascending area order.
+    Raises ``ValidationError`` with the package's messages for a self loop,
+    a negative weight, conflicting weights and an index beyond ``n_areas``.
+    """
+    from scipy import sparse
+
+    from arealbayes.errors import ValidationError
+
+    pair_weights = {}
+    max_idx = -1
+    for edge in edges:
+        i, j, w = (*edge, 1.0) if len(edge) == 2 else edge
+        i, j, w = int(i), int(j), float(w)
+        if i == j:
+            raise ValidationError(f"self-loop on area {i} is not allowed")
+        if w < 0:
+            raise ValidationError(f"negative weight {w} on edge ({i}, {j})")
+        key = (i, j) if i < j else (j, i)
+        if key in pair_weights:
+            if not math.isclose(pair_weights[key], w, rel_tol=1e-12, abs_tol=1e-12):
+                raise ValidationError(
+                    f"conflicting weights for edge {key}: {pair_weights[key]} vs {w}"
+                )
+        else:
+            pair_weights[key] = w
+        max_idx = max(max_idx, i, j)
+    n = max_idx + 1 if n_areas is None else int(n_areas)
+    if n_areas is not None and max_idx >= n:
+        raise ValidationError(f"edge index {max_idx} out of range for n_areas={n}")
+    if n < 0:
+        raise ValidationError("n_areas must be nonnegative")
+
+    nbrs = [[] for _ in range(n)]
+    for (i, j), w in sorted(pair_weights.items()):
+        if w != 0.0:
+            nbrs[i].append((j, w))
+            nbrs[j].append((i, w))
+    nbrs = [sorted(row) for row in nbrs]
+    degrees = np.array([len(row) for row in nbrs], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+    indices = np.array([j for row in nbrs for j, _ in row], dtype=np.int64)
+    weights = np.array([w for row in nbrs for _, w in row], dtype=float)
+    rows = np.repeat(np.arange(n), degrees)
+    upper = indices > rows
+    weight_sums = np.array([math.fsum(w for _, w in row) for row in nbrs], dtype=float)
+
+    labels = np.full(n, -1, dtype=np.int64)
+    n_components = 0
+    for start in range(n):
+        if labels[start] < 0:
+            labels[start] = n_components
+            stack = [start]
+            while stack:
+                for v, _ in nbrs[stack.pop()]:
+                    if labels[v] < 0:
+                        labels[v] = n_components
+                        stack.append(v)
+            n_components += 1
+
+    colour = []
+    for i, row in enumerate(nbrs):
+        taken = {colour[j] for j, _ in row if j < i}
+        colour.append(min(set(range(len(taken) + 1)) - taken))
+    colour = np.array(colour, dtype=np.int64)
+    classes = [np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)]
+    W = sparse.csr_matrix((weights, indices, indptr), shape=(n, n))
+    return dict(
+        n_areas=n, indptr=indptr, indices=indices, weights=weights,
+        edge_i=rows[upper], edge_j=indices[upper], edge_w=weights[upper],
+        weight_sums=weight_sums, island_mask=degrees == 0,
+        wplus_eff=np.where(degrees == 0, 1.0, weight_sums),
+        component_labels=labels, n_components=n_components,
+        component_sizes=np.bincount(labels, minlength=n_components),
+        components=[np.flatnonzero(labels == c) for c in range(n_components)],
+        colour_classes=classes, colour_blocks=[W[idx] for idx in classes],
+    )

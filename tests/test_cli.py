@@ -308,6 +308,22 @@ class TestFitStage2AndSummaries:
         assert out.splitlines()[0] == "variable,morans_i,z_score,p_value"
 
 
+class TestBadAdjacency:
+    @pytest.mark.parametrize("cells, message", [
+        ("-1,2,1.0", "area indices must be nonnegative integers, got edge (-1, 2)"),
+        ("1,2,nan", "non-finite weight nan on edge (1, 2)"),
+    ])
+    def test_one_line_validation_error_and_exit_2(self, tmp_path, capsys, cells, message):
+        (tmp_path / "x.csv").write_text("area_id,x\n0,1.0\n1,2.5\n2,0.5\n3,4.0\n")
+        (tmp_path / "adj.csv").write_text(f"src,dst,weight\n0,1,1.0\n{cells}\n2,3,1.0\n")
+        code = run(["diagnose", "--morans-i", "--input", tmp_path / "x.csv",
+                    "--column", "x", "--adjacency", tmp_path / "adj.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err == f"error: ValidationError: {message}\n"
+
+
 class TestDiagnoseGolden:
     def test_diagnose_csv_bytes_on_a_fixed_archive(self, tmp_path):
         # Pinned output of `diagnose` on a seeded archive. The sd of beta[1]

@@ -439,6 +439,13 @@ class TestInitOverrides:
         with pytest.raises(ValidationError, match="unknown key.*lambda.*allowed"):
             self.fit([{}, {"lambda": [1.0, 0.5]}])
 
+    @pytest.mark.parametrize("key, value", [("alpha", [0.3, -0.3]), ("loadings", [1.0, -1.2])])
+    def test_alpha_and_loadings_are_not_start_keys(self, key, value):
+        with pytest.raises(
+            ValidationError, match=f"unknown key.*{key}; allowed: eta, sigma2$"
+        ):
+            self.fit([{}, {key: value}])
+
     def test_overrides_pass_the_state_checks(self):
         with pytest.raises(DimensionMismatchError):
             self.fit([{"sigma2": [0.5]}, {}])
