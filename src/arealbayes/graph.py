@@ -74,32 +74,38 @@ class SpatialGraph:
         ``colour_blocks[c] @ x`` gives ``sum_j w_ij x_j`` for every area
         ``i`` of class ``c``.
     neighbor_lists, neighbor_weights : list[list]
-        The CSR rows as Python lists, derived on access.
+        The CSR rows as Python lists, rebuilt in full on every access.
     """
 
     def __init__(self, n_areas, indptr, indices, weights):
-        n = self.n_areas = int(n_areas)
-        self.indptr, self.indices, self.weights = indptr, indices, weights = (
-            np.asarray(indptr, np.int64), np.asarray(indices, np.int64), np.asarray(weights, float))
-        degrees = np.diff(indptr)
+        n = int(n_areas)
+        self.n_areas = n
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.weights = np.asarray(weights, dtype=float)
+        degrees = np.diff(self.indptr)
         rows = np.repeat(np.arange(n), degrees)
-        upper = indices > rows
-        self.edge_i, self.edge_j, self.edge_w = rows[upper], indices[upper], weights[upper]
-        if np.array_equal(weights, np.round(weights)) and weights.sum() < 2**53:
-            # integer weights: every partial sum is exact, as in math.fsum
-            self.weight_sums = np.bincount(rows, weights, n).astype(float)
-        else:
-            self.weight_sums = np.array([math.fsum(w) for w in self.neighbor_weights])
+        upper = self.indices > rows
+        self.edge_i = rows[upper]
+        self.edge_j = self.indices[upper]
+        self.edge_w = self.weights[upper]
+        self.weight_sums = np.array(
+            [math.fsum(w) for w in self.neighbor_weights], dtype=float
+        )
         self.island_mask = degrees == 0
         self.island_indices = np.flatnonzero(self.island_mask)
         self.wplus_eff = np.where(self.island_mask, 1.0, self.weight_sums)
-        W = sparse.csr_matrix((weights, indices, indptr), shape=(n, n))
+        W = sparse.csr_matrix(
+            (self.weights, self.indices, self.indptr), shape=(n, n)
+        )
         labels = csgraph.connected_components(W, directed=False)[1]
         # number the components in order of their smallest member
         _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
         self.component_labels = np.argsort(np.argsort(first))[inverse]
         self.n_components = len(first)
-        self.component_sizes = np.bincount(self.component_labels, minlength=self.n_components)
+        self.component_sizes = np.bincount(
+            self.component_labels, minlength=self.n_components
+        )
         by_label = np.argsort(self.component_labels, kind="stable")
         self._components = (
             np.split(by_label, np.cumsum(self.component_sizes)[:-1]) if n else []
@@ -116,17 +122,23 @@ class SpatialGraph:
             arr.flags.writeable = False
 
     def _rows(self, values: np.ndarray) -> list[list]:
-        flat, ptr = values.tolist(), self.indptr.tolist()
+        flat = values.tolist()
+        ptr = self.indptr.tolist()
         return [flat[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     @property
     def neighbor_lists(self) -> list[list[int]]:
-        """Sorted adjacent indices per area. ``i`` never lists itself."""
+        """Sorted adjacent indices per area. ``i`` never lists itself.
+
+        Every access rebuilds all ``n_areas`` lists from CSR, in O(n + m):
+        bind the result once before a loop over areas, or read one row as
+        ``indices[indptr[i]:indptr[i + 1]]``.
+        """
         return self._rows(self.indices)
 
     @property
     def neighbor_weights(self) -> list[list[float]]:
-        """Edge weights parallel to :attr:`neighbor_lists`."""
+        """Edge weights parallel to :attr:`neighbor_lists`, rebuilt on every access."""
         return self._rows(self.weights)
 
     def degree(self, i: int) -> int:
@@ -155,7 +167,9 @@ class SpatialGraph:
         if not isinstance(other, SpatialGraph):
             return NotImplemented
         return self.n_areas == other.n_areas and all(
-            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("indptr", "indices", "weights"))
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("indptr", "indices", "weights")
+        )
 
     def __repr__(self) -> str:
         return (
@@ -165,15 +179,16 @@ class SpatialGraph:
 
 
 def _colour_classes(neighbor_lists) -> list[np.ndarray]:
-    colour = []
+    colour = [0] * len(neighbor_lists)
     for i, nbs in enumerate(neighbor_lists):
         taken = {colour[j] for j in nbs if j < i}
         c = 0
         while c in taken:
             c += 1
-        colour.append(c)
+        colour[i] = c
     colour = np.array(colour, dtype=np.int64)
-    return [np.flatnonzero(colour == c) for c in range(colour.max(initial=-1) + 1)]
+    n_colours = int(colour.max()) + 1 if len(colour) else 0
+    return [np.flatnonzero(colour == c) for c in range(n_colours)]
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -182,9 +197,12 @@ def _edge_array(edges) -> np.ndarray:
     try:
         arr = np.array(edges, dtype=float)
     except ValueError:  # a mix of 2- and 3-tuples
-        arr = np.array([(*e, 1.0) if len(e) == 2 else e for e in edges], dtype=float)
+        arr = np.array(
+            [(*e, 1.0) if len(e) == 2 else e for e in edges], dtype=float
+        )
     arr = arr.reshape(len(arr), -1) if arr.size else np.zeros((0, 3))
-    arr = np.column_stack([arr, np.ones(len(arr))]) if arr.shape[1] == 2 else arr
+    if arr.shape[1] == 2:
+        arr = np.column_stack([arr, np.ones(len(arr))])
     if arr.shape[1] != 3:
         raise ValidationError("each edge must be (i, j) or (i, j, weight)")
     return arr
@@ -217,32 +235,45 @@ def build_graph(
     """
     arr = _edge_array(edges)
     i, j, w = arr.T
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    lo = np.minimum(i, j)
+    hi = np.maximum(i, j)
     # group the listings of each pair, in input order within a pair
     order = np.lexsort((np.arange(len(arr)), hi, lo))
-    lo_s, hi_s, w_s = lo[order], hi[order], w[order]
+    lo_s = lo[order]
+    hi_s = hi[order]
+    w_s = w[order]
     first = np.ones(len(arr), dtype=bool)
     first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
     first_w = np.empty(len(arr))
     first_w[order] = w_s[first][np.cumsum(first) - 1]
     with np.errstate(invalid="ignore"):
-        checks = {  # message: mask of the edges it reports, in priority order
-            "area indices must be nonnegative integers, got edge ({i}, {j})": ~(
-                (lo >= 0) & np.isfinite(hi) & (i == np.floor(i)) & (j == np.floor(j))),
-            "self-loop on area {i} is not allowed": i == j,
-            "non-finite weight {w} on edge ({i}, {j})": ~np.isfinite(w),
-            "negative weight {w} on edge ({i}, {j})": w < 0,
-            # math.isclose(first_w, w, rel_tol=1e-12, abs_tol=1e-12), elementwise
-            "conflicting weights for edge ({lo}, {hi}): {first_w} vs {w}": ~(
-                np.abs(w - first_w) <= 1e-12 * np.maximum(np.maximum(abs(w), abs(first_w)), 1)),
-        }
-    bad = np.logical_or.reduce(list(checks.values()))
+        bad_index = ~(
+            (lo >= 0) & np.isfinite(hi) & (i == np.floor(i)) & (j == np.floor(j))
+        )
+        # math.isclose(first_w, w, rel_tol=1e-12, abs_tol=1e-12), elementwise
+        tol = 1e-12 * np.maximum(np.maximum(np.abs(w), np.abs(first_w)), 1.0)
+        conflict = ~(np.abs(w - first_w) <= tol)
+        # each message with the mask of the edges it reports, in priority order
+        checks = [
+            ("area indices must be nonnegative integers, got edge ({i}, {j})",
+             bad_index),
+            ("self-loop on area {i} is not allowed", i == j),
+            ("non-finite weight {w} on edge ({i}, {j})", ~np.isfinite(w)),
+            ("negative weight {w} on edge ({i}, {j})", w < 0),
+            ("conflicting weights for edge ({lo}, {hi}): {first_w} vs {w}",
+             conflict),
+        ]
+    bad = np.logical_or.reduce([mask for _, mask in checks])
     if bad.any():
         k = int(np.argmax(bad))
-        message = next(m for m, mask in checks.items() if mask[k])
-        index = {name: (int(x) if x.is_integer() else x)
-                 for name, x in dict(i=i[k], j=j[k], lo=lo[k], hi=hi[k]).items()}
-        raise ValidationError(message.format(**index, w=float(w[k]), first_w=float(first_w[k])))
+        message = next(msg for msg, mask in checks if mask[k])
+        index = {
+            name: int(x) if x.is_integer() else x
+            for name, x in (("i", i[k]), ("j", j[k]), ("lo", lo[k]), ("hi", hi[k]))
+        }
+        raise ValidationError(
+            message.format(**index, w=float(w[k]), first_w=float(first_w[k]))
+        )
     max_idx = int(hi.max()) if len(arr) else -1
     n = max_idx + 1 if n_areas is None else int(n_areas)
     if n_areas is not None and max_idx >= n:
@@ -250,12 +281,15 @@ def build_graph(
     if n < 0:
         raise ValidationError("n_areas must be nonnegative")
     keep = first & (w_s != 0.0)
-    return _from_pairs(n, lo_s[keep].astype(np.int64), hi_s[keep].astype(np.int64), w_s[keep])
+    return _from_pairs(
+        n, lo_s[keep].astype(np.int64), hi_s[keep].astype(np.int64), w_s[keep]
+    )
 
 
 def _from_pairs(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> SpatialGraph:
     """The graph of distinct int64 pairs ``i < j`` with positive weights ``w``."""
-    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    rows = np.concatenate([i, j])
+    cols = np.concatenate([j, i])
     order = np.lexsort((cols, rows))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return SpatialGraph(n, indptr, cols[order], np.concatenate([w, w])[order])

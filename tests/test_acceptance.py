@@ -344,10 +344,11 @@ def test_criterion_09_morans_i():
         # smooth segregation-like field (neighbour-averaged ICAR draw,
         # squashed into (-1, 1)): strong positive autocorrelation
         field = sample_icar(LATTICE15, 1.0, np.random.default_rng(9))
+        neighbor_lists = LATTICE15.neighbor_lists
         for _ in range(3):
             field = np.array(
                 [
-                    (field[i] + sum(field[j] for j in LATTICE15.neighbor_lists[i]))
+                    (field[i] + sum(field[j] for j in neighbor_lists[i]))
                     / (1 + LATTICE15.degree(i))
                     for i in range(LATTICE15.n_areas)
                 ]

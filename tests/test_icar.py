@@ -152,6 +152,7 @@ class TestGibbsSweep:
         sigma2 = 0.8
         n_draws = 200_000
         pin = 1e16
+        neighbor_lists = g.neighbor_lists
         for i in range(5):
             prec = np.full(5, pin)
             pwm = pin * state
@@ -165,7 +166,7 @@ class TestGibbsSweep:
                 draws[s] = values[i]
 
             wplus = g.weight_sums[i]
-            nb_sum = sum(state[j] for j in g.neighbor_lists[i])
+            nb_sum = sum(state[j] for j in neighbor_lists[i])
 
             def logpdf(x, i=i, wplus=wplus, nb_sum=nb_sum):
                 prior = -wplus / (2 * sigma2) * (x - nb_sum / wplus) ** 2
@@ -200,8 +201,9 @@ class TestGibbsSweep:
         normals = rng.standard_normal(16)
         values = rng.standard_normal(16)
         expected = values.tolist()
+        neighbor_lists, neighbor_weights = g.neighbor_lists, g.neighbor_weights
         for i in np.concatenate(g.colour_classes).tolist():
-            s = sum(w * expected[j] for j, w in zip(g.neighbor_lists[i], g.neighbor_weights[i]))
+            s = sum(w * expected[j] for j, w in zip(neighbor_lists[i], neighbor_weights[i]))
             wplus = g.weight_sums[i] if g.degree(i) else 1.0  # island prior N(0, sigma2)
             post = wplus / sigma2 + prec[i]
             expected[i] = (s / sigma2 + pwm[i]) / post + normals[i] / math.sqrt(post)
