@@ -17,11 +17,21 @@ Pinned formats:
     rates:      stratum,rate
     archive:    chain,iter,param,index,value  plus "<path>.meta" key = value
                 (read as a whole table: rows in any order, values bit-exact)
+
+Beside each archive the writer also leaves ``<path>.npy``, a cache of the
+draws: the SHA-256 of the CSV and of the ``.meta`` as written, the chain-0
+iteration order and every value as one flat float64 array. The reader
+uses it only when it loads cleanly and both digests match the files on
+disk; a missing, stale or damaged cache is ignored and the CSV is parsed,
+with the same result. The cache is never needed to read an archive and
+is safe to delete. The CSV and ``.meta`` formats are the same with or
+without it.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import tempfile
 import warnings
@@ -58,12 +68,13 @@ __all__ = [
 
 
 @contextmanager
-def atomic_write(path):
+def atomic_write(path, binary=False):
     """Write to a temp file beside ``path`` and rename on success."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with os.fdopen(fd, "wb" if binary else "w", **text) as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -131,6 +142,29 @@ def write_table(path, header, rows) -> None:
 
 
 def read_adjacency(path) -> list[tuple[int, int, float]]:
+    """Edges as ``(src, dst, weight)``, parsed as one array.
+
+    The row loop runs only when that parse fails or an index is not an
+    integer: it names the first bad cell, or reads what the array parse
+    refuses but the schema allows (a row of blank cells, ``1_000``).
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            _require_header(path, next(csv.reader(handle)), ("src", "dst", "weight"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file without rows
+                table = np.loadtxt(handle, delimiter=",", usecols=(0, 1, 2), ndmin=2,
+                                   comments=None, quotechar='"')
+    except (OSError, StopIteration, ValueError):
+        return _read_adjacency_rows(path)
+    ends = table[:, :2]
+    if not (np.all(np.abs(ends) < 2.0**63) and np.all(ends == np.trunc(ends))):
+        return _read_adjacency_rows(path)
+    src, dst = ends.astype(np.int64).T.tolist()
+    return list(zip(src, dst, table[:, 2].tolist()))
+
+
+def _read_adjacency_rows(path) -> list[tuple[int, int, float]]:
     rows = _open_rows(path)
     _require_header(path, rows[0], ("src", "dst", "weight"))
     edges = []
@@ -142,7 +176,7 @@ def read_adjacency(path) -> list[tuple[int, int, float]]:
         src = _parse_float(path, lineno, "src", row[0])
         dst = _parse_float(path, lineno, "dst", row[1])
         w = _parse_float(path, lineno, "weight", row[2])
-        if src != int(src) or dst != int(dst):
+        if src % 1 or dst % 1:  # also true for NaN and infinity
             raise SchemaError(f"{path}:{lineno}: src and dst must be integers")
         edges.append((int(src), int(dst), w))
     return edges
@@ -354,38 +388,40 @@ _CONFIG_KEYS = ("n_chains", "n_iter", "burn_in", "thin", "seed")
 
 
 def write_archive(archive: ChainArchive, path) -> None:
-    """Long-format draw file plus a "<path>.meta" sidecar.
+    """Long-format draw file, a "<path>.meta" sidecar and a "<path>.npy" cache.
 
-    The file is never quoted, so parameter names cannot contain
-    ``,"=#`` or a line break. The sidecar is a ``key = value`` file read
-    back by :func:`read_config`, so metadata keys cannot contain ``=#``
-    or a line break and metadata values cannot contain ``#`` or a line
-    break. The sidecar keeps only deterministic keys (sampler config and
-    model identity), never wall time, so repeated runs are byte-identical.
+    The file is never quoted, so parameter names cannot contain ``,"=#``
+    or an unprintable character such as a line break. The sidecar is a
+    ``key = value`` file read back by :func:`read_config`, which strips
+    both sides and cuts a line at ``#``; so parameter names cannot end
+    in whitespace, metadata keys and values cannot begin or end in it,
+    metadata keys cannot contain ``=#`` or a line break and metadata
+    values cannot contain ``#`` or a line break. The sidecar keeps only
+    deterministic keys (sampler config and model identity), never wall
+    time, so repeated runs are byte-identical. Values are written as
+    float64. An archive that :func:`read_archive` would reject or read
+    back altered raises :class:`ValidationError` before any file is
+    written.
     """
     path = Path(path)
-    bad = [name for name in archive.param_names if set(name) & set(',"=#\n\r')]
-    if bad:
-        raise ValidationError(f"parameter names {bad} contain one of , \" = # or a line break")
-    bad = [key for key in archive.metadata if set(key) & set("=#\n\r")]
-    if bad:
-        raise ValidationError(f"metadata keys {bad} contain one of = # or a line break")
-    bad = [key for key, value in archive.metadata.items() if set(str(value)) & set("#\n\r")]
-    if bad:
-        raise ValidationError(f"metadata values of {bad} contain # or a line break")
+    _check_archive(archive)
     iterations = archive.iterations.tolist()
+    blocks = {
+        name: np.stack(archive.per_chain(name)).astype(np.float64, copy=False)
+        .reshape(archive.n_chains, len(iterations), -1)
+        for name in archive.param_names
+    }
     with atomic_write(path) as handle:
         handle.write(",".join(_ARCHIVE_HEADER) + "\n")
-        for c, chain in enumerate(archive.chains):
-            for name in sorted(chain):
-                rows = chain[name].reshape(len(iterations), -1).tolist()
+        for c in range(archive.n_chains):
+            for name, block in blocks.items():
                 heads = [f"{c},{iteration},{name}," for iteration in iterations]
-                tails = [f"{idx}," for idx in range(int(np.prod(archive.shape(name))))]
-                block = "".join(
-                    [f"{head}{tail}{value!r}\n" for head, row in zip(heads, rows)
+                tails = [f"{idx}," for idx in range(block.shape[2])]
+                text = "".join(
+                    [f"{head}{tail}{value!r}\n" for head, row in zip(heads, block[c].tolist())
                      for tail, value in zip(tails, row)]
                 )
-                handle.write(block.replace(",nan\n", ",\n"))  # NaN is an empty cell
+                handle.write(text.replace(",nan\n", ",\n"))  # NaN is an empty cell
     lines = [f"{key} = {getattr(archive.config, key)}" for key in _CONFIG_KEYS]
     lines += [f"param.{name} = {(archive.shape(name) or ('scalar',))[0]}"
               for name in archive.param_names]
@@ -393,6 +429,55 @@ def write_archive(archive: ChainArchive, path) -> None:
               if key != "wall_time_s"]  # nondeterministic, stays in memory only
     with atomic_write(str(path) + ".meta") as handle:
         handle.write("".join(line + "\n" for line in lines))
+    # the values in the order read_archive fills them, each NaN as the parse reads it
+    values = np.concatenate([block.ravel() for block in blocks.values()])
+    values[np.isnan(values)] = np.nan
+    with atomic_write(str(path) + ".npy", binary=True) as handle:
+        for array in (_digests(path), archive.iterations.astype(np.int64), values):
+            np.save(handle, array)
+
+
+def _check_archive(archive: ChainArchive) -> None:
+    names, meta = archive.param_names, archive.metadata
+    n_draws = archive.n_retained
+    checks = [
+        ('parameter names {} contain one of , " = # or an unprintable character '
+         "such as a line break",
+         [n for n in names if set(n) & set(',"=#') or not n.isprintable()]),
+        ("parameter names {} end in whitespace", [n for n in names if n != n.rstrip()]),
+        ("parameters {} hold more than one vector per draw",
+         [n for n in names if len(archive.shape(n)) > 1]),
+        (f"parameters {{}} do not hold one draw for each of the {n_draws} iterations",
+         [n for n in names if archive.chains[0][n].shape[0] != n_draws]),
+        ("metadata keys {} contain one of = # or a line break",
+         [k for k in meta if set(k) & set("=#\n\r")]),
+        ("metadata keys {} begin or end in whitespace", [k for k in meta if k != k.strip()]),
+        ("metadata keys {} are reserved for the sampler config and the parameters",
+         [k for k in meta if k in _CONFIG_KEYS or k.startswith("param.")]),
+        ("metadata values of {} contain # or a line break",
+         [k for k, v in meta.items() if set(str(v)) & set("#\n\r")]),
+        ("metadata values of {} begin or end in whitespace",
+         [k for k, v in meta.items() if str(v) != str(v).strip()]),
+    ]
+    for message, bad in checks:
+        if bad:
+            raise ValidationError(message.format(bad))
+    if not names or n_draws == 0:
+        raise ValidationError("archive holds no parameters or no retained draws")
+    if len(np.unique(archive.iterations)) < n_draws:
+        raise ValidationError("archive iteration stamps repeat")
+
+
+def _digests(path) -> np.ndarray:
+    """SHA-256 of the archive and of its sidecar, one row each."""
+    rows = []
+    for name in (path, str(path) + ".meta"):
+        digest = hashlib.sha256()
+        with open(name, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(chunk)
+        rows.append(np.frombuffer(digest.digest(), np.uint8))
+    return np.stack(rows)
 
 
 def read_archive(path) -> ChainArchive:
@@ -402,7 +487,8 @@ def read_archive(path) -> ChainArchive:
     hold exactly one row for each chain, iteration, parameter and index.
     Chain 0 fixes the draw order by first appearance; an empty value is
     NaN. Anything else raises :class:`SchemaError` naming the file and,
-    where one exists, the line.
+    where one exists, the line. The draws come from the "<path>.npy"
+    cache instead when it holds digests of both files as they are now.
     """
     path = Path(path)
     meta = read_config(str(path) + ".meta")
@@ -416,8 +502,39 @@ def read_archive(path) -> ChainArchive:
         raise SchemaError(f"{path}.meta: no param.<name> entries")
     if not path.exists():
         raise SchemaError(f"{path}: file not found")
+    cached = _read_cache(path, int(width.sum()))
+    n_chains, order, values = cached or _parse_archive(path, list(shapes), width)
+    offsets = np.cumsum(np.concatenate(([0], n_chains * len(order) * width)))
+    chains = [{} for _ in range(n_chains)]
+    for (name, shape), block, w in zip(shapes.items(), np.split(values, offsets[1:-1]), width):
+        for c, draws in enumerate(block.reshape(n_chains, len(order), w)):
+            chains[c][name] = draws[:, 0] if shape == "scalar" else draws
+    return ChainArchive(chains, order, config, metadata=meta)
+
+
+def _read_cache(path, per_draw):
+    """``(n_chains, order, values)`` from "<path>.npy", or None when the
+    cache is missing, unreadable, the wrong shape or stale."""
+    try:
+        with open(str(path) + ".npy", "rb") as handle, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            digests, order, values = [np.load(handle, allow_pickle=False) for _ in range(3)]
+        draws = order.size * per_draw
+        fits = (digests.dtype == np.uint8 and digests.shape == (2, 32)
+                and order.dtype == np.int64 and order.ndim == 1
+                and values.dtype == np.float64 and values.ndim == 1
+                and draws > 0 and values.size > 0 and values.size % draws == 0)
+    except Exception:  # a damaged header alone can raise ValueError, TypeError,
+        return None  # SyntaxError, EOFError, MemoryError or tokenize.TokenError
+    if not (fits and np.array_equal(digests, _digests(path))):
+        return None
+    return values.size // draws, order, values
+
+
+def _parse_archive(path, names, width):
+    """``(n_chains, order, values)`` parsed from the CSV, every row checked."""
     # one character wider than any listed name, so that no longer name matches
-    names = np.array(list(shapes), dtype=f"U{max(map(len, shapes)) + 1}")
+    names = np.array(names, dtype=f"U{max(map(len, names)) + 1}")
     dtype = np.dtype([("chain", "i8"), ("iter", "i8"), ("param", names.dtype),
                       ("index", "i8"), ("value", "f8")])
     with open(path, encoding="utf-8") as handle:
@@ -458,12 +575,7 @@ def read_archive(path) -> ChainArchive:
         )
     values = np.empty(offsets[-1])
     values[cell] = rows["value"]
-    blocks = np.split(values, offsets[1:-1])
-    chains = [{} for _ in range(n_chains)]
-    for (name, shape), block, w in zip(shapes.items(), blocks, width):
-        for c, draws in enumerate(block.reshape(n_chains, n_draws, w)):
-            chains[c][name] = draws[:, 0] if shape == "scalar" else draws
-    return ChainArchive(chains, order, config, metadata=meta)
+    return n_chains, order, values
 
 
 def _archive_error(path, why, row=None) -> SchemaError:

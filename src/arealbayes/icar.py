@@ -180,6 +180,17 @@ def sample_icar_gibbs_sweep(
     yield a draw from the prior conditional. The fixed class order and the
     one-draw-per-site stream make sweeps bitwise reproducible for a given
     generator state.
+
+    The sweep is a Gibbs step for the unconstrained Gaussian
+    ``N(P^-1 b, P^-1)``, with ``P = Q / variance + diag(lik_precision)``
+    and ``b = lik_weighted_mean``; each component's mean is subtracted
+    afterwards. That equals a draw from the sum-to-zero-constrained
+    Gaussian only where the target is flat along each component's
+    constant: zero likelihood precision, with ``b`` summing to zero
+    within each component (the constrained case of
+    ``tests/test_icar.py::TestSweepGaussianOracle``). With positive
+    likelihood precision the centred draw is not the constrained
+    conditional.
     """
     lik_precision = np.asarray(lik_precision, dtype=float)
     lik_weighted_mean = np.asarray(lik_weighted_mean, dtype=float)

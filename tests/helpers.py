@@ -167,3 +167,53 @@ def oracle_graph(edges, n_areas=None) -> dict:
         components=[np.flatnonzero(labels == c) for c in range(n_components)],
         colour_classes=classes, colour_blocks=[W[idx] for idx in classes],
     )
+
+
+def oracle_read_adjacency(path) -> list:
+    """``fileio.read_adjacency`` as a cell-by-cell loop over ``csv`` rows.
+
+    Same messages in the same order: missing or empty file, header, then
+    per row the column count, src, dst and weight cells and the integer
+    check. A row with no cells or only blank cells is skipped and columns
+    beyond the third are ignored. A NaN or infinite src or dst escapes as
+    a raw ``ValueError`` or ``OverflowError`` from ``int``.
+    """
+    import csv
+    from pathlib import Path
+
+    from arealbayes.errors import SchemaError
+
+    def number(lineno, column, cell):
+        cell = cell.strip()
+        if cell == "":
+            raise SchemaError(f"{path}:{lineno}: column {column!r}: value required")
+        try:
+            return float(cell)
+        except ValueError:
+            raise SchemaError(
+                f"{path}:{lineno}: column {column!r}: expected a number, got {cell!r}"
+            ) from None
+
+    if not Path(path).exists():
+        raise SchemaError(f"{path}: file not found")
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise SchemaError(f"{path}: empty file (header row is mandatory)")
+    if [h.strip() for h in rows[0][:3]] != ["src", "dst", "weight"]:
+        raise SchemaError(
+            f"{path}:1: header must start with src,dst,weight, got {','.join(rows[0])}"
+        )
+    edges = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < 3:
+            raise SchemaError(f"{path}:{lineno}: expected 3 columns src,dst,weight")
+        src = number(lineno, "src", row[0])
+        dst = number(lineno, "dst", row[1])
+        w = number(lineno, "weight", row[2])
+        if src != int(src) or dst != int(dst):
+            raise SchemaError(f"{path}:{lineno}: src and dst must be integers")
+        edges.append((int(src), int(dst), w))
+    return edges

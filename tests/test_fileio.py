@@ -1,5 +1,6 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from arealbayes.errors import SchemaError, ValidationError
 from arealbayes.mcmc import ChainArchive, McmcConfig
 from arealbayes.prep import IndicatorPanel, StrataTable
 from arealbayes.simulate import make_lattice
+from helpers import oracle_read_adjacency
 
 
 class TestAdjacency:
@@ -38,6 +40,66 @@ class TestAdjacency:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="not found"):
             fileio.read_adjacency(tmp_path / "nope.csv")
+
+    def test_clean_file_skips_the_row_loop(self, tmp_path):
+        path = tmp_path / "adj.csv"
+        fileio.write_adjacency(path, make_lattice(5, 6))
+        with mock.patch.object(fileio, "_read_adjacency_rows") as loop:
+            edges = fileio.read_adjacency(path)
+        loop.assert_not_called()
+        assert edges == oracle_read_adjacency(path)
+        assert all(type(s) is int and type(d) is int and type(w) is float for s, d, w in edges)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_index_names_line(self, tmp_path, cell):
+        path = tmp_path / "adj.csv"
+        path.write_text(f"src,dst,weight\n0,1,1.0\n2,{cell},1.0\n")
+        with pytest.raises(SchemaError, match="adj.csv:3: src and dst must be integers"):
+            fileio.read_adjacency(path)
+
+    # cells the schema accepts; "1_0" and '"2"' parse with float() and csv
+    # but not with every array parser
+    _INDEX = st.sampled_from(["0", "3", "17", " 4 ", "5.0", "+6", "-0", "1e1", "1_0", '"2"'])
+    _WEIGHT = st.sampled_from(
+        ["1", "0.25", " 2.5", "1e-3", "-0.0", "inf", "nan", "1_5", '"0.5"', "3."]
+    )
+    _BAD = st.sampled_from(["x", "", " ", "0x1", "1 2", "1.5", "--1", "nan(1)"])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.tuples(_INDEX, _INDEX, _WEIGHT).map(list),
+                st.tuples(_INDEX, _INDEX, _WEIGHT, st.sampled_from(["x", "", "7"])).map(list),
+                st.sampled_from([[], ["   "], [" ", "", " "]]),
+            ),
+            max_size=30,
+        ),
+        bad=st.one_of(st.none(), st.tuples(st.integers(0, 29), st.integers(0, 3), _BAD)),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_matches_the_row_loop_oracle(self, rows, bad, newline):
+        # one bad cell at most (column 3 cuts the row to two cells): the
+        # same edges, or the same message naming the same line and column
+        if bad is not None and rows:
+            row, column, cell = bad
+            row = rows[row % len(rows)]
+            if column == 3:
+                del row[2:]
+            elif len(row) > column:
+                row[column] = cell
+        text = newline.join(["src,dst,weight"] + [",".join(row) for row in rows]) + newline
+
+        def outcome(read, path):
+            try:
+                return [(type(s), s, type(d), d, repr(w)) for s, d, w in read(path)]
+            except SchemaError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "adj.csv"
+            path.write_bytes(text.encode())
+            assert outcome(fileio.read_adjacency, path) == outcome(oracle_read_adjacency, path)
 
 
 class TestIndicators:
@@ -166,6 +228,7 @@ class TestArchive:
         fileio.write_archive(archive, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a1.csv.meta").read_bytes() == (tmp_path / "a2.csv.meta").read_bytes()
+        assert (tmp_path / "a1.csv.npy").read_bytes() == (tmp_path / "a2.csv.npy").read_bytes()
 
     def test_golden_bytes(self, tmp_path):
         config = McmcConfig(n_chains=2, n_iter=30, burn_in=10, thin=10, seed=11)
@@ -229,7 +292,7 @@ class TestArchive:
             for name in archive.param_names:
                 assert np.array_equal(back.chains[c][name], archive.chains[c][name])
 
-    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a=b", "a#b"])
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a=b", "a#b", "a\tb", "a\x00"])
     def test_rejects_names_that_need_quoting(self, tmp_path, name):
         archive = self._archive()
         for chain in archive.chains:
@@ -256,12 +319,140 @@ class TestArchive:
             fileio.write_archive(archive, tmp_path / "archive.csv")
         assert not (tmp_path / "archive.csv").exists()
 
+    def _assert_refused(self, tmp_path, archive, match):
+        with pytest.raises(ValidationError, match=match):
+            fileio.write_archive(archive, tmp_path / "archive.csv")
+        assert list(tmp_path.iterdir()) == []  # no CSV, .meta or .npy
+
+    def test_rejects_name_with_trailing_whitespace(self, tmp_path):
+        # the sidecar line "param.x  = 3" reads back as param.x
+        archive = self._archive()
+        for chain in archive.chains:
+            chain["x "] = chain.pop("tau_v")
+        self._assert_refused(tmp_path, archive, r"parameter names \['x '\] end in whitespace")
+
+    def test_name_with_leading_whitespace_round_trips(self, tmp_path):
+        archive = self._archive()
+        for chain in archive.chains:
+            chain[" a"] = chain.pop("tau_v")
+        path = tmp_path / "archive.csv"
+        fileio.write_archive(archive, path)
+        back = fileio.read_archive(path)
+        Path(f"{path}.npy").unlink()
+        _assert_same_archive(back, fileio.read_archive(path))
+        assert np.array_equal(back.chains[1][" a"], archive.chains[1][" a"])
+
+    @pytest.mark.parametrize(
+        "key, value", [(" note", "x"), ("note ", "x"), ("note", " x"), ("note", "x\t")]
+    )
+    def test_rejects_metadata_with_outer_whitespace(self, tmp_path, key, value):
+        # read_config strips keys and values, so these would come back altered
+        archive = self._archive()
+        archive.metadata[key] = value
+        self._assert_refused(tmp_path, archive, "begin or end in whitespace")
+
+    @pytest.mark.parametrize("key", ["seed", "param.extra"])
+    def test_rejects_reserved_metadata_keys(self, tmp_path, key):
+        # "seed = 1" after the config's line would override the config's seed
+        archive = self._archive()
+        archive.metadata[key] = "1"
+        self._assert_refused(tmp_path, archive, "reserved")
+
+    def test_rejects_archive_without_draws(self, tmp_path):
+        config = McmcConfig(n_chains=2, n_iter=40, burn_in=35, thin=10, seed=7)
+        archive = ChainArchive([{"beta": np.empty((0, 2))} for _ in range(2)],
+                               config.retained_iterations(), config)
+        assert archive.n_retained == 0
+        self._assert_refused(tmp_path, archive, "no retained draws")
+
+    def test_rejects_repeated_iteration_stamps(self, tmp_path):
+        archive = self._archive()
+        archive.iterations = np.array([20, 20, 40])
+        self._assert_refused(tmp_path, archive, "iteration stamps repeat")
+
+    def test_rejects_draw_count_unlike_the_stamps(self, tmp_path):
+        archive = self._archive()
+        archive.iterations = np.array([20, 30])
+        self._assert_refused(tmp_path, archive, "one draw for each of the 2 iterations")
+
+    def test_rejects_matrix_per_draw(self, tmp_path):
+        archive = self._archive()
+        for chain in archive.chains:
+            chain["m"] = np.zeros((3, 2, 2))
+        self._assert_refused(tmp_path, archive, "more than one vector per draw")
+
+    def _read_falls_back(self, path):
+        with mock.patch.object(fileio, "_parse_archive", wraps=fileio._parse_archive) as parse:
+            back = fileio.read_archive(path)
+        parse.assert_called_once()
+        return back
+
+    def test_cache_read_skips_the_parse(self, tmp_path):
+        archive = self._archive()
+        path = tmp_path / "archive.csv"
+        fileio.write_archive(archive, path)
+        with mock.patch.object(fileio, "_parse_archive") as parse:
+            back = fileio.read_archive(path)
+        parse.assert_not_called()
+        for c in range(2):
+            for name in archive.param_names:
+                assert back.chains[c][name].tobytes() == archive.chains[c][name].tobytes()
+
+    def test_meta_only_edit_falls_back_to_the_parse(self, tmp_path):
+        path = tmp_path / "archive.csv"
+        fileio.write_archive(self._archive(), path)
+        meta = Path(f"{path}.meta")
+        meta.write_text(meta.read_text().replace("model = stage2_svc_M3", "model = stage2_svc_M4"))
+        back = self._read_falls_back(path)
+        assert back.metadata["model"] == "stage2_svc_M4"
+        Path(f"{path}.npy").unlink()
+        _assert_same_archive(back, fileio.read_archive(path))
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "empty", "other archive", "float32 values", "one value short"]
+    )
+    def test_damaged_cache_falls_back_to_the_parse(self, tmp_path, damage):
+        path = tmp_path / "archive.csv"
+        fileio.write_archive(self._archive(), path)
+        cache = Path(f"{path}.npy")
+        blob = cache.read_bytes()
+        if damage in ("float32 values", "one value short"):
+            with open(cache, "rb") as handle:
+                digests, order, values = [np.load(handle) for _ in range(3)]
+            values = values.astype(np.float32) if damage == "float32 values" else values[:-1]
+            with open(cache, "wb") as handle:
+                for array in (digests, order, values):
+                    np.save(handle, array)
+        elif damage == "other archive":
+            other = self._archive()
+            other.chains[0]["tau_v"][0] += 1.0
+            fileio.write_archive(other, tmp_path / "other.csv")
+            cache.write_bytes((tmp_path / "other.csv.npy").read_bytes())
+        else:
+            cache.write_bytes({"truncated": blob[: len(blob) // 2],
+                               "garbage": bytes(range(256)) * 8, "empty": b""}[damage])
+        back = self._read_falls_back(path)
+        cache.unlink()
+        _assert_same_archive(back, fileio.read_archive(path))
+
     def _corrupt(self, tmp_path, edit):
         path = tmp_path / "archive.csv"
         fileio.write_archive(self._archive(), path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(edit(lines)))
         return path
+
+    @staticmethod
+    def _raises_with_and_without_cache(path, match):
+        # the edited CSV no longer matches the cache's digest, so the
+        # reader parses it and fails exactly as it does with no cache
+        assert Path(f"{path}.npy").exists()
+        with pytest.raises(SchemaError, match=match) as kept:
+            fileio.read_archive(path)
+        Path(f"{path}.npy").unlink()
+        with pytest.raises(SchemaError) as deleted:
+            fileio.read_archive(path)
+        assert str(kept.value) == str(deleted.value)
 
     @pytest.mark.parametrize("column", [0, 1, 3])
     def test_non_integer_cell_names_line(self, tmp_path, column):
@@ -272,8 +463,7 @@ class TestArchive:
             return lines
 
         path = self._corrupt(tmp_path, edit)
-        with pytest.raises(SchemaError, match=r"archive.csv:4: expected 5 cells: integer chain"):
-            fileio.read_archive(path)
+        self._raises_with_and_without_cache(path, r"archive.csv:4: expected 5 cells: integer chain")
 
     @pytest.mark.parametrize(
         "edit", [("beta", "gamma"), (",beta,1,", ",beta,2,"), ("1,40,", "1,41,")]
@@ -285,27 +475,26 @@ class TestArchive:
             return lines
 
         path = self._corrupt(tmp_path, apply)
-        with pytest.raises(SchemaError, match=r"archive.csv:\d+: param not in the .meta file"):
-            fileio.read_archive(path)
+        self._raises_with_and_without_cache(path, r"archive.csv:\d+: param not in the .meta file")
 
     def test_missing_row_is_named(self, tmp_path):
         path = self._corrupt(tmp_path, lambda lines: lines[:4] + lines[5:])
-        with pytest.raises(
-            SchemaError, match=r"archive.csv: no row for chain 0, iter 30, param beta, index 1"
-        ):
-            fileio.read_archive(path)
+        self._raises_with_and_without_cache(
+            path, r"archive.csv: no row for chain 0, iter 30, param beta, index 1"
+        )
 
     def test_duplicate_row_names_line(self, tmp_path):
         path = self._corrupt(tmp_path, lambda lines: lines + [lines[3]])
-        with pytest.raises(SchemaError, match=r"archive.csv:20: duplicate chain, iter, param"):
-            fileio.read_archive(path)
+        self._raises_with_and_without_cache(path, r"archive.csv:20: duplicate chain, iter, param")
 
     @settings(max_examples=40, deadline=None)
     @given(
         n_chains=st.integers(1, 3),
         n_draws=st.integers(1, 4),
         widths=st.dictionaries(
-            st.text("abcxyz_.0123456789", min_size=1, max_size=8),
+            st.text("abcxyz_.0123456789 é", min_size=1, max_size=8).filter(
+                lambda name: not name.endswith(" ")  # the writer refuses these
+            ),
             st.one_of(st.none(), st.integers(1, 3)),
             min_size=1, max_size=3,
         ),
@@ -337,7 +526,13 @@ class TestArchive:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "archive.csv"
             fileio.write_archive(archive, path)
-            back = fileio.read_archive(path)
+            with mock.patch.object(fileio, "_parse_archive", wraps=fileio._parse_archive) as parse:
+                back = fileio.read_archive(path)
+                parse.assert_not_called()
+                Path(f"{path}.npy").unlink()
+                parsed = fileio.read_archive(path)
+                parse.assert_called_once()
+        _assert_same_archive(back, parsed)
         assert back.config == config
         assert back.iterations.tolist() == archive.iterations.tolist()
         assert back.metadata == metadata
@@ -349,6 +544,19 @@ class TestArchive:
                 assert np.array_equal(np.isnan(got), np.isnan(want))
                 keep = ~np.isnan(want)
                 assert got[keep].tobytes() == want[keep].tobytes()
+
+
+def _assert_same_archive(a, b):
+    assert a.config == b.config
+    assert a.metadata == b.metadata
+    assert a.iterations.dtype == b.iterations.dtype
+    assert a.iterations.tolist() == b.iterations.tolist()
+    assert [list(chain) for chain in a.chains] == [list(chain) for chain in b.chains]
+    for chain_a, chain_b in zip(a.chains, b.chains):
+        for name in chain_a:
+            x, y = chain_a[name], chain_b[name]
+            assert (x.dtype, x.shape) == (y.dtype, y.shape)
+            assert x.tobytes() == y.tobytes()  # NaN bits and positions included
 
 
 class TestAtomicWrite:
