@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 import numpy as np
@@ -33,7 +34,9 @@ def _add_mcmc_flags(parser):
     parser.add_argument("--thin", type=int, default=5)
     parser.add_argument("--chains", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1, help="parallel chains")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker processes for the chains and the archive write "
+                             "(default: one per chain, up to the usable CPUs)")
 
 
 def _mcmc_config(args) -> McmcConfig:
@@ -44,6 +47,16 @@ def _mcmc_config(args) -> McmcConfig:
         thin=args.thin,
         seed=args.seed,
     )
+
+
+def _n_workers(args) -> int:
+    """``--threads``, or one worker per chain up to the CPUs this process may use."""
+    if args.threads is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(args.chains, cpus or 1)
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,11 +365,10 @@ def _cmd_fit_stage1(args) -> int:
         panel.groups = groups
     graph = _load_graph(args.adjacency, panel.n_areas)
     spec = FactorModelSpec(n_indicators=panel.n_indicators, anchor_index=args.anchor)
-    archive = fit_stage1(
-        panel, graph, spec, _mcmc_config(args), n_workers=args.threads
-    )
+    config, n_workers = _mcmc_config(args), _n_workers(args)
+    archive = fit_stage1(panel, graph, spec, config, n_workers=n_workers)
     archive.metadata["indicator_names"] = ";".join(panel.columns)
-    fileio.write_archive(archive, args.out)
+    fileio.write_archive(archive, args.out, n_workers)
     print(
         f"stage 1 fit: {archive.n_chains} chains x {archive.n_retained} retained "
         f"draws -> {args.out}"
@@ -449,11 +461,10 @@ def _cmd_fit_stage2(args) -> int:
             f"-> {args.out}"
         )
         return 0
-    archive = svc.fit_stage2_mcmc(
-        spec, observed, graph, _mcmc_config(args), n_workers=args.threads
-    )
+    config, n_workers = _mcmc_config(args), _n_workers(args)
+    archive = svc.fit_stage2_mcmc(spec, observed, graph, config, n_workers=n_workers)
     archive.metadata["factor_names"] = ";".join(factor_names)
-    fileio.write_archive(archive, args.out)
+    fileio.write_archive(archive, args.out, n_workers)
     print(
         f"stage 2 fit ({spec.rung}): {archive.n_chains} chains x "
         f"{archive.n_retained} retained draws -> {args.out}"

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -51,7 +50,7 @@ from . import icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph
 from .icar import IcarField
-from .mcmc import ChainArchive, McmcConfig, model_hash
+from .mcmc import ChainArchive, McmcConfig, model_hash, worker_map
 from .prep import IndicatorPanel
 
 __all__ = [
@@ -385,7 +384,8 @@ def fit_stage1(
     the state itself. This sets up overdispersed starts for convergence
     checks. Only eta and sigma2 disperse a start: the first alpha draw
     reads neither the previous alpha nor, for a centred eta on a complete
-    panel, the loadings.
+    panel, the loadings. Up to ``n_workers`` chains run at once in worker
+    processes; the draws do not depend on it.
     """
     if spec is None:
         spec = FactorModelSpec(n_indicators=panel.n_indicators)
@@ -424,11 +424,8 @@ def fit_stage1(
         for c in range(config.n_chains)
     ]
     started = time.time()
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            chains = list(pool.map(_run_stage1_chain, payloads))
-    else:
-        chains = [_run_stage1_chain(p) for p in payloads]
+    with worker_map(_run_stage1_chain, payloads, n_workers) as results:
+        chains = list(results)
     return ChainArchive(
         chains,
         config.retained_iterations(),

@@ -18,6 +18,11 @@ Pinned formats:
     archive:    chain,iter,param,index,value  plus "<path>.meta" key = value
                 (read as a whole table: rows in any order, values bit-exact)
 
+The archive writer formats the rows of each (chain, parameter) block
+apart, in worker processes when asked for more than one, and writes the
+blocks in file order as they arrive; it hashes the CSV and the ``.meta``
+from the bytes it writes. The files are the same for any worker count.
+
 Beside each archive the writer also leaves ``<path>.npy``, a cache of the
 draws: the SHA-256 of the CSV and of the ``.meta`` as written, the chain-0
 iteration order and every value as one flat float64 array. The reader
@@ -41,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .mcmc import ChainArchive, McmcConfig
+from .mcmc import ChainArchive, McmcConfig, worker_map
 from .prep import IndicatorPanel, StrataTable
 
 __all__ = [
@@ -387,7 +392,7 @@ _ARCHIVE_HEADER = ("chain", "iter", "param", "index", "value")
 _CONFIG_KEYS = ("n_chains", "n_iter", "burn_in", "thin", "seed")
 
 
-def write_archive(archive: ChainArchive, path) -> None:
+def write_archive(archive: ChainArchive, path, n_workers: int = 1) -> None:
     """Long-format draw file, a "<path>.meta" sidecar and a "<path>.npy" cache.
 
     The file is never quoted, so parameter names cannot contain ``,"=#``
@@ -402,6 +407,11 @@ def write_archive(archive: ChainArchive, path) -> None:
     float64. An archive that :func:`read_archive` would reject or read
     back altered raises :class:`ValidationError` before any file is
     written.
+
+    Each (chain, parameter) block is formatted by :func:`_block_rows`,
+    on up to ``n_workers`` worker processes, and written as it arrives,
+    chain-major, so the whole file is never held in memory and its bytes
+    do not depend on ``n_workers``.
     """
     path = Path(path)
     _check_archive(archive)
@@ -411,30 +421,44 @@ def write_archive(archive: ChainArchive, path) -> None:
         .reshape(archive.n_chains, len(iterations), -1)
         for name in archive.param_names
     }
-    with atomic_write(path) as handle:
-        handle.write(",".join(_ARCHIVE_HEADER) + "\n")
-        for c in range(archive.n_chains):
-            for name, block in blocks.items():
-                heads = [f"{c},{iteration},{name}," for iteration in iterations]
-                tails = [f"{idx}," for idx in range(block.shape[2])]
-                text = "".join(
-                    [f"{head}{tail}{value!r}\n" for head, row in zip(heads, block[c].tolist())
-                     for tail, value in zip(tails, row)]
-                )
-                handle.write(text.replace(",nan\n", ",\n"))  # NaN is an empty cell
+    tasks = [(c, name, block[c], iterations)
+             for c in range(archive.n_chains) for name, block in blocks.items()]
+    header = (",".join(_ARCHIVE_HEADER) + "\n").encode()
+    csv_digest = hashlib.sha256(header)
+    with atomic_write(path, binary=True) as handle, \
+            worker_map(_block_rows, tasks, n_workers) as texts:
+        handle.write(header)
+        for text in texts:
+            csv_digest.update(text)
+            handle.write(text)
     lines = [f"{key} = {getattr(archive.config, key)}" for key in _CONFIG_KEYS]
     lines += [f"param.{name} = {(archive.shape(name) or ('scalar',))[0]}"
               for name in archive.param_names]
     lines += [f"{key} = {archive.metadata[key]}" for key in sorted(archive.metadata)
               if key != "wall_time_s"]  # nondeterministic, stays in memory only
-    with atomic_write(str(path) + ".meta") as handle:
-        handle.write("".join(line + "\n" for line in lines))
+    meta = "".join(line + "\n" for line in lines).encode()
+    with atomic_write(str(path) + ".meta", binary=True) as handle:
+        handle.write(meta)
+    digests = np.stack([np.frombuffer(digest.digest(), np.uint8)
+                        for digest in (csv_digest, hashlib.sha256(meta))])
     # the values in the order read_archive fills them, each NaN as the parse reads it
     values = np.concatenate([block.ravel() for block in blocks.values()])
     values[np.isnan(values)] = np.nan
     with atomic_write(str(path) + ".npy", binary=True) as handle:
-        for array in (_digests(path), archive.iterations.astype(np.int64), values):
+        for array in (digests, archive.iterations.astype(np.int64), values):
             np.save(handle, array)
+
+
+def _block_rows(task) -> bytes:
+    """The UTF-8 archive rows of one ``(chain, name, draws, iterations)`` block."""
+    c, name, draws, iterations = task
+    heads = [f"{c},{iteration},{name}," for iteration in iterations]
+    tails = [f"{idx}," for idx in range(draws.shape[1])]
+    text = "".join(
+        [f"{head}{tail}{value!r}\n" for head, row in zip(heads, draws.tolist())
+         for tail, value in zip(tails, row)]
+    )
+    return text.replace(",nan\n", ",\n").encode()  # NaN is an empty cell
 
 
 def _check_archive(archive: ChainArchive) -> None:

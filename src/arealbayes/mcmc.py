@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -78,6 +80,22 @@ def spawn_generators(seed: int, n_chains: int) -> list[np.random.Generator]:
     uses ``SeedSequence(seed).spawn(n_chains)[c]``.
     """
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
+
+
+@contextmanager
+def worker_map(fn, tasks, n_workers: int):
+    """``map(fn, tasks)``, results in task order, on ``min(n_workers,
+    len(tasks))`` worker processes, or in this process when that is 1.
+
+    The pool is never larger than the task list: a process pool starts
+    all of its workers at the first submit, whether or not they get work.
+    """
+    n_workers = min(n_workers, len(tasks))
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            yield pool.map(fn, tasks)
+    else:
+        yield map(fn, tasks)
 
 
 def model_hash(*parts) -> str:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -58,7 +57,7 @@ from . import icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph
 from .icar import IcarField
-from .mcmc import ChainArchive, McmcConfig, model_hash
+from .mcmc import ChainArchive, McmcConfig, model_hash, worker_map
 
 __all__ = [
     "RUNGS",
@@ -652,7 +651,8 @@ def fit_stage2_mcmc(
     ``chain<c>_divergent``. With
     ``sample_precisions=False`` the precisions stay at
     ``initial_precisions``, which is how the Laplace cross-check matches
-    hyperparameters.
+    hyperparameters. Up to ``n_workers`` chains run at once in worker
+    processes; the draws do not depend on it.
     """
     if config is None:
         config = McmcConfig()
@@ -677,11 +677,8 @@ def fit_stage2_mcmc(
         for c in range(config.n_chains)
     ]
     started = time.time()
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_stage2_chain, payloads))
-    else:
-        results = [_run_stage2_chain(p) for p in payloads]
+    with worker_map(_run_stage2_chain, payloads, n_workers) as chains:
+        results = list(chains)
     metadata = {
         "model": f"stage2_svc_{spec.rung}",
         "model_hash": model_hash(

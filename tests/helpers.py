@@ -2,11 +2,37 @@
 
 Everything here is deliberately independent of the package's own
 computation paths: dense matrices, double loops and grid quadrature only.
+The one exception is :func:`recording_pool`, a stand-in for the process
+pool that the package's parallel paths share.
 """
 
 import math
 
 import numpy as np
+
+from arealbayes import mcmc
+
+
+def recording_pool(monkeypatch) -> list:
+    """Replace the process pool behind ``mcmc.worker_map`` by one that runs
+    ``map`` in this process; returns the list of pool sizes asked for."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(mcmc, "ProcessPoolExecutor", Pool)
+    return sizes
 
 
 def dense_morans_i(W: np.ndarray, x: np.ndarray) -> float:

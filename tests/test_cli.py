@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from helpers import recording_pool
 
 from arealbayes import cli, fileio, svc
 from arealbayes.cli import main
@@ -374,3 +377,84 @@ class TestConfigFile:
         assert archive.config.n_iter == 400  # from config
         assert archive.config.thin == 2      # flag wins
         assert archive.config.n_chains == 1
+
+
+class TestThreads:
+    def _fit(self, full_pipeline, command, out, *extra):
+        work, simulated = full_pipeline
+        inputs = {
+            "fit-stage1": ["--indicators", work / "indicators.csv",
+                           "--iters", "200", "--burnin", "50", "--thin", "5"],
+            "fit-stage2": ["--counts", work / "counts.csv",
+                           "--covariates", work / "covariates.csv", "--model", "M3",
+                           "--iters", "300", "--burnin", "100", "--thin", "5"],
+        }[command]
+        return run([command, *inputs, "--adjacency", simulated / "adjacency.csv",
+                    "--out", out, "--seed", "31", *extra])
+
+    def _workers(self, full_pipeline, tmp_path, monkeypatch, *extra, config=None):
+        """The worker counts fit-stage1 hands to the fit and to the archive write."""
+        seen = []
+        fit, write = cli.fit_stage1, fileio.write_archive
+
+        def recording_fit(*args, n_workers):
+            seen.append(n_workers)
+            return fit(*args, n_workers=n_workers)
+
+        def recording_write(archive, path, n_workers):
+            seen.append(n_workers)
+            write(archive, path, n_workers)
+
+        monkeypatch.setattr(cli, "fit_stage1", recording_fit)
+        monkeypatch.setattr(fileio, "write_archive", recording_write)
+        recording_pool(monkeypatch)
+        work, simulated = full_pipeline
+        top = ["--config", config] if config else []
+        assert run([*top, "fit-stage1", "--indicators", work / "indicators.csv",
+                    "--adjacency", simulated / "adjacency.csv", "--out", tmp_path / "w.csv",
+                    "--iters", "60", "--burnin", "20", "--thin", "4", *extra]) == 0
+        return seen
+
+    @pytest.mark.parametrize("command", ["fit-stage1", "fit-stage2"])
+    def test_worker_count_does_not_change_the_outputs(self, full_pipeline, tmp_path, command):
+        for threads in ("1", "2"):
+            assert self._fit(full_pipeline, command, tmp_path / f"t{threads}.csv",
+                             "--chains", "3", "--threads", threads) == 0
+        for suffix in ("", ".meta", ".npy"):
+            parallel = (tmp_path / f"t2.csv{suffix}").read_bytes()
+            assert parallel == (tmp_path / f"t1.csv{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("cpus, chains, expected",
+                             [(1, 2, 1), (2, 2, 2), (4, 3, 3), (8, 1, 1)])
+    def test_default_is_one_worker_per_chain_up_to_the_cpus(
+        self, full_pipeline, tmp_path, monkeypatch, cpus, chains, expected
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        seen = self._workers(full_pipeline, tmp_path, monkeypatch, "--chains", str(chains))
+        assert seen == [expected, expected]
+
+    def test_cpu_count_where_affinity_is_unknown(self, full_pipeline, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert self._workers(full_pipeline, tmp_path, monkeypatch) == [1, 1]
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert self._workers(full_pipeline, tmp_path, monkeypatch, "--chains", "3") == [3, 3]
+
+    def test_flag_and_config_win(self, full_pipeline, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert self._workers(full_pipeline, tmp_path, monkeypatch, "--threads", "1") == [1, 1]
+        conf = tmp_path / "run.conf"
+        conf.write_text("threads = 5\n")
+        assert self._workers(full_pipeline, tmp_path, monkeypatch, config=conf) == [5, 5]
+
+    @pytest.mark.parametrize("command, threads",
+                             [("fit-stage1", "0"), ("fit-stage1", "-2"), ("fit-stage2", "0")])
+    def test_threads_below_one_is_one_line_error(
+        self, full_pipeline, tmp_path, capsys, command, threads
+    ):
+        capsys.readouterr()
+        assert self._fit(full_pipeline, command, tmp_path / "x.csv", "--threads", threads) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ValidationError: --threads must be at least 1, got {threads}\n"
+        assert not (tmp_path / "x.csv").exists()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import grid_logpdf_to_cdf, ks_statistic
+from helpers import grid_logpdf_to_cdf, ks_statistic, recording_pool
 from scipy import stats
 
 from arealbayes.errors import DimensionMismatchError, ValidationError
@@ -415,6 +415,14 @@ class TestFitStage1:
         for c in range(2):
             for name in seq.param_names:
                 assert np.array_equal(seq.chains[c][name], par.chains[c][name])
+
+    def test_pool_is_capped_at_the_chain_count(self, monkeypatch):
+        g = make_lattice(3, 3)
+        panel, _ = simulate_stage1(g, np.array([1.0, 1.1]), np.array([0.3, 0.3]), seed=2)
+        config = McmcConfig(n_chains=2, n_iter=60, burn_in=20, thin=2, seed=17)
+        sizes = recording_pool(monkeypatch)
+        fit_stage1(panel, g, config=config, n_workers=64)
+        assert sizes == [2]
 
 
 class TestInitOverrides:

@@ -12,7 +12,7 @@ from arealbayes.errors import SchemaError, ValidationError
 from arealbayes.mcmc import ChainArchive, McmcConfig
 from arealbayes.prep import IndicatorPanel, StrataTable
 from arealbayes.simulate import make_lattice
-from helpers import oracle_read_adjacency
+from helpers import oracle_read_adjacency, recording_pool
 
 
 class TestAdjacency:
@@ -262,6 +262,29 @@ class TestArchive:
             b"param.beta = 2\nparam.tau = scalar\n"
             b"accept_beta = 0.4\nmodel = stage2_svc_M2\n"
         )
+
+    @pytest.mark.parametrize("make", ["golden", "three chains"])
+    def test_worker_count_does_not_change_the_bytes(self, tmp_path, make):
+        archive = _golden_archive() if make == "golden" else _three_chain_archive()
+        fileio.write_archive(archive, tmp_path / "serial.csv")
+        fileio.write_archive(archive, tmp_path / "parallel.csv", n_workers=2)
+        for suffix in ("", ".meta", ".npy"):
+            parallel = (tmp_path / f"parallel.csv{suffix}").read_bytes()
+            assert parallel == (tmp_path / f"serial.csv{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("n_workers, size", [(64, 4), (3, 3)])
+    def test_pool_is_capped_at_the_block_count(self, tmp_path, monkeypatch, n_workers, size):
+        sizes = recording_pool(monkeypatch)
+        fileio.write_archive(self._archive(), tmp_path / "a.csv", n_workers)  # 2 chains x 2 params
+        assert sizes == [size]
+
+    def test_write_hashes_the_bytes_it_writes(self, tmp_path):
+        path = tmp_path / "archive.csv"
+        with mock.patch.object(fileio, "_digests", side_effect=AssertionError("read back")):
+            fileio.write_archive(self._archive(), path, n_workers=2)
+        with mock.patch.object(fileio, "_parse_archive") as parse:
+            fileio.read_archive(path)
+        parse.assert_not_called()
 
     def test_meta_excludes_wall_time_style_keys(self, tmp_path):
         archive = self._archive()
@@ -544,6 +567,32 @@ class TestArchive:
                 assert np.array_equal(np.isnan(got), np.isnan(want))
                 keep = ~np.isnan(want)
                 assert got[keep].tobytes() == want[keep].tobytes()
+
+
+def _golden_archive():
+    """The archive whose bytes ``TestArchive.test_golden_bytes`` pins."""
+    config = McmcConfig(n_chains=2, n_iter=30, burn_in=10, thin=10, seed=11)
+    chains = [
+        {"tau": np.array([1.5, np.nan]),
+         "beta": np.array([[-0.0, 1e-310], [1.7976931348623157e308, 0.1]])},
+        {"tau": np.array([2.0, 1e-5]),
+         "beta": np.array([[-1.25, 3.0], [1e22, -2.5e-7]])},
+    ]
+    return ChainArchive(
+        chains, config.retained_iterations(), config,
+        metadata={"model": "stage2_svc_M2", "wall_time_s": "1.23", "accept_beta": "0.4"},
+    )
+
+
+def _three_chain_archive():
+    config = McmcConfig(n_chains=3, n_iter=50, burn_in=20, thin=3, seed=4)
+    rng = np.random.default_rng(12)
+    chains = []
+    for _ in range(3):
+        v = rng.standard_normal((10, 5)) * 10.0 ** rng.integers(-300, 300, (10, 5))
+        v[rng.random((10, 5)) < 0.2] = np.nan
+        chains.append({"v": v, "tau_é": rng.gamma(2.0, 1.0, 10), "beta": -rng.random((10, 2))})
+    return ChainArchive(chains, config.retained_iterations(), config, metadata={"model": "m"})
 
 
 def _assert_same_archive(a, b):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import recording_pool
 
 from arealbayes.errors import ValidationError
 from arealbayes.mcmc import (
@@ -10,6 +11,7 @@ from arealbayes.mcmc import (
     gelman_rubin_sequences,
     posterior_summary,
     spawn_generators,
+    worker_map,
 )
 
 
@@ -191,3 +193,22 @@ class TestArchive:
         arch = archive_from_chains(chains)
         assert arch.get("x").tolist() == [1.0, 2.0, 3.0, 4.0]
         assert arch.total_draws == 4
+
+
+class TestWorkerMap:
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch):
+        sizes = recording_pool(monkeypatch)
+        with worker_map(abs, [-1, 2, -3], 64) as results:
+            assert list(results) == [1, 2, 3]
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("tasks, n_workers", [([-1], 8), ([-1, -2], 1), ([-1, -2], 0)])
+    def test_one_task_or_worker_runs_in_process(self, monkeypatch, tasks, n_workers):
+        sizes = recording_pool(monkeypatch)
+        with worker_map(abs, tasks, n_workers) as results:
+            assert list(results) == [-t for t in tasks]
+        assert sizes == []
+
+    def test_worker_processes_keep_the_task_order(self):
+        with worker_map(abs, [-5, -4, -3, -2, -1], 2) as results:
+            assert list(results) == [5, 4, 3, 2, 1]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import gaussian_moments_z, random_connected_graph
+from helpers import gaussian_moments_z, random_connected_graph, recording_pool
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -569,6 +569,15 @@ class TestFitStage2:
         for c in range(2):
             for name in seq.param_names:
                 assert np.array_equal(seq.chains[c][name], par.chains[c][name])
+
+    def test_pool_is_capped_at_the_chain_count(self, monkeypatch):
+        g = make_lattice(3, 3)
+        spec, truth = convolution_pieces(g, "M3", seed=30)
+        counts = simulate_stage2(g, spec, truth, seed=31)
+        config = McmcConfig(n_chains=3, n_iter=60, burn_in=20, thin=2, seed=32)
+        sizes = recording_pool(monkeypatch)
+        fit_stage2_mcmc(spec, counts, g, config, n_workers=64)
+        assert sizes == [3]
 
     def test_suppressed_areas_stay_in_graph(self):
         g = make_lattice(3, 3)
