@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import fileio, icar, prep, simulate, svc
 from .errors import DimensionMismatchError, SchemaError, ValidationError
 from .factor import FactorModelSpec, fit_stage1, summarize_loadings, factor_quintiles, factor_exceedance
 from .graph import build_graph, morans_i, subgraph
-from .mcmc import McmcConfig, effective_sample_size, gelman_rubin, posterior_summary
+from .mcmc import McmcConfig, effective_sample_size, gelman_rubin, posterior_summary, usable_cpus
 from .svc import SvcModelSpec
 
 DEFAULT_LOADINGS = "1,1.2,-0.8,1.5,0.5"
@@ -52,8 +51,7 @@ def _mcmc_config(args) -> McmcConfig:
 def _n_workers(args) -> int:
     """``--threads``, or one worker per chain up to the CPUs this process may use."""
     if args.threads is None:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        return min(args.chains, cpus or 1)
+        return min(args.chains, usable_cpus())
     if args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     return args.threads

@@ -172,10 +172,16 @@ def _draw_sigma2(rng, cache, alpha, lam, eta, spec):
     shape = spec.sigma2_prior_shape + cache.n_obs / 2.0
     rate = spec.sigma2_prior_rate + rss / 2.0
     draw = 1.0 / (rng.standard_gamma(shape) * (1.0 / rate))
-    if (draw < SIGMA2_FLOOR).any():
-        warnings.warn("sigma2 draw underflowed; floored at 1e-12")
+    floored = int(np.count_nonzero(draw < SIGMA2_FLOOR))
+    if floored:
         draw = np.maximum(draw, SIGMA2_FLOOR)
-    return draw
+    return draw, floored
+
+
+def _warn_floored(floored: int) -> None:
+    """One warning for ``floored`` sigma2 values raised to the floor."""
+    if floored:
+        warnings.warn(f"sigma2 draw underflowed {floored} time(s); floored at 1e-12")
 
 
 def _eta_likelihood_terms(cache, alpha, lam, sigma2):
@@ -278,7 +284,8 @@ def gibbs_update_lambda(state, panel, spec, rng) -> FactorModelState:
 
 def gibbs_update_sigma2(state, panel, spec, rng) -> FactorModelState:
     cache = _PanelCache(panel)
-    s2 = _draw_sigma2(rng, cache, state.alpha, state.loadings, state.eta.values, spec)
+    s2, floored = _draw_sigma2(rng, cache, state.alpha, state.loadings, state.eta.values, spec)
+    _warn_floored(floored)
     return replace(state, sigma2=s2)
 
 
@@ -346,13 +353,15 @@ def _run_stage1_chain(payload):
     alpha, lam, sigma2 = state.alpha, state.loadings, state.sigma2
     eta = state.eta.values.copy()
     step = SCALE_STEP
+    floored = 0
 
     keep = {"alpha": [], "lambda": [], "eta": [], "sigma2": []}
     for it in range(1, config.n_iter + 1):
         mt_eta = cache.Mt @ eta
         alpha = _draw_alpha(rng, cache, lam, sigma2, mt_eta, spec)
         lam = _draw_lambda(rng, cache, alpha, sigma2, eta, mt_eta, spec)
-        sigma2 = _draw_sigma2(rng, cache, alpha, lam, eta, spec)
+        sigma2, n = _draw_sigma2(rng, cache, alpha, lam, eta, spec)
+        floored += n
         eta = _draw_eta(rng, cache, graph, spec.eta_variance, alpha, lam, sigma2, eta)
         eta, lam = _signflip(rng, cache, spec, alpha, sigma2, eta, lam)
         eta, lam, acc_prob = _scale_move(
@@ -365,7 +374,7 @@ def _run_stage1_chain(payload):
             keep["lambda"].append(lam.copy())
             keep["eta"].append(eta.copy())
             keep["sigma2"].append(sigma2.copy())
-    return {name: np.array(draws) for name, draws in keep.items()}
+    return {name: np.array(draws) for name, draws in keep.items()}, floored
 
 
 def fit_stage1(
@@ -373,7 +382,7 @@ def fit_stage1(
     graph: SpatialGraph,
     spec: FactorModelSpec | None = None,
     config: McmcConfig | None = None,
-    n_workers: int = 1,
+    n_workers: int | None = None,
     init_overrides: list[dict] | None = None,
 ) -> ChainArchive:
     """Run the full sampler and return the thinned archive.
@@ -385,7 +394,9 @@ def fit_stage1(
     checks. Only eta and sigma2 disperse a start: the first alpha draw
     reads neither the previous alpha nor, for a centred eta on a complete
     panel, the loadings. Up to ``n_workers`` chains run at once in worker
-    processes; the draws do not depend on it.
+    processes (default: one per chain up to the usable CPUs; 1 runs them
+    in this process); the draws do not depend on it. Floored sigma2 draws
+    are counted in the chains and warned about once, here.
     """
     if spec is None:
         spec = FactorModelSpec(n_indicators=panel.n_indicators)
@@ -425,9 +436,10 @@ def fit_stage1(
     ]
     started = time.time()
     with worker_map(_run_stage1_chain, payloads, n_workers) as results:
-        chains = list(results)
+        results = list(results)
+    _warn_floored(sum(floored for _, floored in results))
     return ChainArchive(
-        chains,
+        [draws for draws, _ in results],
         config.retained_iterations(),
         config,
         metadata={

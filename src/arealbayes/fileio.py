@@ -392,7 +392,7 @@ _ARCHIVE_HEADER = ("chain", "iter", "param", "index", "value")
 _CONFIG_KEYS = ("n_chains", "n_iter", "burn_in", "thin", "seed")
 
 
-def write_archive(archive: ChainArchive, path, n_workers: int = 1) -> None:
+def write_archive(archive: ChainArchive, path, n_workers: int | None = None) -> None:
     """Long-format draw file, a "<path>.meta" sidecar and a "<path>.npy" cache.
 
     The file is never quoted, so parameter names cannot contain ``,"=#``
@@ -409,9 +409,10 @@ def write_archive(archive: ChainArchive, path, n_workers: int = 1) -> None:
     written.
 
     Each (chain, parameter) block is formatted by :func:`_block_rows`,
-    on up to ``n_workers`` worker processes, and written as it arrives,
-    chain-major, so the whole file is never held in memory and its bytes
-    do not depend on ``n_workers``.
+    on up to ``n_workers`` worker processes (default: one per block up to
+    the usable CPUs; 1 formats in this process), and written as it
+    arrives, chain-major, so the whole file is never held in memory and
+    its bytes do not depend on ``n_workers``.
     """
     path = Path(path)
     _check_archive(archive)

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
+import os
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -82,17 +85,38 @@ def spawn_generators(seed: int, n_chains: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
 
 
-@contextmanager
-def worker_map(fn, tasks, n_workers: int):
-    """``map(fn, tasks)``, results in task order, on ``min(n_workers,
-    len(tasks))`` worker processes, or in this process when that is 1.
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else ``os.cpu_count()``, at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The pool is never larger than the task list: a process pool starts
-    all of its workers at the first submit, whether or not they get work.
+
+# fork starts a worker with the caller's imports and state; forkserver and
+# spawn would re-import ``__main__``, which breaks an unguarded script and
+# costs about a second per worker, so elsewhere the chains run in-process
+_POOL_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+
+
+@contextmanager
+def worker_map(fn, tasks, n_workers: int | None = None):
+    """``map(fn, tasks)``, results in task order, on worker processes.
+
+    ``n_workers=None`` means one worker per task up to :func:`usable_cpus`;
+    a count below 1 raises :class:`ValidationError`. The pool never has
+    more workers than tasks: a process pool starts all of its workers at
+    the first submit, whether or not they get work. One worker, or a
+    platform other than Linux, maps in this process. ``fn``, the tasks
+    and the results must be picklable for a pool.
     """
+    if n_workers is None:
+        n_workers = usable_cpus()
+    elif n_workers < 1:
+        raise ValidationError(f"n_workers must be at least 1, got {n_workers}")
     n_workers = min(n_workers, len(tasks))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    if n_workers > 1 and _POOL_CONTEXT is not None:
+        with ProcessPoolExecutor(max_workers=n_workers, mp_context=_POOL_CONTEXT) as pool:
             yield pool.map(fn, tasks)
     else:
         yield map(fn, tasks)

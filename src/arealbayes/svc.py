@@ -640,7 +640,7 @@ def fit_stage2_mcmc(
     noise_variance: float | None = None,
     sample_precisions: bool = True,
     initial_precisions: dict | None = None,
-    n_workers: int = 1,
+    n_workers: int | None = None,
 ) -> ChainArchive:
     """Sample the active rung's posterior and return the thinned archive.
 
@@ -652,7 +652,9 @@ def fit_stage2_mcmc(
     ``sample_precisions=False`` the precisions stay at
     ``initial_precisions``, which is how the Laplace cross-check matches
     hyperparameters. Up to ``n_workers`` chains run at once in worker
-    processes; the draws do not depend on it.
+    processes (default: one per chain up to the usable CPUs; 1 runs them
+    in this process, and a pool needs a picklable ``likelihood``); the
+    draws do not depend on it.
     """
     if config is None:
         config = McmcConfig()

@@ -19,7 +19,7 @@ def recording_pool(monkeypatch) -> list:
     sizes = []
 
     class Pool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
         def __enter__(self):

@@ -1,10 +1,13 @@
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from helpers import grid_logpdf_to_cdf, ks_statistic, recording_pool
 from scipy import stats
 
+from arealbayes import factor, fileio
 from arealbayes.errors import DimensionMismatchError, ValidationError
 from arealbayes.factor import (
     FactorModelSpec,
@@ -423,6 +426,49 @@ class TestFitStage1:
         sizes = recording_pool(monkeypatch)
         fit_stage1(panel, g, config=config, n_workers=64)
         assert sizes == [2]
+
+    def test_floored_draws_warn_once_in_the_caller(self, monkeypatch):
+        g = make_lattice(3, 3)
+        panel, _ = simulate_stage1(g, np.array([1.0, 1.1]), np.array([0.3, 0.3]), seed=2)
+        config = McmcConfig(n_chains=2, n_iter=30, burn_in=10, thin=2, seed=17)
+        monkeypatch.setattr(factor, "SIGMA2_FLOOR", 1e300)  # forked workers inherit it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            archive = fit_stage1(panel, g, config=config, n_workers=2)
+        floored = [str(w.message) for w in caught if "underflowed" in str(w.message)]
+        # every value of every draw: 2 chains x 30 iterations x 2 indicators
+        assert floored == ["sigma2 draw underflowed 120 time(s); floored at 1e-12"]
+        assert (archive.get("sigma2") == 1e300).all()
+
+
+class TestDefaultWorkers:
+    """``fit_stage1`` without ``n_workers``: one worker per chain up to the usable CPUs."""
+
+    def setup_method(self):
+        self.graph = make_lattice(3, 3)
+        self.panel, _ = simulate_stage1(
+            self.graph, np.array([1.0, 1.1]), np.array([0.3, 0.3]), seed=2
+        )
+
+    def config(self, n_chains):
+        return McmcConfig(n_chains=n_chains, n_iter=60, burn_in=20, thin=2, seed=17)
+
+    @pytest.mark.parametrize("cpus, chains, expected", [(1, 2, []), (2, 2, [2]), (4, 3, [3])])
+    def test_pool_size_follows_the_affinity_set(self, monkeypatch, cpus, chains, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        sizes = recording_pool(monkeypatch)
+        fit_stage1(self.panel, self.graph, config=self.config(chains))
+        assert sizes == expected
+
+    def test_default_archive_matches_in_process(self, tmp_path):
+        default = fit_stage1(self.panel, self.graph, config=self.config(3))
+        serial = fit_stage1(self.panel, self.graph, config=self.config(3), n_workers=1)
+        fileio.write_archive(default, tmp_path / "default.csv")
+        fileio.write_archive(serial, tmp_path / "serial.csv", n_workers=1)
+        for suffix in ("", ".meta", ".npy"):
+            assert ((tmp_path / f"default.csv{suffix}").read_bytes()
+                    == (tmp_path / f"serial.csv{suffix}").read_bytes())
 
 
 class TestInitOverrides:

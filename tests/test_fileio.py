@@ -1,3 +1,4 @@
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -266,7 +267,7 @@ class TestArchive:
     @pytest.mark.parametrize("make", ["golden", "three chains"])
     def test_worker_count_does_not_change_the_bytes(self, tmp_path, make):
         archive = _golden_archive() if make == "golden" else _three_chain_archive()
-        fileio.write_archive(archive, tmp_path / "serial.csv")
+        fileio.write_archive(archive, tmp_path / "serial.csv", n_workers=1)
         fileio.write_archive(archive, tmp_path / "parallel.csv", n_workers=2)
         for suffix in ("", ".meta", ".npy"):
             parallel = (tmp_path / f"parallel.csv{suffix}").read_bytes()
@@ -277,6 +278,24 @@ class TestArchive:
         sizes = recording_pool(monkeypatch)
         fileio.write_archive(self._archive(), tmp_path / "a.csv", n_workers)  # 2 chains x 2 params
         assert sizes == [size]
+
+    @pytest.mark.parametrize("cpus, chains, expected", [(1, 2, []), (2, 2, [2]), (4, 3, [3])])
+    def test_default_workers_follow_the_affinity_set(
+        self, tmp_path, monkeypatch, cpus, chains, expected
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        sizes = recording_pool(monkeypatch)
+        config = McmcConfig(n_chains=chains, n_iter=40, burn_in=10, thin=10, seed=7)
+        chains = [{"tau": np.full(3, float(c))} for c in range(chains)]  # one block per chain
+        archive = ChainArchive(chains, config.retained_iterations(), config)
+        fileio.write_archive(archive, tmp_path / "a.csv")
+        assert sizes == expected
+
+    def test_worker_count_below_one_writes_nothing(self, tmp_path):
+        with pytest.raises(ValidationError, match="n_workers must be at least 1, got 0"):
+            fileio.write_archive(self._archive(), tmp_path / "a.csv", n_workers=0)
+        assert list(tmp_path.iterdir()) == []
 
     def test_write_hashes_the_bytes_it_writes(self, tmp_path):
         path = tmp_path / "archive.csv"

@@ -1,7 +1,11 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from helpers import recording_pool
 
+from arealbayes import mcmc
 from arealbayes.errors import ValidationError
 from arealbayes.mcmc import (
     ChainArchive,
@@ -202,13 +206,45 @@ class TestWorkerMap:
             assert list(results) == [1, 2, 3]
         assert sizes == [3]
 
-    @pytest.mark.parametrize("tasks, n_workers", [([-1], 8), ([-1, -2], 1), ([-1, -2], 0)])
+    @pytest.mark.parametrize("tasks, n_workers", [([-1], 8), ([-1, -2], 1)])
     def test_one_task_or_worker_runs_in_process(self, monkeypatch, tasks, n_workers):
         sizes = recording_pool(monkeypatch)
         with worker_map(abs, tasks, n_workers) as results:
             assert list(results) == [-t for t in tasks]
         assert sizes == []
 
+    @pytest.mark.parametrize("n_workers", [0, -2])
+    def test_worker_count_below_one_is_rejected(self, monkeypatch, n_workers):
+        sizes = recording_pool(monkeypatch)
+        with pytest.raises(ValidationError, match=f"n_workers must be at least 1, got {n_workers}"):
+            with worker_map(abs, [-1, -2], n_workers):
+                pass
+        assert sizes == []
+
     def test_worker_processes_keep_the_task_order(self):
         with worker_map(abs, [-5, -4, -3, -2, -1], 2) as results:
             assert list(results) == [5, 4, 3, 2, 1]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="pools are built on Linux only")
+    def test_pool_forks_its_workers(self):
+        assert mcmc._POOL_CONTEXT.get_start_method() == "fork"
+
+    def test_no_fork_context_runs_in_process(self, monkeypatch):
+        sizes = recording_pool(monkeypatch)
+        monkeypatch.setattr(mcmc, "_POOL_CONTEXT", None)
+        with worker_map(abs, [-1, -2], 2) as results:
+            assert list(results) == [1, 2]
+        assert sizes == []
+
+
+class TestDefaultWorkers:
+    """``n_workers=None``: one worker per task up to the usable CPUs."""
+
+    @pytest.mark.parametrize("cpus, tasks, expected", [(1, 2, []), (2, 2, [2]), (4, 3, [3])])
+    def test_pool_size_follows_the_affinity_set(self, monkeypatch, cpus, tasks, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        sizes = recording_pool(monkeypatch)
+        with worker_map(abs, list(range(-tasks, 0)), None) as results:
+            assert list(results) == list(range(tasks, 0, -1))
+        assert sizes == expected

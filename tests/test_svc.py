@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import block_diag, null_space
 
-from arealbayes import svc
+from arealbayes import fileio, svc
 from arealbayes.errors import ValidationError
 from arealbayes.graph import build_graph
 from arealbayes.icar import IcarField, precision_matrix
@@ -579,6 +580,7 @@ class TestFitStage2:
         fit_stage2_mcmc(spec, counts, g, config, n_workers=64)
         assert sizes == [3]
 
+
     def test_suppressed_areas_stay_in_graph(self):
         g = make_lattice(3, 3)
         spec, truth = convolution_pieces(g, "M3", seed=33)
@@ -657,6 +659,35 @@ class TestFitStage2:
         assert "chain0_acceptance" in archive.metadata
         assert "delta=" in archive.metadata["chain0_acceptance"]
         assert archive.metadata["chain0_divergent"] == "0"
+
+
+class TestDefaultWorkers:
+    """``fit_stage2_mcmc`` without ``n_workers``: one worker per chain up to the usable CPUs."""
+
+    def setup_method(self):
+        self.graph = make_lattice(3, 3)
+        self.spec, truth = convolution_pieces(self.graph, "M3", seed=30)
+        self.counts = simulate_stage2(self.graph, self.spec, truth, seed=31)
+
+    def config(self, n_chains):
+        return McmcConfig(n_chains=n_chains, n_iter=120, burn_in=40, thin=2, seed=32)
+
+    @pytest.mark.parametrize("cpus, chains, expected", [(1, 2, []), (2, 2, [2]), (4, 3, [3])])
+    def test_pool_size_follows_the_affinity_set(self, monkeypatch, cpus, chains, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        sizes = recording_pool(monkeypatch)
+        fit_stage2_mcmc(self.spec, self.counts, self.graph, self.config(chains))
+        assert sizes == expected
+
+    def test_default_archive_matches_in_process(self, tmp_path):
+        default = fit_stage2_mcmc(self.spec, self.counts, self.graph, self.config(3))
+        serial = fit_stage2_mcmc(self.spec, self.counts, self.graph, self.config(3), n_workers=1)
+        fileio.write_archive(default, tmp_path / "default.csv")
+        fileio.write_archive(serial, tmp_path / "serial.csv", n_workers=1)
+        for suffix in ("", ".meta", ".npy"):
+            assert ((tmp_path / f"default.csv{suffix}").read_bytes()
+                    == (tmp_path / f"serial.csv{suffix}").read_bytes())
 
 
 class TestLaplace:
