@@ -41,7 +41,7 @@ from .svc import (
     compute_waic,
     fit_stage2_laplace,
     fit_stage2_mcmc,
-    linear_predictor,
+    linear_predictor_vector,
     loglik_poisson,
     relative_risk_summary,
     risk_exceedance,
@@ -61,7 +61,7 @@ __all__ = [
     "FactorModelSpec", "FactorModelState", "factor_exceedance",
     "factor_quintiles", "fit_stage1", "loglik_stage1", "summarize_loadings",
     "SvcModelSpec", "SvcModelState", "compute_dic", "compute_waic",
-    "fit_stage2_laplace", "fit_stage2_mcmc", "linear_predictor",
+    "fit_stage2_laplace", "fit_stage2_mcmc", "linear_predictor_vector",
     "loglik_poisson", "relative_risk_summary", "risk_exceedance",
     "make_lattice", "sample_icar", "simulate_stage1", "simulate_stage2",
 ]

@@ -13,22 +13,35 @@ phi, v and delta get Gamma(shape 1, rate 0.5) priors by default, with the
 diffuse Gamma(1, 0.0005) available for sensitivity runs.
 
 The reference estimator is an adaptive Metropolis-within-Gibbs sampler:
-per-coordinate random-walk updates for beta, single-site random-walk
-updates for phi, v and delta (the latter two against their ICAR prior
-conditionals), and conjugate Gamma draws for the precisions with the rank
-of each ICAR block corrected per connected component. The single-site
-updates run one colour class at a time: the graph's greedy colouring in
-ascending area order (``SpatialGraph.colour_classes``) splits the areas
-into classes that share no edge, so the areas of a class are
-conditionally independent and move together in one set of array
-operations on the class's CSR row block of W (phi, whose prior is iid,
-is one class).
-Each area still has its own step size, acceptance test and divergence
-check, and draws one normal and one uniform per sweep. After every v or
+single-site random-walk updates for phi and v (v against its ICAR prior
+conditional), single-site Newton proposals for delta, and conjugate Gamma
+draws for the precisions with the rank of each ICAR block corrected per
+connected component. The single-site updates run one colour class at a
+time: the graph's greedy colouring in ascending area order
+(``SpatialGraph.colour_classes``) splits the areas into classes that share
+no edge, so the areas of a class are conditionally independent and move
+together in one set of array operations on the class's CSR row block of
+W (phi, whose prior is iid, is one class). Each area still has its own
+acceptance test and divergence check, and draws one normal and one
+uniform per sweep. A phi or v area proposes a random-walk step of its own
+size; the steps adapt toward 0.44 acceptance during burn-in only and are
+frozen afterwards. A delta area proposes ``N(delta + g / h, 1 / h)`` from
+the gradient g and curvature h of its log conditional (one Newton step,
+Gamerman 1997), accepted with the Metropolis-Hastings ratio; under a
+Gaussian likelihood that is the exact conditional. After every v or
 delta sweep the field is recentered and the subtracted mean absorbed into
 b0 (for v) or b1 (for delta), which leaves every area's linear predictor
-unchanged on a connected graph. Step sizes adapt toward 0.44 acceptance
-during burn-in only and are frozen afterwards.
+unchanged on a connected graph.
+
+M1 and M2 move the fixed effects by per-coordinate adaptive random walks.
+M3 and M4 move them only by exact Gibbs translations along lines on
+which every area's linear predictor is unchanged, once per iteration
+after the field sweeps (generalized Gibbs, Liu & Sabatti 2000): for every
+fixed effect k, ``(b_k + c, phi - c X_k)``; and for every k >= 1,
+``(b_k + c, b0 - c mean(X_k), v - c u_k, phi - c r_k)``, with u_k the
+column X_k centred per component (so v keeps its zero sums) and r_k the
+rest of X_k, zero on a connected graph. Along such a line only the priors
+change, so c has a Gaussian conditional and is drawn exactly.
 
 A Newton-mode Laplace approximation at fixed precisions is provided as an
 independent cross-check and for empirical-Bayes selection of the
@@ -65,11 +78,9 @@ __all__ = [
     "SvcModelState",
     "PoissonLikelihood",
     "GaussianLikelihood",
-    "linear_predictor",
     "linear_predictor_vector",
     "loglik_poisson",
     "center_and_absorb",
-    "beta_log_acceptance_ratio",
     "fit_stage2_mcmc",
     "fit_stage2_laplace",
     "laplace_precision_grid",
@@ -88,6 +99,7 @@ __all__ = [
 
 RUNGS = ("M1", "M2", "M3", "M4")
 PREDICTOR_BOUND = 50.0
+PRECISION_NAMES = ("tau_phi", "tau_v", "tau_delta")
 
 
 @dataclass
@@ -177,6 +189,35 @@ class SvcModelState:
             self.phi = np.asarray(self.phi, dtype=float)
 
 
+def _checked_precisions(precisions: dict | None) -> dict:
+    """All three precisions: 2.0 each unless ``precisions`` gives them.
+
+    Names outside ``PRECISION_NAMES`` and values that are not finite and
+    positive raise ValidationError. A precision the rung does not use is
+    still accepted, and ignored.
+    """
+    taus = dict.fromkeys(PRECISION_NAMES, 2.0)
+    for name, value in (precisions or {}).items():
+        if name not in taus:
+            raise ValidationError(
+                f"unknown precision {name!r}; expected one of {', '.join(PRECISION_NAMES)}"
+            )
+        value = float(value)
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
+        taus[name] = value
+    return taus
+
+
+def _icar_precision(graph: SpatialGraph) -> sparse.csr_matrix:
+    """Sparse ``Q = diag(w_{i+}) - W``, islands on a unit diagonal (their
+    proper prior)."""
+    W = sparse.csr_matrix(
+        (graph.weights, graph.indices, graph.indptr), shape=(graph.n_areas,) * 2
+    )
+    return (sparse.diags(graph.wplus_eff) - W).tocsr()
+
+
 def _check_rung_state(state: SvcModelState, spec: SvcModelSpec) -> None:
     if len(state.beta) != spec.n_fixed:
         raise ValidationError(
@@ -200,10 +241,6 @@ def linear_predictor_vector(state: SvcModelState, spec: SvcModelSpec) -> np.ndar
     if spec.has_svc:
         theta = theta + spec.covariate * state.delta.values
     return theta
-
-
-def linear_predictor(state: SvcModelState, spec: SvcModelSpec, i: int) -> float:
-    return float(linear_predictor_vector(state, spec)[i])
 
 
 class PoissonLikelihood:
@@ -339,29 +376,6 @@ def center_and_absorb(values: np.ndarray, graph: SpatialGraph) -> tuple[np.ndarr
     return centered, float(shifts @ graph.component_sizes) / graph.n_areas
 
 
-def beta_log_acceptance_ratio(
-    state: SvcModelState,
-    spec: SvcModelSpec,
-    counts: np.ndarray,
-    k: int,
-    proposed: float,
-    likelihood="poisson",
-    noise_variance: float | None = None,
-) -> float:
-    """Log Metropolis ratio for moving fixed effect k to ``proposed``.
-
-    The random walk proposal is symmetric, so this is the posterior
-    density log ratio; by construction it is antisymmetric under swapping
-    the current and proposed values.
-    """
-    lik = _make_likelihood(likelihood, counts, spec, noise_variance)
-    theta = linear_predictor_vector(state, spec)
-    col = spec.fixed_design()[:, k]
-    theta_new = theta + col * (proposed - state.beta[k])
-    prior = (state.beta[k] ** 2 - proposed**2) / (2.0 * spec.beta_prior_variance)
-    return lik.delta_sum(theta, theta_new) + prior
-
-
 # ---------------------------------------------------------------------------
 # the Metropolis-within-Gibbs sampler
 # ---------------------------------------------------------------------------
@@ -460,10 +474,176 @@ def _field_sweep(
     return accepted, divergent
 
 
+def _lik_slope_curvature(theta, exp_theta, lik_a, lik_b):
+    """First derivative and minus the second derivative of each area's
+    likelihood term in theta: Poisson ``y theta - E e^theta`` when
+    ``exp_theta`` is given (``lik_a``, ``lik_b`` = y, E), else Gaussian
+    ``-(y - theta)^2 / (2 s^2)`` (``lik_a``, ``lik_b`` = y, 1 / (2 s^2))."""
+    if exp_theta is None:
+        curv = 2.0 * lik_b
+        return curv * (lik_a - theta), curv
+    curv = lik_b * exp_theta
+    return lik_a - curv, curv
+
+
+def _newton_proposal(cur, z, theta, exp_theta, prior_mean, prior_prec, coef, coef_sq, lik_a, lik_b):
+    """Newton proposals for the sites of a colour class, with their log
+    Metropolis-Hastings ratios.
+
+    A site's log conditional is ``-prior_prec / 2 * (value - prior_mean)^2``
+    plus its likelihood term (see :func:`_lik_slope_curvature`) in
+    ``theta = ... + coef * value``. From a value with gradient g and
+    curvature h (minus the second derivative) the proposal is
+    ``N(value + g / h, 1 / h)``, drawn here with the standard normals
+    ``z``. A proposal that moves ``|theta|`` past ``PREDICTOR_BOUND`` is
+    divergent: its predictor stays at ``theta`` and it must be rejected.
+    Returns the proposals, their predictors, exp of those (Poisson only),
+    the divergent mask and ``log pi(prop) q(cur | prop) - log pi(cur)
+    q(prop | cur)``.
+    """
+    dev = cur - prior_mean
+    slope, curv = _lik_slope_curvature(theta, exp_theta, lik_a, lik_b)
+    h = prior_prec + coef_sq * curv
+    step = (coef * slope - prior_prec * dev) / h + z / np.sqrt(h)
+    t_new = theta + coef * step
+    div = np.abs(t_new) > PREDICTOR_BOUND
+    if div.any():
+        t_new = np.where(div, theta, t_new)
+    e_new = None if exp_theta is None else np.exp(t_new)
+    slope_new, curv_new = _lik_slope_curvature(t_new, e_new, lik_a, lik_b)
+    h_new = prior_prec + coef_sq * curv_new
+    dev_new = dev + step
+    # the proposal's distance from the Newton mean taken at the proposal
+    back = step + (coef * slope_new - prior_prec * dev_new) / h_new
+    if exp_theta is None:
+        r, r_new = lik_a - theta, lik_a - t_new
+        loglik = lik_b * (r * r - r_new * r_new)
+    else:
+        loglik = lik_a * (t_new - theta) - (curv_new - curv)
+    # h (prop - mean at cur)^2 is z^2 by construction
+    logr = loglik + 0.5 * (
+        np.log(h_new / h) + z * z - h_new * back * back - prior_prec * step * (dev + dev_new)
+    )
+    return cur + step, t_new, e_new, div, logr
+
+
+def _newton_sweep(
+    blocks: list[tuple],
+    values: np.ndarray,
+    theta: np.ndarray,
+    exp_theta: np.ndarray | None,
+    prior_prec_scale: float,
+    normals: np.ndarray,
+    log_us: np.ndarray,
+) -> tuple[int, int]:
+    """One Newton-proposal Metropolis-Hastings sweep over an ICAR field, a colour class at a time.
+
+    ``blocks`` holds per class the area indices, the CSR row block of W,
+    ``1 / w_{i+}``, ``w_{i+}``, the field's coefficient in the predictor,
+    its square and the likelihood constants of :func:`_lik_slope_curvature`.
+    Each area of a class gets a :func:`_newton_proposal` against its
+    prior conditional (mean ``sum_j w_ij values_j / w_{i+}``, precision
+    ``tau * w_{i+}``) and its own acceptance test. Mutates values, theta
+    and exp_theta and returns (accepted, divergent).
+    """
+    accepted = divergent = 0
+    for idx, block, inv_wplus, wplus, coef, coef_sq, lik_a, lik_b in blocks:
+        cur = values[idx]
+        t_old = theta[idx]
+        e_old = None if exp_theta is None else exp_theta[idx]
+        prop, t_new, e_new, div, logr = _newton_proposal(
+            cur, normals[idx], t_old, e_old, (block @ values) * inv_wplus,
+            prior_prec_scale * wplus, coef, coef_sq, lik_a, lik_b,
+        )
+        # log u < 0, so this also accepts every logr >= 0
+        accept = log_us[idx] < logr
+        n_div = int(np.count_nonzero(div))
+        if n_div:
+            accept &= ~div
+            divergent += n_div
+        values[idx] = np.where(accept, prop, cur)
+        theta[idx] = np.where(accept, t_new, t_old)
+        if exp_theta is not None:
+            exp_theta[idx] = np.where(accept, e_new, e_old)
+        accepted += int(np.count_nonzero(accept))
+    return accepted, divergent
+
+
+class _RidgeMoves:
+    """Exact Gibbs translations of the fixed effects that leave theta unchanged.
+
+    Each move translates the state (beta, phi, v) along a fixed direction
+    d, ``state + c d``, with X beta + phi + v unchanged. For every fixed
+    effect k a phi-ridge moves ``(b_k + c, phi - c X_k)``; for every
+    k >= 1 a v-ridge moves ``(b_k + c, b_0 - c m_k, v - c u_k,
+    phi - c r_k)``, where m_k is the mean of X_k, u_k is X_k centred per
+    component (zero on islands, so v keeps its zero component sums) and
+    ``r_k = X_k - u_k - m_k`` is the spread of the component means, zero on
+    a connected graph. Only the Gaussian priors change along a direction,
+    so the log density of c is ``-a c^2 / 2 + b c`` and c is drawn exactly
+    from ``N(b / a, 1 / a)``.
+
+    The moves run one after another. In the coordinates c of all 2K - 1
+    directions the prior is Gaussian with precision
+    ``A = D_beta' D_beta / sigma_beta^2 + tau_phi D_phi' D_phi
+    + tau_v D_v' Q D_v``, so move m has ``a = A_mm`` and
+    ``b = b0_m - sum_{l<m} A_ml c_l``, b0 being the linear term at the
+    start. The three Gram matrices of A and ``D_v' Q`` are computed once,
+    and the small triangular recursion runs on Python floats.
+    """
+
+    def __init__(self, X: np.ndarray, graph: SpatialGraph, beta_prior_variance: float):
+        n, K = X.shape
+        d_beta = np.zeros((2 * K - 1, K))
+        d_phi = np.zeros((2 * K - 1, n))
+        d_v = np.zeros((2 * K - 1, n))
+        for k in range(K):
+            d_beta[k, k] = 1.0
+            d_phi[k] = -X[:, k]
+        for m, k in enumerate(range(1, K), K):
+            u, means = icar.center_by_component(X[:, k], graph)
+            mean = X[:, k].mean()
+            d_beta[m, k] = 1.0
+            d_beta[m, 0] = -mean
+            d_v[m] = -u
+            d_phi[m] = mean - means[graph.component_labels]
+        self.d_v_q = (_icar_precision(graph) @ d_v.T).T
+        self.prior_prec = 1.0 / beta_prior_variance
+        self.d_beta, self.d_phi, self.d_v = d_beta, d_phi, d_v
+        self.grams = (
+            (self.prior_prec * (d_beta @ d_beta.T)).tolist(),
+            (d_phi @ d_phi.T).tolist(),
+            (self.d_v_q @ d_v.T).tolist(),
+        )
+
+    def move(self, beta, phi, v, tau_phi, tau_v, normals) -> None:
+        """Every move once, in order; mutates beta, phi and v.
+
+        ``normals`` holds one standard normal per move.
+        """
+        p = self.prior_prec
+        gram_beta, gram_phi, gram_v = self.grams
+        c = []
+        for m, (lin_beta, lin_phi, lin_v, z) in enumerate(zip(
+            (self.d_beta @ beta).tolist(), (self.d_phi @ phi).tolist(),
+            (self.d_v_q @ v).tolist(), normals.tolist(),
+        )):
+            row_beta, row_phi, row_v = gram_beta[m], gram_phi[m], gram_v[m]
+            b = -(p * lin_beta + tau_phi * lin_phi + tau_v * lin_v)
+            for l, c_l in enumerate(c):
+                b -= (row_beta[l] + tau_phi * row_phi[l] + tau_v * row_v[l]) * c_l
+            a = row_beta[m] + tau_phi * row_phi[m] + tau_v * row_v[m]
+            c.append(b / a + z / math.sqrt(a))
+        c = np.array(c)
+        beta += c @ self.d_beta
+        phi += c @ self.d_phi
+        v += c @ self.d_v
+
+
 def _run_stage2_chain(payload):
     (
         spec, counts, graph, config, entropy,
-        likelihood_name, noise_variance, sample_precisions, initial_precisions,
+        likelihood_name, noise_variance, sample_precisions, taus,
     ) = payload
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     lik = _make_likelihood(likelihood_name, counts, spec, noise_variance)
@@ -485,12 +665,9 @@ def _run_stage2_chain(payload):
     phi = np.zeros(n) if spec.has_convolution else None
     v = np.zeros(n) if spec.has_convolution else None
     delta = np.zeros(n) if spec.has_svc else None
-    taus = {"tau_phi": 2.0, "tau_v": 2.0, "tau_delta": 2.0}
-    if initial_precisions:
-        taus.update(initial_precisions)
+    taus = dict(taus)
 
     theta_np = X @ beta
-    step_beta = np.full(K, 0.1)
     if spec.has_convolution:
         lik_a = np.where(lik.mask, lik.y, 0.0)
         if gaussian_s2 is None:
@@ -501,11 +678,17 @@ def _run_stage2_chain(payload):
         field_blocks = {
             "phi": _sweep_blocks([slice(None)], [None], np.ones(n), None, lik_a, lik_b),
             "v": _sweep_blocks(classes, blocks, graph.wplus_eff, None, lik_a, lik_b),
-            "delta": _sweep_blocks(
-                classes, blocks, graph.wplus_eff, spec.covariate, lik_a, lik_b
-            ),
         }
         field_steps = {name: np.full(n, 0.3) for name in field_blocks}
+        wplus, x = graph.wplus_eff, spec.covariate
+        delta_blocks = [
+            (idx, block, 1.0 / wplus[idx], wplus[idx], x[idx], x[idx] ** 2,
+             lik_a[idx], lik_b[idx])
+            for idx, block in zip(classes, blocks)
+        ]
+        ridges = _RidgeMoves(X, graph, beta_var)
+    else:
+        step_beta = np.full(K, 0.1)
 
     # the divergence abort looks at the late burn-in, or at the whole run
     # when there is no burn-in
@@ -525,10 +708,17 @@ def _run_stage2_chain(payload):
 
     def sweep(name, values, theta, exp_theta, gamma, late):
         nonlocal divergent, late_proposals, late_divergent
-        acc, div = _field_sweep(
-            field_blocks[name], values, theta, exp_theta, taus[f"tau_{name}"],
-            field_steps[name], rng.standard_normal(n), np.log(rng.random(n)), gamma,
-        )
+        normals, log_us = rng.standard_normal(n), np.log(rng.random(n))
+        tau = taus[f"tau_{name}"]
+        if name == "delta":
+            acc, div = _newton_sweep(
+                delta_blocks, values, theta, exp_theta, tau, normals, log_us
+            )
+        else:
+            acc, div = _field_sweep(
+                field_blocks[name], values, theta, exp_theta, tau,
+                field_steps[name], normals, log_us, gamma,
+            )
         accept_counts[name] += acc
         proposal_counts[name] += n
         divergent += div
@@ -541,34 +731,35 @@ def _run_stage2_chain(payload):
         gamma = it ** -0.6 if in_burn else 0.0
         late = half_burn < it <= check_at
 
-        # fixed effects, per coordinate
-        for k in range(K):
-            prop = beta[k] + step_beta[k] * rng.standard_normal()
-            dtheta = X[:, k] * (prop - beta[k])
-            theta_new = theta_np + dtheta
-            proposal_counts["beta"] += 1
-            if late:
-                late_proposals += 1
-            if np.max(np.abs(theta_new)) > PREDICTOR_BOUND:
-                divergent += 1
+        if not spec.has_convolution:
+            # fixed effects, per coordinate
+            for k in range(K):
+                prop = beta[k] + step_beta[k] * rng.standard_normal()
+                dtheta = X[:, k] * (prop - beta[k])
+                theta_new = theta_np + dtheta
+                proposal_counts["beta"] += 1
                 if late:
-                    late_divergent += 1
-                acc_prob = 0.0
-            else:
-                logr = lik.delta_sum(theta_np, theta_new) + (
-                    beta[k] ** 2 - prop**2
-                ) / (2.0 * beta_var)
-                if logr >= 0 or math.log(rng.random()) < logr:
-                    beta[k] = prop
-                    theta_np = theta_new
-                    accept_counts["beta"] += 1
-                    acc_prob = 1.0
+                    late_proposals += 1
+                if np.max(np.abs(theta_new)) > PREDICTOR_BOUND:
+                    divergent += 1
+                    if late:
+                        late_divergent += 1
+                    acc_prob = 0.0
                 else:
-                    acc_prob = math.exp(logr) if logr > -700 else 0.0
-            if gamma:
-                step_beta[k] *= math.exp(gamma * (acc_prob - 0.44))
+                    logr = lik.delta_sum(theta_np, theta_new) + (
+                        beta[k] ** 2 - prop**2
+                    ) / (2.0 * beta_var)
+                    if logr >= 0 or math.log(rng.random()) < logr:
+                        beta[k] = prop
+                        theta_np = theta_new
+                        accept_counts["beta"] += 1
+                        acc_prob = 1.0
+                    else:
+                        acc_prob = math.exp(logr) if logr > -700 else 0.0
+                if gamma:
+                    step_beta[k] *= math.exp(gamma * (acc_prob - 0.44))
 
-        if spec.has_convolution:
+        else:
             theta = theta_np.copy()
             exp_theta = None if gaussian_s2 is not None else np.exp(np.clip(theta, -700, 700))
             sweep("phi", phi, theta, exp_theta, gamma, late)
@@ -584,6 +775,9 @@ def _run_stage2_chain(payload):
                 delta, shift = center_and_absorb(delta, graph)
                 beta[1] += shift
 
+            ridges.move(
+                beta, phi, v, taus["tau_phi"], taus["tau_v"], rng.standard_normal(2 * K - 1)
+            )
             theta_np = X @ beta + phi + v
             if spec.has_svc:
                 theta_np = theta_np + spec.covariate * delta
@@ -650,8 +844,9 @@ def fit_stage2_mcmc(
     ``|log mu|`` past ``PREDICTOR_BOUND`` is recorded as metadata
     ``chain<c>_divergent``. With
     ``sample_precisions=False`` the precisions stay at
-    ``initial_precisions``, which is how the Laplace cross-check matches
-    hyperparameters. Up to ``n_workers`` chains run at once in worker
+    ``initial_precisions`` (2.0 where not given; unknown names and values
+    that are not finite and positive raise ValidationError), which is how
+    the Laplace cross-check matches hyperparameters. Up to ``n_workers`` chains run at once in worker
     processes (default: one per chain up to the usable CPUs; 1 runs them
     in this process, and a pool needs a picklable ``likelihood``); the
     draws do not depend on it.
@@ -666,6 +861,7 @@ def fit_stage2_mcmc(
             f"graph has {graph.n_areas} areas, spec has {spec.n_areas}"
         )
     _fit_likelihood(likelihood, counts, spec, noise_variance)  # validate early
+    taus = _checked_precisions(initial_precisions)
 
     entropies = [
         int(s.generate_state(1)[0])
@@ -674,7 +870,7 @@ def fit_stage2_mcmc(
     payloads = [
         (
             spec, counts, graph, config, entropies[c],
-            likelihood, noise_variance, sample_precisions, initial_precisions,
+            likelihood, noise_variance, sample_precisions, taus,
         )
         for c in range(config.n_chains)
     ]
@@ -814,17 +1010,16 @@ def fit_stage2_laplace(
     projected orthogonally onto the constraint set, i.e. with each
     component's mean removed from the v and delta blocks.
 
-    Diverging steps are halved; more than 50 halvings on one step raises
-    with the current gradient norm.
+    ``precisions`` missing from the dict are 2.0; unknown names and values
+    that are not finite and positive raise ValidationError. Diverging
+    steps are halved; more than 50 halvings on one step raises with the
+    current gradient norm.
     """
     counts = np.asarray(counts, dtype=float)
     lik = _fit_likelihood(likelihood, counts, spec, noise_variance)
     if graph.n_areas != spec.n_areas:
         raise DimensionMismatchError("graph and spec disagree on n_areas")
-    precisions = dict(precisions or {})
-    tau_phi = float(precisions.get("tau_phi", 2.0))
-    tau_v = float(precisions.get("tau_v", 2.0))
-    tau_delta = float(precisions.get("tau_delta", 2.0))
+    tau_phi, tau_v, tau_delta = _checked_precisions(precisions).values()
 
     n = spec.n_areas
     K = spec.n_fixed
@@ -834,9 +1029,7 @@ def fit_stage2_laplace(
     icar_taus = []
     logdet_p = K * math.log(1.0 / spec.beta_prior_variance)
     if spec.has_convolution:
-        Q = sparse.diags(graph.wplus_eff) - sparse.csr_matrix(
-            (graph.weights, graph.indices, graph.indptr), shape=(n, n)
-        )
+        Q = _icar_precision(graph)
         Cq = _sum_to_zero_columns(graph, n, [0])
         _, logdet_q = _bordered_lu(Q.tocsc(), Cq)
         blocks += [eye, eye]
@@ -931,17 +1124,20 @@ def laplace_precision_grid(
 
     Fits the Laplace mode at every grid point and returns the fit with the
     largest approximate log marginal, plus the whole evaluation table.
+    Every point is validated before the first fit.
     """
+    grid = list(grid)
+    for point in grid:
+        _checked_precisions(point)
     table = []
     best = None
-    best_point = None
     for point in grid:
         fit = fit_stage2_laplace(
             spec, counts, graph, point, likelihood, noise_variance
         )
         table.append((dict(point), fit.log_marginal))
         if best is None or fit.log_marginal > best.log_marginal:
-            best, best_point = fit, point
+            best = fit
     if best is None:
         raise ValidationError("precision grid is empty")
     return best, table

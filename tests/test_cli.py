@@ -183,6 +183,27 @@ class TestFitStage2AndSummaries:
         assert rows[0] == "term,estimate,sd"
         assert len(rows) == 4  # header + intercept, ice, health
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tau-phi", "-1"], "tau_phi must be finite and positive, got -1.0"),
+        (["--tau-phi", "0"], "tau_phi must be finite and positive, got 0.0"),
+        (["--tau-phi", "nan"], "tau_phi must be finite and positive, got nan"),
+        (["--tau-grid", "1,-2"], "tau_v must be finite and positive, got -2.0"),
+    ])
+    def test_laplace_bad_precision_is_one_line_error(self, full_pipeline, tmp_path, capsys,
+                                                     flags, message):
+        work, simulated = full_pipeline
+        out = tmp_path / "laplace.csv"
+        capsys.readouterr()
+        assert run([
+            "fit-stage2",
+            "--counts", work / "counts.csv",
+            "--covariates", work / "covariates.csv",
+            "--adjacency", simulated / "adjacency.csv",
+            "--model", "M3", "--out", out, "--laplace", *flags,
+        ]) == 2
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+        assert not out.exists()
+
     def test_laplace_tau_grid(self, full_pipeline, capsys):
         work, simulated = full_pipeline
         out = work / "laplace_grid.csv"

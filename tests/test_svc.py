@@ -12,7 +12,7 @@ from scipy.linalg import block_diag, null_space
 from arealbayes import fileio, svc
 from arealbayes.errors import ValidationError
 from arealbayes.graph import build_graph
-from arealbayes.icar import IcarField, precision_matrix
+from arealbayes.icar import IcarField, center_by_component, precision_matrix
 from arealbayes.mcmc import ChainArchive, McmcConfig, effective_sample_size
 from arealbayes.prep import StrataTable, expected_counts
 from arealbayes.simulate import make_lattice, sample_icar, simulate_stage2
@@ -21,7 +21,6 @@ from arealbayes.svc import (
     PoissonLikelihood,
     SvcModelSpec,
     SvcModelState,
-    beta_log_acceptance_ratio,
     center_and_absorb,
     compute_dic,
     compute_waic,
@@ -30,7 +29,6 @@ from arealbayes.svc import (
     fit_stage2_mcmc,
     format_rate_ratio,
     laplace_precision_grid,
-    linear_predictor,
     linear_predictor_vector,
     loglik_poisson,
     precision_summary,
@@ -119,7 +117,6 @@ class TestLinearPredictor:
                 + spec.covariate[i] * state.delta.values[i]
             )
             assert abs(theta[i] - oracle) < 1e-12
-            assert linear_predictor(state, spec, i) == theta[i]
 
     def test_rung_state_mismatch_rejected(self):
         spec = m1_spec()
@@ -184,23 +181,181 @@ class TestPoissonLoglik:
         )
 
 
-class TestDetailedBalance:
-    def test_log_ratio_antisymmetry(self):
-        g = make_lattice(3, 3)
-        spec, state = convolution_pieces(g, "M3", seed=10)
-        counts = np.round(np.abs(np.random.default_rng(11).standard_normal(9)) * 30)
+class TestDeltaNewtonProposal:
+    """The delta site update: a Newton proposal N(delta + g / h, 1 / h) per
+    area of a colour class, accepted with the Metropolis-Hastings ratio."""
+
+    def pieces(self, likelihood, seed):
+        g = build_graph(WEIGHTED_SEVEN_EDGES + [(7, 8, 1.0)], n_areas=10)  # plus an island
+        spec, state = convolution_pieces(g, "M4", seed=seed)
+        rng = np.random.default_rng(seed + 100)
+        if likelihood == "poisson":
+            lik = PoissonLikelihood(rng.poisson(50.0, g.n_areas).astype(float), spec.offsets)
+        else:
+            lik = GaussianLikelihood(rng.standard_normal(g.n_areas), 0.3)
+        return g, spec, state, lik
+
+    def proposal(self, g, spec, state, lik, c, z):
+        """``svc._newton_proposal`` for colour class c of the state's delta."""
+        idx, block = g.colour_classes[c], g.colour_blocks[c]
+        x, wplus = spec.covariate[idx], g.wplus_eff[idx]
+        theta = linear_predictor_vector(state, spec)[idx]
+        mask = lik.mask[idx]
+        if isinstance(lik, PoissonLikelihood):
+            exp_theta, lik_b = np.exp(theta), np.where(mask, lik.offsets[idx], 0.0)
+        else:
+            exp_theta, lik_b = None, np.where(mask, 1.0 / (2.0 * lik.noise_variance), 0.0)
+        delta = state.delta.values
+        return svc._newton_proposal(
+            delta[idx], z, theta, exp_theta, (block @ delta) / wplus,
+            state.tau_delta * wplus, x, x * x, np.where(mask, lik.y[idx], 0.0), lik_b,
+        )
+
+    def with_class(self, state, c_idx, values):
+        delta = state.delta.values.copy()
+        delta[c_idx] = values
+        return SvcModelState(
+            beta=state.beta, phi=state.phi, v=state.v, delta=IcarField(state.v.graph, delta),
+            tau_phi=state.tau_phi, tau_v=state.tau_v, tau_delta=state.tau_delta,
+        )
+
+    def steer(self, g, spec, state, lik, c, target):
+        """The proposal from ``state`` that lands on ``target`` (to rounding)."""
+        size = len(g.colour_classes[c])
+        at0 = self.proposal(g, spec, state, lik, c, np.zeros(size))[0]
+        at1 = self.proposal(g, spec, state, lik, c, np.ones(size))[0]
+        return self.proposal(g, spec, state, lik, c, (target - at0) / (at1 - at0))
+
+    @pytest.mark.parametrize("likelihood", ["poisson", "gaussian"])
+    def test_log_ratio_antisymmetry(self, likelihood):
+        g, spec, state, lik = self.pieces(likelihood, seed=10)
         rng = np.random.default_rng(12)
-        for k in range(len(state.beta)):
-            a = state.beta[k]
-            b = a + rng.standard_normal()
-            fwd = beta_log_acceptance_ratio(state, spec, counts, k, b)
-            flipped = SvcModelState(
-                beta=state.beta.copy(), phi=state.phi, v=state.v,
-                tau_phi=state.tau_phi, tau_v=state.tau_v,
-            )
-            flipped.beta[k] = b
-            rev = beta_log_acceptance_ratio(flipped, spec, counts, k, a)
-            assert abs(fwd + rev) < 1e-12
+        for c, idx in enumerate(g.colour_classes):
+            a = state.delta.values[idx]
+            fwd = self.steer(g, spec, state, lik, c, a + rng.standard_normal(len(idx)) * 0.3)
+            b = fwd[0]
+            rev = self.steer(g, spec, self.with_class(state, idx, b), lik, c, a)
+            assert np.max(np.abs(rev[0] - a)) < 1e-12
+            assert np.max(np.abs(fwd[4] + rev[4])) < 1e-9
+
+    @pytest.mark.parametrize("likelihood", ["poisson", "gaussian"])
+    def test_log_ratio_matches_dense_posterior_and_proposal_densities(self, likelihood):
+        # per area: log pi(b) q(a | b) - log pi(a) q(b | a) with pi the full
+        # M4 posterior (dense ICAR form, islands proper) and q built from a
+        # hand-written gradient and curvature of the site's log conditional
+        g, spec, state, lik = self.pieces(likelihood, seed=13)
+        Q = precision_matrix(g, island_proper=True)
+        rng = np.random.default_rng(14)
+        poisson = isinstance(lik, PoissonLikelihood)
+
+        def log_post(st):
+            d = st.delta.values
+            return lik.loglik(linear_predictor_vector(st, spec)) - 0.5 * st.tau_delta * d @ Q @ d
+
+        def newton(st, i):
+            d, x = st.delta.values, spec.covariate[i]
+            theta = linear_predictor_vector(st, spec)[i]
+            prior_prec = st.tau_delta * Q[i, i]
+            grad = -st.tau_delta * (Q[i] @ d)
+            if not lik.mask[i]:
+                h = prior_prec
+            elif poisson:
+                rate = lik.offsets[i] * math.exp(theta)
+                grad += x * (lik.y[i] - rate)
+                h = prior_prec + x * x * rate
+            else:
+                grad += x * (lik.y[i] - theta) / lik.noise_variance
+                h = prior_prec + x * x / lik.noise_variance
+            return d[i] + grad / h, h
+
+        for c, idx in enumerate(g.colour_classes):
+            got = self.proposal(g, spec, state, lik, c, rng.standard_normal(len(idx)))
+            for j, i in enumerate(idx):
+                moved = self.with_class(state, [i], got[0][j])
+                mean_a, h_a = newton(state, i)
+                mean_b, h_b = newton(moved, i)
+                expected = (
+                    log_post(moved) - log_post(state)
+                    + stats.norm.logpdf(state.delta.values[i], mean_b, 1 / math.sqrt(h_b))
+                    - stats.norm.logpdf(got[0][j], mean_a, 1 / math.sqrt(h_a))
+                )
+                assert abs(got[4][j] - expected) < 1e-8, (c, i)
+                if not poisson:
+                    # the proposal is the exact conditional, so every move is accepted
+                    assert abs(got[4][j]) < 1e-9
+
+
+class TestRidgeMoves:
+    """Exact translations of (beta, phi, v) along lines of constant theta."""
+
+    GRAPHS = {
+        "connected": (list(make_lattice(3, 4).edges()), 12),
+        # two multi-area components and one island
+        "components": ([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (3, 4, 1.0), (4, 5, 1.5),
+                        (5, 6, 1.0), (3, 6, 0.7)], 8),
+    }
+
+    def pieces(self, kind, seed):
+        edges, n = self.GRAPHS[kind]
+        g = build_graph(edges, n_areas=n)
+        spec, state = convolution_pieces(g, "M4", seed=seed, n_factors=2)
+        beta, phi = state.beta.copy(), state.phi.copy()
+        # the chain's v: zero sum on every component, islands included
+        v = center_by_component(np.random.default_rng(seed).standard_normal(n), g)[0]
+        return g, spec, beta, phi, v
+
+    @pytest.mark.parametrize("kind", list(GRAPHS))
+    def test_translations_keep_theta_and_component_sums(self, kind):
+        g, spec, beta, phi, v = self.pieces(kind, seed=50)
+        X = spec.fixed_design()
+        ridges = svc._RidgeMoves(X, g, spec.beta_prior_variance)
+        theta = X @ beta + phi + v
+        before = beta.copy()
+        ridges.move(beta, phi, v, 3.0, 7.0, np.random.default_rng(51).standard_normal(7) * 3)
+        assert np.max(np.abs(X @ beta + phi + v - theta)) < 1e-12
+        sums = np.bincount(g.component_labels, weights=v, minlength=g.n_components)
+        assert np.max(np.abs(sums)) < 1e-12
+        assert np.all(v[g.island_indices] == 0.0)
+        assert np.all(beta != before)
+
+    @pytest.mark.parametrize("kind", list(GRAPHS))
+    def test_each_move_draws_its_line_conditional(self, kind):
+        # oracle: the directions built by hand, the log prior along each
+        # evaluated densely, and a and b of its quadratic read off at c = -1, 0, 1
+        g, spec, beta, phi, v = self.pieces(kind, seed=52)
+        X = spec.fixed_design()
+        n, K = X.shape
+        tau_phi, tau_v = 3.0, 7.0
+        z = np.random.default_rng(53).standard_normal(2 * K - 1)
+        Q = precision_matrix(g, island_proper=True)
+        directions = []
+        for k in range(K):
+            d_beta = np.zeros(K)
+            d_beta[k] = 1.0
+            directions.append((d_beta, -X[:, k], np.zeros(n)))
+        for k in range(1, K):
+            u = X[:, k].copy()
+            for members in g.components():
+                u[members] -= X[members, k].mean()
+            d_beta = np.zeros(K)
+            d_beta[k], d_beta[0] = 1.0, -X[:, k].mean()
+            directions.append((d_beta, -(X[:, k] - u - X[:, k].mean()), -u))
+
+        def log_prior(b, p, w):
+            return -(b @ b) / (2 * spec.beta_prior_variance) - tau_phi * (p @ p) / 2 - tau_v * (w @ Q @ w) / 2
+
+        expected = [beta.copy(), phi.copy(), v.copy()]
+        for zm, (d_beta, d_phi, d_v) in zip(z, directions):
+            f = [log_prior(*(s + c * d for s, d in zip(expected, (d_beta, d_phi, d_v))))
+                 for c in (-1.0, 0.0, 1.0)]
+            a = 2 * f[1] - f[0] - f[2]
+            b = (f[2] - f[0]) / 2
+            c = b / a + zm / math.sqrt(a)
+            expected = [s + c * d for s, d in zip(expected, (d_beta, d_phi, d_v))]
+
+        svc._RidgeMoves(X, g, spec.beta_prior_variance).move(beta, phi, v, tau_phi, tau_v, z)
+        for got, want in zip((beta, phi, v), expected):
+            assert np.allclose(got, want, rtol=0, atol=1e-8)
 
 
 class TestCenterAndAbsorb:
@@ -562,14 +717,16 @@ class TestFitStage2:
 
     def test_parallel_matches_sequential(self):
         g = make_lattice(3, 3)
-        spec, truth = convolution_pieces(g, "M3", seed=30)
-        counts = simulate_stage2(g, spec, truth, seed=31)
-        config = McmcConfig(n_chains=2, n_iter=300, burn_in=100, thin=2, seed=32)
-        seq = fit_stage2_mcmc(spec, counts, g, config, n_workers=1)
-        par = fit_stage2_mcmc(spec, counts, g, config, n_workers=2)
-        for c in range(2):
-            for name in seq.param_names:
-                assert np.array_equal(seq.chains[c][name], par.chains[c][name])
+        for rung in ("M3", "M4"):
+            spec, truth = convolution_pieces(g, rung, seed=30)
+            counts = simulate_stage2(g, spec, truth, seed=31)
+            config = McmcConfig(n_chains=2, n_iter=300, burn_in=100, thin=2, seed=32)
+            seq = fit_stage2_mcmc(spec, counts, g, config, n_workers=1)
+            par = fit_stage2_mcmc(spec, counts, g, config, n_workers=2)
+            assert seq.metadata == {**par.metadata, "wall_time_s": seq.metadata["wall_time_s"]}
+            for c in range(2):
+                for name in seq.param_names:
+                    assert np.array_equal(seq.chains[c][name], par.chains[c][name])
 
     def test_pool_is_capped_at_the_chain_count(self, monkeypatch):
         g = make_lattice(3, 3)
@@ -658,7 +815,78 @@ class TestFitStage2:
         archive = fit_stage2_mcmc(spec, counts, g, config)
         assert "chain0_acceptance" in archive.metadata
         assert "delta=" in archive.metadata["chain0_acceptance"]
+        # the fixed effects of M3 and M4 move by exact translations only
+        assert "beta=" not in archive.metadata["chain0_acceptance"]
         assert archive.metadata["chain0_divergent"] == "0"
+
+    def test_gaussian_delta_proposals_are_exact_conditionals(self):
+        g = build_graph(WEIGHTED_SEVEN_EDGES, n_areas=7)
+        rng = np.random.default_rng(41)
+        spec = SvcModelSpec(
+            rung="M4", covariate=rng.uniform(-1, 1, 7), offsets=np.ones(7),
+            latent_factors=rng.standard_normal((7, 1)),
+        )
+        config = McmcConfig(n_chains=1, n_iter=400, burn_in=100, thin=2, seed=42)
+        archive = fit_stage2_mcmc(
+            spec, rng.standard_normal(7), g, config, likelihood="gaussian", noise_variance=0.5
+        )
+        rates = dict(item.split("=") for item in archive.metadata["chain0_acceptance"].split(";"))
+        assert rates["delta"] == "1.000"
+        assert sorted(rates) == ["delta", "phi", "v"]
+
+
+class TestPrecisionValidation:
+    """``initial_precisions``, ``precisions`` and grid points: names and values."""
+
+    def setup_method(self):
+        self.graph = make_lattice(3, 3)
+        self.spec, truth = convolution_pieces(self.graph, "M4", seed=30)
+        self.counts = simulate_stage2(self.graph, self.spec, truth, seed=31)
+        self.config = McmcConfig(n_chains=1, n_iter=40, burn_in=20, thin=2, seed=32)
+
+    def fit(self, entry, precisions):
+        if entry == "mcmc":
+            return fit_stage2_mcmc(
+                self.spec, self.counts, self.graph, self.config,
+                sample_precisions=False, initial_precisions=precisions, n_workers=1,
+            )
+        if entry == "laplace":
+            return fit_stage2_laplace(self.spec, self.counts, self.graph, precisions)
+        return laplace_precision_grid(self.spec, self.counts, self.graph, [precisions])
+
+    @pytest.mark.parametrize("entry", ["mcmc", "laplace", "grid"])
+    def test_unknown_name_rejected(self, entry):
+        with pytest.raises(ValidationError, match="unknown precision 'tau_phy'"):
+            self.fit(entry, {"tau_phy": 9.0})
+
+    @pytest.mark.parametrize("entry", ["mcmc", "laplace", "grid"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_value_that_is_not_finite_and_positive_rejected(self, entry, value):
+        with pytest.raises(ValidationError, match=f"tau_v must be finite and positive, got {value}"):
+            self.fit(entry, {"tau_phi": 3.0, "tau_v": value})
+
+    def test_grid_checks_every_point_before_the_first_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(svc, "fit_stage2_laplace", lambda *a, **k: fits.append(a))
+        grid = [{"tau_phi": 1.0}, {"tau_phi": 2.0}, {"tau_phi": -2.0}]
+        with pytest.raises(ValidationError, match="tau_phi must be finite and positive"):
+            laplace_precision_grid(self.spec, self.counts, self.graph, grid)
+        assert fits == []
+
+    def test_precision_the_rung_does_not_use_is_ignored(self):
+        spec = m1_spec(n=9)
+        counts = np.full(9, 30.0)
+        archive = fit_stage2_mcmc(
+            spec, counts, self.graph, self.config, initial_precisions={"tau_delta": 5.0},
+            n_workers=1,
+        )
+        assert archive.param_names == ["beta"]
+
+    def test_fixed_precisions_are_archived_as_given(self):
+        archive = self.fit("mcmc", {"tau_phi": 3.5, "tau_delta": 0.25})
+        assert np.all(archive.get("tau_phi") == 3.5)
+        assert np.all(archive.get("tau_v") == 2.0)
+        assert np.all(archive.get("tau_delta") == 0.25)
 
 
 class TestDefaultWorkers:
