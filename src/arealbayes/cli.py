@@ -114,9 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Gamma(1, 0.0005) instead of Gamma(1, 0.5) on precisions")
     p.add_argument("--laplace", action="store_true",
                    help="Laplace mode at fixed precisions instead of MCMC")
-    p.add_argument("--tau-phi", type=float, default=2.0)
-    p.add_argument("--tau-v", type=float, default=2.0)
-    p.add_argument("--tau-delta", type=float, default=2.0)
+    for name in svc.PRECISION_NAMES:
+        p.add_argument(f"--{name.replace('_', '-')}", type=float,
+                       help="fixed precision for --laplace (default 2)")
     p.add_argument("--tau-grid", help="comma list; empirical-Bayes grid for --laplace")
     _add_mcmc_flags(p)
 
@@ -430,11 +430,13 @@ def _load_stage2_inputs(args):
 
 
 def _cmd_fit_stage2(args) -> int:
+    flags = [name for name in (*svc.PRECISION_NAMES, "tau_grid") if getattr(args, name) is not None]
+    if flags and not args.laplace:
+        named = ", ".join("--" + name.replace("_", "-") for name in flags)
+        raise ValidationError(f"{named} need --laplace; MCMC samples the precisions")
     spec, observed, graph, count_ids, factor_names = _load_stage2_inputs(args)
     if args.laplace:
-        precisions = {
-            "tau_phi": args.tau_phi, "tau_v": args.tau_v, "tau_delta": args.tau_delta,
-        }
+        precisions = {name: getattr(args, name) for name in flags if name != "tau_grid"}
         if args.tau_grid:
             values = [float(v) for v in args.tau_grid.split(",")]
             active = ["tau_phi", "tau_v"] if spec.has_convolution else []

@@ -11,7 +11,7 @@ N(0, 1000) and sigma2_p ~ inverse-gamma(shape 0.5, rate 0.0005), rate
 meaning the coefficient of 1/x in the exponent (so the conjugate update
 is shape + n/2, rate + rss/2).
 
-One iteration runs, in order:
+One iteration, a step of :func:`arealbayes.mcmc.run_chain`, runs in order:
 
 * alpha, the free lambda and sigma2, each drawn from its exact full
   conditional;
@@ -25,9 +25,10 @@ One iteration runs, in order:
   together;
 * a scale move (:func:`_scale_move`), a Metropolis step along the orbit
   (eta, free lambda) -> (s eta, free lambda / s) whose step adapts toward
-  0.44 acceptance during burn-in. Single-site eta updates change the
-  field's amplitude only slowly, and the free loadings follow that
-  amplitude; the move resolves that coupling (Liu & Sabatti 2000).
+  ``mcmc.ADAPT_TARGET`` acceptance during burn-in. Single-site eta
+  updates change the field's amplitude only slowly, and the free loadings
+  follow that amplitude; the move resolves that coupling (Liu & Sabatti
+  2000).
 
 Missing indicator cells contribute to nothing: fits are bitwise invariant
 to whatever garbage sits in masked-out entries.
@@ -39,7 +40,6 @@ One fit handles one latent factor; multiple factors are fit by calling
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -50,7 +50,7 @@ from . import icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph
 from .icar import IcarField
-from .mcmc import ChainArchive, McmcConfig, model_hash, worker_map
+from .mcmc import ADAPT_TARGET, ChainArchive, McmcConfig, model_hash, run_chain, run_chains
 from .prep import IndicatorPanel
 
 __all__ = [
@@ -347,16 +347,15 @@ def _override(state, overrides, graph, spec) -> FactorModelState:
     return replace(state, **values)
 
 
-def _run_stage1_chain(payload):
-    (cache, graph, spec, config, entropy, state) = payload
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+def _run_stage1_chain(task):
+    rng, (cache, graph, spec, config, state) = task
     alpha, lam, sigma2 = state.alpha, state.loadings, state.sigma2
     eta = state.eta.values.copy()
-    step = SCALE_STEP
+    scale_step = SCALE_STEP
     floored = 0
 
-    keep = {"alpha": [], "lambda": [], "eta": [], "sigma2": []}
-    for it in range(1, config.n_iter + 1):
+    def step(it, gain):
+        nonlocal alpha, lam, sigma2, eta, scale_step, floored
         mt_eta = cache.Mt @ eta
         alpha = _draw_alpha(rng, cache, lam, sigma2, mt_eta, spec)
         lam = _draw_lambda(rng, cache, alpha, sigma2, eta, mt_eta, spec)
@@ -365,16 +364,14 @@ def _run_stage1_chain(payload):
         eta = _draw_eta(rng, cache, graph, spec.eta_variance, alpha, lam, sigma2, eta)
         eta, lam = _signflip(rng, cache, spec, alpha, sigma2, eta, lam)
         eta, lam, acc_prob = _scale_move(
-            rng, cache, graph, spec, alpha, lam, sigma2, eta, step
+            rng, cache, graph, spec, alpha, lam, sigma2, eta, scale_step
         )
-        if it <= config.burn_in:
-            step *= math.exp(it**-0.6 * (acc_prob - 0.44))
-        if config.is_retained(it):
-            keep["alpha"].append(alpha.copy())
-            keep["lambda"].append(lam.copy())
-            keep["eta"].append(eta.copy())
-            keep["sigma2"].append(sigma2.copy())
-    return {name: np.array(draws) for name, draws in keep.items()}, floored
+        scale_step *= math.exp(gain * (acc_prob - ADAPT_TARGET))
+
+    def snapshot():
+        return {"alpha": alpha, "lambda": lam, "eta": eta, "sigma2": sigma2}
+
+    return run_chain(config, step, snapshot), floored
 
 
 def fit_stage1(
@@ -393,10 +390,9 @@ def fit_stage1(
     the state itself. This sets up overdispersed starts for convergence
     checks. Only eta and sigma2 disperse a start: the first alpha draw
     reads neither the previous alpha nor, for a centred eta on a complete
-    panel, the loadings. Up to ``n_workers`` chains run at once in worker
-    processes (default: one per chain up to the usable CPUs; 1 runs them
-    in this process); the draws do not depend on it. Floored sigma2 draws
-    are counted in the chains and warned about once, here.
+    panel, the loadings. ``n_workers`` is as in
+    :func:`arealbayes.mcmc.run_chains`. Floored sigma2 draws are counted in
+    the chains and warned about once, here.
     """
     if spec is None:
         spec = FactorModelSpec(n_indicators=panel.n_indicators)
@@ -425,30 +421,19 @@ def fit_stage1(
 
     cache = _PanelCache(panel)
     start = _initial_state(cache, graph, spec)
-    states = [
-        start if init_overrides is None else _override(start, init_overrides[c], graph, spec)
-        for c in range(config.n_chains)
-    ]
-    entropies = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(config.n_chains)]
     payloads = [
-        (cache, graph, spec, config, entropies[c], states[c])
+        (cache, graph, spec, config,
+         start if init_overrides is None else _override(start, init_overrides[c], graph, spec))
         for c in range(config.n_chains)
     ]
-    started = time.time()
-    with worker_map(_run_stage1_chain, payloads, n_workers) as results:
-        results = list(results)
-    _warn_floored(sum(floored for _, floored in results))
-    return ChainArchive(
-        [draws for draws, _ in results],
-        config.retained_iterations(),
-        config,
-        metadata={
-            "model": "stage1_factor",
-            "model_hash": model_hash("stage1_factor", spec, graph.n_areas, graph.n_edges, config),
-            "anchor_index": str(spec.anchor_index),
-            "wall_time_s": f"{time.time() - started:.3f}",
-        },
+    archive, floored = run_chains(_run_stage1_chain, payloads, config, n_workers)
+    _warn_floored(sum(floored))
+    archive.metadata.update(
+        model="stage1_factor",
+        model_hash=model_hash("stage1_factor", spec, graph.n_areas, graph.n_edges, config),
+        anchor_index=str(spec.anchor_index),
     )
+    return archive
 
 
 class LoadingSummary(NamedTuple):

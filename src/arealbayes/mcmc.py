@@ -5,11 +5,10 @@ Every sampler in the package reports its retained draws through a
 stamps, plus the configuration that produced them. Diagnostics here
 operate on archives only, never on live sampler state.
 
-Random streams: one root seed spawns per-chain independent generators
-through :func:`spawn_generators`, which wraps
-``numpy.random.SeedSequence(seed).spawn(n_chains)``. Chains are therefore
-reproducible individually and insensitive to whether they run
-sequentially or in parallel.
+Both stages run their chains here: :func:`run_chains` seeds the chains
+and runs them on worker processes, and :func:`run_chain` owns a chain's
+iteration loop, burn-in adaptation gain and retention. A stage supplies
+only one iteration step and a snapshot of its state.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import math
 import multiprocessing
 import os
 import sys
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -28,6 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
+
+# acceptance rate toward which every adaptive random-walk step moves in burn-in
+ADAPT_TARGET = 0.44
 
 __all__ = [
     "McmcConfig",
@@ -79,10 +82,13 @@ class McmcConfig:
 def spawn_generators(seed: int, n_chains: int) -> list[np.random.Generator]:
     """Independent per-chain generators from one root seed.
 
-    This is the package's documented stream-splitting function: chain c
-    uses ``SeedSequence(seed).spawn(n_chains)[c]``.
+    Every fit's chain c draws from element c, ``default_rng(SeedSequence(e))``
+    with ``e = SeedSequence(seed).spawn(n_chains)[c].generate_state(1)[0]``.
     """
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
+    return [
+        np.random.default_rng(np.random.SeedSequence(int(child.generate_state(1)[0])))
+        for child in np.random.SeedSequence(seed).spawn(n_chains)
+    ]
 
 
 def usable_cpus() -> int:
@@ -120,6 +126,45 @@ def worker_map(fn, tasks, n_workers: int | None = None):
             yield pool.map(fn, tasks)
     else:
         yield map(fn, tasks)
+
+
+def run_chains(chain, payloads, config: McmcConfig, n_workers: int | None = None):
+    """Run every chain c as ``chain((rng, payloads[c])) -> (draws, extra)``.
+
+    ``rng`` is ``spawn_generators(config.seed, config.n_chains)[c]``, and
+    the chains run on :func:`worker_map` with ``n_workers``, which does not
+    change the draws. A config that retains no draw raises
+    :class:`ValidationError`. Returns the archive, its metadata holding the
+    ``wall_time_s``, and the extras in chain order.
+    """
+    if config.n_retained < 1:
+        raise ValidationError(
+            f"n_iter - burn_in = {config.n_iter - config.burn_in} is below "
+            f"thin = {config.thin}, so the fit would retain no draws"
+        )
+    tasks = list(zip(spawn_generators(config.seed, config.n_chains), payloads, strict=True))
+    started = time.time()
+    with worker_map(chain, tasks, n_workers) as results:
+        draws, extras = zip(*results)
+    metadata = {"wall_time_s": f"{time.time() - started:.3f}"}
+    return ChainArchive(list(draws), config.retained_iterations(), config, metadata), list(extras)
+
+
+def run_chain(config: McmcConfig, step, snapshot) -> dict[str, np.ndarray]:
+    """One chain's iteration loop: ``step(it, gain)`` for it = 1..n_iter.
+
+    The gain is ``it ** -0.6`` in burn-in and 0 after: an adaptive step is
+    multiplied by ``exp(gain * (acceptance probability - ADAPT_TARGET))``.
+    After each iteration that ``config.is_retained``, the values of
+    ``snapshot() -> {name: value}`` are copied. Returns each name's copies
+    stacked, shape ``(n_retained, *value shape)``.
+    """
+    keep = []
+    for it in range(1, config.n_iter + 1):
+        step(it, it ** -0.6 if it <= config.burn_in else 0.0)
+        if config.is_retained(it):
+            keep.append({name: np.array(value) for name, value in snapshot().items()})
+    return {name: np.array([draw[name] for draw in keep]) for name in (keep[0] if keep else ())}
 
 
 def model_hash(*parts) -> str:

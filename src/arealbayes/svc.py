@@ -24,11 +24,11 @@ together in one set of array operations on the class's CSR row block of
 W (phi, whose prior is iid, is one class). Each area still has its own
 acceptance test and divergence check, and draws one normal and one
 uniform per sweep. A phi or v area proposes a random-walk step of its own
-size; the steps adapt toward 0.44 acceptance during burn-in only and are
-frozen afterwards. A delta area proposes ``N(delta + g / h, 1 / h)`` from
-the gradient g and curvature h of its log conditional (one Newton step,
-Gamerman 1997), accepted with the Metropolis-Hastings ratio; under a
-Gaussian likelihood that is the exact conditional. After every v or
+size, adapted toward ``mcmc.ADAPT_TARGET`` acceptance in burn-in only. A
+delta area proposes ``N(delta + g / h, 1 / h)`` from the gradient g and
+curvature h of its log conditional (one Newton step, Gamerman 1997),
+accepted with the Metropolis-Hastings ratio; under a Gaussian likelihood
+that is the exact conditional. After every v or
 delta sweep the field is recentered and the subtracted mean absorbed into
 b0 (for v) or b1 (for delta), which leaves every area's linear predictor
 unchanged on a connected graph.
@@ -58,7 +58,6 @@ the max-norm of the gradient projected onto the constraint set.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -70,7 +69,7 @@ from . import icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph
 from .icar import IcarField
-from .mcmc import ChainArchive, McmcConfig, model_hash, worker_map
+from .mcmc import ADAPT_TARGET, ChainArchive, McmcConfig, model_hash, run_chain, run_chains
 
 __all__ = [
     "RUNGS",
@@ -381,15 +380,15 @@ def center_and_absorb(values: np.ndarray, graph: SpatialGraph) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _sweep_blocks(classes, blocks, wplus, coef, lik_a, lik_b) -> list[tuple]:
+def _sweep_blocks(classes, blocks, wplus, lik_a, lik_b) -> list[tuple]:
     """Per-class constants of :func:`_field_sweep`.
 
     ``classes`` holds index arrays, or one slice for a field that moves
     all at once; ``blocks`` the matching CSR row blocks of W, None for the
     iid prior whose mean is 0; ``wplus`` the prior precision per unit tau;
-    ``coef`` multiplies the field in the predictor (None means 1);
     ``lik_a`` and ``lik_b`` are the likelihood's per-area constants, zero
-    where an area carries none.
+    where an area carries none. The field enters the predictor with
+    coefficient 1.
     """
     return [
         (
@@ -397,7 +396,6 @@ def _sweep_blocks(classes, blocks, wplus, coef, lik_a, lik_b) -> list[tuple]:
             block,
             None if block is None else 2.0 / wplus[idx],
             0.5 * wplus[idx],
-            None if coef is None else coef[idx],
             lik_a[idx],
             lik_b[idx],
         )
@@ -425,18 +423,18 @@ def _field_sweep(
     term: Poisson when ``exp_theta`` is given (``lik_a``, ``lik_b`` = y, E),
     else Gaussian (``lik_a``, ``lik_b`` = y, 1 / (2 s^2)). A proposal that
     moves ``|theta_i|`` past ``PREDICTOR_BOUND`` is divergent and
-    rejected. With ``adapt_gamma`` > 0 each area's step moves toward 0.44
-    acceptance. Mutates values, theta, exp_theta and steps and returns
-    (accepted, divergent).
+    rejected. With ``adapt_gamma`` > 0 each area's step moves toward
+    ``ADAPT_TARGET`` acceptance. Mutates values, theta, exp_theta and steps
+    and returns (accepted, divergent).
     """
     accepted = divergent = 0
-    for idx, block, two_over_wplus, half_wplus, coef, lik_a, lik_b in blocks:
+    for idx, block, two_over_wplus, half_wplus, lik_a, lik_b in blocks:
         cur = values[idx]
         step = steps[idx]
         move = step * normals[idx]
         prop = cur + move
         t_old = theta[idx]
-        t_new = t_old + (move if coef is None else coef * move)
+        t_new = t_old + move
         div = np.abs(t_new) > PREDICTOR_BOUND
         n_div = int(np.count_nonzero(div))
         if n_div:
@@ -470,7 +468,7 @@ def _field_sweep(
             )
             if n_div:
                 acc_prob[div] = 0.0
-            steps[idx] = step * np.exp(adapt_gamma * (acc_prob - 0.44))
+            steps[idx] = step * np.exp(adapt_gamma * (acc_prob - ADAPT_TARGET))
     return accepted, divergent
 
 
@@ -569,6 +567,37 @@ def _newton_sweep(
     return accepted, divergent
 
 
+def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[int, int]:
+    """One random-walk Metropolis pass over the fixed effects, a coordinate at a time.
+
+    Coordinate k proposes ``beta[k] + steps[k] * z`` under the likelihood
+    and a ``N(0, prior_variance)`` prior; a proposal that moves some
+    ``|theta_i|`` past ``PREDICTOR_BOUND`` is divergent and rejected. Like
+    :func:`_field_sweep`, adapts the steps while ``gain`` > 0, mutates its
+    arrays and returns (accepted, divergent).
+    """
+    accepted = divergent = 0
+    for k in range(len(beta)):
+        prop = beta[k] + steps[k] * rng.standard_normal()
+        theta_new = theta + X[:, k] * (prop - beta[k])
+        if np.max(np.abs(theta_new)) > PREDICTOR_BOUND:
+            divergent += 1
+            acc_prob = 0.0
+        else:
+            logr = lik.delta_sum(theta, theta_new)
+            logr += (beta[k] ** 2 - prop**2) / (2.0 * prior_variance)
+            if logr >= 0 or math.log(rng.random()) < logr:
+                beta[k] = prop
+                theta[:] = theta_new
+                accepted += 1
+                acc_prob = 1.0
+            else:
+                acc_prob = math.exp(logr) if logr > -700 else 0.0
+        if gain:
+            steps[k] *= math.exp(gain * (acc_prob - ADAPT_TARGET))
+    return accepted, divergent
+
+
 class _RidgeMoves:
     """Exact Gibbs translations of the fixed effects that leave theta unchanged.
 
@@ -640,189 +669,145 @@ class _RidgeMoves:
         v += c @ self.d_v
 
 
-def _run_stage2_chain(payload):
-    (
-        spec, counts, graph, config, entropy,
-        likelihood_name, noise_variance, sample_precisions, taus,
-    ) = payload
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    lik = _make_likelihood(likelihood_name, counts, spec, noise_variance)
-    gaussian_s2 = lik.noise_variance if isinstance(lik, GaussianLikelihood) else None
+class _Stage2Chain:
+    """One stage-2 chain: its state, one iteration of the moves the module
+    docstring lists, their counts and the divergence abort.
+    """
 
-    n = spec.n_areas
-    X = spec.fixed_design()
-    K = spec.n_fixed
-    prior_a = spec.precision_prior_shape
-    prior_b = spec.precision_prior_rate
-    beta_var = spec.beta_prior_variance
+    def __init__(self, task):
+        rng, (spec, lik, graph, config, sample_precisions, taus) = task
+        self.rng, self.spec, self.graph, self.lik = rng, spec, graph, lik
+        self.sample_precisions, self.taus = sample_precisions, dict(taus)
+        self.gaussian = isinstance(lik, GaussianLikelihood)
+        n = spec.n_areas
+        self.X = spec.fixed_design()
 
-    # deterministic start
-    beta = np.zeros(K)
-    if gaussian_s2 is None:
-        beta[0] = math.log(max(lik.y_obs.sum(), 0.5) / lik.e_obs.sum())
-    else:
-        beta[0] = float(np.mean(lik.y_obs))
-    phi = np.zeros(n) if spec.has_convolution else None
-    v = np.zeros(n) if spec.has_convolution else None
-    delta = np.zeros(n) if spec.has_svc else None
-    taus = dict(taus)
-
-    theta_np = X @ beta
-    if spec.has_convolution:
-        lik_a = np.where(lik.mask, lik.y, 0.0)
-        if gaussian_s2 is None:
-            lik_b = np.where(lik.mask, lik.offsets, 0.0)
+        # deterministic start
+        self.beta = np.zeros(spec.n_fixed)
+        if self.gaussian:
+            self.beta[0] = float(np.mean(lik.y_obs))
         else:
-            lik_b = np.where(lik.mask, 1.0 / (2.0 * gaussian_s2), 0.0)
+            self.beta[0] = math.log(max(lik.y_obs.sum(), 0.5) / lik.e_obs.sum())
+        self.theta = self.X @ self.beta
+        names = ("phi", "v", "delta")[:2 + spec.has_svc] if spec.has_convolution else ()
+        self.fields = {name: np.zeros(n) for name in names}
+
+        # each block proposes block_size values per iteration
+        self.accepted = dict.fromkeys(names or ("beta",), 0)
+        self.block_size = n if names else spec.n_fixed
+        self.divergent = self.divergent_before_window = 0
+        self.config = config
+        if not names:
+            self.beta_steps = np.full(spec.n_fixed, 0.1)
+            return
+
+        lik_a = np.where(lik.mask, lik.y, 0.0)
+        if self.gaussian:
+            lik_b = np.where(lik.mask, 1.0 / (2.0 * lik.noise_variance), 0.0)
+        else:
+            lik_b = np.where(lik.mask, lik.offsets, 0.0)
         classes, blocks = graph.colour_classes, graph.colour_blocks
-        field_blocks = {
-            "phi": _sweep_blocks([slice(None)], [None], np.ones(n), None, lik_a, lik_b),
-            "v": _sweep_blocks(classes, blocks, graph.wplus_eff, None, lik_a, lik_b),
+        self.field_blocks = {
+            "phi": _sweep_blocks([slice(None)], [None], np.ones(n), lik_a, lik_b),
+            "v": _sweep_blocks(classes, blocks, graph.wplus_eff, lik_a, lik_b),
         }
-        field_steps = {name: np.full(n, 0.3) for name in field_blocks}
+        self.field_steps = {name: np.full(n, 0.3) for name in self.field_blocks}
         wplus, x = graph.wplus_eff, spec.covariate
-        delta_blocks = [
+        self.delta_blocks = [
             (idx, block, 1.0 / wplus[idx], wplus[idx], x[idx], x[idx] ** 2,
              lik_a[idx], lik_b[idx])
             for idx, block in zip(classes, blocks)
         ]
-        ridges = _RidgeMoves(X, graph, beta_var)
-    else:
-        step_beta = np.full(K, 0.1)
+        self.ridges = _RidgeMoves(self.X, graph, spec.beta_prior_variance)
 
-    # the divergence abort looks at the late burn-in, or at the whole run
-    # when there is no burn-in
-    half_burn = config.burn_in // 2
-    check_at = config.burn_in or config.n_iter
-    late_proposals = 0
-    late_divergent = 0
-    divergent = 0
+    def _tally(self, block, accepted, divergent):
+        self.accepted[block] += accepted
+        self.divergent += divergent
 
-    keep: dict[str, list] = {"beta": []}
-    if spec.has_convolution:
-        keep.update({"phi": [], "v": [], "tau_phi": [], "tau_v": []})
-    if spec.has_svc:
-        keep.update({"delta": [], "tau_delta": []})
-    accept_counts = {"beta": 0, "phi": 0, "v": 0, "delta": 0}
-    proposal_counts = {"beta": 0, "phi": 0, "v": 0, "delta": 0}
-
-    def sweep(name, values, theta, exp_theta, gamma, late):
-        nonlocal divergent, late_proposals, late_divergent
-        normals, log_us = rng.standard_normal(n), np.log(rng.random(n))
-        tau = taus[f"tau_{name}"]
+    def _sweep(self, name, theta, exp_theta, gain):
+        values, n = self.fields[name], self.spec.n_areas
+        normals, log_us = self.rng.standard_normal(n), np.log(self.rng.random(n))
+        tau = self.taus[f"tau_{name}"]
         if name == "delta":
-            acc, div = _newton_sweep(
-                delta_blocks, values, theta, exp_theta, tau, normals, log_us
-            )
+            moved = _newton_sweep(self.delta_blocks, values, theta, exp_theta, tau, normals, log_us)
         else:
-            acc, div = _field_sweep(
-                field_blocks[name], values, theta, exp_theta, tau,
-                field_steps[name], normals, log_us, gamma,
+            moved = _field_sweep(
+                self.field_blocks[name], values, theta, exp_theta, tau,
+                self.field_steps[name], normals, log_us, gain,
             )
-        accept_counts[name] += acc
-        proposal_counts[name] += n
-        divergent += div
-        if late:
-            late_proposals += n
-            late_divergent += div
+        self._tally(name, *moved)
 
-    for it in range(1, config.n_iter + 1):
-        in_burn = it <= config.burn_in
-        gamma = it ** -0.6 if in_burn else 0.0
-        late = half_burn < it <= check_at
-
-        if not spec.has_convolution:
-            # fixed effects, per coordinate
-            for k in range(K):
-                prop = beta[k] + step_beta[k] * rng.standard_normal()
-                dtheta = X[:, k] * (prop - beta[k])
-                theta_new = theta_np + dtheta
-                proposal_counts["beta"] += 1
-                if late:
-                    late_proposals += 1
-                if np.max(np.abs(theta_new)) > PREDICTOR_BOUND:
-                    divergent += 1
-                    if late:
-                        late_divergent += 1
-                    acc_prob = 0.0
-                else:
-                    logr = lik.delta_sum(theta_np, theta_new) + (
-                        beta[k] ** 2 - prop**2
-                    ) / (2.0 * beta_var)
-                    if logr >= 0 or math.log(rng.random()) < logr:
-                        beta[k] = prop
-                        theta_np = theta_new
-                        accept_counts["beta"] += 1
-                        acc_prob = 1.0
-                    else:
-                        acc_prob = math.exp(logr) if logr > -700 else 0.0
-                if gamma:
-                    step_beta[k] *= math.exp(gamma * (acc_prob - 0.44))
-
+    def step(self, it, gain):
+        spec, rng, beta, fields = self.spec, self.rng, self.beta, self.fields
+        if not fields:
+            self._tally("beta", *_beta_walk(
+                rng, self.lik, self.X, beta, self.theta, self.beta_steps,
+                spec.beta_prior_variance, gain,
+            ))
         else:
-            theta = theta_np.copy()
-            exp_theta = None if gaussian_s2 is not None else np.exp(np.clip(theta, -700, 700))
-            sweep("phi", phi, theta, exp_theta, gamma, late)
-            sweep("v", v, theta, exp_theta, gamma, late)
-            v, shift = center_and_absorb(v, graph)
+            theta = self.theta.copy()
+            exp_theta = None if self.gaussian else np.exp(np.clip(theta, -700, 700))
+            self._sweep("phi", theta, exp_theta, gain)
+            self._sweep("v", theta, exp_theta, gain)
+            fields["v"], shift = center_and_absorb(fields["v"], self.graph)
             beta[0] += shift
-
             if spec.has_svc:
-                theta = X @ beta + phi + v + spec.covariate * delta
+                theta = self.X @ beta + fields["phi"] + fields["v"]
+                theta = theta + spec.covariate * fields["delta"]
                 if exp_theta is not None:
                     exp_theta = np.exp(np.clip(theta, -700, 700))
-                sweep("delta", delta, theta, exp_theta, gamma, late)
-                delta, shift = center_and_absorb(delta, graph)
+                self._sweep("delta", theta, exp_theta, gain)
+                fields["delta"], shift = center_and_absorb(fields["delta"], self.graph)
                 beta[1] += shift
 
-            ridges.move(
-                beta, phi, v, taus["tau_phi"], taus["tau_v"], rng.standard_normal(2 * K - 1)
+            self.ridges.move(
+                beta, fields["phi"], fields["v"], self.taus["tau_phi"], self.taus["tau_v"],
+                rng.standard_normal(2 * len(beta) - 1),
             )
-            theta_np = X @ beta + phi + v
+            self.theta = self.X @ beta + fields["phi"] + fields["v"]
             if spec.has_svc:
-                theta_np = theta_np + spec.covariate * delta
-
-            if sample_precisions:
-                taus["tau_phi"] = float(
-                    rng.gamma(prior_a + n / 2.0, 1.0 / (prior_b + float(phi @ phi) / 2.0))
-                )
-                quad, rank = icar.quad_form_and_rank(graph, v)
-                taus["tau_v"] = float(
-                    rng.gamma(prior_a + rank / 2.0, 1.0 / (prior_b + quad / 2.0))
-                )
-                if spec.has_svc:
-                    quad, rank = icar.quad_form_and_rank(graph, delta)
-                    taus["tau_delta"] = float(
-                        rng.gamma(prior_a + rank / 2.0, 1.0 / (prior_b + quad / 2.0))
+                self.theta = self.theta + spec.covariate * fields["delta"]
+            if self.sample_precisions:
+                a, b = spec.precision_prior_shape, spec.precision_prior_rate
+                for name, values in fields.items():
+                    if name == "phi":
+                        quad, rank = float(values @ values), spec.n_areas
+                    else:
+                        quad, rank = icar.quad_form_and_rank(self.graph, values)
+                    self.taus[f"tau_{name}"] = float(
+                        rng.gamma(a + rank / 2.0, 1.0 / (b + quad / 2.0))
                     )
 
-        if it == check_at and late_proposals:
-            frac = late_divergent / late_proposals
+        # the divergence abort looks at the late burn-in, or at the whole run
+        # when there is no burn-in
+        burn_in = self.config.burn_in
+        opens, closes = burn_in // 2, burn_in or self.config.n_iter
+        if it == opens:
+            self.divergent_before_window = self.divergent
+        if it == closes:
+            proposals = (closes - opens) * self.block_size * len(self.accepted)
+            frac = (self.divergent - self.divergent_before_window) / proposals
             if frac > 0.10:
                 raise RuntimeError(
                     f"persistent divergence: {frac:.1%} of proposals in the "
-                    f"{'late burn-in' if config.burn_in else 'run'} pushed |log mu| "
+                    f"{'late burn-in' if burn_in else 'run'} pushed |log mu| "
                     f"past {PREDICTOR_BOUND}; check offsets and covariate scaling"
                 )
 
-        if config.is_retained(it):
-            keep["beta"].append(beta.copy())
-            if spec.has_convolution:
-                keep["phi"].append(phi.copy())
-                keep["v"].append(v.copy())
-                keep["tau_phi"].append(taus["tau_phi"])
-                keep["tau_v"].append(taus["tau_v"])
-            if spec.has_svc:
-                keep["delta"].append(delta.copy())
-                keep["tau_delta"].append(taus["tau_delta"])
+    def snapshot(self):
+        taus = {f"tau_{name}": self.taus[f"tau_{name}"] for name in self.fields}
+        return {"beta": self.beta, **self.fields, **taus}
 
-    draws = {name: np.array(vals) for name, vals in keep.items()}
-    rates = {
-        blk: accept_counts[blk] / proposal_counts[blk]
-        for blk in accept_counts
-        if proposal_counts[blk]
-    }
-    return draws, rates, divergent
+
+def _run_stage2_chain(task):
+    """Draws, and the ``chain<c>_acceptance`` and ``chain<c>_divergent`` values."""
+    chain = _Stage2Chain(task)
+    draws = run_chain(chain.config, chain.step, chain.snapshot)
+    acceptance = ";".join(
+        f"{block}={accepted / (chain.config.n_iter * chain.block_size):.3f}"
+        for block, accepted in sorted(chain.accepted.items())
+    )
+    return draws, {"acceptance": acceptance, "divergent": str(chain.divergent)}
 
 
 def fit_stage2_mcmc(
@@ -846,10 +831,9 @@ def fit_stage2_mcmc(
     ``sample_precisions=False`` the precisions stay at
     ``initial_precisions`` (2.0 where not given; unknown names and values
     that are not finite and positive raise ValidationError), which is how
-    the Laplace cross-check matches hyperparameters. Up to ``n_workers`` chains run at once in worker
-    processes (default: one per chain up to the usable CPUs; 1 runs them
-    in this process, and a pool needs a picklable ``likelihood``); the
-    draws do not depend on it.
+    the Laplace cross-check matches hyperparameters. ``n_workers`` is as in
+    :func:`arealbayes.mcmc.run_chains`; a pool needs a picklable
+    ``likelihood``.
     """
     if config is None:
         config = McmcConfig()
@@ -860,44 +844,24 @@ def fit_stage2_mcmc(
         raise DimensionMismatchError(
             f"graph has {graph.n_areas} areas, spec has {spec.n_areas}"
         )
-    _fit_likelihood(likelihood, counts, spec, noise_variance)  # validate early
+    lik = _fit_likelihood(likelihood, counts, spec, noise_variance)
     taus = _checked_precisions(initial_precisions)
-
-    entropies = [
-        int(s.generate_state(1)[0])
-        for s in np.random.SeedSequence(config.seed).spawn(config.n_chains)
-    ]
-    payloads = [
-        (
-            spec, counts, graph, config, entropies[c],
-            likelihood, noise_variance, sample_precisions, taus,
-        )
-        for c in range(config.n_chains)
-    ]
-    started = time.time()
-    with worker_map(_run_stage2_chain, payloads, n_workers) as chains:
-        results = list(chains)
-    metadata = {
-        "model": f"stage2_svc_{spec.rung}",
-        "model_hash": model_hash(
+    payload = (spec, lik, graph, config, sample_precisions, taus)
+    archive, chain_meta = run_chains(
+        _run_stage2_chain, [payload] * config.n_chains, config, n_workers
+    )
+    archive.metadata.update(
+        model=f"stage2_svc_{spec.rung}",
+        model_hash=model_hash(
             spec.rung, spec.beta_prior_variance, spec.precision_prior_shape,
             spec.precision_prior_rate, spec.n_areas, spec.n_factors,
             graph.n_edges, config, likelihood,
         ),
-        "likelihood": likelihood,
-        "wall_time_s": f"{time.time() - started:.3f}",
-    }
-    for c, (_, rates, divergent) in enumerate(results):
-        metadata[f"chain{c}_acceptance"] = ";".join(
-            f"{blk}={rate:.3f}" for blk, rate in sorted(rates.items())
-        )
-        metadata[f"chain{c}_divergent"] = str(divergent)
-    return ChainArchive(
-        [draws for draws, _, _ in results],
-        config.retained_iterations(),
-        config,
-        metadata=metadata,
+        likelihood=likelihood,
     )
+    for c, meta in enumerate(chain_meta):
+        archive.metadata.update({f"chain{c}_{key}": value for key, value in meta.items()})
+    return archive
 
 
 # ---------------------------------------------------------------------------

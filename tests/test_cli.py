@@ -92,6 +92,21 @@ class TestFitStage1:
         assert archive.iterations[0] == 505
         assert archive.iterations[-1] == 2000
 
+    def test_config_retaining_no_draw_is_one_line_error(self, full_pipeline, tmp_path, capsys):
+        work, simulated = full_pipeline
+        out = tmp_path / "stage1.csv"
+        capsys.readouterr()
+        assert run([
+            "fit-stage1", "--indicators", work / "indicators.csv",
+            "--adjacency", simulated / "adjacency.csv", "--out", out,
+            "--iters", "10", "--burnin", "5", "--thin", "10", "--chains", "1",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: ValidationError: n_iter - burn_in = 5 is below thin = 10, "
+            "so the fit would retain no draws\n"
+        )
+        assert not out.exists()
+
     def test_dimension_mismatch_names_both_files(self, simulated, tmp_path, capsys):
         short = tmp_path / "short.csv"
         short.write_text("area_id,x,y\n0,0.1,0.2\n1,,0.3\n2,0.0,0.1\n")
@@ -203,6 +218,55 @@ class TestFitStage2AndSummaries:
         ]) == 2
         assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--tau-phi", "5"], "--tau-phi"),
+        (["--tau-delta", "nan", "--tau-v", "-1"], "--tau-v, --tau-delta"),
+        (["--tau-grid", "1,-2"], "--tau-grid"),
+    ])
+    def test_precision_flags_without_laplace_are_one_line_error(
+        self, full_pipeline, tmp_path, capsys, flags, named
+    ):
+        work, simulated = full_pipeline
+        out = tmp_path / "stage2.csv"
+        capsys.readouterr()
+        assert run([
+            "fit-stage2",
+            "--counts", work / "counts.csv",
+            "--covariates", work / "covariates.csv",
+            "--adjacency", simulated / "adjacency.csv",
+            "--model", "M1", "--out", out, *flags,
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: {named} need --laplace; MCMC samples the precisions\n"
+        )
+        assert not out.exists()
+
+    def test_laplace_gets_only_the_given_precisions(self, full_pipeline, tmp_path, monkeypatch):
+        work, simulated = full_pipeline
+        seen = []
+        fit = svc.fit_stage2_laplace
+        monkeypatch.setattr(
+            svc, "fit_stage2_laplace", lambda *args: seen.append(args[3]) or fit(*args)
+        )
+        out = tmp_path / "laplace.csv"
+        assert run([
+            "fit-stage2",
+            "--counts", work / "counts.csv",
+            "--covariates", work / "covariates.csv",
+            "--adjacency", simulated / "adjacency.csv",
+            "--model", "M3", "--out", out, "--laplace", "--tau-v", "5",
+        ]) == 0
+        assert seen == [{"tau_v": 5.0}]
+        # the precision not given is the library's default
+        spec, observed, graph, _, _ = cli._load_stage2_inputs(cli._build_parser().parse_args(
+            ["fit-stage2", "--counts", str(work / "counts.csv"),
+             "--covariates", str(work / "covariates.csv"),
+             "--adjacency", str(simulated / "adjacency.csv"), "--model", "M3", "--out", "x"]
+        ))
+        expected = fit(spec, observed, graph, {"tau_phi": 2.0, "tau_v": 5.0})
+        estimates = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert estimates == expected.state.beta.tolist()
 
     def test_laplace_tau_grid(self, full_pipeline, capsys):
         work, simulated = full_pipeline

@@ -357,6 +357,13 @@ class TestFitStage1:
             for name in a1.param_names:
                 assert np.array_equal(a1.chains[c][name], a2.chains[c][name])
 
+    def test_config_retaining_no_draw_is_rejected(self):
+        g = make_lattice(3, 3)
+        panel, _ = simulate_stage1(g, np.array([1.0, 1.2]), np.array([0.2, 0.2]), seed=0)
+        config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=10, seed=0)
+        with pytest.raises(ValidationError, match="would retain no draws"):
+            fit_stage1(panel, g, config=config)
+
     def test_garbage_in_masked_cells_is_bitwise_ignored(self):
         g = make_lattice(3, 3)
         panel, _ = simulate_stage1(g, np.array([1.0, 1.2]), np.array([0.2, 0.2]), seed=1)

@@ -14,9 +14,21 @@ from arealbayes.mcmc import (
     gelman_rubin,
     gelman_rubin_sequences,
     posterior_summary,
+    run_chain,
+    run_chains,
     spawn_generators,
     worker_map,
 )
+
+
+def first_draws(task):
+    """A chain for :func:`run_chains` whose extra is its label and first three uniforms."""
+    rng, (config, label) = task
+    return {"x": np.zeros(config.n_retained)}, (label, rng.random(3).tolist())
+
+
+def must_not_run(task):
+    raise AssertionError("a chain ran")
 
 
 def archive_from_chains(chains, **config_kwargs):
@@ -56,6 +68,13 @@ class TestConfig:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
         assert not np.allclose(a[0], a[1])
+
+    def test_spawned_generators_seed_from_32_bits_of_each_child(self):
+        children = np.random.SeedSequence(33).spawn(3)
+        for rng, child in zip(spawn_generators(33, 3), children):
+            entropy = int(child.generate_state(1)[0])
+            expected = np.random.default_rng(np.random.SeedSequence(entropy))
+            assert rng.random(4).tolist() == expected.random(4).tolist()
 
 
 class TestGelmanRubin:
@@ -248,3 +267,62 @@ class TestDefaultWorkers:
         with worker_map(abs, list(range(-tasks, 0)), None) as results:
             assert list(results) == list(range(tasks, 0, -1))
         assert sizes == expected
+
+
+class TestRunChains:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_chain_c_gets_spawned_generator_c(self, n_workers):
+        config = McmcConfig(n_chains=3, n_iter=10, burn_in=5, thin=1, seed=71)
+        payloads = [(config, label) for label in "abc"]
+        archive, extras = run_chains(first_draws, payloads, config, n_workers)
+        expected = [rng.random(3).tolist() for rng in spawn_generators(71, 3)]
+        assert extras == list(zip("abc", expected))
+        assert archive.n_chains == 3
+        assert archive.iterations.tolist() == config.retained_iterations().tolist()
+        assert float(archive.metadata["wall_time_s"]) >= 0.0
+
+    def test_payload_count_must_match_the_chains(self):
+        config = McmcConfig(n_chains=2, n_iter=10, burn_in=5, thin=1, seed=71)
+        with pytest.raises(ValueError):
+            run_chains(first_draws, [(config, "a")], config, 1)
+
+    def test_config_retaining_no_draw_is_rejected_before_any_chain(self, monkeypatch):
+        sizes = recording_pool(monkeypatch)
+        config = McmcConfig(n_chains=2, n_iter=10, burn_in=5, thin=10, seed=0)
+        assert config.n_retained == 0
+        message = "n_iter - burn_in = 5 is below thin = 10, so the fit would retain no draws"
+        with pytest.raises(ValidationError, match=message):
+            run_chains(must_not_run, [None, None], config, 2)
+        assert sizes == []
+
+
+class TestRunChain:
+    def run(self, config):
+        """Record every (it, gain) handed to step; the snapshot is the last it."""
+        calls = []
+        state = np.zeros(1)
+
+        def step(it, gain):
+            calls.append((it, gain))
+            state[0] = it
+
+        return calls, run_chain(config, step, lambda: {"it": state, "twice": 2.0 * state[0]})
+
+    @pytest.mark.parametrize("burn_in, thin", [(30, 7), (0, 1), (99, 1)])
+    def test_retained_stamps_follow_the_config(self, burn_in, thin):
+        config = McmcConfig(n_chains=1, n_iter=100, burn_in=burn_in, thin=thin, seed=0)
+        _, draws = self.run(config)
+        stamps = config.retained_iterations()
+        # the state is copied at each retained iteration, not aliased
+        assert draws["it"].shape == (len(stamps), 1)
+        assert draws["it"][:, 0].tolist() == stamps.tolist()
+        assert draws["twice"].tolist() == (2.0 * stamps).tolist()
+
+    def test_gain_decays_through_burn_in_then_is_zero(self):
+        config = McmcConfig(n_chains=1, n_iter=50, burn_in=20, thin=5, seed=0)
+        calls, _ = self.run(config)
+        assert [it for it, _ in calls] == list(range(1, 51))
+        assert [gain for _, gain in calls] == [
+            it ** -0.6 if it <= 20 else 0.0 for it in range(1, 51)
+        ]
+        assert calls[0][1] == 1.0

@@ -770,6 +770,38 @@ class TestFitStage2:
         with pytest.raises(RuntimeError, match="persistent divergence"):
             fit_stage2_mcmc(spec, np.full(6, 30.0), g, config)
 
+    @staticmethod
+    def field_spec(rung, log_mode):
+        """A 2x3 rung with counts 100 whose predictor's mode sits at ``log_mode``."""
+        return SvcModelSpec(
+            rung=rung, covariate=np.linspace(-0.5, 0.5, 6),
+            offsets=np.full(6, 100.0 / math.exp(log_mode)),
+            latent_factors=np.linspace(-1.0, 1.0, 6)[:, None],
+        )
+
+    @pytest.mark.parametrize("rung", ["M3", "M4"])
+    @pytest.mark.parametrize("burn_in", [100, 0])
+    def test_persistent_divergence_aborts_with_fields(self, rung, burn_in):
+        # offsets 1e-30: the start, log(100 / 1e-30) ~ 76, is already past the
+        # bound, so every field proposal diverges
+        spec = self.field_spec(rung, math.log(1e32))
+        config = McmcConfig(n_chains=1, n_iter=200, burn_in=burn_in, thin=1, seed=36)
+        window = "late burn-in" if burn_in else "run"
+        with pytest.raises(RuntimeError, match=rf"100\.0% of proposals in the {window} "):
+            fit_stage2_mcmc(spec, np.full(6, 100.0), make_lattice(2, 3), config)
+
+    @pytest.mark.parametrize("rung", ["M3", "M4"])
+    @pytest.mark.parametrize("burn_in", [100, 0])
+    def test_divergence_fraction_counts_every_field_proposal(self, rung, burn_in):
+        # with the predictor's mode at the bound, a share of the proposals
+        # diverges and the rest do not
+        spec = self.field_spec(rung, svc.PREDICTOR_BOUND)
+        config = McmcConfig(n_chains=1, n_iter=200, burn_in=burn_in, thin=1, seed=36)
+        with pytest.raises(RuntimeError, match="persistent divergence") as raised:
+            fit_stage2_mcmc(spec, np.full(6, 100.0), make_lattice(2, 3), config)
+        frac = float(str(raised.value).split(": ")[1].split("%")[0])
+        assert 10.0 < frac < 100.0
+
     def test_zero_population_area_is_left_out_of_likelihood(self):
         strata = StrataTable(
             ["a", "b"], ["s"], np.array([[1000.0], [0.0]]), np.array([[12.0], [0.0]])
