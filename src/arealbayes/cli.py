@@ -20,7 +20,9 @@ from . import fileio, icar, prep, simulate, svc
 from .errors import DimensionMismatchError, SchemaError, ValidationError
 from .factor import FactorModelSpec, fit_stage1, summarize_loadings, factor_quintiles, factor_exceedance
 from .graph import build_graph, morans_i, subgraph
-from .mcmc import McmcConfig, effective_sample_size, gelman_rubin, posterior_summary, usable_cpus
+from .mcmc import (
+    McmcConfig, check_seed, effective_sample_size, gelman_rubin, posterior_summary, usable_cpus,
+)
 from .svc import SvcModelSpec
 
 DEFAULT_LOADINGS = "1,1.2,-0.8,1.5,0.5"
@@ -181,6 +183,7 @@ def _load_graph(adjacency_path, n_areas):
 def _cmd_simulate(args) -> int:
     from pathlib import Path
 
+    check_seed(args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     graph = simulate.make_lattice(args.rows, args.cols)

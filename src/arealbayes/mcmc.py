@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import numbers
 import os
 import sys
 import time
@@ -43,6 +44,13 @@ __all__ = [
 ]
 
 
+def check_seed(seed) -> None:
+    """Raise :class:`ValidationError` unless ``seed`` is a non-negative
+    integer, the seeds ``numpy.random`` accepts."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class McmcConfig:
     """Chain-count, length, burn-in, thinning and seed for one fit.
@@ -59,6 +67,7 @@ class McmcConfig:
     seed: int = 20_240_901
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.n_chains < 1:
             raise ValidationError("n_chains must be >= 1")
         if self.thin < 1:

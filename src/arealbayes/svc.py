@@ -13,7 +13,7 @@ phi, v and delta get Gamma(shape 1, rate 0.5) priors by default, with the
 diffuse Gamma(1, 0.0005) available for sensitivity runs.
 
 The reference estimator is an adaptive Metropolis-within-Gibbs sampler:
-single-site random-walk updates for phi and v (v against its ICAR prior
+single-site random-walk updates for v (against its ICAR prior
 conditional), single-site Newton proposals for delta, and conjugate Gamma
 draws for the precisions with the rank of each ICAR block corrected per
 connected component. The single-site updates run one colour class at a
@@ -21,17 +21,26 @@ time: the graph's greedy colouring in ascending area order
 (``SpatialGraph.colour_classes``) splits the areas into classes that share
 no edge, so the areas of a class are conditionally independent and move
 together in one set of array operations on the class's CSR row block of
-W (phi, whose prior is iid, is one class). Each area still has its own
-acceptance test and divergence check, and draws one normal and one
-uniform per sweep. A phi or v area proposes a random-walk step of its own
-size, adapted toward ``mcmc.ADAPT_TARGET`` acceptance in burn-in only. A
-delta area proposes ``N(delta + g / h, 1 / h)`` from the gradient g and
-curvature h of its log conditional (one Newton step, Gamerman 1997),
-accepted with the Metropolis-Hastings ratio; under a Gaussian likelihood
-that is the exact conditional. After every v or
-delta sweep the field is recentered and the subtracted mean absorbed into
-b0 (for v) or b1 (for delta), which leaves every area's linear predictor
-unchanged on a connected graph.
+W. Each area still has its own acceptance test and divergence check. A v
+area proposes a random-walk step of its own size, adapted toward
+``mcmc.ADAPT_TARGET`` acceptance in burn-in only. A delta area proposes
+``N(delta + g / h, 1 / h)`` from the gradient g and curvature h of its
+log conditional (one Newton step, Gamerman 1997), accepted with the
+Metropolis-Hastings ratio; under a Gaussian likelihood that is the exact
+conditional.
+
+phi takes no step of its own. Only the sum phi + v (+ x delta) is pinned
+by the counts, so right after each class's accept step of the v sweep
+every area of the class makes an exact Gibbs exchange along
+``(phi_i + c, v_i - c)``, and after each class of the delta sweep along
+``(phi_i + c x_i, delta_i - c)``. Both lines keep the area's linear
+predictor unchanged, so only the priors change along them and c has a
+Gaussian conditional (Eberly & Carlin 2000 on the confounding). A v or
+delta sweep draws, per area, one normal for the proposal, one uniform for
+its test and one normal for the exchange. After every v or delta sweep
+the field is recentered and the subtracted mean absorbed into b0 (for v)
+or b1 (for delta), which leaves every area's linear predictor unchanged
+on a connected graph.
 
 M1 and M2 move the fixed effects by per-coordinate adaptive random walks.
 M3 and M4 move them only by exact Gibbs translations along lines on
@@ -380,55 +389,60 @@ def center_and_absorb(values: np.ndarray, graph: SpatialGraph) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _sweep_blocks(classes, blocks, wplus, lik_a, lik_b) -> list[tuple]:
-    """Per-class constants of :func:`_field_sweep`.
+def _exchange(phi, values, idx, new, s, wplus, coef, coef_sq, tau_phi, tau, z) -> None:
+    """Exact Gibbs exchanges between phi and an ICAR field over a colour class.
 
-    ``classes`` holds index arrays, or one slice for a field that moves
-    all at once; ``blocks`` the matching CSR row blocks of W, None for the
-    iid prior whose mean is 0; ``wplus`` the prior precision per unit tau;
-    ``lik_a`` and ``lik_b`` are the likelihood's per-area constants, zero
-    where an area carries none. The field enters the predictor with
-    coefficient 1.
+    Area i of the class moves along ``(phi_i + c coef_i, value_i - c)``,
+    which leaves its predictor term ``phi_i + coef_i value_i`` unchanged,
+    from the field's class values ``new`` with neighbour sums ``s``. Only
+    the priors change along the line: phi's iid ``N(0, 1 / tau_phi)`` and
+    the field's conditional (mean ``s_i / w_{i+}``, precision
+    ``tau w_{i+}``), so the log density of c is ``-a c^2 / 2 + b c`` with
+    ``a = tau_phi coef_i^2 + tau w_{i+}`` and ``b = tau (w_{i+} value_i -
+    s_i) - tau_phi coef_i phi_i``, and c is drawn exactly from
+    ``N(b / a, 1 / a)`` with the standard normals ``z``. Islands take the
+    same formula (w_{i+} = 1, s_i = 0). Mutates phi and ``values[idx]``.
     """
-    return [
-        (
-            idx,
-            block,
-            None if block is None else 2.0 / wplus[idx],
-            0.5 * wplus[idx],
-            lik_a[idx],
-            lik_b[idx],
-        )
-        for idx, block in zip(classes, blocks)
-    ]
+    a = tau_phi * coef_sq + tau * wplus
+    phi_i = phi[idx]
+    c = (tau * (wplus * new - s) - tau_phi * coef * phi_i + np.sqrt(a) * z) / a
+    phi[idx] = phi_i + coef * c
+    values[idx] = new - c
 
 
 def _field_sweep(
     blocks: list[tuple],
     values: np.ndarray,
+    phi: np.ndarray,
     theta: np.ndarray,
     exp_theta: np.ndarray | None,
-    prior_prec_scale: float,
+    tau: float,
+    tau_phi: float,
     steps: np.ndarray,
     normals: np.ndarray,
+    exchange_z: np.ndarray,
     log_us: np.ndarray,
     adapt_gamma: float,
 ) -> tuple[int, int]:
-    """One random-walk Metropolis sweep over a latent field, a colour class at a time.
+    """One random-walk Metropolis sweep over v, a colour class at a time.
 
-    Each area of a class is proposed ``values[i] + steps[i] * normals[i]``
-    and accepted against its own prior conditional (mean
-    ``sum_j w_ij values_j / w_{i+}`` and precision ``tau * w_{i+}``, or 0
-    and ``tau`` for the iid prior and for islands) and its own likelihood
-    term: Poisson when ``exp_theta`` is given (``lik_a``, ``lik_b`` = y, E),
-    else Gaussian (``lik_a``, ``lik_b`` = y, 1 / (2 s^2)). A proposal that
-    moves ``|theta_i|`` past ``PREDICTOR_BOUND`` is divergent and
-    rejected. With ``adapt_gamma`` > 0 each area's step moves toward
-    ``ADAPT_TARGET`` acceptance. Mutates values, theta, exp_theta and steps
-    and returns (accepted, divergent).
+    ``blocks`` holds per class the area indices, the CSR row block of W,
+    ``2 / w_{i+}``, ``w_{i+}`` and the likelihood's per-area constants
+    ``lik_a`` and ``lik_b``, zero where an area carries none. Each area of
+    a class is proposed ``values[i] + steps[i] * normals[i]`` and accepted
+    against its own prior conditional (mean ``sum_j w_ij values_j /
+    w_{i+}`` and precision ``tau * w_{i+}``; 0 and ``tau`` for islands)
+    and its own likelihood term: Poisson when ``exp_theta`` is given
+    (``lik_a``, ``lik_b`` = y, E), else Gaussian (``lik_a``, ``lik_b`` = y,
+    1 / (2 s^2)). A proposal that moves ``|theta_i|`` past
+    ``PREDICTOR_BOUND`` is divergent and rejected. After its accept step
+    the class makes the :func:`_exchange` with phi (coefficient 1) from
+    the same neighbour sums. With ``adapt_gamma`` > 0 each area's step
+    moves toward ``ADAPT_TARGET`` acceptance. Mutates values, phi, theta,
+    exp_theta and steps and returns (accepted, divergent).
     """
     accepted = divergent = 0
-    for idx, block, two_over_wplus, half_wplus, lik_a, lik_b in blocks:
+    for idx, block, two_over_wplus, wplus, lik_a, lik_b in blocks:
         cur = values[idx]
         step = steps[idx]
         move = step * normals[idx]
@@ -441,10 +455,9 @@ def _field_sweep(
             t_new = np.where(div, t_old, t_new)
             divergent += n_div
         # (cur - m)^2 - (prop - m)^2 = -move * (cur + prop - 2 m)
-        mid = cur + prop
-        if block is not None:
-            mid -= two_over_wplus * (block @ values)
-        logr = (-prior_prec_scale * half_wplus) * move * mid
+        s = block @ values
+        mid = cur + prop - two_over_wplus * s
+        logr = (-0.5 * tau * wplus) * move * mid
         if exp_theta is None:
             r_old = lik_a - t_old
             r_new = lik_a - t_new
@@ -457,10 +470,13 @@ def _field_sweep(
         accept = log_us[idx] < logr
         if n_div:
             accept &= ~div
-        values[idx] = np.where(accept, prop, cur)
         theta[idx] = np.where(accept, t_new, t_old)
         if exp_theta is not None:
             exp_theta[idx] = np.where(accept, e_new, e_old)
+        _exchange(
+            phi, values, idx, np.where(accept, prop, cur), s, wplus, 1.0, 1.0,
+            tau_phi, tau, exchange_z[idx],
+        )
         accepted += int(np.count_nonzero(accept))
         if adapt_gamma:
             acc_prob = np.where(
@@ -528,30 +544,36 @@ def _newton_proposal(cur, z, theta, exp_theta, prior_mean, prior_prec, coef, coe
 def _newton_sweep(
     blocks: list[tuple],
     values: np.ndarray,
+    phi: np.ndarray,
     theta: np.ndarray,
     exp_theta: np.ndarray | None,
-    prior_prec_scale: float,
+    tau: float,
+    tau_phi: float,
     normals: np.ndarray,
+    exchange_z: np.ndarray,
     log_us: np.ndarray,
 ) -> tuple[int, int]:
-    """One Newton-proposal Metropolis-Hastings sweep over an ICAR field, a colour class at a time.
+    """One Newton-proposal Metropolis-Hastings sweep over delta, a colour class at a time.
 
     ``blocks`` holds per class the area indices, the CSR row block of W,
     ``1 / w_{i+}``, ``w_{i+}``, the field's coefficient in the predictor,
     its square and the likelihood constants of :func:`_lik_slope_curvature`.
     Each area of a class gets a :func:`_newton_proposal` against its
     prior conditional (mean ``sum_j w_ij values_j / w_{i+}``, precision
-    ``tau * w_{i+}``) and its own acceptance test. Mutates values, theta
-    and exp_theta and returns (accepted, divergent).
+    ``tau * w_{i+}``) and its own acceptance test. After its accept step
+    the class makes the :func:`_exchange` with phi from the same
+    neighbour sums. Mutates values, phi, theta and exp_theta and returns
+    (accepted, divergent).
     """
     accepted = divergent = 0
     for idx, block, inv_wplus, wplus, coef, coef_sq, lik_a, lik_b in blocks:
         cur = values[idx]
         t_old = theta[idx]
         e_old = None if exp_theta is None else exp_theta[idx]
+        s = block @ values
         prop, t_new, e_new, div, logr = _newton_proposal(
-            cur, normals[idx], t_old, e_old, (block @ values) * inv_wplus,
-            prior_prec_scale * wplus, coef, coef_sq, lik_a, lik_b,
+            cur, normals[idx], t_old, e_old, s * inv_wplus,
+            tau * wplus, coef, coef_sq, lik_a, lik_b,
         )
         # log u < 0, so this also accepts every logr >= 0
         accept = log_us[idx] < logr
@@ -559,10 +581,13 @@ def _newton_sweep(
         if n_div:
             accept &= ~div
             divergent += n_div
-        values[idx] = np.where(accept, prop, cur)
         theta[idx] = np.where(accept, t_new, t_old)
         if exp_theta is not None:
             exp_theta[idx] = np.where(accept, e_new, e_old)
+        _exchange(
+            phi, values, idx, np.where(accept, prop, cur), s, wplus, coef, coef_sq,
+            tau_phi, tau, exchange_z[idx],
+        )
         accepted += int(np.count_nonzero(accept))
     return accepted, divergent
 
@@ -692,8 +717,9 @@ class _Stage2Chain:
         names = ("phi", "v", "delta")[:2 + spec.has_svc] if spec.has_convolution else ()
         self.fields = {name: np.zeros(n) for name in names}
 
-        # each block proposes block_size values per iteration
-        self.accepted = dict.fromkeys(names or ("beta",), 0)
+        # each block proposes block_size values per iteration; phi moves
+        # only by exchanges and translations, which are exact draws
+        self.accepted = dict.fromkeys(names[1:] or ("beta",), 0)
         self.block_size = n if names else spec.n_fixed
         self.divergent = self.divergent_before_window = 0
         self.config = config
@@ -706,17 +732,17 @@ class _Stage2Chain:
             lik_b = np.where(lik.mask, 1.0 / (2.0 * lik.noise_variance), 0.0)
         else:
             lik_b = np.where(lik.mask, lik.offsets, 0.0)
-        classes, blocks = graph.colour_classes, graph.colour_blocks
-        self.field_blocks = {
-            "phi": _sweep_blocks([slice(None)], [None], np.ones(n), lik_a, lik_b),
-            "v": _sweep_blocks(classes, blocks, graph.wplus_eff, lik_a, lik_b),
-        }
-        self.field_steps = {name: np.full(n, 0.3) for name in self.field_blocks}
         wplus, x = graph.wplus_eff, spec.covariate
+        classes = list(zip(graph.colour_classes, graph.colour_blocks))
+        self.v_blocks = [
+            (idx, block, 2.0 / wplus[idx], wplus[idx], lik_a[idx], lik_b[idx])
+            for idx, block in classes
+        ]
+        self.v_steps = np.full(n, 0.3)
         self.delta_blocks = [
             (idx, block, 1.0 / wplus[idx], wplus[idx], x[idx], x[idx] ** 2,
              lik_a[idx], lik_b[idx])
-            for idx, block in zip(classes, blocks)
+            for idx, block in classes
         ]
         self.ridges = _RidgeMoves(self.X, graph, spec.beta_prior_variance)
 
@@ -725,15 +751,20 @@ class _Stage2Chain:
         self.divergent += divergent
 
     def _sweep(self, name, theta, exp_theta, gain):
-        values, n = self.fields[name], self.spec.n_areas
+        """The v or delta sweep, with its exchanges with phi."""
+        fields, n = self.fields, self.spec.n_areas
         normals, log_us = self.rng.standard_normal(n), np.log(self.rng.random(n))
-        tau = self.taus[f"tau_{name}"]
+        exchange_z = self.rng.standard_normal(n)
+        taus = self.taus[f"tau_{name}"], self.taus["tau_phi"]
         if name == "delta":
-            moved = _newton_sweep(self.delta_blocks, values, theta, exp_theta, tau, normals, log_us)
+            moved = _newton_sweep(
+                self.delta_blocks, fields[name], fields["phi"], theta, exp_theta, *taus,
+                normals, exchange_z, log_us,
+            )
         else:
             moved = _field_sweep(
-                self.field_blocks[name], values, theta, exp_theta, tau,
-                self.field_steps[name], normals, log_us, gain,
+                self.v_blocks, fields[name], fields["phi"], theta, exp_theta, *taus,
+                self.v_steps, normals, exchange_z, log_us, gain,
             )
         self._tally(name, *moved)
 
@@ -747,7 +778,6 @@ class _Stage2Chain:
         else:
             theta = self.theta.copy()
             exp_theta = None if self.gaussian else np.exp(np.clip(theta, -700, 700))
-            self._sweep("phi", theta, exp_theta, gain)
             self._sweep("v", theta, exp_theta, gain)
             fields["v"], shift = center_and_absorb(fields["v"], self.graph)
             beta[0] += shift

@@ -36,6 +36,13 @@ class TestSimulate:
         suppressed_rows = np.isnan(table.deaths).all(axis=1)
         assert suppressed_rows.sum() == 3
 
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["simulate", "--outdir", tmp_path / "sim", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ValidationError: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "sim").exists()
+
 
 class TestPrep:
     def test_outputs_standardized_imputed_counts_covariates(self, simulated, tmp_path):
@@ -542,4 +549,12 @@ class TestThreads:
         assert self._fit(full_pipeline, command, tmp_path / "x.csv", "--threads", threads) == 2
         err = capsys.readouterr().err
         assert err == f"error: ValidationError: --threads must be at least 1, got {threads}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit-stage1", "fit-stage2"])
+    def test_negative_seed_is_one_line_error(self, full_pipeline, tmp_path, capsys, command):
+        capsys.readouterr()
+        assert self._fit(full_pipeline, command, tmp_path / "x.csv", "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert err == "error: ValidationError: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "x.csv").exists()

@@ -62,6 +62,14 @@ class TestConfig:
         with pytest.raises(ValidationError):
             McmcConfig(n_chains=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, "3", True, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValidationError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            McmcConfig(seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        assert McmcConfig(seed=np.int64(7)).seed == 7
+
     def test_spawned_generators_are_reproducible_and_distinct(self):
         a = [g.standard_normal(4) for g in spawn_generators(33, 3)]
         b = [g.standard_normal(4) for g in spawn_generators(33, 3)]

@@ -358,6 +358,101 @@ class TestRidgeMoves:
             assert np.allclose(got, want, rtol=0, atol=1e-8)
 
 
+class TestSiteExchanges:
+    """Exact Gibbs exchanges along (phi_i + c, v_i - c) and
+    (phi_i + c x_i, delta_i - c), which keep every theta_i unchanged."""
+
+    GRAPHS = {
+        "lattice": (list(make_lattice(4, 5).edges()), 20),
+        # a weighted component, a second component and an island
+        "components": (WEIGHTED_SEVEN_EDGES + [(7, 8, 1.0), (8, 9, 2.5)], 11),
+    }
+    TAUS = {"tau_phi": 3.0, "tau_v": 7.0, "tau_delta": 5.0}
+
+    def chain(self, kind, seed):
+        edges, n = self.GRAPHS[kind]
+        g = build_graph(edges, n_areas=n)
+        spec, state = convolution_pieces(g, "M4", seed=seed)
+        counts = np.random.default_rng(seed).poisson(50.0, n).astype(float)
+        config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
+        chain = svc._Stage2Chain((
+            np.random.default_rng(seed),
+            (spec, PoissonLikelihood(counts, spec.offsets), g, config, False, self.TAUS),
+        ))
+        chain.beta[:] = state.beta
+        chain.fields.update(phi=state.phi.copy(), v=state.v.values.copy(),
+                            delta=state.delta.values.copy())
+        return g, spec, chain
+
+    @staticmethod
+    def predictor(chain, spec):
+        f = chain.fields
+        return chain.X @ chain.beta + f["phi"] + f["v"] + spec.covariate * f["delta"]
+
+    def sweep(self, chain, field, log_us, seed):
+        """The field's sweep with the given log uniforms. Returns its
+        (accepted, divergent), the predictor array it kept up to date, its
+        proposal normals and its exchange normals."""
+        n = len(log_us)
+        normals, exchange_z = np.random.default_rng(seed).standard_normal((2, n))
+        theta = self.predictor(chain, chain.spec)
+        args = (chain.fields[field], chain.fields["phi"], theta, np.exp(theta),
+                self.TAUS[f"tau_{field}"], self.TAUS["tau_phi"])
+        if field == "v":
+            moved = svc._field_sweep(chain.v_blocks, *args, chain.v_steps, normals,
+                                     exchange_z, log_us, 0.0)
+        else:
+            moved = svc._newton_sweep(chain.delta_blocks, *args, normals, exchange_z, log_us)
+        return moved, theta, normals, exchange_z
+
+    @pytest.mark.parametrize("kind", list(GRAPHS))
+    @pytest.mark.parametrize("field", ["v", "delta"])
+    def test_exchanges_keep_theta(self, kind, field):
+        g, spec, chain = self.chain(kind, seed=60)
+        before = self.predictor(chain, spec)
+        phi = chain.fields["phi"].copy()
+        # log u = inf rejects every proposal, so only the exchanges move
+        (accepted, _), theta, _, _ = self.sweep(chain, field, np.full(g.n_areas, np.inf), 61)
+        assert accepted == 0
+        assert np.max(np.abs(self.predictor(chain, spec) - before)) < 1e-12
+        assert np.array_equal(theta, before)
+        assert np.all(chain.fields["phi"] != phi)
+
+    @pytest.mark.parametrize("kind", list(GRAPHS))
+    @pytest.mark.parametrize("field, accept", [("v", False), ("v", True), ("delta", False)])
+    def test_each_exchange_draws_its_line_conditional(self, kind, field, accept):
+        # oracle: class by class and site by site, the log prior of
+        # (phi, field) evaluated densely along the site's line, and a and b
+        # of its quadratic read off at c = -1, 0, 1; with accept, every v
+        # proposal is taken first
+        g, spec, chain = self.chain(kind, seed=62)
+        tau_phi, tau = self.TAUS["tau_phi"], self.TAUS[f"tau_{field}"]
+        Q = precision_matrix(g, island_proper=True)
+        coef = np.ones(g.n_areas) if field == "v" else spec.covariate
+        phi, values = chain.fields["phi"].copy(), chain.fields[field].copy()
+        steps = chain.v_steps.copy()
+        log_us = np.full(g.n_areas, -np.inf if accept else np.inf)
+        (accepted, _), _, normals, z = self.sweep(chain, field, log_us, 63)
+        assert accepted == (g.n_areas if accept else 0)
+
+        def log_prior(p, f):
+            return -tau_phi * (p @ p) / 2 - tau * (f @ Q @ f) / 2
+
+        for idx in g.colour_classes:
+            if accept:
+                values[idx] += steps[idx] * normals[idx]
+            for i in idx:
+                d_phi, d_field = np.zeros(g.n_areas), np.zeros(g.n_areas)
+                d_phi[i], d_field[i] = coef[i], -1.0
+                f = [log_prior(phi + c * d_phi, values + c * d_field) for c in (-1.0, 0.0, 1.0)]
+                a = 2 * f[1] - f[0] - f[2]
+                b = (f[2] - f[0]) / 2
+                c = b / a + z[i] / math.sqrt(a)
+                phi, values = phi + c * d_phi, values + c * d_field
+        assert np.allclose(chain.fields["phi"], phi, rtol=0, atol=1e-9)
+        assert np.allclose(chain.fields[field], values, rtol=0, atol=1e-9)
+
+
 class TestCenterAndAbsorb:
     def test_predictor_unchanged_on_connected_graph(self):
         g = make_lattice(4, 4)
@@ -608,6 +703,19 @@ class TestSamplerGaussianExactness:
             se = draws.std(ddof=1) / math.sqrt(ess)
             assert abs(draws.mean() - v_mean[i]) < 3 * se + 1e-4
 
+        # per-site variances and adjacent-pair covariances (phi, v) against
+        # the closed-form H^-1; phi moves only by exchanges with v and by
+        # the fixed-effect translations
+        T = block_diag(np.eye(2 + n), U)
+        draws = np.hstack([archive.get(name) for name in ("beta", "phi", "v")])
+        pair_i, pair_j = (
+            np.concatenate([2 + k * n + ends for k in range(2)])
+            for ends in (graph.edge_i, graph.edge_j)
+        )
+        z = gaussian_moments_z(
+            draws, T @ mean_u, T @ np.linalg.inv(H) @ T.T, pair_i, pair_j
+        )
+        assert np.max(np.abs(z)) < 4.0, z
 
     def test_m4_weighted_graph_matches_conjugate_posterior(self):
         graph = build_graph(WEIGHTED_SEVEN_EDGES, n_areas=7)
@@ -672,6 +780,39 @@ class TestSamplerGaussianExactness:
             draws, T @ mean_u, T @ np.linalg.inv(H) @ T.T, pair_i, pair_j
         )
         assert np.max(np.abs(z)) < 4.0, z
+
+
+class TestMixing:
+    # worst scalar ESS of these fits when phi still took its own random-walk
+    # sweep (tau_delta, seed 66), before the phi-v and phi-delta exchanges
+    RANDOM_WALK_PHI_WORST_ESS = 47.55
+
+    @staticmethod
+    def lattice_m4_data():
+        """M4 on a 15x15 lattice with smooth deterministic x, factor, delta
+        and v; only the iid phi and the counts are drawn."""
+        g = make_lattice(15, 15)
+        r, c = np.divmod(np.arange(g.n_areas), 15)
+        u, w = np.pi * r / 14, np.pi * c / 14
+        x = 0.9 * np.tanh(np.sin(2 * u) * np.cos(w) + np.cos(3 * w) * np.sin(u) / 2)
+        factor = np.cos(u + 2 * w) * np.sin(3 * u)
+        delta = 0.6 * np.cos(2 * u) * np.sin(w + 0.5) + 0.3 * np.sin(3 * w)
+        v = 0.15 * np.sin(4 * u + w) * np.cos(3 * w)
+        factor, delta, v = (f - f.mean() for f in (factor, delta, v))
+        rng = np.random.default_rng(64)
+        theta = 0.1 - 0.8 * x + 0.4 * factor + v + x * delta + 0.1 * rng.standard_normal(g.n_areas)
+        offsets = np.full(g.n_areas, 300.0)
+        counts = rng.poisson(offsets * np.exp(theta)).astype(float)
+        spec = SvcModelSpec(rung="M4", covariate=x, offsets=offsets, latent_factors=factor[:, None])
+        return g, spec, counts
+
+    def test_worst_scalar_ess_at_least_doubles(self):
+        g, spec, counts = self.lattice_m4_data()
+        config = McmcConfig(n_chains=2, n_iter=2500, burn_in=1000, thin=3, seed=66)
+        archive = fit_stage2_mcmc(spec, counts, g, config)
+        ess = [effective_sample_size(archive, "beta", k) for k in range(3)]
+        ess += [effective_sample_size(archive, name) for name in svc.PRECISION_NAMES]
+        assert min(ess) >= 2 * self.RANDOM_WALK_PHI_WORST_ESS, ess
 
 
 class TestColourClasses:
@@ -864,7 +1005,8 @@ class TestFitStage2:
         )
         rates = dict(item.split("=") for item in archive.metadata["chain0_acceptance"].split(";"))
         assert rates["delta"] == "1.000"
-        assert sorted(rates) == ["delta", "phi", "v"]
+        # phi moves only by exact exchanges and translations: no acceptance
+        assert sorted(rates) == ["delta", "v"]
 
 
 class TestPrecisionValidation:
