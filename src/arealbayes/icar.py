@@ -113,14 +113,15 @@ def center_by_component(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subtract each component's mean; also return the subtracted means.
 
-    On a connected graph this is ``values - values.mean()``. Otherwise the
-    component sums come from one ``np.bincount`` over the component
-    labels, which can round differently in the last bits from a
+    On a connected graph this is ``values - values.mean()`` (taken as
+    ``values.sum() / n``, the same bits without ``mean``'s overhead).
+    Otherwise the component sums come from one ``np.bincount`` over the
+    component labels, which can round differently in the last bits from a
     per-component ``mean``.
     """
     values = np.asarray(values, dtype=float)
     if graph.n_components == 1:
-        m = values.mean()
+        m = values.sum() / len(values)
         return values - m, np.array([m])
     labels = graph.component_labels
     means = (

@@ -16,7 +16,9 @@ The reference estimator is an adaptive Metropolis-within-Gibbs sampler:
 single-site random-walk updates for v (against its ICAR prior
 conditional), single-site Newton proposals for delta, and conjugate Gamma
 draws for the precisions with the rank of each ICAR block corrected per
-connected component. The single-site updates run one colour class at a
+connected component, plus exact translations and Metropolis scale moves
+along directions on which every linear predictor stays fixed (below).
+The single-site updates run one colour class at a
 time: the graph's greedy colouring in ascending area order
 (``SpatialGraph.colour_classes``) splits the areas into classes that share
 no edge, so the areas of a class are conditionally independent and move
@@ -49,8 +51,31 @@ after the field sweeps (generalized Gibbs, Liu & Sabatti 2000): for every
 fixed effect k, ``(b_k + c, phi - c X_k)``; and for every k >= 1,
 ``(b_k + c, b0 - c mean(X_k), v - c u_k, phi - c r_k)``, with u_k the
 column X_k centred per component (so v keeps its zero sums) and r_k the
-rest of X_k, zero on a connected graph. Along such a line only the priors
-change, so c has a Gaussian conditional and is drawn exactly.
+rest of X_k, zero on a connected graph. M4 adds one line that moves
+delta, ``(delta + c u, beta - c gamma, v - c rho, phi - c r)`` with u the
+covariate centred per component (see :class:`_RidgeMoves`), which trades
+mean(x delta) against b0. Along such a line only the priors change, so c
+has a Gaussian conditional and is drawn exactly.
+
+When the precisions are sampled, M3 and M4 then make Metropolis scale
+moves that keep every linear predictor fixed, so the likelihood cancels
+from their ratios (group moves, Liu & Sabatti 2000, used as partially
+non-centred updates of the precisions, Papaspiliopoulos, Roberts & Skold
+2007): ``(v, phi, tau_v) -> (s v, phi - (s - 1) v, tau_v / s^2)``; for M4
+also ``(delta, phi, tau_delta) -> (s delta, phi - (s - 1) x delta,
+tau_delta / s^2)``, and the same scaling of delta with ``(s - 1) x delta``
+taken by v (centred per component), b0 (its mean) and phi (the spread of
+its component means). Each draws ``log s ~ N(0, step^2)`` with its own
+step, adapted toward ``mcmc.ADAPT_TARGET`` acceptance in burn-in. The
+precisions then take their conjugate Gamma draws.
+
+The random stream of an M3 or M4 iteration is, in order: for the v sweep
+and then (M4) the delta sweep, n normals, n uniforms and n normals; one
+normal per translation, 2K - 1 for M3 and 2K for M4 with K fixed effects
+(2K - 1 when the covariate is constant on every component); when the
+precisions are sampled, one normal per scale move and then one uniform
+per scale move (in the order v, delta, and the delta move against v, b0
+and phi), then one Gamma draw per precision.
 
 A Newton-mode Laplace approximation at fixed precisions is provided as an
 independent cross-check and for empirical-Bayes selection of the
@@ -73,6 +98,11 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy import sparse, special, stats
 from scipy.sparse.linalg import splu
+
+try:  # scipy's compiled CSR kernel, which ``csr_matrix @ x`` calls after its dispatch
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # pragma: no cover - a scipy that moved its private kernels
+    _csr_matvec = None
 
 from . import icar
 from .errors import DimensionMismatchError, ValidationError
@@ -108,6 +138,11 @@ __all__ = [
 RUNGS = ("M1", "M2", "M3", "M4")
 PREDICTOR_BOUND = 50.0
 PRECISION_NAMES = ("tau_phi", "tau_v", "tau_delta")
+# the theta-preserving scale moves of M3 ("v") and M4 (all three), their
+# initial log-step, and the largest |log s| whose ratio is computed
+SCALE_MOVES = ("v", "delta", "ridge")
+SCALE_STEP = 0.1
+MAX_LOG_SCALE = 300.0
 
 
 @dataclass
@@ -369,6 +404,24 @@ def loglik_poisson(state: SvcModelState, spec: SvcModelSpec, counts: np.ndarray)
     return lik.loglik(linear_predictor_vector(state, spec))
 
 
+def _matvec(A, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for a CSR matrix A and a float vector x, bit for bit.
+
+    The sweeps multiply small colour-class blocks several times an
+    iteration, and on a 112 x 225 block of the 15x15 lattice
+    ``csr_matrix @ x`` spends about 3 of its 4 us in dispatch before it
+    calls the kernel called here. The kernel reads x without a bounds
+    check, so its length is checked first.
+    """
+    if x.shape != (A.shape[1],):
+        raise DimensionMismatchError(f"vector of shape {x.shape} for a matrix of shape {A.shape}")
+    if _csr_matvec is None:  # pragma: no cover
+        return A @ x
+    out = np.zeros(A.shape[0])
+    _csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+    return out
+
+
 def center_and_absorb(values: np.ndarray, graph: SpatialGraph) -> tuple[np.ndarray, float]:
     """Per-component centering plus the scalar shift a fixed effect absorbs.
 
@@ -455,7 +508,7 @@ def _field_sweep(
             t_new = np.where(div, t_old, t_new)
             divergent += n_div
         # (cur - m)^2 - (prop - m)^2 = -move * (cur + prop - 2 m)
-        s = block @ values
+        s = _matvec(block, values)
         mid = cur + prop - two_over_wplus * s
         logr = (-0.5 * tau * wplus) * move * mid
         if exp_theta is None:
@@ -570,7 +623,7 @@ def _newton_sweep(
         cur = values[idx]
         t_old = theta[idx]
         e_old = None if exp_theta is None else exp_theta[idx]
-        s = block @ values
+        s = _matvec(block, values)
         prop, t_new, e_new, div, logr = _newton_proposal(
             cur, normals[idx], t_old, e_old, s * inv_wplus,
             tau * wplus, coef, coef_sq, lik_a, lik_b,
@@ -626,72 +679,83 @@ def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[i
 class _RidgeMoves:
     """Exact Gibbs translations of the fixed effects that leave theta unchanged.
 
-    Each move translates the state (beta, phi, v) along a fixed direction
-    d, ``state + c d``, with X beta + phi + v unchanged. For every fixed
-    effect k a phi-ridge moves ``(b_k + c, phi - c X_k)``; for every
-    k >= 1 a v-ridge moves ``(b_k + c, b_0 - c m_k, v - c u_k,
-    phi - c r_k)``, where m_k is the mean of X_k, u_k is X_k centred per
-    component (zero on islands, so v keeps its zero component sums) and
-    ``r_k = X_k - u_k - m_k`` is the spread of the component means, zero on
-    a connected graph. Only the Gaussian priors change along a direction,
-    so the log density of c is ``-a c^2 / 2 + b c`` and c is drawn exactly
-    from ``N(b / a, 1 / a)``.
+    Each move translates the state (beta, phi, v[, delta]) along a fixed
+    direction d, ``state + c d``, with X beta + phi + v (+ x delta)
+    unchanged. For every fixed effect k a phi-ridge moves
+    ``(b_k + c, phi - c X_k)``; for every k >= 1 a v-ridge moves
+    ``(b_k + c, b_0 - c m_k, v - c u_k, phi - c r_k)``, where m_k is the
+    mean of X_k, u_k is X_k centred per component (zero on islands, so v
+    keeps its zero component sums) and ``r_k = X_k - u_k - m_k`` is the
+    spread of the component means, zero on a connected graph. Given the
+    covariate x (M4), a last direction moves delta:
+    ``(delta + c u, beta - c gamma, v - c rho, phi - c r)``, with u the
+    covariate centred per component, gamma the least-squares coefficients
+    of ``x u`` on X, rho the residual ``x u - X gamma`` centred per
+    component and r its component means. It trades mean(x delta) against
+    the intercept, which no other line of constant theta reaches; it is
+    left out when the covariate is constant on every component (u = 0).
+    Only the Gaussian priors change along a direction, so the log density
+    of c is ``-a c^2 / 2 + b c`` and c is drawn exactly from
+    ``N(b / a, 1 / a)``.
 
-    The moves run one after another. In the coordinates c of all 2K - 1
+    The moves run one after another. In the coordinates c of all
     directions the prior is Gaussian with precision
     ``A = D_beta' D_beta / sigma_beta^2 + tau_phi D_phi' D_phi
-    + tau_v D_v' Q D_v``, so move m has ``a = A_mm`` and
-    ``b = b0_m - sum_{l<m} A_ml c_l``, b0 being the linear term at the
-    start. The three Gram matrices of A and ``D_v' Q`` are computed once,
-    and the small triangular recursion runs on Python floats.
+    + tau_v D_v' Q D_v + tau_delta D_delta' Q D_delta``, so move m has
+    ``a = A_mm`` and ``b = b0_m - sum_{l<m} A_ml c_l``, b0 being the linear
+    term at the start. The blocks' Gram matrices and the stacked maps
+    ``D' P`` (P a block's prior precision without its tau) are computed
+    once, and the small triangular recursion runs on Python floats.
     """
 
-    def __init__(self, X: np.ndarray, graph: SpatialGraph, beta_prior_variance: float):
+    def __init__(self, X, graph, beta_prior_variance, covariate=None):
         n, K = X.shape
-        d_beta = np.zeros((2 * K - 1, K))
-        d_phi = np.zeros((2 * K - 1, n))
-        d_v = np.zeros((2 * K - 1, n))
+        labels, zero = graph.component_labels, np.zeros(n)
+        rows = []  # (d_beta, d_phi, d_v, d_delta) of every direction
         for k in range(K):
-            d_beta[k, k] = 1.0
-            d_phi[k] = -X[:, k]
-        for m, k in enumerate(range(1, K), K):
+            rows.append((np.eye(K)[k], -X[:, k], zero, zero))
+        for k in range(1, K):
             u, means = icar.center_by_component(X[:, k], graph)
-            mean = X[:, k].mean()
-            d_beta[m, k] = 1.0
-            d_beta[m, 0] = -mean
-            d_v[m] = -u
-            d_phi[m] = mean - means[graph.component_labels]
-        self.d_v_q = (_icar_precision(graph) @ d_v.T).T
-        self.prior_prec = 1.0 / beta_prior_variance
-        self.d_beta, self.d_phi, self.d_v = d_beta, d_phi, d_v
-        self.grams = (
-            (self.prior_prec * (d_beta @ d_beta.T)).tolist(),
-            (d_phi @ d_phi.T).tolist(),
-            (self.d_v_q @ d_v.T).tolist(),
-        )
+            d_beta = np.eye(K)[k]
+            d_beta[0] = -X[:, k].mean()
+            rows.append((d_beta, -d_beta[0] - means[labels], -u, zero))
+        n_blocks = 3
+        if covariate is not None:
+            u = icar.center_by_component(covariate, graph)[0]
+            if np.abs(u).max() > 1e-12 * np.abs(covariate).max():
+                xu = covariate * u
+                gamma = np.linalg.lstsq(X, xu, rcond=None)[0]
+                rho, means = icar.center_by_component(xu - X @ gamma, graph)
+                rows.append((-gamma, -means[labels], -rho, u))
+                n_blocks = 4
+        self.directions = [np.array(block) for block in zip(*rows)][:n_blocks]
+        Q = _icar_precision(graph)
+        maps = [self.directions[0] / beta_prior_variance, self.directions[1]]
+        maps += [(Q @ d.T).T for d in self.directions[2:]]
+        self.n_moves = len(rows)
+        self.grams = np.array([(m @ d.T).ravel() for m, d in zip(maps, self.directions)])
+        self.maps = np.hstack(maps)
 
-    def move(self, beta, phi, v, tau_phi, tau_v, normals) -> None:
-        """Every move once, in order; mutates beta, phi and v.
+    def move(self, beta, phi, v, tau_phi, tau_v, normals, delta=None, tau_delta=None) -> None:
+        """Every move once, in order; mutates beta, phi, v and delta.
 
-        ``normals`` holds one standard normal per move.
+        ``normals`` holds one standard normal per move (``n_moves``);
+        ``delta`` and ``tau_delta`` are read when there is a delta direction.
         """
-        p = self.prior_prec
-        gram_beta, gram_phi, gram_v = self.grams
+        states = (beta, phi, v, delta)[:len(self.directions)]
+        taus = (1.0, tau_phi, tau_v, tau_delta)[:len(self.directions)]
+        gram = (np.array(taus) @ self.grams).reshape(self.n_moves, -1).tolist()
+        scaled = [beta, *(tau * s for tau, s in zip(taus[1:], states[1:]))]
+        lin = self.maps @ np.concatenate(scaled)
         c = []
-        for m, (lin_beta, lin_phi, lin_v, z) in enumerate(zip(
-            (self.d_beta @ beta).tolist(), (self.d_phi @ phi).tolist(),
-            (self.d_v_q @ v).tolist(), normals.tolist(),
-        )):
-            row_beta, row_phi, row_v = gram_beta[m], gram_phi[m], gram_v[m]
-            b = -(p * lin_beta + tau_phi * lin_phi + tau_v * lin_v)
-            for l, c_l in enumerate(c):
-                b -= (row_beta[l] + tau_phi * row_phi[l] + tau_v * row_v[l]) * c_l
-            a = row_beta[m] + tau_phi * row_phi[m] + tau_v * row_v[m]
-            c.append(b / a + z / math.sqrt(a))
+        for m, (b, row, z) in enumerate(zip(lin.tolist(), gram, normals.tolist())):
+            b = -b
+            for a_ml, c_l in zip(row, c):
+                b -= a_ml * c_l
+            c.append(b / row[m] + z / math.sqrt(row[m]))
         c = np.array(c)
-        beta += c @ self.d_beta
-        phi += c @ self.d_phi
-        v += c @ self.d_v
+        for state, d in zip(states, self.directions):
+            state += c @ d
 
 
 class _Stage2Chain:
@@ -723,6 +787,12 @@ class _Stage2Chain:
         self.block_size = n if names else spec.n_fixed
         self.divergent = self.divergent_before_window = 0
         self.config = config
+        # the scale moves change the precisions, so they run only when those
+        # are sampled; their tallies stay out of ``accepted``, which the
+        # divergence abort counts proposals by
+        scale_names = SCALE_MOVES[:1 + 2 * spec.has_svc] if names and sample_precisions else ()
+        self.scale_steps = dict.fromkeys(scale_names, SCALE_STEP)
+        self.scale_accepted = dict.fromkeys(scale_names, 0)
         if not names:
             self.beta_steps = np.full(spec.n_fixed, 0.1)
             return
@@ -744,7 +814,14 @@ class _Stage2Chain:
              lik_a[idx], lik_b[idx])
             for idx, block in classes
         ]
-        self.ridges = _RidgeMoves(self.X, graph, spec.beta_prior_variance)
+        self.ridges = _RidgeMoves(
+            self.X, graph, spec.beta_prior_variance, x if spec.has_svc else None
+        )
+        self.q = _icar_precision(graph)
+        rank = icar.quad_form_and_rank(graph, np.zeros(n))[1]
+        self.scale_power = (
+            icar.centered_dimension(graph) - rank - 2.0 * spec.precision_prior_shape
+        )
 
     def _tally(self, block, accepted, divergent):
         self.accepted[block] += accepted
@@ -792,12 +869,21 @@ class _Stage2Chain:
 
             self.ridges.move(
                 beta, fields["phi"], fields["v"], self.taus["tau_phi"], self.taus["tau_v"],
-                rng.standard_normal(2 * len(beta) - 1),
+                rng.standard_normal(self.ridges.n_moves),
+                fields.get("delta"), self.taus["tau_delta"],
             )
             self.theta = self.X @ beta + fields["phi"] + fields["v"]
             if spec.has_svc:
                 self.theta = self.theta + spec.covariate * fields["delta"]
             if self.sample_precisions:
+                k = len(self.scale_steps)
+                normals = rng.standard_normal(k).tolist()
+                log_us = np.log1p(-rng.random(k)).tolist()
+                for (name, step), z, log_u in zip(self.scale_steps.items(), normals, log_us):
+                    logr = self._scale(name, step * z, log_u)
+                    if gain:
+                        acc_prob = math.exp(min(logr, 0.0)) if logr > -700.0 else 0.0
+                        self.scale_steps[name] = step * math.exp(gain * (acc_prob - ADAPT_TARGET))
                 a, b = spec.precision_prior_shape, spec.precision_prior_rate
                 for name, values in fields.items():
                     if name == "phi":
@@ -824,6 +910,60 @@ class _Stage2Chain:
                     f"past {PREDICTOR_BOUND}; check offsets and covariate scaling"
                 )
 
+    def _scale(self, name, log_s, log_u) -> float:
+        """The scale move ``name`` by ``s = exp(log_s)``; returns its log ratio.
+
+        Each move scales an ICAR field by s and its precision by ``1 / s^2``
+        and keeps theta fixed by subtracting ``t w``, ``t = s - 1``, from
+        blocks that compensate: "v" scales v and phi takes ``w = v``;
+        "delta" scales delta and phi takes ``w = x delta``; "ridge" scales
+        delta and splits ``w = x delta`` as :class:`_RidgeMoves` splits its
+        columns: v takes w centred per component, b0 its mean and phi the
+        spread of its component means. The compensating priors change by
+        ``-t^2 quad / 2 + t lin``, and with the field's Jacobian, the
+        precision's Gamma(a, b) prior and the Gamma update's rank r the
+        log ratio is that plus ``(d - r - 2 a) log s - b tau (s^-2 - 1)``,
+        d being :func:`arealbayes.icar.centered_dimension`: s^d is the
+        field's Jacobian and ``s^-2`` the precision's. The move is taken
+        when ``log_u`` is below the log ratio; a ``|log_s|`` past
+        ``MAX_LOG_SCALE`` is rejected outright.
+        """
+        if abs(log_s) > MAX_LOG_SCALE:
+            return -math.inf
+        fields, taus, beta = self.fields, self.taus, self.beta
+        phi, v = fields["phi"], fields["v"]
+        field, tau_name = (v, "tau_v") if name == "v" else (fields["delta"], "tau_delta")
+        w = v if name == "v" else self.spec.covariate * field
+        tau_phi = taus["tau_phi"]
+        if name == "ridge":
+            u, means = icar.center_by_component(w, self.graph)
+            qu = _matvec(self.q, u)
+            mean = float(w.sum()) / len(w)
+            prec = 1.0 / self.spec.beta_prior_variance
+            quad = taus["tau_v"] * float(u @ qu) + prec * mean * mean
+            lin = taus["tau_v"] * float(qu @ v) + prec * mean * float(beta[0])
+            shifts = [(v, u)]
+            if len(means) > 1:
+                spread = means[self.graph.component_labels] - mean
+                quad += tau_phi * float(spread @ spread)
+                lin += tau_phi * float(spread @ phi)
+                shifts.append((phi, spread))
+        else:
+            mean = 0.0
+            quad, lin = tau_phi * float(w @ w), tau_phi * float(w @ phi)
+            shifts = [(phi, w)]
+        t = math.expm1(log_s)
+        logr = (-0.5 * t * t * quad + t * lin + self.scale_power * log_s
+                - self.spec.precision_prior_rate * taus[tau_name] * math.expm1(-2.0 * log_s))
+        if log_u < logr:
+            for block, shift in shifts:
+                block -= t * shift
+            beta[0] -= t * mean
+            field *= math.exp(log_s)
+            taus[tau_name] *= math.exp(-2.0 * log_s)
+            self.scale_accepted[name] += 1
+        return logr
+
     def snapshot(self):
         taus = {f"tau_{name}": self.taus[f"tau_{name}"] for name in self.fields}
         return {"beta": self.beta, **self.fields, **taus}
@@ -833,11 +973,20 @@ def _run_stage2_chain(task):
     """Draws, and the ``chain<c>_acceptance`` and ``chain<c>_divergent`` values."""
     chain = _Stage2Chain(task)
     draws = run_chain(chain.config, chain.step, chain.snapshot)
-    acceptance = ";".join(
-        f"{block}={accepted / (chain.config.n_iter * chain.block_size):.3f}"
-        for block, accepted in sorted(chain.accepted.items())
-    )
-    return draws, {"acceptance": acceptance, "divergent": str(chain.divergent)}
+    n_iter = chain.config.n_iter
+    rates = {block: accepted / (n_iter * chain.block_size)
+             for block, accepted in chain.accepted.items()}
+    rates.update((f"scale_{name}", accepted / n_iter)
+                 for name, accepted in chain.scale_accepted.items())
+    meta = {
+        "acceptance": ";".join(f"{key}={rate:.3f}" for key, rate in sorted(rates.items())),
+        "divergent": str(chain.divergent),
+    }
+    if chain.scale_steps:
+        meta["scale_log_step"] = ";".join(
+            f"{name}={step:.4f}" for name, step in sorted(chain.scale_steps.items())
+        )
+    return draws, meta
 
 
 def fit_stage2_mcmc(

@@ -243,3 +243,49 @@ def oracle_read_adjacency(path) -> list:
             raise SchemaError(f"{path}:{lineno}: src and dst must be integers")
         edges.append((int(src), int(dst), w))
     return edges
+
+
+def gaussian_m4_posterior_means(y, X, x, Q, noise_variance, shape, rate,
+                                beta_prior_variance=1000.0, grid=np.arange(-7.0, 5.01, 0.25)):
+    """Posterior means of (log tau_phi, log tau_v, log tau_delta) and beta
+    of a Gaussian-likelihood M4 model, by quadrature over the log precisions.
+
+    The model is y = X beta + phi + v + x * delta + noise, with beta iid
+    N(0, beta_prior_variance), phi iid N(0, 1 / tau_phi), v and delta the
+    per-component sum-to-zero ICAR fields of precision ``tau Q`` (Q without
+    islands) and Gamma(shape, rate) precisions. Given the precisions y is
+    N(0, S) with ``S = s^2 I + beta_prior_variance X X' + I / tau_phi
+    + Q+ / tau_v + D_x Q+ D_x / tau_delta``, Q+ the pseudo-inverse of Q, and
+    ``E[beta | y, tau] = beta_prior_variance X' S^-1 y``. The posterior of
+    the log precisions is summed on the product ``grid`` of each.
+    """
+    n = len(y)
+    cov_icar = np.linalg.pinv(Q)
+    fixed = noise_variance * np.eye(n) + beta_prior_variance * X @ X.T
+    parts = np.stack([np.eye(n), cov_icar, x[:, None] * cov_icar * x[None, :]])
+    l2, l3 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    log_post, stats = [], []
+    for l1 in grid:
+        logs = np.column_stack([np.full(len(l2), l1), l2, l3])
+        S = fixed + np.tensordot(np.exp(-logs), parts, 1)
+        L = np.linalg.cholesky(S)
+        alpha = np.linalg.solve(S, y)
+        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        # a Gamma(shape, rate) precision has log density shape l - rate e^l in l = log tau
+        log_prior = (shape * logs - rate * np.exp(logs)).sum(axis=1)
+        log_post.append(-0.5 * (logdet + alpha @ y) + log_prior)
+        stats.append(np.hstack([logs, beta_prior_variance * alpha @ X]))
+    log_post, stats = np.concatenate(log_post), np.vstack(stats)
+    w = np.exp(log_post - log_post.max())
+    return w @ stats / w.sum()
+
+
+def batch_means_z(chains, expected, n_batches=50):
+    """Batch-means z-score of the pooled mean of scalar draws (one array per
+    chain, batches taken within each chain) against ``expected``."""
+    per_chain = n_batches // len(chains)
+    batches = np.concatenate([
+        c[: len(c) // per_chain * per_chain].reshape(per_chain, -1).mean(axis=1) for c in chains
+    ])
+    se = batches.std(ddof=1) / math.sqrt(len(batches))
+    return (batches.mean() - expected) / se
