@@ -437,14 +437,25 @@ def _cmd_fit_stage2(args) -> int:
     if flags and not args.laplace:
         named = ", ".join("--" + name.replace("_", "-") for name in flags)
         raise ValidationError(f"{named} need --laplace; MCMC samples the precisions")
+    precisions = {name: getattr(args, name) for name in flags if name != "tau_grid"}
+    if args.tau_grid is not None:
+        if precisions:
+            named = ", ".join("--" + name.replace("_", "-") for name in precisions)
+            raise ValidationError(f"--tau-grid sets every precision; drop {named}")
+        try:
+            values = [float(v) for v in args.tau_grid.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"--tau-grid must be a comma list of numbers, got {args.tau_grid!r}"
+            ) from None
     spec, observed, graph, count_ids, factor_names = _load_stage2_inputs(args)
     if args.laplace:
-        precisions = {name: getattr(args, name) for name in flags if name != "tau_grid"}
-        if args.tau_grid:
-            values = [float(v) for v in args.tau_grid.split(",")]
-            active = ["tau_phi", "tau_v"] if spec.has_convolution else []
-            if spec.has_svc:
-                active.append("tau_delta")
+        if args.tau_grid is not None:
+            if not spec.has_convolution:
+                raise ValidationError(
+                    f"--tau-grid needs a rung with precisions; {spec.rung} has none"
+                )
+            active = ["tau_phi", "tau_v"] + (["tau_delta"] if spec.has_svc else [])
             grid = [
                 dict(zip(active, point))
                 for point in itertools.product(values, repeat=len(active))

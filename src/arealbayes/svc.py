@@ -83,28 +83,31 @@ precisions over a user grid. It is sparse throughout: the latent vector
 (beta, phi, v, delta) is kept in area coordinates, the ICAR blocks are
 held to zero sum on every multi-area component by sparse indicator
 constraint columns C (islands, under their proper prior, get none), and
-each Newton step factors the bordered system [[H, C], [C', 0]] once with
-``scipy.sparse.linalg.splu`` for the step, the constrained log
-determinant and, at the mode, the fixed-effect sds. ``gradient_norm`` is
-the max-norm of the gradient projected onto the constraint set.
+each Newton step eliminates phi (its block of the curvature H is
+diagonal) and factors only the sparse (v, delta) block, with the fixed
+effects and the constraints in one small dense Schur complement
+(:class:`gmrf.ConstrainedFactor`). That factor gives the step, the
+constrained log determinant and, at the mode, the fixed-effect sds.
+``gradient_norm`` is the max-norm of the gradient projected onto the
+constraint set.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse, special, stats
-from scipy.sparse.linalg import splu
 
 try:  # scipy's compiled CSR kernel, which ``csr_matrix @ x`` calls after its dispatch
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 except ImportError:  # pragma: no cover - a scipy that moved its private kernels
     _csr_matvec = None
 
-from . import icar
+from . import gmrf, icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph
 from .icar import IcarField
@@ -250,15 +253,6 @@ def _checked_precisions(precisions: dict | None) -> dict:
             raise ValidationError(f"{name} must be finite and positive, got {value}")
         taus[name] = value
     return taus
-
-
-def _icar_precision(graph: SpatialGraph) -> sparse.csr_matrix:
-    """Sparse ``Q = diag(w_{i+}) - W``, islands on a unit diagonal (their
-    proper prior)."""
-    W = sparse.csr_matrix(
-        (graph.weights, graph.indices, graph.indptr), shape=(graph.n_areas,) * 2
-    )
-    return (sparse.diags(graph.wplus_eff) - W).tocsr()
 
 
 def _check_rung_state(state: SvcModelState, spec: SvcModelSpec) -> None:
@@ -729,7 +723,7 @@ class _RidgeMoves:
                 rows.append((-gamma, -means[labels], -rho, u))
                 n_blocks = 4
         self.directions = [np.array(block) for block in zip(*rows)][:n_blocks]
-        Q = _icar_precision(graph)
+        Q = gmrf.icar_precision(graph)
         maps = [self.directions[0] / beta_prior_variance, self.directions[1]]
         maps += [(Q @ d.T).T for d in self.directions[2:]]
         self.n_moves = len(rows)
@@ -817,7 +811,7 @@ class _Stage2Chain:
         self.ridges = _RidgeMoves(
             self.X, graph, spec.beta_prior_variance, x if spec.has_svc else None
         )
-        self.q = _icar_precision(graph)
+        self.q = gmrf.icar_precision(graph)
         rank = icar.quad_form_and_rank(graph, np.zeros(n))[1]
         self.scale_power = (
             icar.centered_dimension(graph) - rank - 2.0 * spec.precision_prior_shape
@@ -1048,67 +1042,6 @@ def fit_stage2_mcmc(
 # ---------------------------------------------------------------------------
 
 
-def _sum_to_zero_columns(graph: SpatialGraph, n_rows: int, starts) -> sparse.csc_matrix:
-    """Sum-to-zero constraint columns for ICAR blocks of a latent vector.
-
-    One indicator column per multi-area component for each block of
-    ``n_areas`` rows starting at a row in ``starts``. Islands get no
-    column: the island policy gives them a proper independent prior
-    rather than a constraint.
-    """
-    labels = graph.component_labels
-    multi = graph.component_sizes > 1
-    areas = np.flatnonzero(multi[labels])
-    k = int(multi.sum())
-    cols = (np.cumsum(multi) - 1)[labels[areas]]
-    rows = np.add.outer(np.asarray(starts, dtype=np.int64), areas).ravel()
-    cols = np.add.outer(k * np.arange(len(starts)), cols).ravel()
-    return sparse.csc_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_rows, k * len(starts))
-    )
-
-
-def _parity(perm: np.ndarray) -> int:
-    """Sign of a permutation: ``(-1) ** (length - number of cycles)``."""
-    perm = perm.tolist()
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return -1 if (len(perm) - cycles) % 2 else 1
-
-
-def _bordered_lu(M, C) -> tuple:
-    """``splu`` of ``[[M, C], [C', 0]]`` and log det of M on ``null(C')``.
-
-    The columns of C are component indicators with disjoint supports, so
-    ``|det [[M, C], [C', 0]]| = det(T' M T) * prod_c m_c`` for any
-    orthonormal basis T of the null space of C', m_c being the column
-    sizes, and its sign is ``(-1)^k`` times the sign of ``det(T' M T)``,
-    k the number of columns. The positive-definiteness guard asks for
-    ``(-1)^k``; the sign comes from U's diagonal and the parities of the
-    row and column permutations (L has a unit diagonal).
-    """
-    k = C.shape[1]
-    # minimum degree on the symmetric pattern: about half the fill of the
-    # default COLAMD ordering on a bordered M4 curvature matrix
-    lu = splu(
-        sparse.bmat([[M, C], [C.T, None]], format="csc"), permc_spec="MMD_AT_PLUS_A"
-    )
-    diag = lu.U.diagonal()
-    sign = np.prod(np.sign(diag)) * _parity(lu.perm_r) * _parity(lu.perm_c)
-    if sign != (-1) ** k:
-        raise RuntimeError("prior or curvature matrix is not positive definite")
-    sizes = np.asarray(C.sum(axis=0)).ravel()
-    return lu, float(np.sum(np.log(np.abs(diag))) - np.sum(np.log(sizes)))
-
-
 class LaplaceFit(NamedTuple):
     """Mode, fixed-effect sds, convergence record and log marginal of a
     :func:`fit_stage2_laplace` fit."""
@@ -1140,11 +1073,16 @@ def fit_stage2_laplace(
     design ``A = [X | I | I | diag(x)]`` and the prior precision
     ``P = blockdiag(I / sigma_beta^2, tau_phi I, tau_v Q, tau_delta Q)``
     are sparse, so the curvature ``H = A' diag(w) A + P`` is sparse plus
-    the dense rows of the fixed effects. Each Newton step factors the
-    bordered system ``[[H, C], [C', 0]]`` once with ``splu``; that factor
-    gives the constrained step, log det of H on the constraint set and,
-    at the mode, ``beta_sd`` (the fixed-effect rows of the constrained
-    inverse). The prior's ``[[Q, C], [C', 0]]`` is factored once per fit.
+    the dense rows of the fixed effects. phi's block of H is diagonal, so
+    each Newton step eliminates phi area by area and factors the rest of H
+    on the constraint set once (:class:`gmrf.ConstrainedFactor`: a sparse
+    symmetric factor of the (v, delta) block and a dense Schur complement
+    over the fixed effects and the constraints). That factor gives the
+    constrained step, log det of H on the constraint set and, at the
+    mode, ``beta_sd`` (the fixed-effect block of the constrained inverse).
+    A component whose areas are all suppressed leaves the (v, delta) block
+    singular; the factor handles it exactly. The prior's Q is factored on
+    its constraint set once per fit.
     ``log_marginal`` is the resulting approximate log marginal of the
     fixed precisions (up to a constant), the quantity
     :func:`laplace_precision_grid` maximises.
@@ -1154,10 +1092,16 @@ def fit_stage2_laplace(
     component's mean removed from the v and delta blocks.
 
     ``precisions`` missing from the dict are 2.0; unknown names and values
-    that are not finite and positive raise ValidationError. Diverging
-    steps are halved; more than 50 halvings on one step raises with the
-    current gradient norm.
+    that are not finite and positive raise ValidationError, and so do a
+    ``max_newton`` that is not a positive integer and a ``grad_tol`` that
+    is not finite and positive. Diverging steps are halved; more than 50
+    halvings on one step raises with the current gradient norm.
     """
+    if (isinstance(max_newton, bool) or not isinstance(max_newton, numbers.Integral)
+            or max_newton < 1):
+        raise ValidationError(f"max_newton must be a positive integer, got {max_newton!r}")
+    if not (isinstance(grad_tol, numbers.Real) and math.isfinite(grad_tol) and grad_tol > 0):
+        raise ValidationError(f"grad_tol must be finite and positive, got {grad_tol!r}")
     counts = np.asarray(counts, dtype=float)
     lik = _fit_likelihood(likelihood, counts, spec, noise_variance)
     if graph.n_areas != spec.n_areas:
@@ -1167,14 +1111,15 @@ def fit_stage2_laplace(
     n = spec.n_areas
     K = spec.n_fixed
     eye = sparse.identity(n, format="csr")
-    blocks = [sparse.csr_matrix(spec.fixed_design())]
+    X = spec.fixed_design()
+    blocks = [sparse.csr_matrix(X)]
     priors = [sparse.identity(K) / spec.beta_prior_variance]
     icar_taus = []
     logdet_p = K * math.log(1.0 / spec.beta_prior_variance)
     if spec.has_convolution:
-        Q = _icar_precision(graph)
-        Cq = _sum_to_zero_columns(graph, n, [0])
-        _, logdet_q = _bordered_lu(Q.tocsc(), Cq)
+        Q = gmrf.icar_precision(graph)
+        Cq = gmrf.sum_to_zero_columns(graph, n, [0])
+        logdet_q = gmrf.ConstrainedFactor(Q, Cq).logdet
         blocks += [eye, eye]
         priors += [tau_phi * eye, tau_v * Q]
         icar_taus.append(tau_v)
@@ -1188,9 +1133,14 @@ def fit_stage2_laplace(
     A = sparse.hstack(blocks, format="csr")
     P = sparse.block_diag(priors, format="csr")
     d = A.shape[1]
-    starts = K + n * np.arange(1, 1 + len(icar_taus))
-    C = _sum_to_zero_columns(graph, d, starts)
+    # z = (beta, phi, latent), latent = (v, delta), on the rungs that have them
+    n_phi = n if spec.has_convolution else 0
+    lat = K + n_phi
+    A_l = A[:, lat:]
+    P_l = P[lat:, lat:]
+    C = gmrf.sum_to_zero_columns(graph, d - lat, n * np.arange(len(icar_taus)))
     C_sizes = np.asarray(C.sum(axis=0)).ravel()
+    fixed_prior = np.eye(K) / spec.beta_prior_variance
 
     z = np.zeros(d)
     if isinstance(lik, PoissonLikelihood):
@@ -1204,11 +1154,30 @@ def fit_stage2_laplace(
     for it in range(1, max_newton + 1):
         g_lik, w = lik.grad_hess_diag(A @ z)
         grad = A.T @ g_lik - P @ z
-        grad_norm = float(np.max(np.abs(grad - C @ ((C.T @ grad) / C_sizes))))
-        lu, logdet_h = _bordered_lu((A.T @ sparse.diags(w) @ A + P).tocsc(), C)
+        g_l = grad[lat:]
+        grad_norm = float(max(
+            np.max(np.abs(grad[:lat])),
+            np.max(np.abs(g_l - C @ ((C.T @ g_l) / C_sizes)), initial=0.0),
+        ))
+        w_r, folded, d_phi = w, np.zeros(n), np.zeros(0)
+        if n_phi:
+            # phi's block of the curvature is diag(w + tau_phi): eliminating it
+            # leaves the curvature of (beta, latent) with weights
+            # w tau_phi / (w + tau_phi), and folds phi's gradient into theirs
+            d_phi = w + tau_phi
+            w_r = w * tau_phi / d_phi
+            folded = w / d_phi * grad[K:lat]
+        Xw = X * w_r[:, None]
+        factor = gmrf.ConstrainedFactor(
+            A_l.T @ sparse.diags(w_r) @ A_l + P_l, C, A_l.T @ Xw, X.T @ Xw + fixed_prior
+        )
+        logdet_h = factor.logdet + float(np.sum(np.log(d_phi)))
         if grad_norm < grad_tol:
             break
-        step = lu.solve(np.concatenate([grad, np.zeros(C.shape[1])]))[:d]
+        r = factor.solve(np.concatenate([grad[:K] - X.T @ folded, g_l - A_l.T @ folded]))
+        theta_r = X @ r[:K] + A_l @ r[K:]
+        step_phi = (grad[K:lat] - w[:n_phi] * theta_r[:n_phi]) / d_phi
+        step = np.concatenate([r[:K], step_phi, r[K:]])
         t = 1.0
         # acceptance tolerance is relative: near the mode the true
         # improvement sits below the float noise of the objective itself
@@ -1232,7 +1201,7 @@ def fit_stage2_laplace(
             f"gradient max-norm {grad_norm:.3e}"
         )
 
-    beta_sd = np.sqrt(np.diag(lu.solve(np.eye(d + C.shape[1], K))[:K]))
+    beta_sd = np.sqrt(np.diag(factor.fixed_covariance()))
     fields = z[K:].reshape(-1, n)
     state = SvcModelState(
         beta=z[:K].copy(),

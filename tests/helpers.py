@@ -289,3 +289,138 @@ def batch_means_z(chains, expected, n_batches=50):
     ])
     se = batches.std(ddof=1) / math.sqrt(len(batches))
     return (batches.mean() - expected) / se
+
+
+def _parity(perm) -> int:
+    """Sign of a permutation: ``(-1) ** (length - number of cycles)``."""
+    perm = list(perm)
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def _bordered_lu(M, C):
+    """``splu`` of ``[[M, C], [C', 0]]`` and log det of M on ``null(C')``:
+    ``|det| = det(T' M T) * prod_c m_c`` with sign ``(-1)^k`` for k
+    disjoint indicator columns of sizes m_c, when M is positive definite
+    on ``null(C')``."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    k = C.shape[1]
+    lu = splu(sparse.bmat([[M, C], [C.T, None]], format="csc"), permc_spec="MMD_AT_PLUS_A")
+    diag = lu.U.diagonal()
+    sign = np.prod(np.sign(diag)) * _parity(lu.perm_r) * _parity(lu.perm_c)
+    if sign != (-1) ** k:
+        raise RuntimeError("prior or curvature matrix is not positive definite")
+    sizes = np.asarray(C.sum(axis=0)).ravel()
+    return lu, float(np.sum(np.log(np.abs(diag))) - np.sum(np.log(sizes)))
+
+
+def bordered_laplace_reference(spec, counts, graph, taus, max_newton=100, grad_tol=1e-9):
+    """Poisson Laplace fit by the bordered-system algorithm, for reference.
+
+    Newton on ``z = (beta, phi, v, delta)`` with one sparse LU of the whole
+    bordered system ``[[H, C], [C', 0]]`` per step (C: one indicator column
+    per multi-area component and ICAR block), the prior's
+    ``[[Q, C], [C', 0]]`` for log det Q, and ``beta_sd`` from the inverse's
+    fixed-effect rows. Returns a dict with ``beta``, ``phi``, ``v``,
+    ``delta`` (None on rungs without them), ``beta_sd``, ``log_marginal``,
+    ``gradient_norm`` and ``n_newton``.
+    """
+    from scipy import sparse, special, stats
+
+    n, X = graph.n_areas, spec.fixed_design()
+    K = X.shape[1]
+    y = np.asarray(counts, dtype=float)
+    obs = np.isfinite(y) & (spec.offsets > 0)
+    y_obs, e_obs = y[obs], spec.offsets[obs]
+    const = float(np.sum(y_obs * np.log(e_obs) - special.gammaln(y_obs + 1)))
+
+    W = sparse.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n))
+    Q = (sparse.diags(np.where(graph.island_mask, 1.0, graph.weight_sums)) - W).tocsc()
+    multi = [idx for idx in graph.components() if len(idx) > 1]
+
+    def constraints(n_rows, starts):
+        rows, cols = [], []
+        for b, start in enumerate(starts):
+            for c, idx in enumerate(multi):
+                rows += (start + idx).tolist()
+                cols += [b * len(multi) + c] * len(idx)
+        return sparse.csc_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(n_rows, len(multi) * len(starts))
+        )
+
+    eye = sparse.identity(n, format="csr")
+    blocks, priors = [sparse.csr_matrix(X)], [sparse.identity(K) / spec.beta_prior_variance]
+    icar_taus = []
+    logdet_p = K * math.log(1.0 / spec.beta_prior_variance)
+    if spec.has_convolution:
+        logdet_q = _bordered_lu(Q, constraints(n, [0]))[1]
+        blocks += [eye, eye]
+        priors += [taus["tau_phi"] * eye, taus["tau_v"] * Q]
+        icar_taus.append(taus["tau_v"])
+        logdet_p += n * math.log(taus["tau_phi"])
+        if spec.has_svc:
+            blocks.append(sparse.diags(spec.covariate))
+            priors.append(taus["tau_delta"] * Q)
+            icar_taus.append(taus["tau_delta"])
+        for tau in icar_taus:
+            logdet_p += (n - len(multi)) * math.log(tau) + logdet_q
+    A = sparse.hstack(blocks, format="csr")
+    P = sparse.block_diag(priors, format="csr")
+    d = A.shape[1]
+    C = constraints(d, K + n * np.arange(1, 1 + len(icar_taus)))
+    C_sizes = np.asarray(C.sum(axis=0)).ravel()
+
+    def objective(z):
+        t = (A @ z)[obs]
+        return float(y_obs @ t - e_obs @ np.exp(t)) + const - 0.5 * float(z @ (P @ z))
+
+    z = np.zeros(d)
+    z[0] = math.log(max(y_obs.sum(), 0.5) / e_obs.sum())
+    obj = objective(z)
+    for it in range(1, max_newton + 1):
+        rate = np.where(obs, spec.offsets * np.exp(A @ z), 0.0)
+        grad = A.T @ np.where(obs, y - rate, 0.0) - P @ z
+        grad_norm = float(np.max(np.abs(grad - C @ ((C.T @ grad) / C_sizes))))
+        lu, logdet_h = _bordered_lu((A.T @ sparse.diags(rate) @ A + P).tocsc(), C)
+        if grad_norm < grad_tol:
+            break
+        step = lu.solve(np.concatenate([grad, np.zeros(C.shape[1])]))[:d]
+        t = 1.0
+        for _ in range(51):
+            cand_obj = objective(z + t * step)
+            if np.isfinite(cand_obj) and cand_obj >= obj - 1e-9 * (1.0 + abs(obj)):
+                break
+            t *= 0.5
+        else:
+            raise RuntimeError("Newton step failed after 50 halvings")
+        z, obj = z + t * step, cand_obj
+    else:
+        raise RuntimeError("Newton did not converge")
+
+    log_marginal = obj + 0.5 * logdet_p - 0.5 * logdet_h
+    a, b = spec.precision_prior_shape, spec.precision_prior_rate
+    names = (["tau_phi", "tau_v"] if spec.has_convolution else []) + (
+        ["tau_delta"] if spec.has_svc else [])
+    for name in names:
+        log_marginal += float(stats.gamma.logpdf(taus[name], a, scale=1.0 / b))
+    fields = z[K:].reshape(-1, n)
+    return dict(
+        beta=z[:K],
+        phi=fields[0] if spec.has_convolution else None,
+        v=fields[1] if spec.has_convolution else None,
+        delta=fields[2] if spec.has_svc else None,
+        beta_sd=np.sqrt(np.diag(lu.solve(np.eye(d + C.shape[1], K))[:K])),
+        log_marginal=log_marginal,
+        gradient_norm=grad_norm,
+        n_newton=it,
+    )

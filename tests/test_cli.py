@@ -210,6 +210,12 @@ class TestFitStage2AndSummaries:
         (["--tau-phi", "0"], "tau_phi must be finite and positive, got 0.0"),
         (["--tau-phi", "nan"], "tau_phi must be finite and positive, got nan"),
         (["--tau-grid", "1,-2"], "tau_v must be finite and positive, got -2.0"),
+        (["--tau-grid", "1,abc"], "--tau-grid must be a comma list of numbers, got '1,abc'"),
+        (["--tau-grid", "1,,2"], "--tau-grid must be a comma list of numbers, got '1,,2'"),
+        (["--tau-grid", "1,4", "--tau-phi", "7"],
+         "--tau-grid sets every precision; drop --tau-phi"),
+        (["--tau-v", "2", "--tau-grid", "1", "--tau-delta", "3"],
+         "--tau-grid sets every precision; drop --tau-v, --tau-delta"),
     ])
     def test_laplace_bad_precision_is_one_line_error(self, full_pipeline, tmp_path, capsys,
                                                      flags, message):
@@ -224,6 +230,24 @@ class TestFitStage2AndSummaries:
             "--model", "M3", "--out", out, "--laplace", *flags,
         ]) == 2
         assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["M1", "M2"])
+    def test_tau_grid_without_precisions_is_one_line_error(self, full_pipeline, tmp_path, capsys,
+                                                           model):
+        work, simulated = full_pipeline
+        out = tmp_path / "laplace.csv"
+        capsys.readouterr()
+        assert run([
+            "fit-stage2",
+            "--counts", work / "counts.csv",
+            "--covariates", work / "covariates.csv",
+            "--adjacency", simulated / "adjacency.csv",
+            "--model", model, "--out", out, "--laplace", "--tau-grid", "1,4",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: --tau-grid needs a rung with precisions; {model} has none\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, named", [

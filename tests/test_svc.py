@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import (
     batch_means_z,
+    bordered_laplace_reference,
     gaussian_m4_posterior_means,
     gaussian_moments_z,
     random_connected_graph,
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import block_diag, null_space
 
-from arealbayes import fileio, svc
+from arealbayes import fileio, gmrf, svc
 from arealbayes.errors import ValidationError
 from arealbayes.graph import build_graph
 from arealbayes.icar import IcarField, center_by_component, precision_matrix
@@ -523,7 +524,7 @@ class TestMatvec:
     def test_equals_the_sparse_product_bit_for_bit(self):
         g = build_graph(WEIGHTED_SEVEN_EDGES + [(7, 8, 1.0), (8, 9, 2.5)], n_areas=11)
         x = np.random.default_rng(73).standard_normal(2 * g.n_areas)
-        for A in [*g.colour_blocks, svc._icar_precision(g)]:
+        for A in [*g.colour_blocks, gmrf.icar_precision(g)]:
             for vec in (x[: g.n_areas], x[::2]):
                 assert np.array_equal(svc._matvec(A, vec), A @ vec)
 
@@ -1578,6 +1579,145 @@ class TestLaplaceDenseOracle:
             + self.gamma_priors(spec, taus)
         )
         assert abs(fit.log_marginal - log_marginal) < 1e-8
+
+
+def lattice_inputs(rung, side=56):
+    """A smooth M3/M4 truth on a side x side lattice, Poisson counts."""
+    g = make_lattice(side, side)
+    n = g.n_areas
+    row, col = np.divmod(np.arange(n), side)
+    r, c = row / (side - 1), col / (side - 1)
+    x = 0.6 * np.sin(3 * r + 2 * c) - 0.3
+    f = np.cos(4 * r) * np.sin(3 * c)
+    v = 0.4 * np.sin(2 * np.pi * r) * np.cos(np.pi * c)
+    delta = 0.3 * np.cos(np.pi * (r - c))
+    theta = -0.2 + 0.3 * x + 0.2 * f + (v - v.mean()) + x * (delta - delta.mean())
+    offsets = np.full(n, 40.0)
+    counts = np.random.default_rng(90).poisson(offsets * np.exp(theta)).astype(float)
+    spec = SvcModelSpec(rung=rung, covariate=x, offsets=offsets, latent_factors=f[:, None])
+    return spec, counts, g
+
+
+# a 4-cycle, a 3-cycle with every area suppressed, a pair with one observed
+# area and an island: the curvature's (phi, v, delta) block is singular
+SINGULAR_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4), (7, 8, 1.5)]
+SINGULAR_SUPPRESSED = [4, 5, 6, 8]
+
+
+def singular_inputs(rung, seed=7):
+    g = build_graph(SINGULAR_EDGES, n_areas=10)
+    rng = np.random.default_rng(seed)
+    spec = SvcModelSpec(
+        rung=rung,
+        covariate=rng.uniform(-1, 1, 10),
+        offsets=rng.uniform(20.0, 60.0, 10),
+        latent_factors=rng.standard_normal((10, 1)),
+    )
+    counts = rng.poisson(spec.offsets * np.exp(0.3 * spec.covariate)).astype(float)
+    counts[SINGULAR_SUPPRESSED] = np.nan
+    return spec, counts, g
+
+
+class TestLaplaceBorderedReference:
+    """The fit against the bordered-system algorithm it replaced
+    (``helpers.bordered_laplace_reference``)."""
+
+    def check(self, spec, counts, g, taus):
+        fit = fit_stage2_laplace(spec, counts, g, taus)
+        ref = bordered_laplace_reference(spec, counts, g, taus)
+        s = fit.state
+        assert fit.n_newton == ref["n_newton"]
+        lm = ref["log_marginal"]
+        assert abs(fit.log_marginal - lm) < 1e-9 * max(1.0, abs(lm))
+        assert np.max(np.abs(s.beta - ref["beta"])) < 1e-9
+        assert np.max(np.abs(fit.beta_sd - ref["beta_sd"])) < 1e-9 * np.max(ref["beta_sd"])
+        fields = [(s.phi, ref["phi"]), (s.v.values, ref["v"])]
+        if spec.has_svc:
+            fields.append((s.delta.values, ref["delta"]))
+        for mine, theirs in fields:
+            assert np.max(np.abs(mine - theirs)) < 1e-9
+        assert abs(fit.gradient_norm - ref["gradient_norm"]) < 1e-9
+
+    @pytest.mark.parametrize("rung", ["M3", "M4"])
+    def test_56x56_lattice(self, rung):
+        spec, counts, g = lattice_inputs(rung)
+        self.check(spec, counts, g, {"tau_phi": 20.0, "tau_v": 5.0, "tau_delta": 5.0})
+
+    @pytest.mark.parametrize("rung", ["M3", "M4"])
+    def test_fully_suppressed_component(self, rung):
+        spec, counts, g = singular_inputs(rung)
+        self.check(spec, counts, g, {"tau_phi": 3.0, "tau_v": 2.0, "tau_delta": 4.0})
+
+    def test_many_components(self):
+        # 150 paths of 4 areas and 20 islands, some areas suppressed
+        edges = [(4 * c + i, 4 * c + i + 1) for c in range(150) for i in range(3)]
+        g = build_graph(edges, n_areas=620)
+        rng = np.random.default_rng(9)
+        spec = SvcModelSpec(rung="M4", covariate=rng.normal(0.0, 1.0, 620),
+                            offsets=rng.uniform(20.0, 200.0, 620),
+                            latent_factors=rng.standard_normal((620, 1)))
+        counts = rng.poisson(spec.offsets * np.exp(0.3 * spec.covariate)).astype(float)
+        counts[rng.choice(620, 40, replace=False)] = np.nan
+        self.check(spec, counts, g, {"tau_phi": 5.0, "tau_v": 2.0, "tau_delta": 4.0})
+
+
+class TestLaplaceSingularLatentBlock:
+    @pytest.mark.parametrize("rung", ["M3", "M4"])
+    def test_gaussian_log_marginal_is_exact(self, rung):
+        spec, _, g = singular_inputs(rung)
+        n, x = spec.n_areas, spec.covariate
+        y = np.random.default_rng(8).normal(0.0, 1.5, n)
+        y[SINGULAR_SUPPRESSED] = np.nan
+        obs = np.isfinite(y)
+        taus = {"tau_phi": 3.0, "tau_v": 2.0, "tau_delta": 4.0}
+        if rung == "M3":
+            del taus["tau_delta"]
+        # covariance of a per-component sum-to-zero ICAR field, islands N(0, 1)
+        cols = []
+        for idx in g.components():
+            block = np.zeros((n, max(len(idx) - 1, 1)))
+            block[idx] = null_space(np.ones((1, len(idx)))) if len(idx) > 1 else 1.0
+            cols.append(block)
+        U = np.hstack(cols)
+        field = U @ np.linalg.solve(U.T @ precision_matrix(g, island_proper=True) @ U, U.T)
+        X = spec.fixed_design()
+        noise_var = 0.6
+        cov = (noise_var * np.eye(n) + spec.beta_prior_variance * X @ X.T
+               + np.eye(n) / taus["tau_phi"] + field / taus["tau_v"])
+        if rung == "M4":
+            cov += x[:, None] * field * x[None, :] / taus["tau_delta"]
+        a, b = spec.precision_prior_shape, spec.precision_prior_rate
+        priors = sum(float(stats.gamma.logpdf(t, a, scale=1.0 / b)) for t in taus.values())
+        expected = stats.multivariate_normal(
+            mean=np.zeros(obs.sum()), cov=cov[np.ix_(obs, obs)]
+        ).logpdf(y[obs]) + priors
+        fit = fit_stage2_laplace(spec, y, g, taus, likelihood="gaussian", noise_variance=noise_var)
+        assert abs(fit.log_marginal - expected) < 1e-9 * abs(expected)
+        # the suppressed component keeps its prior mode
+        assert np.max(np.abs(fit.state.v.values[4:7])) < 1e-12
+
+
+class TestLaplaceArguments:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_newton": 0}, "max_newton must be a positive integer, got 0"),
+        ({"max_newton": -3}, "max_newton must be a positive integer, got -3"),
+        ({"max_newton": 2.5}, "max_newton must be a positive integer, got 2.5"),
+        ({"max_newton": True}, "max_newton must be a positive integer, got True"),
+        ({"grad_tol": 0.0}, "grad_tol must be finite and positive, got 0.0"),
+        ({"grad_tol": -1e-9}, "grad_tol must be finite and positive, got -1e-09"),
+        ({"grad_tol": float("nan")}, "grad_tol must be finite and positive, got nan"),
+        ({"grad_tol": float("inf")}, "grad_tol must be finite and positive, got inf"),
+    ])
+    def test_rejected_before_any_factorization(self, monkeypatch, kwargs, message):
+        spec, counts, g = singular_inputs("M3")
+
+        def factor(*args, **kw):
+            raise AssertionError("factorized before validating")
+
+        monkeypatch.setattr(svc.gmrf, "ConstrainedFactor", factor)
+        with pytest.raises(ValidationError) as err:
+            fit_stage2_laplace(spec, counts, g, **kwargs)
+        assert str(err.value) == message
 
 
 class TestSpecValidation:
