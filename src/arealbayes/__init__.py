@@ -8,13 +8,7 @@ Laplace mode, DIC/WAIC model comparison and risk summaries.
 """
 
 from .graph import SpatialGraph, build_graph, morans_i, subgraph
-from .icar import (
-    IcarField,
-    icar_conditional,
-    icar_logdensity_unnormalized,
-    project_sum_to_zero,
-    sample_icar_gibbs_sweep,
-)
+from .icar import IcarField, icar_logdensity_unnormalized
 from .mcmc import ChainArchive, McmcConfig, effective_sample_size, gelman_rubin, posterior_summary
 from .prep import (
     IndicatorPanel,
@@ -42,7 +36,6 @@ from .svc import (
     fit_stage2_laplace,
     fit_stage2_mcmc,
     linear_predictor_vector,
-    loglik_poisson,
     relative_risk_summary,
     risk_exceedance,
 )
@@ -52,8 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SpatialGraph", "build_graph", "morans_i", "subgraph",
-    "IcarField", "icar_conditional", "icar_logdensity_unnormalized",
-    "project_sum_to_zero", "sample_icar_gibbs_sweep",
+    "IcarField", "icar_logdensity_unnormalized",
     "ChainArchive", "McmcConfig", "effective_sample_size", "gelman_rubin",
     "posterior_summary",
     "IndicatorPanel", "StrataTable", "compute_ice", "expected_counts",
@@ -62,6 +54,6 @@ __all__ = [
     "factor_quintiles", "fit_stage1", "loglik_stage1", "summarize_loadings",
     "SvcModelSpec", "SvcModelState", "compute_dic", "compute_waic",
     "fit_stage2_laplace", "fit_stage2_mcmc", "linear_predictor_vector",
-    "loglik_poisson", "relative_risk_summary", "risk_exceedance",
+    "relative_risk_summary", "risk_exceedance",
     "make_lattice", "sample_icar", "simulate_stage1", "simulate_stage2",
 ]

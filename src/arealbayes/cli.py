@@ -296,13 +296,10 @@ def _cmd_prep(args) -> int:
     ice_ids = None
     if args.extremes:
         rows = fileio._open_rows(args.extremes)
-        fileio._require_header(
-            args.extremes, rows[0], ("area_id", "privileged", "deprived", "total")
-        )
+        columns = ("area_id", "privileged", "deprived", "total")
+        fileio._require_header(args.extremes, rows[0], columns)
         ice_ids, a, p, t = [], [], [], []
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for lineno, row in fileio._data_rows(args.extremes, rows, columns):
             ice_ids.append(row[0].strip())
             a.append(fileio._parse_float(args.extremes, lineno, "privileged", row[1]))
             p.append(fileio._parse_float(args.extremes, lineno, "deprived", row[2]))
@@ -335,17 +332,12 @@ def _cmd_prep(args) -> int:
             header = [h.strip() for h in rows[0]]
             if header[0] != "area_id" or len(header) < 2:
                 raise SchemaError(f"{path}:1: expected header area_id,<score>")
-            ids = [r[0].strip() for r in rows[1:] if r and r[0].strip()]
-            _check_ids(ids, ice_ids, path, args.extremes)
-            factors.append(
-                np.array(
-                    [
-                        fileio._parse_float(path, k + 2, header[1], r[1], allow_empty=True)
-                        for k, r in enumerate(rows[1:])
-                        if r and r[0].strip()
-                    ]
-                )
-            )
+            scores = list(fileio._data_rows(path, rows, header[:2]))
+            _check_ids([r[0].strip() for _, r in scores], ice_ids, path, args.extremes)
+            factors.append(np.array([
+                fileio._parse_float(path, lineno, header[1], r[1], allow_empty=True)
+                for lineno, r in scores
+            ]))
             factor_names.append(header[1])
         fileio.write_covariates(
             outdir / "covariates.csv",
@@ -496,13 +488,10 @@ def _cmd_diagnose(args) -> int:
         if args.column not in header:
             raise SchemaError(f"{args.input}:1: no column named {args.column!r}")
         col = header.index(args.column)
-        x = np.array(
-            [
-                fileio._parse_float(args.input, k + 2, args.column, r[col], allow_empty=True)
-                for k, r in enumerate(table[1:])
-                if r and r[0].strip()
-            ]
-        )
+        x = np.array([
+            fileio._parse_float(args.input, lineno, args.column, r[col], allow_empty=True)
+            for lineno, r in fileio._data_rows(args.input, table, header[:col + 1])
+        ])
         graph = _load_graph(args.adjacency, len(x))
         res = morans_i(graph, x)
         rows.append((args.column, res.statistic, res.z_score, res.p_value))

@@ -120,6 +120,20 @@ def _require_header(path, header, expected):
         )
 
 
+def _data_rows(path, rows, columns):
+    """``(lineno, row)`` for every row after the header ``rows[0]`` that has
+    a non-blank cell. A row narrower than ``columns``, the names of the
+    columns it needs, raises SchemaError naming its line."""
+    for lineno, row in enumerate(rows[1:], start=2):
+        if all(not c.strip() for c in row):
+            continue
+        if len(row) < len(columns):
+            raise SchemaError(
+                f"{path}:{lineno}: expected {len(columns)} columns {','.join(columns)}"
+            )
+        yield lineno, row
+
+
 def _parse_float(path, lineno, column, cell, allow_empty=False):
     cell = cell.strip()
     if cell == "":
@@ -171,13 +185,10 @@ def read_adjacency(path) -> list[tuple[int, int, float]]:
 
 def _read_adjacency_rows(path) -> list[tuple[int, int, float]]:
     rows = _open_rows(path)
-    _require_header(path, rows[0], ("src", "dst", "weight"))
+    columns = ("src", "dst", "weight")
+    _require_header(path, rows[0], columns)
     edges = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < 3:
-            raise SchemaError(f"{path}:{lineno}: expected 3 columns src,dst,weight")
+    for lineno, row in _data_rows(path, rows, columns):
         src = _parse_float(path, lineno, "src", row[0])
         dst = _parse_float(path, lineno, "dst", row[1])
         w = _parse_float(path, lineno, "weight", row[2])
@@ -198,9 +209,7 @@ def read_areas(path) -> tuple[list[str], list[str], list[str]]:
     rows = _open_rows(path)
     _require_header(path, rows[0], ("area_id", "name", "group"))
     ids, names, groups = [], [], []
-    for row in rows[1:]:
-        if not row or all(not c.strip() for c in row):
-            continue
+    for _, row in _data_rows(path, rows, ("area_id",)):
         ids.append(row[0].strip())
         names.append(row[1].strip() if len(row) > 1 else "")
         groups.append(row[2].strip() if len(row) > 2 else "")
@@ -225,9 +234,7 @@ def read_indicators(path) -> IndicatorPanel:
     if not columns:
         raise SchemaError(f"{path}:1: no indicator columns")
     ids, data = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in _data_rows(path, rows, header):
         if len(row) != len(header):
             raise SchemaError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
@@ -257,11 +264,7 @@ def read_counts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     rows = _open_rows(path)
     _require_header(path, rows[0], ("area_id", "observed", "expected"))
     ids, observed, expected = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < 3:
-            raise SchemaError(f"{path}:{lineno}: expected area_id,observed,expected")
+    for lineno, row in _data_rows(path, rows, ("area_id", "observed", "expected")):
         ids.append(row[0].strip())
         observed.append(_parse_float(path, lineno, "observed", row[1], allow_empty=True))
         expected.append(_parse_float(path, lineno, "expected", row[2]))
@@ -283,9 +286,7 @@ def read_covariates(path) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]
         raise SchemaError(f"{path}:1: header must start with area_id,ice")
     factor_names = header[2:]
     ids, ice, factors = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in _data_rows(path, rows, header):
         if len(row) != len(header):
             raise SchemaError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
@@ -323,14 +324,13 @@ def read_strata(path) -> StrataTable:
     rows = _open_rows(path)
     header = [h.strip() for h in rows[0]]
     has_deaths = header[:4] == ["area_id", "stratum", "population", "deaths"]
+    columns = ("area_id", "stratum", "population")
     if not has_deaths:
-        _require_header(path, rows[0], ("area_id", "stratum", "population"))
+        _require_header(path, rows[0], columns)
     ids: list[str] = []
     strata: list[str] = []
     cells: dict[tuple[str, str], tuple[float, float]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in _data_rows(path, rows, columns):
         area, stratum = row[0].strip(), row[1].strip()
         pop = _parse_float(path, lineno, "population", row[2])
         dth = (
@@ -371,11 +371,10 @@ def write_strata(path, strata: StrataTable) -> None:
 
 def read_rates(path) -> tuple[list[str], np.ndarray]:
     rows = _open_rows(path)
-    _require_header(path, rows[0], ("stratum", "rate"))
+    columns = ("stratum", "rate")
+    _require_header(path, rows[0], columns)
     strata, rates = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in _data_rows(path, rows, columns):
         strata.append(row[0].strip())
         rates.append(_parse_float(path, lineno, "rate", row[1]))
     return strata, np.array(rates)

@@ -6,14 +6,15 @@ has unnormalised log density
     -N log(sigma) - (1 / (2 sigma^2)) * sum_{j<i} w_ij (x_i - x_j)^2
 
 equivalently ``-x' Q x / (2 sigma^2)`` with ``Q = diag(w_{i+}) - W``. The
-density is improper (constant per connected component), so every sampler
-here re-imposes a per-component sum-to-zero constraint by centering.
+density is improper (constant per connected component), so the samplers
+re-impose a per-component sum-to-zero constraint by centering
+(:func:`center_by_component`).
 
 Single-site full conditionals are ``N(sum_j w_ij x_j / w_{i+},
 sigma^2 / w_{i+})``. Degree-0 areas (islands) have no ICAR conditional;
 the package-wide island policy gives them an independent ``N(0, sigma^2)``
 prior instead, which keeps the joint density proper and is what
-:func:`sample_icar_gibbs_sweep` and :func:`quad_form_and_rank` implement.
+:func:`gibbs_sweep_values` and :func:`quad_form_and_rank` implement.
 
 The Gibbs sweep is chromatic: areas that share no edge are conditionally
 independent given the rest of the field, so the sweep draws one colour
@@ -25,7 +26,7 @@ neighbour sums taken from the class's CSR row block of W.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +35,9 @@ from .graph import SpatialGraph
 
 __all__ = [
     "IcarField",
-    "icar_conditional",
     "icar_logdensity_unnormalized",
-    "project_sum_to_zero",
-    "sample_icar_gibbs_sweep",
+    "center_by_component",
+    "gibbs_sweep_values",
     "precision_matrix",
     "quad_form_and_rank",
 ]
@@ -72,24 +72,6 @@ class IcarField:
         )
 
 
-def icar_conditional(field: IcarField, i: int) -> tuple[float, float]:
-    """Conditional mean and variance of site ``i`` given its neighbours.
-
-    Raises for islands; callers must apply their island policy instead.
-    """
-    graph = field.graph
-    row = slice(graph.indptr[i], graph.indptr[i + 1])
-    if row.start == row.stop:
-        raise ValidationError(
-            f"area {i} is an island: the ICAR conditional is undefined"
-        )
-    wplus = graph.weight_sums[i]
-    s = 0.0
-    for j, w in zip(graph.indices[row].tolist(), graph.weights[row].tolist()):
-        s += w * field.values[j]
-    return s / wplus, field.variance / wplus
-
-
 def icar_logdensity_unnormalized(field: IcarField) -> float:
     """Unnormalised ICAR log density via the pairwise-difference sum.
 
@@ -100,12 +82,6 @@ def icar_logdensity_unnormalized(field: IcarField) -> float:
     quad = _edge_quad(field.graph, field.values)
     n = field.graph.n_areas
     return -n * math.log(math.sqrt(field.variance)) - quad / (2.0 * field.variance)
-
-
-def project_sum_to_zero(field: IcarField) -> IcarField:
-    """Center the field within every connected component. Idempotent."""
-    centered, _ = center_by_component(field.values, field.graph)
-    return replace(field, values=centered)
 
 
 def center_by_component(
@@ -165,48 +141,6 @@ def gibbs_sweep_values(
     offset = lik_weighted_mean / post_prec + normals / np.sqrt(post_prec)
     for idx, block in zip(graph.colour_classes, graph.colour_blocks):
         values[idx] = scale[idx] * (block @ values) + offset[idx]
-
-
-def sample_icar_gibbs_sweep(
-    field: IcarField,
-    lik_precision: np.ndarray,
-    lik_weighted_mean: np.ndarray,
-    rng: np.random.Generator,
-) -> IcarField:
-    """Sweep every site a colour class at a time, then re-center.
-
-    ``lik_precision[i]`` and ``lik_weighted_mean[i]`` are the Gaussian
-    likelihood contribution of area ``i`` in natural parameters (precision
-    and precision-weighted mean); zeros mean "no data at this site" and
-    yield a draw from the prior conditional. The fixed class order and the
-    one-draw-per-site stream make sweeps bitwise reproducible for a given
-    generator state.
-
-    The sweep is a Gibbs step for the unconstrained Gaussian
-    ``N(P^-1 b, P^-1)``, with ``P = Q / variance + diag(lik_precision)``
-    and ``b = lik_weighted_mean``; each component's mean is subtracted
-    afterwards. That equals a draw from the sum-to-zero-constrained
-    Gaussian only where the target is flat along each component's
-    constant: zero likelihood precision, with ``b`` summing to zero
-    within each component (the constrained case of
-    ``tests/test_icar.py::TestSweepGaussianOracle``). With positive
-    likelihood precision the centred draw is not the constrained
-    conditional.
-    """
-    lik_precision = np.asarray(lik_precision, dtype=float)
-    lik_weighted_mean = np.asarray(lik_weighted_mean, dtype=float)
-    n = field.graph.n_areas
-    if lik_precision.shape != (n,) or lik_weighted_mean.shape != (n,):
-        raise DimensionMismatchError("likelihood contributions must have length n_areas")
-    if (lik_precision < 0).any():
-        raise ValidationError("likelihood precisions must be nonnegative")
-    values = field.values.copy()
-    gibbs_sweep_values(
-        values, field.graph, field.variance,
-        lik_precision, lik_weighted_mean, rng.standard_normal(n),
-    )
-    centered, _ = center_by_component(values, field.graph)
-    return replace(field, values=centered)
 
 
 def precision_matrix(graph: SpatialGraph, island_proper: bool = False) -> np.ndarray:

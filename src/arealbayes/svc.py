@@ -13,36 +13,37 @@ phi, v and delta get Gamma(shape 1, rate 0.5) priors by default, with the
 diffuse Gamma(1, 0.0005) available for sensitivity runs.
 
 The reference estimator is an adaptive Metropolis-within-Gibbs sampler:
-single-site random-walk updates for v (against its ICAR prior
-conditional), single-site Newton proposals for delta, and conjugate Gamma
+single-site updates of the ICAR fields v and delta, conjugate Gamma
 draws for the precisions with the rank of each ICAR block corrected per
-connected component, plus exact translations and Metropolis scale moves
+connected component, and exact translations and Metropolis scale moves
 along directions on which every linear predictor stays fixed (below).
-The single-site updates run one colour class at a
-time: the graph's greedy colouring in ascending area order
+
+v and delta take the same site sweep (:func:`_site_sweep`), one colour
+class at a time: the graph's greedy colouring in ascending area order
 (``SpatialGraph.colour_classes``) splits the areas into classes that share
 no edge, so the areas of a class are conditionally independent and move
 together in one set of array operations on the class's CSR row block of
-W. Each area still has its own acceptance test and divergence check. A v
-area proposes a random-walk step of its own size, adapted toward
-``mcmc.ADAPT_TARGET`` acceptance in burn-in only. A delta area proposes
-``N(delta + g / h, 1 / h)`` from the gradient g and curvature h of its
-log conditional (one Newton step, Gamerman 1997), accepted with the
-Metropolis-Hastings ratio; under a Gaussian likelihood that is the exact
-conditional.
+W. Every area of a class proposes a new value against its prior
+conditional and its own likelihood term and takes its own
+Metropolis-Hastings test; a proposal that moves ``|log mu|`` past
+``PREDICTOR_BOUND`` is divergent and rejected. Only the proposal differs
+between the fields. A v area proposes a random-walk step of its own size,
+adapted after each burn-in sweep toward ``mcmc.ADAPT_TARGET`` acceptance.
+A delta area proposes ``N(delta + g / h, 1 / h)`` from the gradient g and
+curvature h of its log conditional (one Newton step, Gamerman 1997);
+under a Gaussian likelihood that is the exact conditional.
 
 phi takes no step of its own. Only the sum phi + v (+ x delta) is pinned
-by the counts, so right after each class's accept step of the v sweep
-every area of the class makes an exact Gibbs exchange along
-``(phi_i + c, v_i - c)``, and after each class of the delta sweep along
-``(phi_i + c x_i, delta_i - c)``. Both lines keep the area's linear
-predictor unchanged, so only the priors change along them and c has a
-Gaussian conditional (Eberly & Carlin 2000 on the confounding). A v or
-delta sweep draws, per area, one normal for the proposal, one uniform for
-its test and one normal for the exchange. After every v or delta sweep
-the field is recentered and the subtracted mean absorbed into b0 (for v)
-or b1 (for delta), which leaves every area's linear predictor unchanged
-on a connected graph.
+by the counts, so right after each class's accept step every area of the
+class makes an exact Gibbs exchange along ``(phi_i + c, v_i - c)`` in the
+v sweep and ``(phi_i + c x_i, delta_i - c)`` in the delta sweep. Both
+lines keep the area's linear predictor unchanged, so only the priors
+change along them and c has a Gaussian conditional (Eberly & Carlin 2000
+on the confounding). A sweep draws, per area, one normal for the
+proposal, one uniform for its test and one normal for the exchange.
+After every v or delta sweep the field is recentered and the subtracted
+mean absorbed into b0 (for v) or b1 (for delta), which leaves every
+area's linear predictor unchanged on a connected graph.
 
 M1 and M2 move the fixed effects by per-coordinate adaptive random walks.
 M3 and M4 move them only by exact Gibbs translations along lines on
@@ -95,7 +96,6 @@ constraint set.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -120,7 +120,6 @@ __all__ = [
     "PoissonLikelihood",
     "GaussianLikelihood",
     "linear_predictor_vector",
-    "loglik_poisson",
     "center_and_absorb",
     "fit_stage2_mcmc",
     "fit_stage2_laplace",
@@ -146,6 +145,9 @@ PRECISION_NAMES = ("tau_phi", "tau_v", "tau_delta")
 SCALE_MOVES = ("v", "delta", "ridge")
 SCALE_STEP = 0.1
 MAX_LOG_SCALE = 300.0
+# the Laplace fit's Newton step limit and its projected-gradient tolerance
+MAX_NEWTON = 100
+GRAD_TOL = 1e-9
 
 
 @dataclass
@@ -377,8 +379,6 @@ def _make_likelihood(likelihood, counts, spec, noise_variance):
         if noise_variance is None:
             raise ValidationError("gaussian likelihood needs noise_variance")
         return GaussianLikelihood(counts, noise_variance)
-    if hasattr(likelihood, "loglik"):
-        return likelihood
     raise ValidationError(f"unknown likelihood {likelihood!r}")
 
 
@@ -390,12 +390,6 @@ def _fit_likelihood(likelihood, counts, spec, noise_variance):
             "no area carries likelihood: every count is missing or has expected count 0"
         )
     return lik
-
-
-def loglik_poisson(state: SvcModelState, spec: SvcModelSpec, counts: np.ndarray) -> float:
-    """Poisson log likelihood over observed areas at the state's predictor."""
-    lik = PoissonLikelihood(counts, spec.offsets)
-    return lik.loglik(linear_predictor_vector(state, spec))
 
 
 def _matvec(A, x: np.ndarray) -> np.ndarray:
@@ -457,84 +451,6 @@ def _exchange(phi, values, idx, new, s, wplus, coef, coef_sq, tau_phi, tau, z) -
     values[idx] = new - c
 
 
-def _field_sweep(
-    blocks: list[tuple],
-    values: np.ndarray,
-    phi: np.ndarray,
-    theta: np.ndarray,
-    exp_theta: np.ndarray | None,
-    tau: float,
-    tau_phi: float,
-    steps: np.ndarray,
-    normals: np.ndarray,
-    exchange_z: np.ndarray,
-    log_us: np.ndarray,
-    adapt_gamma: float,
-) -> tuple[int, int]:
-    """One random-walk Metropolis sweep over v, a colour class at a time.
-
-    ``blocks`` holds per class the area indices, the CSR row block of W,
-    ``2 / w_{i+}``, ``w_{i+}`` and the likelihood's per-area constants
-    ``lik_a`` and ``lik_b``, zero where an area carries none. Each area of
-    a class is proposed ``values[i] + steps[i] * normals[i]`` and accepted
-    against its own prior conditional (mean ``sum_j w_ij values_j /
-    w_{i+}`` and precision ``tau * w_{i+}``; 0 and ``tau`` for islands)
-    and its own likelihood term: Poisson when ``exp_theta`` is given
-    (``lik_a``, ``lik_b`` = y, E), else Gaussian (``lik_a``, ``lik_b`` = y,
-    1 / (2 s^2)). A proposal that moves ``|theta_i|`` past
-    ``PREDICTOR_BOUND`` is divergent and rejected. After its accept step
-    the class makes the :func:`_exchange` with phi (coefficient 1) from
-    the same neighbour sums. With ``adapt_gamma`` > 0 each area's step
-    moves toward ``ADAPT_TARGET`` acceptance. Mutates values, phi, theta,
-    exp_theta and steps and returns (accepted, divergent).
-    """
-    accepted = divergent = 0
-    for idx, block, two_over_wplus, wplus, lik_a, lik_b in blocks:
-        cur = values[idx]
-        step = steps[idx]
-        move = step * normals[idx]
-        prop = cur + move
-        t_old = theta[idx]
-        t_new = t_old + move
-        div = np.abs(t_new) > PREDICTOR_BOUND
-        n_div = int(np.count_nonzero(div))
-        if n_div:
-            t_new = np.where(div, t_old, t_new)
-            divergent += n_div
-        # (cur - m)^2 - (prop - m)^2 = -move * (cur + prop - 2 m)
-        s = _matvec(block, values)
-        mid = cur + prop - two_over_wplus * s
-        logr = (-0.5 * tau * wplus) * move * mid
-        if exp_theta is None:
-            r_old = lik_a - t_old
-            r_new = lik_a - t_new
-            logr += (r_old * r_old - r_new * r_new) * lik_b
-        else:
-            e_old = exp_theta[idx]
-            e_new = np.exp(t_new)
-            logr += lik_a * (t_new - t_old) - lik_b * (e_new - e_old)
-        # log u < 0, so this also accepts every logr >= 0
-        accept = log_us[idx] < logr
-        if n_div:
-            accept &= ~div
-        theta[idx] = np.where(accept, t_new, t_old)
-        if exp_theta is not None:
-            exp_theta[idx] = np.where(accept, e_new, e_old)
-        _exchange(
-            phi, values, idx, np.where(accept, prop, cur), s, wplus, 1.0, 1.0,
-            tau_phi, tau, exchange_z[idx],
-        )
-        accepted += int(np.count_nonzero(accept))
-        if adapt_gamma:
-            acc_prob = np.where(
-                accept, 1.0, np.where(logr > -700.0, np.exp(np.minimum(logr, 0.0)), 0.0)
-            )
-            if n_div:
-                acc_prob[div] = 0.0
-            steps[idx] = step * np.exp(adapt_gamma * (acc_prob - ADAPT_TARGET))
-    return accepted, divergent
-
-
 def _lik_slope_curvature(theta, exp_theta, lik_a, lik_b):
     """First derivative and minus the second derivative of each area's
     likelihood term in theta: Poisson ``y theta - E e^theta`` when
@@ -545,6 +461,29 @@ def _lik_slope_curvature(theta, exp_theta, lik_a, lik_b):
         return curv * (lik_a - theta), curv
     curv = lik_b * exp_theta
     return lik_a - curv, curv
+
+
+def _walk_proposal(cur, z, theta, exp_theta, prior_mean, prior_prec, coef, coef_sq, lik_a, lik_b):
+    """Random-walk proposals ``cur + z`` for the sites of a colour class,
+    with their log Metropolis ratios.
+
+    ``z`` holds each site's step already scaled; the other arguments and
+    the returns are those of :func:`_newton_proposal`. The walk is
+    symmetric, so the log ratio is the change of the site's log
+    conditional.
+    """
+    prop = cur + z
+    t_new = theta + coef * z
+    div = np.abs(t_new) > PREDICTOR_BOUND
+    if div.any():
+        t_new = np.where(div, theta, t_new)
+    # (cur - m)^2 - (prop - m)^2 = -z (cur + prop - 2 m)
+    logr = (-0.5 * prior_prec) * z * (cur + prop - 2.0 * prior_mean)
+    if exp_theta is None:
+        r, r_new = lik_a - theta, lik_a - t_new
+        return prop, t_new, None, div, logr + lik_b * (r * r - r_new * r_new)
+    e_new = np.exp(t_new)
+    return prop, t_new, e_new, div, logr + (lik_a * (t_new - theta) - lik_b * (e_new - exp_theta))
 
 
 def _newton_proposal(cur, z, theta, exp_theta, prior_mean, prior_prec, coef, coef_sq, lik_a, lik_b):
@@ -588,46 +527,35 @@ def _newton_proposal(cur, z, theta, exp_theta, prior_mean, prior_prec, coef, coe
     return cur + step, t_new, e_new, div, logr
 
 
-def _newton_sweep(
-    blocks: list[tuple],
-    values: np.ndarray,
-    phi: np.ndarray,
-    theta: np.ndarray,
-    exp_theta: np.ndarray | None,
-    tau: float,
-    tau_phi: float,
-    normals: np.ndarray,
-    exchange_z: np.ndarray,
-    log_us: np.ndarray,
-) -> tuple[int, int]:
-    """One Newton-proposal Metropolis-Hastings sweep over delta, a colour class at a time.
+def _site_sweep(
+    blocks, propose, values, phi, theta, exp_theta, tau, tau_phi, z, exchange_z, log_us
+):
+    """One Metropolis-Hastings sweep over an ICAR field, a colour class at a time.
 
     ``blocks`` holds per class the area indices, the CSR row block of W,
-    ``1 / w_{i+}``, ``w_{i+}``, the field's coefficient in the predictor,
-    its square and the likelihood constants of :func:`_lik_slope_curvature`.
-    Each area of a class gets a :func:`_newton_proposal` against its
-    prior conditional (mean ``sum_j w_ij values_j / w_{i+}``, precision
-    ``tau * w_{i+}``) and its own acceptance test. After its accept step
-    the class makes the :func:`_exchange` with phi from the same
-    neighbour sums. Mutates values, phi, theta and exp_theta and returns
-    (accepted, divergent).
+    ``1 / w_{i+}``, ``w_{i+}``, the field's coefficient in the predictor
+    (1 for v, the covariate for delta), its square and the likelihood
+    constants of :func:`_lik_slope_curvature`. Every area of a class gets a
+    ``propose`` (:func:`_walk_proposal` or :func:`_newton_proposal`) from
+    its entry of ``z`` against its prior conditional (mean ``sum_j w_ij
+    values_j / w_{i+}``, precision ``tau * w_{i+}``; 0 and ``tau`` for
+    islands) and its own acceptance test, which rejects a divergent
+    proposal. After its accept step the class makes the :func:`_exchange`
+    with phi from the same neighbour sums. Mutates values, phi, theta and
+    exp_theta and returns per area the accept and divergent masks and the
+    log ratio.
     """
-    accepted = divergent = 0
+    n = len(values)
+    accepted, divergent, log_ratios = np.zeros(n, bool), np.zeros(n, bool), np.zeros(n)
     for idx, block, inv_wplus, wplus, coef, coef_sq, lik_a, lik_b in blocks:
-        cur = values[idx]
-        t_old = theta[idx]
+        cur, t_old = values[idx], theta[idx]
         e_old = None if exp_theta is None else exp_theta[idx]
         s = _matvec(block, values)
-        prop, t_new, e_new, div, logr = _newton_proposal(
-            cur, normals[idx], t_old, e_old, s * inv_wplus,
-            tau * wplus, coef, coef_sq, lik_a, lik_b,
+        prop, t_new, e_new, div, logr = propose(
+            cur, z[idx], t_old, e_old, s * inv_wplus, tau * wplus, coef, coef_sq, lik_a, lik_b,
         )
         # log u < 0, so this also accepts every logr >= 0
-        accept = log_us[idx] < logr
-        n_div = int(np.count_nonzero(div))
-        if n_div:
-            accept &= ~div
-            divergent += n_div
+        accept = (log_us[idx] < logr) & ~div
         theta[idx] = np.where(accept, t_new, t_old)
         if exp_theta is not None:
             exp_theta[idx] = np.where(accept, e_new, e_old)
@@ -635,8 +563,8 @@ def _newton_sweep(
             phi, values, idx, np.where(accept, prop, cur), s, wplus, coef, coef_sq,
             tau_phi, tau, exchange_z[idx],
         )
-        accepted += int(np.count_nonzero(accept))
-    return accepted, divergent
+        accepted[idx], divergent[idx], log_ratios[idx] = accept, div, logr
+    return accepted, divergent, log_ratios
 
 
 def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[int, int]:
@@ -644,9 +572,9 @@ def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[i
 
     Coordinate k proposes ``beta[k] + steps[k] * z`` under the likelihood
     and a ``N(0, prior_variance)`` prior; a proposal that moves some
-    ``|theta_i|`` past ``PREDICTOR_BOUND`` is divergent and rejected. Like
-    :func:`_field_sweep`, adapts the steps while ``gain`` > 0, mutates its
-    arrays and returns (accepted, divergent).
+    ``|theta_i|`` past ``PREDICTOR_BOUND`` is divergent and rejected. Adapts
+    the steps toward ``ADAPT_TARGET`` acceptance while ``gain`` > 0, mutates
+    its arrays and returns (accepted, divergent).
     """
     accepted = divergent = 0
     for k in range(len(beta)):
@@ -796,20 +724,19 @@ class _Stage2Chain:
             lik_b = np.where(lik.mask, 1.0 / (2.0 * lik.noise_variance), 0.0)
         else:
             lik_b = np.where(lik.mask, lik.offsets, 0.0)
-        wplus, x = graph.wplus_eff, spec.covariate
-        classes = list(zip(graph.colour_classes, graph.colour_blocks))
-        self.v_blocks = [
-            (idx, block, 2.0 / wplus[idx], wplus[idx], lik_a[idx], lik_b[idx])
-            for idx, block in classes
-        ]
+        wplus = graph.wplus_eff
+        # per field and colour class, the layout :func:`_site_sweep` reads
+        self.site_blocks = {
+            name: [
+                (idx, block, 1.0 / wplus[idx], wplus[idx], coef[idx], coef[idx] ** 2,
+                 lik_a[idx], lik_b[idx])
+                for idx, block in zip(graph.colour_classes, graph.colour_blocks)
+            ]
+            for name, coef in (("v", np.ones(n)), ("delta", spec.covariate))
+        }
         self.v_steps = np.full(n, 0.3)
-        self.delta_blocks = [
-            (idx, block, 1.0 / wplus[idx], wplus[idx], x[idx], x[idx] ** 2,
-             lik_a[idx], lik_b[idx])
-            for idx, block in classes
-        ]
         self.ridges = _RidgeMoves(
-            self.X, graph, spec.beta_prior_variance, x if spec.has_svc else None
+            self.X, graph, spec.beta_prior_variance, spec.covariate if spec.has_svc else None
         )
         self.q = gmrf.icar_precision(graph)
         rank = icar.quad_form_and_rank(graph, np.zeros(n))[1]
@@ -822,22 +749,26 @@ class _Stage2Chain:
         self.divergent += divergent
 
     def _sweep(self, name, theta, exp_theta, gain):
-        """The v or delta sweep, with its exchanges with phi."""
+        """The v or delta sweep, with its exchanges with phi; in burn-in
+        each v area's step then moves toward ``ADAPT_TARGET`` acceptance
+        (each area is proposed once a sweep)."""
         fields, n = self.fields, self.spec.n_areas
         normals, log_us = self.rng.standard_normal(n), np.log(self.rng.random(n))
         exchange_z = self.rng.standard_normal(n)
-        taus = self.taus[f"tau_{name}"], self.taus["tau_phi"]
-        if name == "delta":
-            moved = _newton_sweep(
-                self.delta_blocks, fields[name], fields["phi"], theta, exp_theta, *taus,
-                normals, exchange_z, log_us,
+        walk = name == "v"
+        accept, div, logr = _site_sweep(
+            self.site_blocks[name], _walk_proposal if walk else _newton_proposal,
+            fields[name], fields["phi"], theta, exp_theta, self.taus[f"tau_{name}"],
+            self.taus["tau_phi"], self.v_steps * normals if walk else normals,
+            exchange_z, log_us,
+        )
+        self._tally(name, int(np.count_nonzero(accept)), int(np.count_nonzero(div)))
+        if walk and gain:
+            acc_prob = np.where(
+                accept, 1.0, np.where(logr > -700.0, np.exp(np.minimum(logr, 0.0)), 0.0)
             )
-        else:
-            moved = _field_sweep(
-                self.v_blocks, fields[name], fields["phi"], theta, exp_theta, *taus,
-                self.v_steps, normals, exchange_z, log_us, gain,
-            )
-        self._tally(name, *moved)
+            acc_prob[div] = 0.0
+            self.v_steps *= np.exp(gain * (acc_prob - ADAPT_TARGET))
 
     def step(self, it, gain):
         spec, rng, beta, fields = self.spec, self.rng, self.beta, self.fields
@@ -1005,8 +936,7 @@ def fit_stage2_mcmc(
     ``initial_precisions`` (2.0 where not given; unknown names and values
     that are not finite and positive raise ValidationError), which is how
     the Laplace cross-check matches hyperparameters. ``n_workers`` is as in
-    :func:`arealbayes.mcmc.run_chains`; a pool needs a picklable
-    ``likelihood``.
+    :func:`arealbayes.mcmc.run_chains`.
     """
     if config is None:
         config = McmcConfig()
@@ -1060,8 +990,6 @@ def fit_stage2_laplace(
     precisions: dict | None = None,
     likelihood: str = "poisson",
     noise_variance: float | None = None,
-    max_newton: int = 100,
-    grad_tol: float = 1e-9,
 ) -> LaplaceFit:
     """Gaussian approximation of the latent field at fixed precisions.
 
@@ -1092,16 +1020,11 @@ def fit_stage2_laplace(
     component's mean removed from the v and delta blocks.
 
     ``precisions`` missing from the dict are 2.0; unknown names and values
-    that are not finite and positive raise ValidationError, and so do a
-    ``max_newton`` that is not a positive integer and a ``grad_tol`` that
-    is not finite and positive. Diverging steps are halved; more than 50
-    halvings on one step raises with the current gradient norm.
+    that are not finite and positive raise ValidationError. Newton stops
+    once ``gradient_norm`` is below ``GRAD_TOL`` and raises after
+    ``MAX_NEWTON`` steps. Diverging steps are halved; more than 50 halvings
+    on one step raises with the current gradient norm.
     """
-    if (isinstance(max_newton, bool) or not isinstance(max_newton, numbers.Integral)
-            or max_newton < 1):
-        raise ValidationError(f"max_newton must be a positive integer, got {max_newton!r}")
-    if not (isinstance(grad_tol, numbers.Real) and math.isfinite(grad_tol) and grad_tol > 0):
-        raise ValidationError(f"grad_tol must be finite and positive, got {grad_tol!r}")
     counts = np.asarray(counts, dtype=float)
     lik = _fit_likelihood(likelihood, counts, spec, noise_variance)
     if graph.n_areas != spec.n_areas:
@@ -1151,7 +1074,7 @@ def fit_stage2_laplace(
 
     obj = objective(z)
     grad_norm = math.inf
-    for it in range(1, max_newton + 1):
+    for it in range(1, MAX_NEWTON + 1):
         g_lik, w = lik.grad_hess_diag(A @ z)
         grad = A.T @ g_lik - P @ z
         g_l = grad[lat:]
@@ -1172,7 +1095,7 @@ def fit_stage2_laplace(
             A_l.T @ sparse.diags(w_r) @ A_l + P_l, C, A_l.T @ Xw, X.T @ Xw + fixed_prior
         )
         logdet_h = factor.logdet + float(np.sum(np.log(d_phi)))
-        if grad_norm < grad_tol:
+        if grad_norm < GRAD_TOL:
             break
         r = factor.solve(np.concatenate([grad[:K] - X.T @ folded, g_l - A_l.T @ folded]))
         theta_r = X @ r[:K] + A_l @ r[K:]
@@ -1197,7 +1120,7 @@ def fit_stage2_laplace(
         obj = cand_obj
     else:
         raise RuntimeError(
-            f"Newton did not converge in {max_newton} iterations; "
+            f"Newton did not converge in {MAX_NEWTON} iterations; "
             f"gradient max-norm {grad_norm:.3e}"
         )
 

@@ -76,6 +76,46 @@ class TestPrep:
         assert "'x'" in err
 
 
+class TestShortRows:
+    """One row narrower than the schema, per hand-read input; the other
+    files each command needs are well formed."""
+
+    GOOD = {
+        "strata.csv": "area_id,stratum,population,deaths\na,young,100,3\nb,young,80,1\n",
+        "extremes.csv": "area_id,privileged,deprived,total\na,10,5,20\nb,4,9,20\n",
+        "adj.csv": "src,dst,weight\n0,1,1.0\n",
+    }
+
+    @pytest.mark.parametrize("flags, name, text, columns", [
+        (["prep", "--strata"], "strata.csv",
+         "area_id,stratum,population,deaths\na,young,100,3\nb,young\n",
+         "3 columns area_id,stratum,population"),
+        (["prep", "--strata", "strata.csv", "--rates"], "rates.csv",
+         "stratum,rate\nyoung\n", "2 columns stratum,rate"),
+        (["prep", "--extremes"], "bad_extremes.csv",
+         "area_id,privileged,deprived,total\na,10,5,20\nb,4,9\n",
+         "4 columns area_id,privileged,deprived,total"),
+        (["prep", "--extremes", "extremes.csv", "--factor-scores"], "scores.csv",
+         "area_id,score\na,0.5\nb\n", "2 columns area_id,score"),
+        (["diagnose", "--morans-i", "--column", "x", "--adjacency", "adj.csv", "--input"],
+         "bad_x.csv", "area_id,x\na,1.0\nb\n", "2 columns area_id,x"),
+    ], ids=["strata", "rates", "extremes", "factor-scores", "morans-i"])
+    def test_short_row_is_one_line_schema_error(self, tmp_path, capsys, flags, name, text,
+                                                columns):
+        for good, content in self.GOOD.items():
+            (tmp_path / good).write_text(content)
+        (tmp_path / name).write_text(text)
+        argv = [tmp_path / f if f.endswith(".csv") else f for f in flags] + [tmp_path / name]
+        if argv[0] == "prep":
+            argv[1:1] = ["--outdir", tmp_path / "out"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        lineno = text.count("\n")
+        assert capsys.readouterr().err == (
+            f"error: SchemaError: {tmp_path / name}:{lineno}: expected {columns}\n"
+        )
+
+
 class TestFitStage1:
     def test_retained_draw_arithmetic(self, simulated, tmp_path):
         prep_dir = tmp_path / "prep"

@@ -37,7 +37,6 @@ from arealbayes.svc import (
     format_rate_ratio,
     laplace_precision_grid,
     linear_predictor_vector,
-    loglik_poisson,
     precision_summary,
     predictor_draws,
     rate_ratio,
@@ -137,11 +136,13 @@ class TestLinearPredictor:
 
 
 class TestPoissonLoglik:
+    """``PoissonLikelihood.loglik`` at ``linear_predictor_vector``, as the samplers take it."""
+
     def test_zero_counts_unit_rate(self):
         spec = m1_spec(n=4, offsets=np.ones(4))
         state = SvcModelState(beta=np.zeros(2))
-        counts = np.zeros(4)
-        assert loglik_poisson(state, spec, counts) == pytest.approx(-4.0)
+        theta = linear_predictor_vector(state, spec)
+        assert PoissonLikelihood(np.zeros(4), spec.offsets).loglik(theta) == pytest.approx(-4.0)
 
     def test_masked_area_contributes_exactly_zero(self):
         spec = m1_spec(n=3)
@@ -152,8 +153,8 @@ class TestPoissonLoglik:
         lik = PoissonLikelihood(full, spec.offsets)
         theta = linear_predictor_vector(state, spec)
         contribution = lik.point_terms(theta[None, :])[0, 1]
-        assert loglik_poisson(state, spec, masked) == pytest.approx(
-            loglik_poisson(state, spec, full) - contribution, abs=1e-12
+        assert PoissonLikelihood(masked, spec.offsets).loglik(theta) == pytest.approx(
+            lik.loglik(theta) - contribution, abs=1e-12
         )
 
     def test_matches_pmf_oracle(self):
@@ -161,15 +162,15 @@ class TestPoissonLoglik:
         spec = m1_spec(n=8, seed=7, offsets=rng.uniform(5, 50, 8))
         state = SvcModelState(beta=np.array([0.2, -0.8]))
         counts = rng.poisson(10, 8).astype(float)
-        mu_e = spec.offsets * np.exp(linear_predictor_vector(state, spec))
+        theta = linear_predictor_vector(state, spec)
+        mu_e = spec.offsets * np.exp(theta)
         oracle = sum(stats.poisson.logpmf(int(counts[i]), mu_e[i]) for i in range(8))
-        assert abs(loglik_poisson(state, spec, counts) - oracle) < 1e-10
+        assert abs(PoissonLikelihood(counts, spec.offsets).loglik(theta) - oracle) < 1e-10
 
     def test_negative_count_rejected(self):
         spec = m1_spec(n=2)
-        state = SvcModelState(beta=np.zeros(2))
         with pytest.raises(ValidationError, match="nonnegative"):
-            loglik_poisson(state, spec, np.array([-1.0, 2.0]))
+            PoissonLikelihood(np.array([-1.0, 2.0]), spec.offsets)
 
     def test_nesting_m4_delta_zero_equals_m3_likelihood(self):
         g = make_lattice(3, 3)
@@ -183,14 +184,27 @@ class TestPoissonLoglik:
         state3 = SvcModelState(
             beta=state4.beta, phi=state4.phi, v=state4.v, tau_phi=1.0, tau_v=1.0
         )
-        assert loglik_poisson(state4, spec4, counts) == loglik_poisson(
-            state3, spec3, counts
+        lik = PoissonLikelihood(counts, spec4.offsets)
+        assert lik.loglik(linear_predictor_vector(state4, spec4)) == lik.loglik(
+            linear_predictor_vector(state3, spec3)
         )
 
 
+# the site proposals of svc._site_sweep and the field each one serves; a
+# Newton case is identified by its likelihood alone
+PROPOSALS = {"newton": ("delta", svc._newton_proposal), "walk": ("v", svc._walk_proposal)}
+PROPOSAL_CASES = [
+    pytest.param("newton", "poisson", id="poisson"),
+    pytest.param("newton", "gaussian", id="gaussian"),
+    pytest.param("walk", "poisson", id="walk-poisson"),
+    pytest.param("walk", "gaussian", id="walk-gaussian"),
+]
+
+
 class TestDeltaNewtonProposal:
-    """The delta site update: a Newton proposal N(delta + g / h, 1 / h) per
-    area of a colour class, accepted with the Metropolis-Hastings ratio."""
+    """The site proposals, each accepted with its Metropolis-Hastings ratio:
+    delta's Newton proposal N(delta + g / h, 1 / h) and v's random walk,
+    per area of a colour class."""
 
     def pieces(self, likelihood, seed):
         g = build_graph(WEIGHTED_SEVEN_EDGES + [(7, 8, 1.0)], n_areas=10)  # plus an island
@@ -202,62 +216,74 @@ class TestDeltaNewtonProposal:
             lik = GaussianLikelihood(rng.standard_normal(g.n_areas), 0.3)
         return g, spec, state, lik
 
-    def proposal(self, g, spec, state, lik, c, z):
-        """``svc._newton_proposal`` for colour class c of the state's delta."""
+    def proposal(self, propose, g, spec, state, lik, c, z):
+        """``propose``'s proposal for colour class c of the state's field."""
+        name, fn = PROPOSALS[propose]
         idx, block = g.colour_classes[c], g.colour_blocks[c]
-        x, wplus = spec.covariate[idx], g.wplus_eff[idx]
+        coef = spec.covariate[idx] if name == "delta" else np.ones(len(idx))
+        wplus = g.wplus_eff[idx]
         theta = linear_predictor_vector(state, spec)[idx]
         mask = lik.mask[idx]
         if isinstance(lik, PoissonLikelihood):
             exp_theta, lik_b = np.exp(theta), np.where(mask, lik.offsets[idx], 0.0)
         else:
             exp_theta, lik_b = None, np.where(mask, 1.0 / (2.0 * lik.noise_variance), 0.0)
-        delta = state.delta.values
-        return svc._newton_proposal(
-            delta[idx], z, theta, exp_theta, (block @ delta) / wplus,
-            state.tau_delta * wplus, x, x * x, np.where(mask, lik.y[idx], 0.0), lik_b,
+        values = getattr(state, name).values
+        return fn(
+            values[idx], z, theta, exp_theta, (block @ values) / wplus,
+            getattr(state, f"tau_{name}") * wplus, coef, coef * coef,
+            np.where(mask, lik.y[idx], 0.0), lik_b,
         )
 
-    def with_class(self, state, c_idx, values):
-        delta = state.delta.values.copy()
-        delta[c_idx] = values
+    def with_class(self, propose, state, c_idx, values):
+        name = PROPOSALS[propose][0]
+        fields = {"v": state.v, "delta": state.delta}
+        new = fields[name].values.copy()
+        new[c_idx] = values
+        fields[name] = IcarField(state.v.graph, new)
         return SvcModelState(
-            beta=state.beta, phi=state.phi, v=state.v, delta=IcarField(state.v.graph, delta),
+            beta=state.beta, phi=state.phi, **fields,
             tau_phi=state.tau_phi, tau_v=state.tau_v, tau_delta=state.tau_delta,
         )
 
-    def steer(self, g, spec, state, lik, c, target):
+    def steer(self, propose, g, spec, state, lik, c, target):
         """The proposal from ``state`` that lands on ``target`` (to rounding)."""
         size = len(g.colour_classes[c])
-        at0 = self.proposal(g, spec, state, lik, c, np.zeros(size))[0]
-        at1 = self.proposal(g, spec, state, lik, c, np.ones(size))[0]
-        return self.proposal(g, spec, state, lik, c, (target - at0) / (at1 - at0))
+        at0 = self.proposal(propose, g, spec, state, lik, c, np.zeros(size))[0]
+        at1 = self.proposal(propose, g, spec, state, lik, c, np.ones(size))[0]
+        return self.proposal(propose, g, spec, state, lik, c, (target - at0) / (at1 - at0))
 
-    @pytest.mark.parametrize("likelihood", ["poisson", "gaussian"])
-    def test_log_ratio_antisymmetry(self, likelihood):
+    @pytest.mark.parametrize("propose, likelihood", PROPOSAL_CASES)
+    def test_log_ratio_antisymmetry(self, propose, likelihood):
         g, spec, state, lik = self.pieces(likelihood, seed=10)
+        values = getattr(state, PROPOSALS[propose][0]).values
         rng = np.random.default_rng(12)
         for c, idx in enumerate(g.colour_classes):
-            a = state.delta.values[idx]
-            fwd = self.steer(g, spec, state, lik, c, a + rng.standard_normal(len(idx)) * 0.3)
+            a = values[idx]
+            fwd = self.steer(
+                propose, g, spec, state, lik, c, a + rng.standard_normal(len(idx)) * 0.3
+            )
             b = fwd[0]
-            rev = self.steer(g, spec, self.with_class(state, idx, b), lik, c, a)
+            moved = self.with_class(propose, state, idx, b)
+            rev = self.steer(propose, g, spec, moved, lik, c, a)
             assert np.max(np.abs(rev[0] - a)) < 1e-12
             assert np.max(np.abs(fwd[4] + rev[4])) < 1e-9
 
-    @pytest.mark.parametrize("likelihood", ["poisson", "gaussian"])
-    def test_log_ratio_matches_dense_posterior_and_proposal_densities(self, likelihood):
+    @pytest.mark.parametrize("propose, likelihood", PROPOSAL_CASES)
+    def test_log_ratio_matches_dense_posterior_and_proposal_densities(self, propose, likelihood):
         # per area: log pi(b) q(a | b) - log pi(a) q(b | a) with pi the full
-        # M4 posterior (dense ICAR form, islands proper) and q built from a
-        # hand-written gradient and curvature of the site's log conditional
+        # M4 posterior (dense ICAR forms, islands proper) and, for the Newton
+        # proposal, q built from a hand-written gradient and curvature of
+        # the site's log conditional; the walk's q is symmetric
         g, spec, state, lik = self.pieces(likelihood, seed=13)
         Q = precision_matrix(g, island_proper=True)
         rng = np.random.default_rng(14)
         poisson = isinstance(lik, PoissonLikelihood)
 
         def log_post(st):
-            d = st.delta.values
-            return lik.loglik(linear_predictor_vector(st, spec)) - 0.5 * st.tau_delta * d @ Q @ d
+            v, d = st.v.values, st.delta.values
+            return (lik.loglik(linear_predictor_vector(st, spec))
+                    - 0.5 * st.tau_v * v @ Q @ v - 0.5 * st.tau_delta * d @ Q @ d)
 
         def newton(st, i):
             d, x = st.delta.values, spec.covariate[i]
@@ -276,18 +302,19 @@ class TestDeltaNewtonProposal:
             return d[i] + grad / h, h
 
         for c, idx in enumerate(g.colour_classes):
-            got = self.proposal(g, spec, state, lik, c, rng.standard_normal(len(idx)))
+            got = self.proposal(propose, g, spec, state, lik, c, rng.standard_normal(len(idx)))
             for j, i in enumerate(idx):
-                moved = self.with_class(state, [i], got[0][j])
-                mean_a, h_a = newton(state, i)
-                mean_b, h_b = newton(moved, i)
-                expected = (
-                    log_post(moved) - log_post(state)
-                    + stats.norm.logpdf(state.delta.values[i], mean_b, 1 / math.sqrt(h_b))
-                    - stats.norm.logpdf(got[0][j], mean_a, 1 / math.sqrt(h_a))
-                )
+                moved = self.with_class(propose, state, [i], got[0][j])
+                expected = log_post(moved) - log_post(state)
+                if propose == "newton":
+                    mean_a, h_a = newton(state, i)
+                    mean_b, h_b = newton(moved, i)
+                    expected += (
+                        stats.norm.logpdf(state.delta.values[i], mean_b, 1 / math.sqrt(h_b))
+                        - stats.norm.logpdf(got[0][j], mean_a, 1 / math.sqrt(h_a))
+                    )
                 assert abs(got[4][j] - expected) < 1e-8, (c, i)
-                if not poisson:
+                if propose == "newton" and not poisson:
                     # the proposal is the exact conditional, so every move is accepted
                     assert abs(got[4][j]) < 1e-9
 
@@ -572,13 +599,14 @@ class TestSiteExchanges:
         n = len(log_us)
         normals, exchange_z = np.random.default_rng(seed).standard_normal((2, n))
         theta = self.predictor(chain, chain.spec)
-        args = (chain.fields[field], chain.fields["phi"], theta, np.exp(theta),
-                self.TAUS[f"tau_{field}"], self.TAUS["tau_phi"])
-        if field == "v":
-            moved = svc._field_sweep(chain.v_blocks, *args, chain.v_steps, normals,
-                                     exchange_z, log_us, 0.0)
-        else:
-            moved = svc._newton_sweep(chain.delta_blocks, *args, normals, exchange_z, log_us)
+        walk = field == "v"
+        accept, div, _ = svc._site_sweep(
+            chain.site_blocks[field], svc._walk_proposal if walk else svc._newton_proposal,
+            chain.fields[field], chain.fields["phi"], theta, np.exp(theta),
+            self.TAUS[f"tau_{field}"], self.TAUS["tau_phi"],
+            chain.v_steps * normals if walk else normals, exchange_z, log_us,
+        )
+        moved = int(np.count_nonzero(accept)), int(np.count_nonzero(div))
         return moved, theta, normals, exchange_z
 
     @pytest.mark.parametrize("kind", list(GRAPHS))
@@ -674,8 +702,8 @@ class TestInformationCriteria:
         waic = waic_components(archive, spec, counts)
         assert dic.p_d == pytest.approx(0.0, abs=1e-10)
         assert waic.p_waic == pytest.approx(0.0, abs=1e-12)
-        state = SvcModelState(beta=beta[0])
-        assert dic.dic == pytest.approx(-2 * loglik_poisson(state, spec, counts))
+        theta = linear_predictor_vector(SvcModelState(beta=beta[0]), spec)
+        assert dic.dic == pytest.approx(-2 * PoissonLikelihood(counts, spec.offsets).loglik(theta))
 
     def test_hand_computed_toy(self):
         # 3 observed areas, 4 draws of a free per-area predictor
@@ -1695,29 +1723,6 @@ class TestLaplaceSingularLatentBlock:
         assert abs(fit.log_marginal - expected) < 1e-9 * abs(expected)
         # the suppressed component keeps its prior mode
         assert np.max(np.abs(fit.state.v.values[4:7])) < 1e-12
-
-
-class TestLaplaceArguments:
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"max_newton": 0}, "max_newton must be a positive integer, got 0"),
-        ({"max_newton": -3}, "max_newton must be a positive integer, got -3"),
-        ({"max_newton": 2.5}, "max_newton must be a positive integer, got 2.5"),
-        ({"max_newton": True}, "max_newton must be a positive integer, got True"),
-        ({"grad_tol": 0.0}, "grad_tol must be finite and positive, got 0.0"),
-        ({"grad_tol": -1e-9}, "grad_tol must be finite and positive, got -1e-09"),
-        ({"grad_tol": float("nan")}, "grad_tol must be finite and positive, got nan"),
-        ({"grad_tol": float("inf")}, "grad_tol must be finite and positive, got inf"),
-    ])
-    def test_rejected_before_any_factorization(self, monkeypatch, kwargs, message):
-        spec, counts, g = singular_inputs("M3")
-
-        def factor(*args, **kw):
-            raise AssertionError("factorized before validating")
-
-        monkeypatch.setattr(svc.gmrf, "ConstrainedFactor", factor)
-        with pytest.raises(ValidationError) as err:
-            fit_stage2_laplace(spec, counts, g, **kwargs)
-        assert str(err.value) == message
 
 
 class TestSpecValidation:
