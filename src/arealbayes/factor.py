@@ -30,6 +30,24 @@ One iteration, a step of :func:`arealbayes.mcmc.run_chain`, runs in order:
   follow that amplitude; the move resolves that coupling (Liu & Sabatti
   2000).
 
+What an iteration computes, and from what. The panel's fixed parts sit
+in :class:`_PanelCache`: the mask ``Mt`` and the centred panel ``Zct``
+stacked as one matrix, the observed counts, means and sums of squares.
+The scalar updates and both moves read eta only through three statistics
+per indicator, ``(Mt eta, Zct eta, Mt eta^2)`` (:func:`_panel_stats`),
+which one product of the stacked panel with ``[eta, eta^2]`` gives after
+the sweep and centring. alpha, lambda and sigma2 are drawn from them and
+the fixed sums; sigma2's sum of squares comes from its expanded form, with
+no residual matrix. The sign flip and the scale move read the anchor's
+terms from them too, and an accepted move updates them in closed form:
+the flip multiplies them by (-1, -1, 1), the scale move by (s, s, s^2).
+The sweep's likelihood terms come from one more product with the stacked
+panel, its neighbour sums from the CSR kernel
+(:func:`arealbayes.graph.csr_matvec`), and the scale move's ``eta' Q
+eta`` from one product with W (:meth:`SpatialGraph.neighbour_sums`). So
+an iteration makes two products with the panel and one sweep, whatever
+the moves do; the random stream is the one the update order above draws.
+
 Missing indicator cells contribute to nothing: fits are bitwise invariant
 to whatever garbage sits in masked-out entries.
 
@@ -123,19 +141,42 @@ class FactorModelState:
 
 
 class _PanelCache:
-    """Mask-aware sufficient-statistic pieces reused by every update.
+    """The fixed panel pieces every update reads.
 
-    The panel is held transposed, indicators by areas (``Zt`` with masked
-    cells at zero, ``Mt`` the 0/1 mask), so every per-indicator reduction
-    runs along a contiguous row.
+    The panel is held transposed, indicators by areas, and stacked as
+    ``K = [Mt; Zct]``: ``Mt`` is the 0/1 mask and ``Zct`` each indicator
+    minus its observed mean ``zbar``, masked cells at zero, so every
+    per-indicator reduction runs along a contiguous row. Centring keeps
+    the expanded sums of squares free of cancellation in an indicator's
+    offset; ``szz`` holds each row's sum of squares.
     """
 
     def __init__(self, panel: IndicatorPanel):
         mask = panel.observed_mask
-        self.Mt = np.ascontiguousarray(mask.T, dtype=float)
-        self.Zt = np.ascontiguousarray(np.where(mask, panel.values, 0.0).T)
-        self.n_obs = self.Mt.sum(axis=1)
-        self.colsum_z = self.Zt.sum(axis=1)
+        p = mask.shape[1]
+        Mt = mask.T.astype(float)
+        Zt = np.where(mask, panel.values, 0.0).T
+        self.n_obs = Mt.sum(axis=1)
+        self.colsum_z = Zt.sum(axis=1)
+        self.zbar = self.colsum_z / np.maximum(self.n_obs, 1.0)
+        self.K = np.ascontiguousarray(np.vstack([Mt, Zt - Mt * self.zbar[:, None]]))
+        self.Zct = self.K[p:]
+        self.szz = np.einsum("ij,ij->i", self.Zct, self.Zct)
+
+
+def _panel_stats(cache, eta):
+    """The statistics of eta that the scalar updates read, per indicator:
+    ``(Mt eta, Zct eta, Mt eta^2)``, from one product with the stacked panel.
+
+    A move that maps eta to ``c eta`` maps them to ``(c Mt eta, c Zct eta,
+    c^2 Mt eta^2)``, so the moves carry them instead of recomputing.
+    """
+    p = len(cache.n_obs)
+    powers = np.empty((2, len(eta)))
+    powers[0] = eta
+    np.multiply(eta, eta, out=powers[1])
+    prod = powers @ cache.K.T  # rows eta, eta^2; columns Mt's rows, then Zct's
+    return prod[0, :p], prod[0, p:], prod[1, :p]
 
 
 def loglik_stage1(state: FactorModelState, panel: IndicatorPanel) -> float:
@@ -147,30 +188,47 @@ def loglik_stage1(state: FactorModelState, panel: IndicatorPanel) -> float:
     return float(cell[mask].sum())
 
 
-def _draw_alpha(rng, cache, lam, sigma2, mt_eta, spec):
-    """Intercepts given the rest; ``mt_eta`` is ``Mt @ eta``."""
+def _draw_alpha(rng, cache, lam, sigma2, stats, spec):
+    """Intercepts given the rest."""
     prec = cache.n_obs / sigma2 + 1.0 / spec.alpha_prior_variance
-    rhs = (cache.colsum_z - lam * mt_eta) / sigma2
+    rhs = (cache.colsum_z - lam * stats[0]) / sigma2
     return rhs / prec + rng.standard_normal(spec.n_indicators) / np.sqrt(prec)
 
 
-def _draw_lambda(rng, cache, alpha, sigma2, eta, mt_eta, spec):
-    """Loadings given the rest, the anchor reset to 1; ``mt_eta`` is ``Mt @ eta``."""
-    prec = (cache.Mt @ (eta * eta)) / sigma2 + 1.0 / spec.loading_prior_variance
-    rhs = (cache.Zt @ eta - alpha * mt_eta) / sigma2
+def _cross(cache, alpha, stats):
+    """``sum_i m_ip (z_ip - alpha_p) eta_i`` per indicator p."""
+    mt_eta, zc_eta, _ = stats
+    return zc_eta + (cache.zbar - alpha) * mt_eta
+
+
+def _draw_lambda(rng, cache, alpha, sigma2, stats, spec):
+    """Loadings given the rest, the anchor reset to 1."""
+    prec = stats[2] / sigma2 + 1.0 / spec.loading_prior_variance
+    rhs = _cross(cache, alpha, stats) / sigma2
     lam = rhs / prec + rng.standard_normal(spec.n_indicators) / np.sqrt(prec)
     lam[spec.anchor_index] = 1.0
     return lam
 
 
-def _draw_sigma2(rng, cache, alpha, lam, eta, spec):
-    resid = lam[:, None] * eta
-    resid += alpha[:, None]
-    resid *= cache.Mt
-    np.subtract(cache.Zt, resid, out=resid)
-    rss = np.einsum("ij,ij->i", resid, resid)
+def _sigma2_rate(cache, alpha, lam, stats, spec):
+    """The Gamma rate of each 1 / sigma2_p: the prior rate plus half of
+    ``sum_i m_ip (z_ip - alpha_p - lambda_p eta_i)^2``.
+
+    The sum expands to ``sum_i m_ip (z_ip - alpha_p)^2 - 2 lambda_p
+    _cross_p + lambda_p^2 Mt eta^2``, and with ``d = zbar - alpha`` the
+    first term is ``szz + n d^2`` (its ``2 d sum zc`` is zero but for
+    rounding). A noise-free indicator can round the sum below 0, so it is
+    clipped there.
+    """
+    d = cache.zbar - alpha
+    cross = _cross(cache, alpha, stats)
+    rss = cache.szz + cache.n_obs * d * d + lam * (lam * stats[2] - 2.0 * cross)
+    return spec.sigma2_prior_rate + np.maximum(rss, 0.0) / 2.0
+
+
+def _draw_sigma2(rng, cache, alpha, lam, stats, spec):
     shape = spec.sigma2_prior_shape + cache.n_obs / 2.0
-    rate = spec.sigma2_prior_rate + rss / 2.0
+    rate = _sigma2_rate(cache, alpha, lam, stats, spec)
     draw = 1.0 / (rng.standard_gamma(shape) * (1.0 / rate))
     floored = int(np.count_nonzero(draw < SIGMA2_FLOOR))
     if floored:
@@ -188,11 +246,16 @@ def _eta_likelihood_terms(cache, alpha, lam, sigma2):
     """Per-area Gaussian likelihood contribution for the eta sweep.
 
     precision_i = sum_p lambda_p^2 / sigma2_p over observed p, and the
-    precision-weighted mean is sum_p lambda_p (z_ip - alpha_p) / sigma2_p.
+    precision-weighted mean is sum_p lambda_p (z_ip - alpha_p) / sigma2_p,
+    both from one product with the stacked panel.
     """
+    p = len(lam)
     lam_over_s2 = lam / sigma2
-    prec = (lam * lam_over_s2) @ cache.Mt
-    pwm = lam_over_s2 @ cache.Zt - (alpha * lam_over_s2) @ cache.Mt
+    coef = np.zeros((2, 2 * p))
+    coef[0, :p] = lam * lam_over_s2
+    coef[1, :p] = lam_over_s2 * (cache.zbar - alpha)
+    coef[1, p:] = lam_over_s2
+    prec, pwm = coef @ cache.K
     return prec, pwm
 
 
@@ -205,31 +268,32 @@ def _draw_eta(rng, cache, graph, variance, alpha, lam, sigma2, eta):
     return icar.center_by_component(eta, graph)[0]
 
 
-def _anchor_cross(cache, alpha, sigma2, eta, anchor) -> float:
+def _anchor_cross(cache, alpha, sigma2, stats, a) -> float:
     """``sum_i m_ia (z_ia - alpha_a) eta_i / sigma2_a`` for the anchor a."""
-    zc = cache.Zt[anchor] - cache.Mt[anchor] * alpha[anchor]
-    return float(zc @ eta) / sigma2[anchor]
+    return float(_cross(cache, alpha, stats)[a]) / sigma2[a]
 
 
-def _signflip(rng, cache, spec, alpha, sigma2, eta, lam):
+def _signflip(rng, cache, spec, alpha, sigma2, eta, lam, stats):
     """Metropolis step that jointly negates eta and the free loadings.
 
     With the anchor loading pinned at +1, the flip only changes the anchor
     indicator's fit; every prior involved is symmetric, so the log ratio
     is ``-2 * _anchor_cross``. The move lets a chain that latched onto the
     sign-mirrored mode cross back in one step instead of waiting out an
-    essentially infinite tunneling time. Returns ``(eta, lam)``.
+    essentially infinite tunneling time. ``stats`` are eta's
+    :func:`_panel_stats`. Returns ``(eta, lam, stats, accepted)``.
     """
-    logr = -2.0 * _anchor_cross(cache, alpha, sigma2, eta, spec.anchor_index)
+    logr = -2.0 * _anchor_cross(cache, alpha, sigma2, stats, spec.anchor_index)
     u = rng.random()
     if logr >= 0.0 or math.log(u) < logr:
         lam = -lam
         lam[spec.anchor_index] = 1.0
-        return -eta, lam
-    return eta, lam
+        mt_eta, zc_eta, mt_eta2 = stats
+        return -eta, lam, (-mt_eta, -zc_eta, mt_eta2), True
+    return eta, lam, stats, False
 
 
-def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, step):
+def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, step):
     """Metropolis step along the orbit (eta, free lambda) -> (s eta, lambda / s).
 
     The anchor loading stays at 1 and log s ~ N(0, step^2). The free
@@ -242,14 +306,16 @@ def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, step):
     - (sum_free lambda^2 / 2 v_lambda) (s^-2 - 1)``, where the power of s is
     the Jacobian on the d free eta coordinates
     (:func:`arealbayes.icar.centered_dimension`) and the P - 1 free
-    loadings. Returns ``(eta, lam, acceptance probability)``.
+    loadings. ``eta' Q eta`` is ``eta . (w_+ eta - W eta)``, islands on
+    their unit diagonal; the anchor parts of A and B come from ``stats``,
+    eta's :func:`_panel_stats`. Returns ``(eta, lam, stats, accepted,
+    signal)``, the signal for the step's adaptation being 1 on accept and
+    the acceptance probability on reject.
     """
     a = spec.anchor_index
-    diff = eta[graph.edge_i] - eta[graph.edge_j]
-    island = eta[graph.island_indices]
-    quad = float((graph.edge_w * diff) @ diff) + float(island @ island)
-    big_a = quad / spec.eta_variance + float((cache.Mt[a] * eta) @ eta) / sigma2[a]
-    big_b = _anchor_cross(cache, alpha, sigma2, eta, a)
+    quad = float(eta @ (graph.wplus_eff * eta - graph.neighbour_sums(eta)))
+    big_a = quad / spec.eta_variance + float(stats[2][a]) / sigma2[a]
+    big_b = _anchor_cross(cache, alpha, sigma2, stats, a)
     free_ss = float(lam @ lam) - 1.0  # the anchor loading is exactly 1
     power = icar.centered_dimension(graph) - (spec.n_indicators - 1)
 
@@ -264,27 +330,29 @@ def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, step):
     if logr >= 0.0 or math.log(rng.random()) < logr:
         lam = lam / s
         lam[a] = 1.0
-        return eta * s, lam, 1.0
-    return eta, lam, math.exp(logr) if logr > -700.0 else 0.0
+        mt_eta, zc_eta, mt_eta2 = stats
+        return eta * s, lam, (s * mt_eta, s * zc_eta, (s * s) * mt_eta2), True, 1.0
+    return eta, lam, stats, False, math.exp(logr) if logr > -700.0 else 0.0
 
 
 def gibbs_update_alpha(state, panel, spec, rng) -> FactorModelState:
     cache = _PanelCache(panel)
-    eta = state.eta.values
-    alpha = _draw_alpha(rng, cache, state.loadings, state.sigma2, cache.Mt @ eta, spec)
+    stats = _panel_stats(cache, state.eta.values)
+    alpha = _draw_alpha(rng, cache, state.loadings, state.sigma2, stats, spec)
     return replace(state, alpha=alpha)
 
 
 def gibbs_update_lambda(state, panel, spec, rng) -> FactorModelState:
     cache = _PanelCache(panel)
-    eta = state.eta.values
-    lam = _draw_lambda(rng, cache, state.alpha, state.sigma2, eta, cache.Mt @ eta, spec)
+    stats = _panel_stats(cache, state.eta.values)
+    lam = _draw_lambda(rng, cache, state.alpha, state.sigma2, stats, spec)
     return replace(state, loadings=lam)
 
 
 def gibbs_update_sigma2(state, panel, spec, rng) -> FactorModelState:
     cache = _PanelCache(panel)
-    s2, floored = _draw_sigma2(rng, cache, state.alpha, state.loadings, state.eta.values, spec)
+    stats = _panel_stats(cache, state.eta.values)
+    s2, floored = _draw_sigma2(rng, cache, state.alpha, state.loadings, stats, spec)
     _warn_floored(floored)
     return replace(state, sigma2=s2)
 
@@ -301,8 +369,10 @@ def gibbs_update_eta(state, panel, spec, rng) -> FactorModelState:
 
 def gibbs_update_signflip(state, panel, spec, rng) -> FactorModelState:
     cache = _PanelCache(panel)
-    eta, lam = _signflip(
-        rng, cache, spec, state.alpha, state.sigma2, state.eta.values, state.loadings
+    eta = state.eta.values
+    eta, lam, _, _ = _signflip(
+        rng, cache, spec, state.alpha, state.sigma2, eta, state.loadings,
+        _panel_stats(cache, eta),
     )
     return replace(state, loadings=lam, eta=replace(state.eta, values=eta))
 
@@ -315,16 +385,10 @@ def _initial_state(cache, graph, spec) -> FactorModelState:
     free-loading draw at its diffuse prior, whose random sign can throw
     the chain into the mirrored mode.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        n = np.maximum(cache.n_obs, 1.0)
-        alpha = cache.colsum_z / n
-        ssq = np.einsum("ij,ij->i", cache.Zt, cache.Zt) - n * alpha**2
-        sigma2 = np.maximum(ssq / np.maximum(n - 1.0, 1.0), 1e-6)
+    alpha = cache.zbar.copy()
+    sigma2 = np.maximum(cache.szz / np.maximum(cache.n_obs - 1.0, 1.0), 1e-6)
     lam = np.ones(spec.n_indicators)
-    a = spec.anchor_index
-    eta0 = cache.Zt[a] - cache.Mt[a] * alpha[a]
-    eta0, _ = icar.center_by_component(eta0, graph)
+    eta0, _ = icar.center_by_component(cache.Zct[spec.anchor_index], graph)
     eta = IcarField(graph, eta0, spec.eta_variance)
     return FactorModelState(alpha, lam, eta, sigma2)
 
@@ -348,30 +412,40 @@ def _override(state, overrides, graph, spec) -> FactorModelState:
 
 
 def _run_stage1_chain(task):
+    """Draws, the count of floored sigma2 draws, and the chain's
+    ``acceptance`` and ``scale_log_step`` metadata values."""
     rng, (cache, graph, spec, config, state) = task
     alpha, lam, sigma2 = state.alpha, state.loadings, state.sigma2
     eta = state.eta.values.copy()
+    stats = _panel_stats(cache, eta)
     scale_step = SCALE_STEP
-    floored = 0
+    floored = flips = scales = 0
 
     def step(it, gain):
-        nonlocal alpha, lam, sigma2, eta, scale_step, floored
-        mt_eta = cache.Mt @ eta
-        alpha = _draw_alpha(rng, cache, lam, sigma2, mt_eta, spec)
-        lam = _draw_lambda(rng, cache, alpha, sigma2, eta, mt_eta, spec)
-        sigma2, n = _draw_sigma2(rng, cache, alpha, lam, eta, spec)
+        nonlocal alpha, lam, sigma2, eta, stats, scale_step, floored, flips, scales
+        alpha = _draw_alpha(rng, cache, lam, sigma2, stats, spec)
+        lam = _draw_lambda(rng, cache, alpha, sigma2, stats, spec)
+        sigma2, n = _draw_sigma2(rng, cache, alpha, lam, stats, spec)
         floored += n
         eta = _draw_eta(rng, cache, graph, spec.eta_variance, alpha, lam, sigma2, eta)
-        eta, lam = _signflip(rng, cache, spec, alpha, sigma2, eta, lam)
-        eta, lam, acc_prob = _scale_move(
-            rng, cache, graph, spec, alpha, lam, sigma2, eta, scale_step
+        stats = _panel_stats(cache, eta)
+        eta, lam, stats, flipped = _signflip(rng, cache, spec, alpha, sigma2, eta, lam, stats)
+        eta, lam, stats, scaled, signal = _scale_move(
+            rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, scale_step
         )
-        scale_step *= math.exp(gain * (acc_prob - ADAPT_TARGET))
+        flips += flipped
+        scales += scaled
+        scale_step *= math.exp(gain * (signal - ADAPT_TARGET))
 
     def snapshot():
         return {"alpha": alpha, "lambda": lam, "eta": eta, "sigma2": sigma2}
 
-    return run_chain(config, step, snapshot), floored
+    draws = run_chain(config, step, snapshot)
+    meta = {
+        "acceptance": f"scale={scales / config.n_iter:.3f};signflip={flips / config.n_iter:.3f}",
+        "scale_log_step": f"scale={scale_step:.4f}",
+    }
+    return draws, (floored, meta)
 
 
 def fit_stage1(
@@ -392,7 +466,10 @@ def fit_stage1(
     reads neither the previous alpha nor, for a centred eta on a complete
     panel, the loadings. ``n_workers`` is as in
     :func:`arealbayes.mcmc.run_chains`. Floored sigma2 draws are counted in
-    the chains and warned about once, here.
+    the chains and warned about once, here. The archive metadata records
+    per chain c the accepted share of iterations for each move
+    (``chain<c>_acceptance``, ``scale=...;signflip=...``) and the scale
+    move's final log-step (``chain<c>_scale_log_step``, ``scale=...``).
     """
     if spec is None:
         spec = FactorModelSpec(n_indicators=panel.n_indicators)
@@ -426,13 +503,15 @@ def fit_stage1(
          start if init_overrides is None else _override(start, init_overrides[c], graph, spec))
         for c in range(config.n_chains)
     ]
-    archive, floored = run_chains(_run_stage1_chain, payloads, config, n_workers)
-    _warn_floored(sum(floored))
+    archive, extras = run_chains(_run_stage1_chain, payloads, config, n_workers)
+    _warn_floored(sum(floored for floored, _ in extras))
     archive.metadata.update(
         model="stage1_factor",
         model_hash=model_hash("stage1_factor", spec, graph.n_areas, graph.n_edges, config),
         anchor_index=str(spec.anchor_index),
     )
+    for c, (_, meta) in enumerate(extras):
+        archive.metadata.update({f"chain{c}_{key}": value for key, value in meta.items()})
     return archive
 
 

@@ -327,9 +327,10 @@ def read_strata(path) -> StrataTable:
     columns = ("area_id", "stratum", "population")
     if not has_deaths:
         _require_header(path, rows[0], columns)
-    ids: list[str] = []
-    strata: list[str] = []
-    cells: dict[tuple[str, str], tuple[float, float]] = {}
+    # each area and stratum maps to its index in order of first appearance
+    ids: dict[str, int] = {}
+    strata: dict[str, int] = {}
+    cells: dict[tuple[int, int], tuple[float, float]] = {}
     for lineno, row in _data_rows(path, rows, columns):
         area, stratum = row[0].strip(), row[1].strip()
         pop = _parse_float(path, lineno, "population", row[2])
@@ -338,21 +339,17 @@ def read_strata(path) -> StrataTable:
             if has_deaths and len(row) > 3
             else float("nan")
         )
-        if area not in ids:
-            ids.append(area)
-        if stratum not in strata:
-            strata.append(stratum)
-        if (area, stratum) in cells:
+        cell = (ids.setdefault(area, len(ids)), strata.setdefault(stratum, len(strata)))
+        if cell in cells:
             raise SchemaError(f"{path}:{lineno}: duplicate (area_id, stratum) pair")
-        cells[(area, stratum)] = (pop, dth)
+        cells[cell] = (pop, dth)
     population = np.zeros((len(ids), len(strata)))
     deaths = np.zeros((len(ids), len(strata)))
-    for (area, stratum), (pop, dth) in cells.items():
-        i, s = ids.index(area), strata.index(stratum)
+    for (i, s), (pop, dth) in cells.items():
         population[i, s] = pop
         if has_deaths:
             deaths[i, s] = dth  # NaN marks a suppressed cell
-    return StrataTable(ids, strata, population, deaths if has_deaths else None)
+    return StrataTable(list(ids), list(strata), population, deaths if has_deaths else None)
 
 
 def write_strata(path, strata: StrataTable) -> None:

@@ -20,7 +20,8 @@ The Gibbs sweep is chromatic: areas that share no edge are conditionally
 independent given the rest of the field, so the sweep draws one colour
 class of the graph (:attr:`SpatialGraph.colour_classes`) at a time, every
 site of the class at once from its exact full conditional, with the
-neighbour sums taken from the class's CSR row block of W.
+neighbour sums taken from the class's CSR row block of W by
+:func:`arealbayes.graph.csr_matvec`, the kernel stage 2's sweep calls too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .graph import SpatialGraph
+from .graph import SpatialGraph, csr_matvec
 
 __all__ = [
     "IcarField",
@@ -140,7 +141,7 @@ def gibbs_sweep_values(
     scale = 1.0 / (variance * post_prec)
     offset = lik_weighted_mean / post_prec + normals / np.sqrt(post_prec)
     for idx, block in zip(graph.colour_classes, graph.colour_blocks):
-        values[idx] = scale[idx] * (block @ values) + offset[idx]
+        values[idx] = scale[idx] * csr_matvec(block, values) + offset[idx]
 
 
 def precision_matrix(graph: SpatialGraph, island_proper: bool = False) -> np.ndarray:

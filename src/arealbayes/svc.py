@@ -102,14 +102,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy import sparse, special, stats
 
-try:  # scipy's compiled CSR kernel, which ``csr_matrix @ x`` calls after its dispatch
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # pragma: no cover - a scipy that moved its private kernels
-    _csr_matvec = None
-
 from . import gmrf, icar
 from .errors import DimensionMismatchError, ValidationError
-from .graph import SpatialGraph
+from .graph import SpatialGraph, csr_matvec
 from .icar import IcarField
 from .mcmc import ADAPT_TARGET, ChainArchive, McmcConfig, model_hash, run_chain, run_chains
 
@@ -392,24 +387,6 @@ def _fit_likelihood(likelihood, counts, spec, noise_variance):
     return lik
 
 
-def _matvec(A, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a CSR matrix A and a float vector x, bit for bit.
-
-    The sweeps multiply small colour-class blocks several times an
-    iteration, and on a 112 x 225 block of the 15x15 lattice
-    ``csr_matrix @ x`` spends about 3 of its 4 us in dispatch before it
-    calls the kernel called here. The kernel reads x without a bounds
-    check, so its length is checked first.
-    """
-    if x.shape != (A.shape[1],):
-        raise DimensionMismatchError(f"vector of shape {x.shape} for a matrix of shape {A.shape}")
-    if _csr_matvec is None:  # pragma: no cover
-        return A @ x
-    out = np.zeros(A.shape[0])
-    _csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
-    return out
-
-
 def center_and_absorb(values: np.ndarray, graph: SpatialGraph) -> tuple[np.ndarray, float]:
     """Per-component centering plus the scalar shift a fixed effect absorbs.
 
@@ -550,7 +527,7 @@ def _site_sweep(
     for idx, block, inv_wplus, wplus, coef, coef_sq, lik_a, lik_b in blocks:
         cur, t_old = values[idx], theta[idx]
         e_old = None if exp_theta is None else exp_theta[idx]
-        s = _matvec(block, values)
+        s = csr_matvec(block, values)
         prop, t_new, e_new, div, logr = propose(
             cur, z[idx], t_old, e_old, s * inv_wplus, tau * wplus, coef, coef_sq, lik_a, lik_b,
         )
@@ -862,7 +839,7 @@ class _Stage2Chain:
         tau_phi = taus["tau_phi"]
         if name == "ridge":
             u, means = icar.center_by_component(w, self.graph)
-            qu = _matvec(self.q, u)
+            qu = csr_matvec(self.q, u)
             mean = float(w.sum()) / len(w)
             prec = 1.0 / self.spec.beta_prior_variance
             quad = taus["tau_v"] * float(u @ qu) + prec * mean * mean

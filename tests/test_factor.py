@@ -24,7 +24,7 @@ from arealbayes.factor import (
     summarize_loadings,
 )
 from arealbayes.graph import build_graph
-from arealbayes.icar import IcarField, precision_matrix
+from arealbayes.icar import IcarField, center_by_component, precision_matrix
 from arealbayes.mcmc import ChainArchive, McmcConfig, gelman_rubin
 from arealbayes.prep import IndicatorPanel
 from arealbayes.simulate import make_lattice, sample_icar, simulate_stage1
@@ -233,7 +233,7 @@ class TestScaleMove:
     posterior restricted to its orbit (s eta, free lambda / s)."""
 
     def test_log_s_matches_orbit_density(self):
-        from arealbayes.factor import _PanelCache, _scale_move
+        from arealbayes.factor import _PanelCache, _panel_stats, _scale_move
 
         # two multi-area components, two islands
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (5, 6), (6, 7), (7, 8)]
@@ -275,16 +275,110 @@ class TestScaleMove:
 
         cache = _PanelCache(panel)
         eta, lam = eta0.copy(), lam0.copy()
+        stats = _panel_stats(cache, eta)
         n_moves, thin = 100_000, 10
         draws = np.empty(n_moves // thin)
         for k in range(n_moves):
-            eta, lam, _ = _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, 0.6)
+            eta, lam, stats, _, _ = _scale_move(
+                rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, 0.6
+            )
             assert lam[0] == 1.0
             if k % thin == thin - 1:
                 draws[k // thin] = math.log(lam0[1] / lam[1])
         assert np.allclose(eta, eta0 * math.exp(draws[-1]))
         xs, cdf = grid_logpdf_to_cdf(logpdf, draws.min() - 1, draws.max() + 1)
         assert ks_statistic(draws, xs, cdf) < 0.02
+
+
+class TestCarriedStatistics:
+    """An iteration reads ``(Mt eta, Zct eta, Mt eta^2)`` from one panel
+    product and carries them through the moves; checked here against the
+    residual form and against fresh products."""
+
+    def setup_method(self):
+        from arealbayes.factor import _PanelCache
+
+        # two multi-area components and one island
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (4, 5), (5, 6), (6, 7)]
+        self.graph = build_graph(edges, n_areas=9)
+        assert self.graph.n_components == 3 and len(self.graph.island_indices) == 1
+        rng = np.random.default_rng(41)
+        eta, _ = center_by_component(rng.standard_normal(9), self.graph)
+        self.alpha = np.array([0.2, 1000.3, -0.4, 0.1])
+        self.lam = np.array([1.0, 0.8, -1.2, 0.5])
+        z = self.alpha + eta[:, None] * self.lam + rng.standard_normal((9, 4)) * 0.5
+        z[:, 2] = self.alpha[2] + self.lam[2] * eta  # noise-free
+        z[[1, 8], 0] = np.nan  # missing anchor cells, one on the island
+        z[[3, 5], 1] = np.nan
+        self.z, self.eta = z, eta
+        self.panel = toy_panel(z)
+        self.cache = _PanelCache(self.panel)
+        self.spec = FactorModelSpec(n_indicators=4)
+        self.sigma2 = np.array([0.25, 0.3, 0.01, 0.2])
+
+    def residual_rate(self, alpha, lam, eta):
+        observed = ~np.isnan(self.z)
+        resid = np.where(observed, self.z - alpha - eta[:, None] * lam, 0.0)
+        return self.spec.sigma2_prior_rate + (resid**2).sum(axis=0) / 2.0
+
+    def test_sigma2_rate_matches_the_residual_form(self):
+        from arealbayes.factor import _panel_stats, _sigma2_rate
+
+        rng = np.random.default_rng(42)
+        # the generating state, where the noise-free indicator's rss is 0,
+        # then states around it
+        states = [(self.alpha, self.lam, self.eta)]
+        for scale in (1e-6, 1e-2, 0.3):
+            eta, _ = center_by_component(self.eta + scale * rng.standard_normal(9), self.graph)
+            states.append((self.alpha + scale * rng.standard_normal(4),
+                           self.lam + scale * rng.standard_normal(4), eta))
+        for alpha, lam, eta in states:
+            rate = _sigma2_rate(self.cache, alpha, lam, _panel_stats(self.cache, eta), self.spec)
+            oracle = self.residual_rate(alpha, lam, eta)
+            assert np.allclose(rate, oracle, rtol=1e-9, atol=0), (rate, oracle)
+            assert (rate >= self.spec.sigma2_prior_rate).all()
+        mt_eta, zc_eta, mt_eta2 = _panel_stats(self.cache, self.eta)
+        prior = _sigma2_rate(self.cache, self.alpha, self.lam, (mt_eta, zc_eta, mt_eta2), self.spec)
+        assert prior[2] == pytest.approx(self.spec.sigma2_prior_rate, rel=1e-9)
+        # rounding that takes the noise-free sum below 0 leaves the prior rate
+        low = (mt_eta, zc_eta, mt_eta2 * (1.0 - 1e-12))
+        assert _sigma2_rate(self.cache, self.alpha, self.lam, low, self.spec)[2] == (
+            self.spec.sigma2_prior_rate
+        )
+
+    def test_moves_carry_the_statistics_of_a_fresh_product(self):
+        from arealbayes.factor import _draw_eta, _panel_stats, _scale_move, _signflip
+
+        cache, spec, graph = self.cache, self.spec, self.graph
+
+        def check(stats, eta):
+            # each statistic to 1e-12 of the sum of its terms' magnitudes
+            fresh = _panel_stats(cache, eta)
+            bound = np.abs(cache.K) @ np.array([np.abs(eta), eta * eta]).T
+            p = spec.n_indicators
+            for got, want, size in zip(stats, fresh, (bound[:p, 0], bound[p:, 0], bound[:p, 1])):
+                assert np.all(np.abs(got - want) <= 1e-12 * size), (got, want)
+
+        rng = np.random.default_rng(43)
+        eta = _draw_eta(rng, cache, graph, 1.0, self.alpha, self.lam, self.sigma2, self.eta.copy())
+        stats = _panel_stats(cache, eta)
+        # the mirrored field fits the anchor worse: the flip always accepts
+        lam = self.lam.copy()
+        lam[1:] *= -1
+        eta, lam, stats, flipped = _signflip(
+            rng, cache, spec, self.alpha, self.sigma2, -eta, lam, _panel_stats(cache, -eta)
+        )
+        assert flipped
+        check(stats, eta)
+        accepted = 0
+        for _ in range(20):
+            eta, lam, stats, scaled, _ = _scale_move(
+                rng, cache, graph, spec, self.alpha, lam, self.sigma2, eta, stats, 0.1
+            )
+            accepted += scaled
+            check(stats, eta)
+        assert accepted >= 3
+
 
 class TestGewekeStylePriorCheck:
     def test_gibbs_kernel_holds_prior_marginals(self):
@@ -425,6 +519,26 @@ class TestFitStage1:
         for c in range(2):
             for name in seq.param_names:
                 assert np.array_equal(seq.chains[c][name], par.chains[c][name])
+
+    def test_chain_metadata_records_the_moves(self):
+        g = make_lattice(3, 3)
+        panel, _ = simulate_stage1(g, np.array([1.0, 1.1]), np.array([0.3, 0.3]), seed=2)
+        config = McmcConfig(n_chains=2, n_iter=120, burn_in=40, thin=2, seed=17)
+        # chain 1 starts in the sign-mirrored mode, which the flip leaves
+        mirrored = [{}, {"eta": center_by_component(-panel.values[:, 0], g)[0]}]
+        seq = fit_stage1(panel, g, config=config, n_workers=1, init_overrides=mirrored)
+        par = fit_stage1(panel, g, config=config, n_workers=2, init_overrides=mirrored)
+        keys = [f"chain{c}_{key}" for c in range(2) for key in ("acceptance", "scale_log_step")]
+        assert {k: seq.metadata[k] for k in keys} == {k: par.metadata[k] for k in keys}
+        shares = []
+        for c in range(2):
+            scale, flip = seq.metadata[f"chain{c}_acceptance"].split(";")
+            assert scale.startswith("scale=") and flip.startswith("signflip=")
+            shares.append((float(scale[6:]), float(flip[9:])))
+            step = seq.metadata[f"chain{c}_scale_log_step"]
+            assert step.startswith("scale=") and len(step.split(".")[1]) == 4
+        assert all(0.0 < scale < 1.0 for scale, _ in shares)
+        assert shares[1][1] > 0.0
 
     def test_pool_is_capped_at_the_chain_count(self, monkeypatch):
         g = make_lattice(3, 3)

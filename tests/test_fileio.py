@@ -176,6 +176,41 @@ class TestCovariatesAndStrata:
         assert back.deaths[0, 0] == 1.0
         assert np.isnan(back.deaths[1, 1])
 
+    def test_shuffled_rows_give_the_sorted_table(self, tmp_path):
+        rng = np.random.default_rng(12)
+        n, k = 7, 4
+        deaths = rng.integers(0, 9, (n, k)).astype(float)
+        deaths[2, 1] = np.nan
+        table = StrataTable([f"area{i}" for i in range(n)], [f"s{s}" for s in range(k)],
+                            rng.integers(10, 99, (n, k)).astype(float), deaths)
+        path = tmp_path / "sorted.csv"
+        fileio.write_strata(path, table)
+        header, *lines = path.read_text().splitlines()
+        assert len(lines) == n * k  # line i * k + s holds (area i, stratum s)
+
+        def read(order, name):
+            out = tmp_path / name
+            out.write_text("\n".join([header, *(lines[j] for j in order)]) + "\n")
+            return fileio.read_strata(out)
+
+        def check(back, area_order, stratum_order):
+            assert back.area_ids == [table.area_ids[i] for i in area_order]
+            assert back.strata == [table.strata[s] for s in stratum_order]
+            expected = np.ix_(area_order, stratum_order)
+            assert np.array_equal(back.population, table.population[expected])
+            assert np.array_equal(back.deaths, table.deaths[expected], equal_nan=True)
+
+        # every area, then every stratum, first appears in sorted order;
+        # the other rows follow shuffled
+        spine = [i * k for i in range(n)] + list(range(1, k))
+        rest = rng.permutation(sorted(set(range(n * k)) - set(spine))).tolist()
+        check(read(spine + rest, "spine.csv"), range(n), range(k))
+        # any order: rows and columns follow first appearance
+        order = rng.permutation(n * k).tolist()
+        first = lambda keys: list(dict.fromkeys(keys))  # noqa: E731
+        check(read(order, "shuffled.csv"),
+              first(j // k for j in order), first(j % k for j in order))
+
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "strata.csv"
         path.write_text(

@@ -18,7 +18,7 @@ from scipy.linalg import block_diag, null_space
 
 from arealbayes import fileio, gmrf, svc
 from arealbayes.errors import ValidationError
-from arealbayes.graph import build_graph
+from arealbayes.graph import build_graph, csr_matvec
 from arealbayes.icar import IcarField, center_by_component, precision_matrix
 from arealbayes.mcmc import ChainArchive, McmcConfig, effective_sample_size
 from arealbayes.prep import StrataTable, expected_counts
@@ -553,12 +553,21 @@ class TestMatvec:
         x = np.random.default_rng(73).standard_normal(2 * g.n_areas)
         for A in [*g.colour_blocks, gmrf.icar_precision(g)]:
             for vec in (x[: g.n_areas], x[::2]):
-                assert np.array_equal(svc._matvec(A, vec), A @ vec)
+                assert np.array_equal(csr_matvec(A, vec), A @ vec)
 
     def test_wrong_length_is_rejected(self):
         g = make_lattice(3, 3)
         with pytest.raises(ValidationError, match="shape"):
-            svc._matvec(g.colour_blocks[0], np.zeros(8))
+            csr_matvec(g.colour_blocks[0], np.zeros(8))
+        with pytest.raises(ValidationError, match="shape"):
+            g.neighbour_sums(np.zeros(8))
+
+    def test_neighbour_sums_are_the_weight_matrix_product(self):
+        # a weighted component, a second component and an island
+        g = build_graph(WEIGHTED_SEVEN_EDGES + [(7, 8, 1.0), (8, 9, 2.5)], n_areas=11)
+        x = np.random.default_rng(74).standard_normal(g.n_areas)
+        assert np.allclose(g.neighbour_sums(x), g.dense_weights() @ x, rtol=1e-14, atol=0)
+        assert g.neighbour_sums(x)[10] == 0.0
 
 
 class TestSiteExchanges:
