@@ -309,8 +309,8 @@ def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, step):
     loadings. ``eta' Q eta`` is ``eta . (w_+ eta - W eta)``, islands on
     their unit diagonal; the anchor parts of A and B come from ``stats``,
     eta's :func:`_panel_stats`. Returns ``(eta, lam, stats, accepted,
-    signal)``, the signal for the step's adaptation being 1 on accept and
-    the acceptance probability on reject.
+    signal)``, the signal for the step's adaptation being the move's
+    acceptance probability ``min(1, exp(logr))``, accepted or not.
     """
     a = spec.anchor_index
     quad = float(eta @ (graph.wplus_eff * eta - graph.neighbour_sums(eta)))
@@ -327,12 +327,13 @@ def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, step):
         + power * log_s
         - free_ss / (2.0 * spec.loading_prior_variance) * (1.0 / (s * s) - 1.0)
     )
+    signal = math.exp(min(logr, 0.0)) if logr > -700.0 else 0.0
     if logr >= 0.0 or math.log(rng.random()) < logr:
         lam = lam / s
         lam[a] = 1.0
         mt_eta, zc_eta, mt_eta2 = stats
-        return eta * s, lam, (s * mt_eta, s * zc_eta, (s * s) * mt_eta2), True, 1.0
-    return eta, lam, stats, False, math.exp(logr) if logr > -700.0 else 0.0
+        return eta * s, lam, (s * mt_eta, s * zc_eta, (s * s) * mt_eta2), True, signal
+    return eta, lam, stats, False, signal
 
 
 def gibbs_update_alpha(state, panel, spec, rng) -> FactorModelState:

@@ -13,12 +13,14 @@ only one iteration step and a snapshot of its state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
 import numbers
 import os
 import sys
+import tempfile
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -114,6 +116,17 @@ def usable_cpus() -> int:
 _POOL_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
 
 
+def _pool_size(n_workers: int | None, n_tasks: int) -> int:
+    """Workers of :func:`worker_map`'s pool for ``n_tasks``, 0 when it maps
+    in this process."""
+    if n_workers is None:
+        n_workers = usable_cpus()
+    elif n_workers < 1:
+        raise ValidationError(f"n_workers must be at least 1, got {n_workers}")
+    n_workers = min(n_workers, n_tasks)
+    return n_workers if n_workers > 1 and _POOL_CONTEXT is not None else 0
+
+
 @contextmanager
 def worker_map(fn, tasks, n_workers: int | None = None):
     """``map(fn, tasks)``, results in task order, on worker processes.
@@ -125,16 +138,22 @@ def worker_map(fn, tasks, n_workers: int | None = None):
     platform other than Linux, maps in this process. ``fn``, the tasks
     and the results must be picklable for a pool.
     """
-    if n_workers is None:
-        n_workers = usable_cpus()
-    elif n_workers < 1:
-        raise ValidationError(f"n_workers must be at least 1, got {n_workers}")
-    n_workers = min(n_workers, len(tasks))
-    if n_workers > 1 and _POOL_CONTEXT is not None:
-        with ProcessPoolExecutor(max_workers=n_workers, mp_context=_POOL_CONTEXT) as pool:
+    pool_size = _pool_size(n_workers, len(tasks))
+    if pool_size:
+        with ProcessPoolExecutor(max_workers=pool_size, mp_context=_POOL_CONTEXT) as pool:
             yield pool.map(fn, tasks)
     else:
         yield map(fn, tasks)
+
+
+def _chain_to_files(chain, directory, task):
+    """Run ``chain`` on ``(c, task)`` and save its draws as
+    ``<directory>/<c>.<name>.npy``; returns the names and the extra."""
+    c, task = task
+    draws, extra = chain(task)
+    for name, values in draws.items():
+        np.save(os.path.join(directory, f"{c}.{name}.npy"), values)
+    return list(draws), extra
 
 
 def run_chains(chain, payloads, config: McmcConfig, n_workers: int | None = None):
@@ -142,7 +161,9 @@ def run_chains(chain, payloads, config: McmcConfig, n_workers: int | None = None
 
     ``rng`` is ``spawn_generators(config.seed, config.n_chains)[c]``, and
     the chains run on :func:`worker_map` with ``n_workers``, which does not
-    change the draws. A config that retains no draw raises
+    change the draws. Chains on a pool hand their draws back as ``.npy``
+    files in a temporary directory of the fit, not through the pool's
+    result pipe. A config that retains no draw raises
     :class:`ValidationError`. Returns the archive, its metadata holding the
     ``wall_time_s``, and the extras in chain order.
     """
@@ -153,8 +174,15 @@ def run_chains(chain, payloads, config: McmcConfig, n_workers: int | None = None
         )
     tasks = list(zip(spawn_generators(config.seed, config.n_chains), payloads, strict=True))
     started = time.time()
-    with worker_map(chain, tasks, n_workers) as results:
-        draws, extras = zip(*results)
+    if _pool_size(n_workers, len(tasks)):
+        with tempfile.TemporaryDirectory(prefix="arealbayes-") as directory:
+            handoff = functools.partial(_chain_to_files, chain, directory)
+            with worker_map(handoff, list(enumerate(tasks)), n_workers) as results:
+                names, extras = zip(*results)
+            draws = [{name: np.load(os.path.join(directory, f"{c}.{name}.npy"))
+                      for name in chain_names} for c, chain_names in enumerate(names)]
+    else:
+        draws, extras = zip(*map(chain, tasks))
     metadata = {"wall_time_s": f"{time.time() - started:.3f}"}
     return ChainArchive(list(draws), config.retained_iterations(), config, metadata), list(extras)
 
@@ -165,15 +193,23 @@ def run_chain(config: McmcConfig, step, snapshot) -> dict[str, np.ndarray]:
     The gain is ``it ** -0.6`` in burn-in and 0 after: an adaptive step is
     multiplied by ``exp(gain * (acceptance probability - ADAPT_TARGET))``.
     After each iteration that ``config.is_retained``, the values of
-    ``snapshot() -> {name: value}`` are copied. Returns each name's copies
-    stacked, shape ``(n_retained, *value shape)``.
+    ``snapshot() -> {name: value}`` are copied into the next row of that
+    name's array, shape ``(n_retained, *value shape)``, allocated at the
+    first retained iteration. Returns those arrays.
     """
-    keep = []
+    draws, row = {}, 0
     for it in range(1, config.n_iter + 1):
         step(it, it ** -0.6 if it <= config.burn_in else 0.0)
         if config.is_retained(it):
-            keep.append({name: np.array(value) for name, value in snapshot().items()})
-    return {name: np.array([draw[name] for draw in keep]) for name in (keep[0] if keep else ())}
+            values = snapshot()
+            if not row:
+                draws = {name: np.empty((config.n_retained, *np.shape(value)),
+                                        np.asarray(value).dtype)
+                         for name, value in values.items()}
+            for name, value in values.items():
+                draws[name][row] = value
+            row += 1
+    return draws
 
 
 def model_hash(*parts) -> str:

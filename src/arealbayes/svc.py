@@ -67,16 +67,22 @@ also ``(delta, phi, tau_delta) -> (s delta, phi - (s - 1) x delta,
 tau_delta / s^2)``, and the same scaling of delta with ``(s - 1) x delta``
 taken by v (centred per component), b0 (its mean) and phi (the spread of
 its component means). Each draws ``log s ~ N(0, step^2)`` with its own
-step, adapted toward ``mcmc.ADAPT_TARGET`` acceptance in burn-in. The
-precisions then take their conjugate Gamma draws.
+step, adapted toward ``mcmc.ADAPT_TARGET`` acceptance in burn-in. In M4
+the two delta moves and tau_delta's conjugate Gamma draw then run
+``SCALE_ROUNDS`` rounds, each the "delta" move, the "ridge" move and the
+Gamma draw, on scalar statistics of the state that are formed once and
+carried in closed form (:class:`_DeltaScaleMoves`); their shifts of phi,
+v, delta and b0 are applied once, after the last round. The precisions
+of phi and v then take their conjugate Gamma draws.
 
 The random stream of an M3 or M4 iteration is, in order: for the v sweep
 and then (M4) the delta sweep, n normals, n uniforms and n normals; one
 normal per translation, 2K - 1 for M3 and 2K for M4 with K fixed effects
 (2K - 1 when the covariate is constant on every component); when the
-precisions are sampled, one normal per scale move and then one uniform
-per scale move (in the order v, delta, and the delta move against v, b0
-and phi), then one Gamma draw per precision.
+precisions are sampled, one normal and one uniform for the v scale move;
+then in M4, per round, two normals and two uniforms for the "delta" and
+"ridge" moves and one Gamma draw of tau_delta; then the Gamma draws of
+tau_phi and tau_v.
 
 A Newton-mode Laplace approximation at fixed precisions is provided as an
 independent cross-check and for empirical-Bayes selection of the
@@ -140,6 +146,8 @@ PRECISION_NAMES = ("tau_phi", "tau_v", "tau_delta")
 SCALE_MOVES = ("v", "delta", "ridge")
 SCALE_STEP = 0.1
 MAX_LOG_SCALE = 300.0
+# rounds of M4's "delta" and "ridge" moves and tau_delta's draw per iteration
+SCALE_ROUNDS = 4
 # the Laplace fit's Newton step limit and its projected-gradient tolerance
 MAX_NEWTON = 100
 GRAD_TOL = 1e-9
@@ -657,6 +665,98 @@ class _RidgeMoves:
             state += c @ d
 
 
+class _DeltaScaleMoves:
+    """M4's "delta" and "ridge" scale moves on scalar statistics carried in
+    closed form.
+
+    Both moves scale delta by s and tau_delta by ``1 / s^2`` and keep theta
+    fixed. With ``w = x delta`` and ``t = s - 1``, "delta" moves phi by
+    ``-t w``; "ridge" splits w as :class:`_RidgeMoves` splits its columns
+    and moves v by ``-t u`` (u: w centred per component), b0 by ``-t m``
+    (m: the mean of w) and phi by ``-t r`` (r: the spread of w's component
+    means, zero on a connected graph). Their log ratios
+    (:meth:`_Stage2Chain._scale_log_ratio`) read only the products ``w.w``,
+    ``w.phi``, ``u'Q u``, ``(Q u).v``, ``r.r``, ``r.phi`` and ``w.r``, m
+    and b0, and tau_delta's Gamma draw reads ``delta' Q delta``. These are
+    formed once from the chain's state; an accepted move updates them in
+    closed form (every product with delta's side twice scales by s^2, m by
+    s) and adds its shifts, as multiples of the fixed w, u and r, to
+    coefficients that :meth:`apply` writes into the chain's fields at the
+    end. The precisions of phi and v do not change meanwhile.
+    """
+
+    def __init__(self, chain):
+        self.chain = chain
+        fields, graph = chain.fields, chain.graph
+        delta, phi, v = fields["delta"], fields["phi"], fields["v"]
+        w = chain.spec.covariate * delta
+        u, means = icar.center_by_component(w, graph)
+        qu = csr_matvec(chain.q, u)
+        self.w, self.u, self.r = w, u, None
+        self.ww, self.wphi = float(w @ w), float(w @ phi)
+        self.uqu, self.quv = float(u @ qu), float(qu @ v)
+        self.m = float(w.sum()) / len(w)
+        self.rr = self.rphi = self.wr = 0.0
+        if len(means) > 1:
+            self.r = means[graph.component_labels] - self.m
+            self.rr, self.rphi, self.wr = (float(self.r @ x) for x in (self.r, phi, w))
+        self.quad_delta, self.rank = icar.quad_form_and_rank(graph, delta)
+        self.beta0 = float(chain.beta[0])
+        # delta's overall scale, and the multiples of w and r that phi and
+        # of u that v have taken since the statistics were formed
+        self.scale, self.phi_w, self.phi_r, self.v_u = 1.0, 0.0, 0.0, 0.0
+
+    def move(self, name, log_s, log_u) -> float:
+        """The scale move ``name`` ("delta" or "ridge") by ``s = exp(log_s)``,
+        taken when ``log_u`` is below its log ratio, which it returns."""
+        chain = self.chain
+        taus = chain.taus
+        tau_phi = taus["tau_phi"]
+        if name == "delta":
+            quad, lin = tau_phi * self.ww, tau_phi * self.wphi
+        else:
+            prec, tau_v, m = 1.0 / chain.spec.beta_prior_variance, taus["tau_v"], self.m
+            quad = tau_v * self.uqu + prec * m * m + tau_phi * self.rr
+            lin = tau_v * self.quv + prec * m * self.beta0 + tau_phi * self.rphi
+        logr = chain._scale_log_ratio(log_s, quad, lin, taus["tau_delta"])
+        if log_u < logr:
+            t, s = math.expm1(log_s), math.exp(log_s)
+            shift = t * self.scale
+            if name == "delta":
+                self.phi_w += shift
+                self.wphi = s * (self.wphi - t * self.ww)
+                self.rphi = s * (self.rphi - t * self.wr)
+                self.quv *= s
+            else:
+                self.v_u += shift
+                self.phi_r += shift
+                self.beta0 -= t * self.m
+                self.quv = s * (self.quv - t * self.uqu)
+                self.rphi = s * (self.rphi - t * self.rr)
+                self.wphi = s * (self.wphi - t * self.wr)
+            s2 = s * s
+            self.ww *= s2
+            self.wr *= s2
+            self.rr *= s2
+            self.uqu *= s2
+            self.quad_delta *= s2
+            self.m *= s
+            self.scale *= s
+            taus["tau_delta"] *= math.exp(-2.0 * log_s)
+            chain.scale_accepted[name] += 1
+        return logr
+
+    def apply(self) -> None:
+        """Write the accepted moves' shifts into phi, v, delta and b0."""
+        fields = self.chain.fields
+        fields["phi"] -= self.phi_w * self.w
+        if self.r is not None:
+            fields["phi"] -= self.phi_r * self.r
+        fields["v"] -= self.v_u * self.u
+        fields["delta"] *= self.scale
+        self.chain.beta[0] = self.beta0
+
+
 class _Stage2Chain:
     """One stage-2 chain: its state, one iteration of the moves the module
     docstring lists, their counts and the divergence abort.
@@ -778,23 +878,7 @@ class _Stage2Chain:
             if spec.has_svc:
                 self.theta = self.theta + spec.covariate * fields["delta"]
             if self.sample_precisions:
-                k = len(self.scale_steps)
-                normals = rng.standard_normal(k).tolist()
-                log_us = np.log1p(-rng.random(k)).tolist()
-                for (name, step), z, log_u in zip(self.scale_steps.items(), normals, log_us):
-                    logr = self._scale(name, step * z, log_u)
-                    if gain:
-                        acc_prob = math.exp(min(logr, 0.0)) if logr > -700.0 else 0.0
-                        self.scale_steps[name] = step * math.exp(gain * (acc_prob - ADAPT_TARGET))
-                a, b = spec.precision_prior_shape, spec.precision_prior_rate
-                for name, values in fields.items():
-                    if name == "phi":
-                        quad, rank = float(values @ values), spec.n_areas
-                    else:
-                        quad, rank = icar.quad_form_and_rank(self.graph, values)
-                    self.taus[f"tau_{name}"] = float(
-                        rng.gamma(a + rank / 2.0, 1.0 / (b + quad / 2.0))
-                    )
+                self._precision_moves(gain)
 
         # the divergence abort looks at the late burn-in, or at the whole run
         # when there is no burn-in
@@ -812,58 +896,74 @@ class _Stage2Chain:
                     f"past {PREDICTOR_BOUND}; check offsets and covariate scaling"
                 )
 
-    def _scale(self, name, log_s, log_u) -> float:
-        """The scale move ``name`` by ``s = exp(log_s)``; returns its log ratio.
+    def _precision_moves(self, gain):
+        """The scale moves and the conjugate Gamma draws of the precisions,
+        in the order and with the variates the module docstring lists."""
+        spec, rng, fields, taus = self.spec, self.rng, self.fields, self.taus
+        a, b = spec.precision_prior_shape, spec.precision_prior_rate
+        z, log_u = rng.standard_normal(1).tolist() + np.log1p(-rng.random(1)).tolist()
+        self._adapt_scale("v", self._scale_v(self.scale_steps["v"] * z, log_u), gain)
+        if spec.has_svc:
+            moves = _DeltaScaleMoves(self)
+            for _ in range(SCALE_ROUNDS):
+                normals = rng.standard_normal(2).tolist()
+                log_us = np.log1p(-rng.random(2)).tolist()
+                for name, z, log_u in zip(("delta", "ridge"), normals, log_us):
+                    logr = moves.move(name, self.scale_steps[name] * z, log_u)
+                    self._adapt_scale(name, logr, gain)
+                taus["tau_delta"] = float(
+                    rng.gamma(a + moves.rank / 2.0, 1.0 / (b + moves.quad_delta / 2.0))
+                )
+            moves.apply()
+        phi = fields["phi"]
+        for name, (quad, rank) in (
+            ("phi", (float(phi @ phi), spec.n_areas)),
+            ("v", icar.quad_form_and_rank(self.graph, fields["v"])),
+        ):
+            taus[f"tau_{name}"] = float(rng.gamma(a + rank / 2.0, 1.0 / (b + quad / 2.0)))
 
-        Each move scales an ICAR field by s and its precision by ``1 / s^2``
-        and keeps theta fixed by subtracting ``t w``, ``t = s - 1``, from
-        blocks that compensate: "v" scales v and phi takes ``w = v``;
-        "delta" scales delta and phi takes ``w = x delta``; "ridge" scales
-        delta and splits ``w = x delta`` as :class:`_RidgeMoves` splits its
-        columns: v takes w centred per component, b0 its mean and phi the
-        spread of its component means. The compensating priors change by
+    def _adapt_scale(self, name, logr, gain):
+        """Move the log-step of scale move ``name`` toward ``ADAPT_TARGET``
+        acceptance by its proposal's acceptance probability."""
+        if gain:
+            acc_prob = math.exp(min(logr, 0.0)) if logr > -700.0 else 0.0
+            self.scale_steps[name] *= math.exp(gain * (acc_prob - ADAPT_TARGET))
+
+    def _scale_log_ratio(self, log_s, quad, lin, tau) -> float:
+        """Log ratio of a scale move by ``s = exp(log_s)``.
+
+        Each move scales an ICAR field by s and its precision ``tau`` by
+        ``1 / s^2`` and keeps theta fixed by subtracting ``t w``, ``t = s -
+        1``, from blocks that compensate (:meth:`_scale_v` and
+        :class:`_DeltaScaleMoves`). The compensating priors change by
         ``-t^2 quad / 2 + t lin``, and with the field's Jacobian, the
-        precision's Gamma(a, b) prior and the Gamma update's rank r the
-        log ratio is that plus ``(d - r - 2 a) log s - b tau (s^-2 - 1)``,
-        d being :func:`arealbayes.icar.centered_dimension`: s^d is the
-        field's Jacobian and ``s^-2`` the precision's. The move is taken
-        when ``log_u`` is below the log ratio; a ``|log_s|`` past
-        ``MAX_LOG_SCALE`` is rejected outright.
+        precision's Gamma(a, b) prior and the Gamma update's rank r the log
+        ratio is that plus ``(d - r - 2 a) log s - b tau (s^-2 - 1)``, d
+        being :func:`arealbayes.icar.centered_dimension`: s^d is the field's
+        Jacobian and ``s^-2`` the precision's. A ``|log_s|`` past
+        ``MAX_LOG_SCALE`` gives ``-inf``, which every move rejects.
         """
         if abs(log_s) > MAX_LOG_SCALE:
             return -math.inf
-        fields, taus, beta = self.fields, self.taus, self.beta
-        phi, v = fields["phi"], fields["v"]
-        field, tau_name = (v, "tau_v") if name == "v" else (fields["delta"], "tau_delta")
-        w = v if name == "v" else self.spec.covariate * field
-        tau_phi = taus["tau_phi"]
-        if name == "ridge":
-            u, means = icar.center_by_component(w, self.graph)
-            qu = csr_matvec(self.q, u)
-            mean = float(w.sum()) / len(w)
-            prec = 1.0 / self.spec.beta_prior_variance
-            quad = taus["tau_v"] * float(u @ qu) + prec * mean * mean
-            lin = taus["tau_v"] * float(qu @ v) + prec * mean * float(beta[0])
-            shifts = [(v, u)]
-            if len(means) > 1:
-                spread = means[self.graph.component_labels] - mean
-                quad += tau_phi * float(spread @ spread)
-                lin += tau_phi * float(spread @ phi)
-                shifts.append((phi, spread))
-        else:
-            mean = 0.0
-            quad, lin = tau_phi * float(w @ w), tau_phi * float(w @ phi)
-            shifts = [(phi, w)]
         t = math.expm1(log_s)
-        logr = (-0.5 * t * t * quad + t * lin + self.scale_power * log_s
-                - self.spec.precision_prior_rate * taus[tau_name] * math.expm1(-2.0 * log_s))
+        return (-0.5 * t * t * quad + t * lin + self.scale_power * log_s
+                - self.spec.precision_prior_rate * tau * math.expm1(-2.0 * log_s))
+
+    def _scale_v(self, log_s, log_u) -> float:
+        """The "v" scale move by ``s = exp(log_s)``: v scales by s, tau_v by
+        ``1 / s^2`` and phi takes ``-(s - 1) v``. Taken when ``log_u`` is
+        below the log ratio, which it returns."""
+        fields, taus = self.fields, self.taus
+        phi, v = fields["phi"], fields["v"]
+        tau_phi = taus["tau_phi"]
+        logr = self._scale_log_ratio(
+            log_s, tau_phi * float(v @ v), tau_phi * float(v @ phi), taus["tau_v"]
+        )
         if log_u < logr:
-            for block, shift in shifts:
-                block -= t * shift
-            beta[0] -= t * mean
-            field *= math.exp(log_s)
-            taus[tau_name] *= math.exp(-2.0 * log_s)
-            self.scale_accepted[name] += 1
+            phi -= math.expm1(log_s) * v
+            v *= math.exp(log_s)
+            taus["tau_v"] *= math.exp(-2.0 * log_s)
+            self.scale_accepted["v"] += 1
         return logr
 
     def snapshot(self):
@@ -878,7 +978,8 @@ def _run_stage2_chain(task):
     n_iter = chain.config.n_iter
     rates = {block: accepted / (n_iter * chain.block_size)
              for block, accepted in chain.accepted.items()}
-    rates.update((f"scale_{name}", accepted / n_iter)
+    # "delta" and "ridge" propose SCALE_ROUNDS times an iteration
+    rates.update((f"scale_{name}", accepted / (n_iter * (1 if name == "v" else SCALE_ROUNDS)))
                  for name, accepted in chain.scale_accepted.items())
     meta = {
         "acceptance": ";".join(f"{key}={rate:.3f}" for key, rate in sorted(rates.items())),

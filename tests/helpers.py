@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from arealbayes import mcmc
+from arealbayes import mcmc, svc
 
 
 def recording_pool(monkeypatch) -> list:
@@ -424,3 +424,52 @@ def bordered_laplace_reference(spec, counts, graph, taus, max_newton=100, grad_t
         gradient_norm=grad_norm,
         n_newton=it,
     )
+
+
+def array_delta_scale_move(chain, name, log_s, log_u) -> float:
+    """The "delta" or "ridge" scale move of a stage-2 M4 chain made on its
+    arrays, for reference: the move's w, u, r and products are formed from
+    the current state and the shifts are applied at once.
+
+    With ``w = x delta`` and ``t = s - 1``, both scale delta by s and
+    tau_delta by ``1 / s^2``; "delta" moves phi by ``-t w``, "ridge" moves
+    v by ``-t u`` (w centred per component), b0 by ``-t mean(w)`` and phi
+    by ``-t r`` (the spread of w's component means). Taken when ``log_u``
+    is below the log ratio, which it returns; ``|log_s|`` past
+    ``svc.MAX_LOG_SCALE`` is rejected outright.
+    """
+    if abs(log_s) > svc.MAX_LOG_SCALE:
+        return -math.inf
+    fields, taus, beta, spec = chain.fields, chain.taus, chain.beta, chain.spec
+    phi, v, delta = fields["phi"], fields["v"], fields["delta"]
+    w = spec.covariate * delta
+    tau_phi = taus["tau_phi"]
+    mean = 0.0
+    if name == "ridge":
+        labels = chain.graph.component_labels
+        means = np.bincount(labels, weights=w) / np.bincount(labels)
+        u = w - means[labels]
+        qu = chain.q @ u
+        mean = float(w.sum()) / len(w)
+        prec = 1.0 / spec.beta_prior_variance
+        quad = taus["tau_v"] * float(u @ qu) + prec * mean * mean
+        lin = taus["tau_v"] * float(qu @ v) + prec * mean * float(beta[0])
+        shifts = [(v, u)]
+        if len(means) > 1:
+            spread = means[labels] - mean
+            quad += tau_phi * float(spread @ spread)
+            lin += tau_phi * float(spread @ phi)
+            shifts.append((phi, spread))
+    else:
+        quad, lin = tau_phi * float(w @ w), tau_phi * float(w @ phi)
+        shifts = [(phi, w)]
+    t = math.expm1(log_s)
+    logr = (-0.5 * t * t * quad + t * lin + chain.scale_power * log_s
+            - spec.precision_prior_rate * taus["tau_delta"] * math.expm1(-2.0 * log_s))
+    if log_u < logr:
+        for block, shift in shifts:
+            block -= t * shift
+        beta[0] -= t * mean
+        delta *= math.exp(log_s)
+        taus["tau_delta"] *= math.exp(-2.0 * log_s)
+    return logr

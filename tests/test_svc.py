@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 from helpers import (
+    array_delta_scale_move,
     batch_means_z,
     bordered_laplace_reference,
     gaussian_m4_posterior_means,
@@ -19,7 +20,7 @@ from scipy.linalg import block_diag, null_space
 from arealbayes import fileio, gmrf, svc
 from arealbayes.errors import ValidationError
 from arealbayes.graph import build_graph, csr_matvec
-from arealbayes.icar import IcarField, center_by_component, precision_matrix
+from arealbayes.icar import IcarField, center_by_component, precision_matrix, quad_form_and_rank
 from arealbayes.mcmc import ChainArchive, McmcConfig, effective_sample_size
 from arealbayes.prep import StrataTable, expected_counts
 from arealbayes.simulate import make_lattice, sample_icar, simulate_stage2
@@ -448,6 +449,27 @@ class TestRidgeMoves:
         assert len(ridges.directions) == 3
 
 
+def scale_chain(g, seed, taus):
+    """An M4 chain with sampled precisions on ``g`` whose state is drawn
+    from ``seed``; returns the spec and the chain."""
+    spec, state = convolution_pieces(g, "M4", seed=seed)
+    spec.precision_prior_shape, spec.precision_prior_rate = 2.5, 1.5
+    counts = np.random.default_rng(seed).poisson(50.0, g.n_areas).astype(float)
+    config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
+    chain = svc._Stage2Chain((
+        np.random.default_rng(seed),
+        (spec, PoissonLikelihood(counts, spec.offsets), g, config, True, taus),
+    ))
+    # the chain's fields: zero sum on every component, islands at 0
+    chain.beta[:] = state.beta
+    chain.fields.update(
+        phi=state.phi.copy(),
+        v=center_by_component(state.v.values, g)[0],
+        delta=center_by_component(state.delta.values, g)[0],
+    )
+    return spec, chain
+
+
 class TestScaleMoves:
     """Metropolis scale moves of (field, precision) that keep theta fixed."""
 
@@ -457,22 +479,7 @@ class TestScaleMoves:
 
     def chain(self, seed):
         g = build_graph(self.EDGES, n_areas=self.N)
-        spec, state = convolution_pieces(g, "M4", seed=seed)
-        spec.precision_prior_shape, spec.precision_prior_rate = 2.5, 1.5
-        counts = np.random.default_rng(seed).poisson(50.0, g.n_areas).astype(float)
-        config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
-        chain = svc._Stage2Chain((
-            np.random.default_rng(seed),
-            (spec, PoissonLikelihood(counts, spec.offsets), g, config, True, self.TAUS),
-        ))
-        # the chain's fields: zero sum on every component, islands at 0
-        chain.beta[:] = state.beta
-        chain.fields.update(
-            phi=state.phi.copy(),
-            v=center_by_component(state.v.values, g)[0],
-            delta=center_by_component(state.delta.values, g)[0],
-        )
-        return g, spec, chain
+        return (g, *scale_chain(g, seed, self.TAUS))
 
     @staticmethod
     def state(chain):
@@ -483,13 +490,25 @@ class TestScaleMoves:
         f = chain.fields
         return chain.X @ chain.beta + f["phi"] + f["v"] + spec.covariate * f["delta"]
 
+    @staticmethod
+    def scale(chain, name, log_s, log_u):
+        """One scale move through the sampler's entry points: "v" on the
+        arrays, "delta" and "ridge" on carried statistics whose shifts are
+        then applied; returns the log ratio."""
+        if name == "v":
+            return chain._scale_v(log_s, log_u)
+        moves = svc._DeltaScaleMoves(chain)
+        logr = moves.move(name, log_s, log_u)
+        moves.apply()
+        return logr
+
     @pytest.mark.parametrize("name", svc.SCALE_MOVES)
     def test_moves_keep_theta_zero_sums_and_islands(self, name):
         g, spec, chain = self.chain(seed=70)
         theta = self.predictor(chain, spec)
         before = {key: f.copy() for key, f in chain.fields.items()}
         # log u = -inf takes the move whatever its ratio
-        chain._scale(name, 0.4, -math.inf)
+        self.scale(chain, name, 0.4, -math.inf)
         assert chain.scale_accepted[name] == 1
         assert np.max(np.abs(self.predictor(chain, spec) - theta)) < 1e-12
         for key in ("v", "delta"):
@@ -525,10 +544,10 @@ class TestScaleMoves:
         for log_s in (-0.7, -0.05, 0.3, 1.1):
             start = self.state(chain)
             # log u = inf rejects: the ratio comes back and nothing moves
-            logr = chain._scale(name, log_s, math.inf)
+            logr = self.scale(chain, name, log_s, math.inf)
             for got, want in zip(self.state(chain), start):
                 assert got == want if isinstance(got, dict) else np.array_equal(got, want)
-            chain._scale(name, log_s, -math.inf)
+            self.scale(chain, name, log_s, -math.inf)
             expected = log_post(*self.state(chain)) - log_post(*start) + (d - 2) * log_s
             assert abs(logr - expected) < 1e-9 * max(1.0, abs(expected)), (log_s, logr, expected)
 
@@ -537,7 +556,7 @@ class TestScaleMoves:
         g, spec, chain = self.chain(seed=72)
         start = self.state(chain)
         for log_s in (1e6, -1e6, 710.0, -710.0):
-            assert chain._scale(name, log_s, -math.inf) == -math.inf
+            assert self.scale(chain, name, log_s, -math.inf) == -math.inf
         for got, want in zip(self.state(chain), start):
             assert got == want if isinstance(got, dict) else np.array_equal(got, want)
         # a whole iteration with that log-step rejects and shrinks it
@@ -545,6 +564,75 @@ class TestScaleMoves:
         chain.step(1, 0.5)
         assert chain.scale_accepted[name] == 0
         assert chain.scale_steps[name] < 1e6
+
+
+class TestScaleRounds:
+    """The scale moves and precision draws of an M4 iteration, the "delta"
+    and "ridge" moves on carried statistics, against the same iteration with
+    those moves made on the arrays (``helpers.array_delta_scale_move``),
+    from one state and one seed: v's move, ``SCALE_ROUNDS`` rounds of the
+    two delta moves and tau_delta's Gamma draw, then tau_phi's and tau_v's.
+    Every move's decision and log ratio, and the final state, must agree."""
+
+    STEPS = {"v": 0.3, "delta": 0.6, "ridge": 0.6}
+
+    @staticmethod
+    def array_iteration(chain):
+        rng, taus, spec, fields = chain.rng, chain.taus, chain.spec, chain.fields
+        a, b = spec.precision_prior_shape, spec.precision_prior_rate
+        z, log_u = rng.standard_normal(), math.log1p(-rng.random())
+        chain._scale_v(chain.scale_steps["v"] * z, log_u)
+        decisions = []
+        for _ in range(svc.SCALE_ROUNDS):
+            normals, log_us = rng.standard_normal(2), np.log1p(-rng.random(2))
+            for name, z, log_u in zip(("delta", "ridge"), normals, log_us):
+                logr = array_delta_scale_move(chain, name, chain.scale_steps[name] * z, log_u)
+                decisions.append((log_u < logr, logr))
+            quad, rank = quad_form_and_rank(chain.graph, fields["delta"])
+            taus["tau_delta"] = rng.gamma(a + rank / 2, 1 / (b + quad / 2))
+        phi = fields["phi"]
+        taus["tau_phi"] = rng.gamma(a + spec.n_areas / 2, 1 / (b + phi @ phi / 2))
+        quad, rank = quad_form_and_rank(chain.graph, fields["v"])
+        taus["tau_v"] = rng.gamma(a + rank / 2, 1 / (b + quad / 2))
+        return decisions
+
+    @pytest.mark.parametrize("graph", ["components-and-island", "lattice"])
+    def test_carried_rounds_match_array_rounds(self, monkeypatch, graph):
+        if graph == "lattice":
+            g = make_lattice(6, 6)
+        else:
+            g = build_graph(TestScaleMoves.EDGES, n_areas=TestScaleMoves.N)
+        decisions = []
+        move = svc._DeltaScaleMoves.move
+
+        def recording_move(moves, name, log_s, log_u):
+            logr = move(moves, name, log_s, log_u)
+            decisions.append((log_u < logr, logr))
+            return logr
+
+        monkeypatch.setattr(svc._DeltaScaleMoves, "move", recording_move)
+        accepts = 0
+        for trial in range(30):
+            chains = [scale_chain(g, 90 + trial, TestScaleMoves.TAUS)[1] for _ in range(2)]
+            for chain in chains:
+                chain.rng = np.random.default_rng(trial)
+                chain.scale_steps.update(self.STEPS)
+            decisions.clear()
+            carried, array = chains
+            carried._precision_moves(0.0)
+            expected = self.array_iteration(array)
+            assert [d for d, _ in decisions] == [d for d, _ in expected], trial
+            for (_, got), (_, want) in zip(decisions, expected):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (trial, got, want)
+            accepts += sum(d for d, _ in expected)
+            for name in ("phi", "v", "delta"):
+                got, want = carried.fields[name], array.fields[name]
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (trial, name)
+            assert abs(carried.beta[0] - array.beta[0]) <= 1e-12 * abs(array.beta[0])
+            for name, want in array.taus.items():
+                assert abs(carried.taus[name] - want) <= 1e-12 * want, (trial, name)
+        # both decisions are exercised: 30 trials x SCALE_ROUNDS x 2 moves
+        assert 0 < accepts < 30 * svc.SCALE_ROUNDS * 2
 
 
 class TestMatvec:
@@ -600,6 +688,18 @@ class TestSiteExchanges:
     def predictor(chain, spec):
         f = chain.fields
         return chain.X @ chain.beta + f["phi"] + f["v"] + spec.covariate * f["delta"]
+
+    @staticmethod
+    def scale(chain, name, log_s, log_u):
+        """One scale move through the sampler's entry points: "v" on the
+        arrays, "delta" and "ridge" on carried statistics whose shifts are
+        then applied; returns the log ratio."""
+        if name == "v":
+            return chain._scale_v(log_s, log_u)
+        moves = svc._DeltaScaleMoves(chain)
+        logr = moves.move(name, log_s, log_u)
+        moves.apply()
+        return logr
 
     def sweep(self, chain, field, log_us, seed):
         """The field's sweep with the given log uniforms. Returns its
@@ -1055,6 +1155,10 @@ class TestMixing:
     RAMP_BETA0_ESS_BEFORE = 38.4
     RAMP_BETA0_ESS_BOUND = 2 * 142.0
 
+    # tau_delta ESS of the unthinned 2 x 6000 fit (seed 66) with one round
+    # of the delta scale moves and tau_delta's draw per iteration
+    ONE_ROUND_TAU_DELTA_ESS = 1632.7
+
     @staticmethod
     def lattice_m4_data(ramp=False):
         """M4 on a 15x15 lattice with smooth deterministic x, factor, delta
@@ -1094,6 +1198,17 @@ class TestMixing:
         archive = fit_stage2_mcmc(spec, counts, g, config)
         ess = effective_sample_size(archive, "beta", 0)
         assert ess >= self.RAMP_BETA0_ESS_BOUND > 2 * self.RAMP_BETA0_ESS_BEFORE, ess
+
+
+    def test_tau_delta_mixes_with_scale_rounds(self):
+        # the rounds of the delta scale moves and tau_delta's draw move
+        # (|delta|, tau_delta) several times an iteration; unthinned, so the
+        # ESS is not held near the number of draws
+        g, spec, counts = self.lattice_m4_data()
+        config = McmcConfig(n_chains=2, n_iter=6000, burn_in=1000, thin=1, seed=66)
+        archive = fit_stage2_mcmc(spec, counts, g, config)
+        ess = effective_sample_size(archive, "tau_delta")
+        assert ess >= 1.3 * self.ONE_ROUND_TAU_DELTA_ESS, ess
 
 
 class TestColourClasses:
@@ -1276,6 +1391,20 @@ class TestFitStage2:
         steps = dict(item.split("=") for item in steps)
         assert sorted(steps) == ["delta", "ridge", "v"]
         assert all(0.0 < float(step) < 10.0 for step in steps.values())
+
+    def test_acceptance_shares_are_per_proposal(self):
+        # "delta" and "ridge" propose SCALE_ROUNDS times an iteration; their
+        # accepted counts would read above 1 per iteration
+        g = make_lattice(3, 3)
+        spec, truth = convolution_pieces(g, "M4", seed=37)
+        counts = simulate_stage2(g, spec, truth, seed=38)
+        config = McmcConfig(n_chains=2, n_iter=400, burn_in=200, thin=2, seed=40)
+        archive = fit_stage2_mcmc(spec, counts, g, config)
+        for c in range(2):
+            items = archive.metadata[f"chain{c}_acceptance"].split(";")
+            rates = {key: float(rate) for key, rate in (item.split("=") for item in items)}
+            assert sorted(rates) == ["delta", "scale_delta", "scale_ridge", "scale_v", "v"]
+            assert all(0.0 <= rate <= 1.0 for rate in rates.values()), rates
 
     def test_gaussian_delta_proposals_are_exact_conditionals(self):
         g = build_graph(WEIGHTED_SEVEN_EDGES, n_areas=7)
