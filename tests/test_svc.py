@@ -1151,9 +1151,12 @@ class TestMixing:
     RANDOM_WALK_PHI_WORST_ESS = 47.55
 
     # beta_0 ESS of the ramp-covariate fit (seed 66) before the delta ridge
-    # direction and the scale moves; the ramp check asks for 2 x 142.0
+    # direction and the scale moves; the ramp check asks for 2 x 142.0 of the
+    # median over the pre-registered chain seeds 66-73, since one seed's ESS
+    # spreads about that bound for a correct sampler (226-491 over these)
     RAMP_BETA0_ESS_BEFORE = 38.4
     RAMP_BETA0_ESS_BOUND = 2 * 142.0
+    RAMP_SEEDS = range(66, 74)
 
     # tau_delta ESS of the unthinned 2 x 6000 fit (seed 66) with one round
     # of the delta scale moves and tau_delta's draw per iteration
@@ -1194,11 +1197,13 @@ class TestMixing:
         # beta_0 trades against mean(x delta); the delta ridge direction and
         # the scale move of delta against (v, beta_0, phi) move that pair
         g, spec, counts = self.lattice_m4_data(ramp=True)
-        config = McmcConfig(n_chains=2, n_iter=2500, burn_in=1000, thin=3, seed=66)
-        archive = fit_stage2_mcmc(spec, counts, g, config)
-        ess = effective_sample_size(archive, "beta", 0)
-        assert ess >= self.RAMP_BETA0_ESS_BOUND > 2 * self.RAMP_BETA0_ESS_BEFORE, ess
-
+        ess = []
+        for seed in self.RAMP_SEEDS:
+            config = McmcConfig(n_chains=2, n_iter=2500, burn_in=1000, thin=3, seed=seed)
+            archive = fit_stage2_mcmc(spec, counts, g, config)
+            ess.append(effective_sample_size(archive, "beta", 0))
+        median = float(np.median(ess))
+        assert median >= self.RAMP_BETA0_ESS_BOUND > 2 * self.RAMP_BETA0_ESS_BEFORE, ess
 
     def test_tau_delta_mixes_with_scale_rounds(self):
         # the rounds of the delta scale moves and tau_delta's draw move
