@@ -18,32 +18,35 @@ draws for the precisions with the rank of each ICAR block corrected per
 connected component, and exact translations and Metropolis scale moves
 along directions on which every linear predictor stays fixed (below).
 
-v and delta take the same site sweep (:func:`_site_sweep`), one colour
-class at a time: the graph's greedy colouring in ascending area order
-(``SpatialGraph.colour_classes``) splits the areas into classes that share
-no edge, so the areas of a class are conditionally independent and move
-together in one set of array operations on the class's CSR row block of
-W. Every area of a class proposes a new value against its prior
-conditional and its own likelihood term and takes its own
-Metropolis-Hastings test; a proposal that moves ``|log mu|`` past
-``PREDICTOR_BOUND`` is divergent and rejected. Only the proposal differs
-between the fields. A v area proposes a random-walk step of its own size,
-adapted after each burn-in sweep toward ``mcmc.ADAPT_TARGET`` acceptance.
-A delta area proposes ``N(delta + g / h, 1 / h)`` from the gradient g and
-curvature h of its log conditional (one Newton step, Gamerman 1997);
-under a Gaussian likelihood that is the exact conditional.
+v and delta move in one joint colour sweep over the stacked field
+``[v; delta]`` (:class:`_SiteSweep`; v alone in M3). The graph's greedy
+colouring in ascending area order (``SpatialGraph.colour_classes``) splits
+the areas into k classes that share no edge. Step s of the sweep moves v
+on class s together with delta on class ``(s + 1) mod k`` (with one class,
+v and then delta): the sites of a step share no area and no edge, so they
+are conditionally independent and move together in one set of array
+operations on one CSR row block of ``blockdiag(W, W)``. Every site
+proposes a new value against its prior conditional and its own likelihood
+term and takes its own Metropolis-Hastings test; a proposal that moves
+``|log mu|`` past ``PREDICTOR_BOUND`` is divergent and rejected. The
+proposal is ``N(value + w g / p, 1 / p)`` from the gradient g and curvature
+h of the site's log conditional, with ``p = w h + walk precision`` and the
+field's gradient weight w (``GRADIENT_WEIGHTS``). A delta site (w = 1,
+walk precision 0) takes one Newton step (Gamerman 1997), which under a
+Gaussian likelihood is the exact conditional. A v site (w = 0) takes a
+random walk of its own step, adapted after each burn-in sweep toward
+``mcmc.ADAPT_TARGET`` acceptance: a Newton step on v overshoots from the
+cold start on high-count areas and the chain stalls there.
 
 phi takes no step of its own. Only the sum phi + v (+ x delta) is pinned
-by the counts, so right after each class's accept step every area of the
-class makes an exact Gibbs exchange along ``(phi_i + c, v_i - c)`` in the
-v sweep and ``(phi_i + c x_i, delta_i - c)`` in the delta sweep. Both
-lines keep the area's linear predictor unchanged, so only the priors
-change along them and c has a Gaussian conditional (Eberly & Carlin 2000
-on the confounding). A sweep draws, per area, one normal for the
-proposal, one uniform for its test and one normal for the exchange.
-After every v or delta sweep the field is recentered and the subtracted
-mean absorbed into b0 (for v) or b1 (for delta), which leaves every
-area's linear predictor unchanged on a connected graph.
+by the counts, so right after each step's accept test every site of the
+step makes an exact Gibbs exchange along ``(phi_i + c, v_i - c)`` for a v
+site and ``(phi_i + c x_i, delta_i - c)`` for a delta site. Both lines keep
+the area's linear predictor unchanged, so only the priors change along
+them and c has a Gaussian conditional (Eberly & Carlin 2000 on the
+confounding). After the sweep each field is recentered and the
+subtracted mean absorbed into b0 (for v) or b1 (for delta), which leaves
+every area's linear predictor unchanged on a connected graph.
 
 M1 and M2 move the fixed effects by per-coordinate adaptive random walks.
 M3 and M4 move them only by exact Gibbs translations along lines on
@@ -75,14 +78,20 @@ carried in closed form (:class:`_DeltaScaleMoves`); their shifts of phi,
 v, delta and b0 are applied once, after the last round. The precisions
 of phi and v then take their conjugate Gamma draws.
 
-The random stream of an M3 or M4 iteration is, in order: for the v sweep
-and then (M4) the delta sweep, n normals, n uniforms and n normals; one
-normal per translation, 2K - 1 for M3 and 2K for M4 with K fixed effects
-(2K - 1 when the covariate is constant on every component); when the
-precisions are sampled, one normal and one uniform for the v scale move;
-then in M4, per round, two normals and two uniforms for the "delta" and
-"ridge" moves and one Gamma draw of tau_delta; then the Gamma draws of
-tau_phi and tau_v.
+An M3 or M4 iteration draws its variates in one block per distribution,
+at its start: standard normals, uniforms and, when the precisions are
+sampled, the standard Gamma variates that their conjugate draws divide by
+their rates (the ICAR rates take ``x' Q x`` through the sparse Q). With m
+sites (n areas in M3, 2n in M4) and K fixed effects, the normals are, in
+order, one proposal normal per site, one exchange normal per site (both in
+the sweep's step order), one per translation (2K - 1 for M3, 2K for M4, or
+2K - 1 when the covariate is constant on every component) and, with
+sampled precisions, one for v's scale move and (M4) per round one each for
+the "delta" and "ridge" moves. The uniforms are one per site and one per
+scale move, in the same order. The Gamma variates are ``SCALE_ROUNDS`` of
+tau_delta's shape (M4), then tau_phi's and tau_v's; tau_delta's and
+tau_v's shapes are equal. M1 and M2 draw as before; M3 and M4 draws differ
+from versions that swept v and delta one after the other.
 
 A Newton-mode Laplace approximation at fixed precisions is provided as an
 independent cross-check and for empirical-Bayes selection of the
@@ -148,6 +157,10 @@ SCALE_STEP = 0.1
 MAX_LOG_SCALE = 300.0
 # rounds of M4's "delta" and "ridge" moves and tau_delta's draw per iteration
 SCALE_ROUNDS = 4
+# the gradient's weight in each field's site proposal (0: a random walk, 1:
+# a Newton step), and the walk's initial step
+GRADIENT_WEIGHTS = {"v": 0.0, "delta": 1.0}
+SITE_STEP = 0.3
 # the Laplace fit's Newton step limit and its projected-gradient tolerance
 MAX_NEWTON = 100
 GRAD_TOL = 1e-9
@@ -415,27 +428,6 @@ def center_and_absorb(values: np.ndarray, graph: SpatialGraph) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _exchange(phi, values, idx, new, s, wplus, coef, coef_sq, tau_phi, tau, z) -> None:
-    """Exact Gibbs exchanges between phi and an ICAR field over a colour class.
-
-    Area i of the class moves along ``(phi_i + c coef_i, value_i - c)``,
-    which leaves its predictor term ``phi_i + coef_i value_i`` unchanged,
-    from the field's class values ``new`` with neighbour sums ``s``. Only
-    the priors change along the line: phi's iid ``N(0, 1 / tau_phi)`` and
-    the field's conditional (mean ``s_i / w_{i+}``, precision
-    ``tau w_{i+}``), so the log density of c is ``-a c^2 / 2 + b c`` with
-    ``a = tau_phi coef_i^2 + tau w_{i+}`` and ``b = tau (w_{i+} value_i -
-    s_i) - tau_phi coef_i phi_i``, and c is drawn exactly from
-    ``N(b / a, 1 / a)`` with the standard normals ``z``. Islands take the
-    same formula (w_{i+} = 1, s_i = 0). Mutates phi and ``values[idx]``.
-    """
-    a = tau_phi * coef_sq + tau * wplus
-    phi_i = phi[idx]
-    c = (tau * (wplus * new - s) - tau_phi * coef * phi_i + np.sqrt(a) * z) / a
-    phi[idx] = phi_i + coef * c
-    values[idx] = new - c
-
-
 def _lik_slope_curvature(theta, exp_theta, lik_a, lik_b):
     """First derivative and minus the second derivative of each area's
     likelihood term in theta: Poisson ``y theta - E e^theta`` when
@@ -448,108 +440,174 @@ def _lik_slope_curvature(theta, exp_theta, lik_a, lik_b):
     return lik_a - curv, curv
 
 
-def _walk_proposal(cur, z, theta, exp_theta, prior_mean, prior_prec, coef, coef_sq, lik_a, lik_b):
-    """Random-walk proposals ``cur + z`` for the sites of a colour class,
-    with their log Metropolis ratios.
-
-    ``z`` holds each site's step already scaled; the other arguments and
-    the returns are those of :func:`_newton_proposal`. The walk is
-    symmetric, so the log ratio is the change of the site's log
-    conditional.
-    """
-    prop = cur + z
-    t_new = theta + coef * z
-    div = np.abs(t_new) > PREDICTOR_BOUND
-    if div.any():
-        t_new = np.where(div, theta, t_new)
-    # (cur - m)^2 - (prop - m)^2 = -z (cur + prop - 2 m)
-    logr = (-0.5 * prior_prec) * z * (cur + prop - 2.0 * prior_mean)
-    if exp_theta is None:
-        r, r_new = lik_a - theta, lik_a - t_new
-        return prop, t_new, None, div, logr + lik_b * (r * r - r_new * r_new)
-    e_new = np.exp(t_new)
-    return prop, t_new, e_new, div, logr + (lik_a * (t_new - theta) - lik_b * (e_new - exp_theta))
-
-
-def _newton_proposal(cur, z, theta, exp_theta, prior_mean, prior_prec, coef, coef_sq, lik_a, lik_b):
-    """Newton proposals for the sites of a colour class, with their log
+def _site_proposal(
+    cur, z, theta, exp_theta, prior_mean, prior_prec, coef, coef_sq, lik_a, lik_b,
+    weight, walk_prec,
+):
+    """Proposals for the sites of one sweep step, with their log
     Metropolis-Hastings ratios.
 
     A site's log conditional is ``-prior_prec / 2 * (value - prior_mean)^2``
     plus its likelihood term (see :func:`_lik_slope_curvature`) in
     ``theta = ... + coef * value``. From a value with gradient g and
-    curvature h (minus the second derivative) the proposal is
-    ``N(value + g / h, 1 / h)``, drawn here with the standard normals
-    ``z``. A proposal that moves ``|theta|`` past ``PREDICTOR_BOUND`` is
-    divergent: its predictor stays at ``theta`` and it must be rejected.
-    Returns the proposals, their predictors, exp of those (Poisson only),
-    the divergent mask and ``log pi(prop) q(cur | prop) - log pi(cur)
-    q(prop | cur)``.
+    curvature h (minus the second derivative) the proposal is ``N(value +
+    weight g / p, 1 / p)`` with ``p = weight h + walk_prec``, drawn here with
+    the standard normals ``z``: a Newton step (Gamerman 1997) for weight 1
+    and walk_prec 0, which under a Gaussian likelihood is the exact
+    conditional, and a random walk of sd ``walk_prec ** -0.5`` for weight 0.
+    A proposal that moves ``|theta|`` past ``PREDICTOR_BOUND`` is divergent:
+    its predictor stays at ``theta`` and its log ratio is ``-inf``, so it is
+    rejected. Returns the proposals, their predictors, exp of those
+    (Poisson only), the divergent mask and ``log pi(prop) q(cur | prop) -
+    log pi(cur) q(prop | cur)``.
     """
     dev = cur - prior_mean
     slope, curv = _lik_slope_curvature(theta, exp_theta, lik_a, lik_b)
-    h = prior_prec + coef_sq * curv
-    step = (coef * slope - prior_prec * dev) / h + z / np.sqrt(h)
+    p = weight * (prior_prec + coef_sq * curv) + walk_prec
+    step = weight * (coef * slope - prior_prec * dev) / p + z / np.sqrt(p)
     t_new = theta + coef * step
     div = np.abs(t_new) > PREDICTOR_BOUND
-    if div.any():
-        t_new = np.where(div, theta, t_new)
+    any_div = np.count_nonzero(div)
+    if any_div:
+        np.copyto(t_new, theta, where=div)
     e_new = None if exp_theta is None else np.exp(t_new)
     slope_new, curv_new = _lik_slope_curvature(t_new, e_new, lik_a, lik_b)
-    h_new = prior_prec + coef_sq * curv_new
+    p_new = weight * (prior_prec + coef_sq * curv_new) + walk_prec
     dev_new = dev + step
-    # the proposal's distance from the Newton mean taken at the proposal
-    back = step + (coef * slope_new - prior_prec * dev_new) / h_new
+    # the proposal's distance from the proposal mean taken at the proposal
+    back = step + weight * (coef * slope_new - prior_prec * dev_new) / p_new
     if exp_theta is None:
         r, r_new = lik_a - theta, lik_a - t_new
         loglik = lik_b * (r * r - r_new * r_new)
     else:
         loglik = lik_a * (t_new - theta) - (curv_new - curv)
-    # h (prop - mean at cur)^2 is z^2 by construction
+    # p (prop - mean at cur)^2 is z^2 by construction
     logr = loglik + 0.5 * (
-        np.log(h_new / h) + z * z - h_new * back * back - prior_prec * step * (dev + dev_new)
+        np.log(p_new / p) + z * z - p_new * back * back - prior_prec * step * (dev + dev_new)
     )
+    if any_div:
+        np.copyto(logr, -np.inf, where=div)
     return cur + step, t_new, e_new, div, logr
 
 
-def _site_sweep(
-    blocks, propose, values, phi, theta, exp_theta, tau, tau_phi, z, exchange_z, log_us
-):
-    """One Metropolis-Hastings sweep over an ICAR field, a colour class at a time.
+class _SiteSweep:
+    """The joint colour sweep of the ICAR fields: its layout and one sweep.
 
-    ``blocks`` holds per class the area indices, the CSR row block of W,
-    ``1 / w_{i+}``, ``w_{i+}``, the field's coefficient in the predictor
-    (1 for v, the covariate for delta), its square and the likelihood
-    constants of :func:`_lik_slope_curvature`. Every area of a class gets a
-    ``propose`` (:func:`_walk_proposal` or :func:`_newton_proposal`) from
-    its entry of ``z`` against its prior conditional (mean ``sum_j w_ij
-    values_j / w_{i+}``, precision ``tau * w_{i+}``; 0 and ``tau`` for
-    islands) and its own acceptance test, which rejects a divergent
-    proposal. After its accept step the class makes the :func:`_exchange`
-    with phi from the same neighbour sums. Mutates values, phi, theta and
-    exp_theta and returns per area the accept and divergent masks and the
-    log ratio.
+    The sites are the entries of the stacked field ``[v; delta]`` (M4) or
+    ``v`` (M3), site ``i`` of v and site ``n + i`` of delta. With k colour
+    classes (:attr:`SpatialGraph.colour_classes`) the sweep runs k steps:
+    step s moves v on class s together with delta on class ``(s + 1) mod
+    k``, and with one class (k = 1, M4) it runs two steps, v then delta.
+    The sites of one step share no area and no ICAR edge, so they are
+    conditionally independent, and so are their exchanges with phi (which
+    move phi at the site's area): a step is one set of array operations on
+    one CSR row block of ``blockdiag(W, W)``.
+
+    Per-site constants are kept in step order: ``areas``, the field's
+    coefficient in the predictor (1 for v, the covariate for delta),
+    ``w_{i+}``, the likelihood constants of :func:`_lik_slope_curvature`,
+    the gradient weight of :func:`_site_proposal` (``GRADIENT_WEIGHTS``) and
+    ``walk_prec``, the random walk's precision, ``(1 - weight) /
+    SITE_STEP^2`` at the start and adapted in burn-in.
     """
-    n = len(values)
-    accepted, divergent, log_ratios = np.zeros(n, bool), np.zeros(n, bool), np.zeros(n)
-    for idx, block, inv_wplus, wplus, coef, coef_sq, lik_a, lik_b in blocks:
-        cur, t_old = values[idx], theta[idx]
-        e_old = None if exp_theta is None else exp_theta[idx]
-        s = csr_matvec(block, values)
-        prop, t_new, e_new, div, logr = propose(
-            cur, z[idx], t_old, e_old, s * inv_wplus, tau * wplus, coef, coef_sq, lik_a, lik_b,
-        )
-        # log u < 0, so this also accepts every logr >= 0
-        accept = (log_us[idx] < logr) & ~div
-        theta[idx] = np.where(accept, t_new, t_old)
-        if exp_theta is not None:
-            exp_theta[idx] = np.where(accept, e_new, e_old)
-        _exchange(
-            phi, values, idx, np.where(accept, prop, cur), s, wplus, coef, coef_sq,
-            tau_phi, tau, exchange_z[idx],
-        )
-        accepted[idx], divergent[idx], log_ratios[idx] = accept, div, logr
-    return accepted, divergent, log_ratios
+
+    def __init__(self, graph, spec, lik_a, lik_b):
+        n, classes = graph.n_areas, graph.colour_classes
+        none = np.zeros(0, dtype=np.int64)
+        if not spec.has_svc:
+            pairs = [(c, none) for c in classes]
+        elif len(classes) == 1:
+            pairs = [(classes[0], none), (none, classes[0])]
+        else:
+            pairs = [(c, classes[(s + 1) % len(classes)]) for s, c in enumerate(classes)]
+        W = sparse.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n))
+        if spec.has_svc:
+            W = sparse.block_diag((W, W), format="csr")
+        step_sites = [np.concatenate((v_idx, n + d_idx)) for v_idx, d_idx in pairs]
+        order = np.concatenate(step_sites)
+        self.n_sites = len(order)
+        self.areas = order % n
+        self.is_delta = order >= n
+        self.coef = np.where(self.is_delta, spec.covariate[self.areas], 1.0)
+        self.coef_sq = self.coef * self.coef
+        self.wplus = graph.wplus_eff[self.areas]
+        weight = np.where(self.is_delta, GRADIENT_WEIGHTS["delta"], GRADIENT_WEIGHTS["v"])
+        self.walk_prec = (1.0 - weight) / SITE_STEP**2
+        consts = (1.0 / self.wplus, self.coef, self.coef_sq, lik_a[self.areas],
+                  lik_b[self.areas], weight)
+        self.steps, lo = [], 0
+        for sites in step_sites:
+            sl = slice(lo, lo + len(sites))
+            self.steps.append((sl, sites, self.areas[sl], W[sites], *(c[sl] for c in consts)))
+            lo = sl.stop
+
+    def sweep(self, values, phi, theta, exp_theta, taus, z, exchange_z, log_us):
+        """One sweep over the stacked field ``values``, a step at a time.
+
+        Every site of a step gets a :func:`_site_proposal` from its entry of
+        ``z`` against its prior conditional (mean ``sum_j w_ij values_j /
+        w_{i+}``, precision ``tau w_{i+}``; 0 and ``tau`` for islands) and
+        its own acceptance test, which rejects a divergent proposal. Right
+        after it, every site of the step makes an exact Gibbs exchange with
+        phi along ``(phi_i + c coef_i, value_i - c)``, which leaves its
+        area's predictor term ``phi_i + coef_i value_i`` unchanged. Only the
+        priors change along that line, phi's iid ``N(0, 1 / tau_phi)`` and
+        the field's conditional, so the log density of c is ``-a c^2 / 2 +
+        b c`` with ``a = tau_phi coef_i^2 + tau w_{i+}`` and ``b = tau w_{i+}
+        (value_i - prior mean) - tau_phi coef_i phi_i``, and c is drawn
+        exactly from ``N(b / a, 1 / a)`` with the standard normals
+        ``exchange_z``. ``z``, ``exchange_z`` and ``log_us`` (the log
+        uniforms of the tests) are in step order. Mutates values, phi, theta
+        and exp_theta; returns per site the accept and divergent masks and
+        the log ratio.
+        """
+        tau_phi = taus["tau_phi"]
+        prior_precs = self.wplus * np.where(self.is_delta, taus["tau_delta"], taus["tau_v"])
+        a_all = tau_phi * self.coef_sq + prior_precs
+        noise_all = np.sqrt(a_all) * exchange_z
+        m = self.n_sites
+        accepted, divergent, log_ratios = np.empty(m, bool), np.empty(m, bool), np.empty(m)
+        for sl, sites, areas, block, inv_wplus, coef, coef_sq, lik_a, lik_b, weight in self.steps:
+            cur, t_old = values[sites], theta[areas]
+            e_old = None if exp_theta is None else exp_theta[areas]
+            prior_mean = csr_matvec(block, values) * inv_wplus
+            prior_prec = prior_precs[sl]
+            prop, t_new, e_new, div, logr = _site_proposal(
+                cur, z[sl], t_old, e_old, prior_mean, prior_prec, coef, coef_sq,
+                lik_a, lik_b, weight, self.walk_prec[sl],
+            )
+            # log u is finite, so a divergent proposal (logr = -inf) is rejected
+            accept = log_us[sl] < logr
+            np.copyto(t_old, t_new, where=accept)
+            theta[areas] = t_old
+            if exp_theta is not None:
+                np.copyto(e_old, e_new, where=accept)
+                exp_theta[areas] = e_old
+            # cur becomes the step's new values
+            np.copyto(cur, prop, where=accept)
+            phi_i = phi[areas]
+            b = prior_prec * (cur - prior_mean) - tau_phi * coef * phi_i
+            c = (b + noise_all[sl]) / a_all[sl]
+            phi[areas] = phi_i + coef * c
+            values[sites] = cur - c
+            accepted[sl], divergent[sl], log_ratios[sl] = accept, div, logr
+        return accepted, divergent, log_ratios
+
+    def adapt(self, accept, logr, gain) -> None:
+        """Move each random-walk site's step toward ``ADAPT_TARGET``
+        acceptance by its proposal's acceptance probability (each site is
+        proposed once a sweep); a Newton site's walk precision stays 0."""
+        # a divergent proposal's logr is -inf
+        acc_prob = np.where(accept, 1.0, np.exp(np.minimum(logr, 0.0)))
+        # the step is walk_prec ** -0.5
+        self.walk_prec *= np.exp((-2.0 * gain) * (acc_prob - ADAPT_TARGET))
+
+
+def _quad_form(q, values) -> float:
+    """``values' Q values`` for the chain's sparse Q
+    (:func:`arealbayes.gmrf.icar_precision`), whose unit island diagonal is
+    the island policy's term: the rate of a conjugate Gamma update."""
+    return float(values @ csr_matvec(q, values))
 
 
 def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[int, int]:
@@ -700,7 +758,7 @@ class _DeltaScaleMoves:
         if len(means) > 1:
             self.r = means[graph.component_labels] - self.m
             self.rr, self.rphi, self.wr = (float(self.r @ x) for x in (self.r, phi, w))
-        self.quad_delta, self.rank = icar.quad_form_and_rank(graph, delta)
+        self.quad_delta = _quad_form(chain.q, delta)
         self.beta0 = float(chain.beta[0])
         # delta's overall scale, and the multiples of w and r that phi and
         # of u that v have taken since the statistics were formed
@@ -801,51 +859,56 @@ class _Stage2Chain:
             lik_b = np.where(lik.mask, 1.0 / (2.0 * lik.noise_variance), 0.0)
         else:
             lik_b = np.where(lik.mask, lik.offsets, 0.0)
-        wplus = graph.wplus_eff
-        # per field and colour class, the layout :func:`_site_sweep` reads
-        self.site_blocks = {
-            name: [
-                (idx, block, 1.0 / wplus[idx], wplus[idx], coef[idx], coef[idx] ** 2,
-                 lik_a[idx], lik_b[idx])
-                for idx, block in zip(graph.colour_classes, graph.colour_blocks)
-            ]
-            for name, coef in (("v", np.ones(n)), ("delta", spec.covariate))
-        }
-        self.v_steps = np.full(n, 0.3)
+        self.sites = _SiteSweep(graph, spec, lik_a, lik_b)
         self.ridges = _RidgeMoves(
             self.X, graph, spec.beta_prior_variance, spec.covariate if spec.has_svc else None
         )
         self.q = gmrf.icar_precision(graph)
-        rank = icar.quad_form_and_rank(graph, np.zeros(n))[1]
-        self.scale_power = (
-            icar.centered_dimension(graph) - rank - 2.0 * spec.precision_prior_shape
+        self.rank = icar.quad_form_and_rank(graph, np.zeros(n))[1]
+        a = spec.precision_prior_shape
+        self.scale_power = icar.centered_dimension(graph) - self.rank - 2.0 * a
+        # the iteration's variates, one block per distribution (module docstring)
+        n_scale = 1 + 2 * SCALE_ROUNDS * spec.has_svc if scale_names else 0
+        self.n_normals = 2 * self.sites.n_sites + self.ridges.n_moves + n_scale
+        self.n_uniforms = self.sites.n_sites + n_scale
+        # standard Gamma shapes: tau_delta's rounds, then tau_phi and tau_v
+        icar_shape = a + self.rank / 2.0
+        self.gamma_shapes = np.array(
+            [icar_shape] * (SCALE_ROUNDS * spec.has_svc) + [a + n / 2.0, icar_shape]
         )
 
     def _tally(self, block, accepted, divergent):
         self.accepted[block] += accepted
         self.divergent += divergent
 
-    def _sweep(self, name, theta, exp_theta, gain):
-        """The v or delta sweep, with its exchanges with phi; in burn-in
-        each v area's step then moves toward ``ADAPT_TARGET`` acceptance
-        (each area is proposed once a sweep)."""
-        fields, n = self.fields, self.spec.n_areas
-        normals, log_us = self.rng.standard_normal(n), np.log(self.rng.random(n))
-        exchange_z = self.rng.standard_normal(n)
-        walk = name == "v"
-        accept, div, logr = _site_sweep(
-            self.site_blocks[name], _walk_proposal if walk else _newton_proposal,
-            fields[name], fields["phi"], theta, exp_theta, self.taus[f"tau_{name}"],
-            self.taus["tau_phi"], self.v_steps * normals if walk else normals,
-            exchange_z, log_us,
+    def _sweep(self, normals, log_us, gain):
+        """The joint sweep of v (and delta) with its exchanges with phi,
+        from the first ``2 n_sites`` normals and ``n_sites`` log uniforms;
+        then each field is recentered per component and the subtracted mean
+        absorbed into b0 (v) or b1 (delta), and in burn-in the random-walk
+        steps adapt."""
+        fields, sites, graph, beta = self.fields, self.sites, self.graph, self.beta
+        names = ("v", "delta")[:1 + self.spec.has_svc]
+        values = np.concatenate([fields[name] for name in names])
+        theta = self.theta
+        exp_theta = None if self.gaussian else np.exp(np.minimum(theta, 700.0))
+        m = sites.n_sites
+        accept, div, logr = sites.sweep(
+            values, fields["phi"], theta, exp_theta, self.taus, normals[:m], normals[m:2 * m],
+            log_us[:m],
         )
-        self._tally(name, int(np.count_nonzero(accept)), int(np.count_nonzero(div)))
-        if walk and gain:
-            acc_prob = np.where(
-                accept, 1.0, np.where(logr > -700.0, np.exp(np.minimum(logr, 0.0)), 0.0)
-            )
-            acc_prob[div] = 0.0
-            self.v_steps *= np.exp(gain * (acc_prob - ADAPT_TARGET))
+        n_accepted = int(np.count_nonzero(accept))
+        if self.spec.has_svc:
+            delta_accepted = int(np.count_nonzero(accept & sites.is_delta))
+            self.accepted["delta"] += delta_accepted
+            n_accepted -= delta_accepted
+        self._tally("v", n_accepted, int(np.count_nonzero(div)))
+        if gain:
+            sites.adapt(accept, logr, gain)
+        n = self.spec.n_areas
+        for k, name in enumerate(names):
+            fields[name], shift = center_and_absorb(values[k * n:(k + 1) * n], graph)
+            beta[k] += shift
 
     def step(self, it, gain):
         spec, rng, beta, fields = self.spec, self.rng, self.beta, self.fields
@@ -855,30 +918,22 @@ class _Stage2Chain:
                 spec.beta_prior_variance, gain,
             ))
         else:
-            theta = self.theta.copy()
-            exp_theta = None if self.gaussian else np.exp(np.clip(theta, -700, 700))
-            self._sweep("v", theta, exp_theta, gain)
-            fields["v"], shift = center_and_absorb(fields["v"], self.graph)
-            beta[0] += shift
-            if spec.has_svc:
-                theta = self.X @ beta + fields["phi"] + fields["v"]
-                theta = theta + spec.covariate * fields["delta"]
-                if exp_theta is not None:
-                    exp_theta = np.exp(np.clip(theta, -700, 700))
-                self._sweep("delta", theta, exp_theta, gain)
-                fields["delta"], shift = center_and_absorb(fields["delta"], self.graph)
-                beta[1] += shift
-
+            normals = rng.standard_normal(self.n_normals)
+            log_us = np.log1p(-rng.random(self.n_uniforms))
+            m, n_moves = self.sites.n_sites, self.ridges.n_moves
+            self._sweep(normals, log_us, gain)
             self.ridges.move(
                 beta, fields["phi"], fields["v"], self.taus["tau_phi"], self.taus["tau_v"],
-                rng.standard_normal(self.ridges.n_moves),
-                fields.get("delta"), self.taus["tau_delta"],
+                normals[2 * m:2 * m + n_moves], fields.get("delta"), self.taus["tau_delta"],
             )
             self.theta = self.X @ beta + fields["phi"] + fields["v"]
             if spec.has_svc:
-                self.theta = self.theta + spec.covariate * fields["delta"]
+                self.theta += spec.covariate * fields["delta"]
             if self.sample_precisions:
-                self._precision_moves(gain)
+                self._precision_moves(
+                    gain, normals[2 * m + n_moves:].tolist(), log_us[m:].tolist(),
+                    rng.standard_gamma(self.gamma_shapes).tolist(),
+                )
 
         # the divergence abort looks at the late burn-in, or at the whole run
         # when there is no burn-in
@@ -896,31 +951,26 @@ class _Stage2Chain:
                     f"past {PREDICTOR_BOUND}; check offsets and covariate scaling"
                 )
 
-    def _precision_moves(self, gain):
+    def _precision_moves(self, gain, normals, log_us, gammas):
         """The scale moves and the conjugate Gamma draws of the precisions,
-        in the order and with the variates the module docstring lists."""
-        spec, rng, fields, taus = self.spec, self.rng, self.fields, self.taus
-        a, b = spec.precision_prior_shape, spec.precision_prior_rate
-        z, log_u = rng.standard_normal(1).tolist() + np.log1p(-rng.random(1)).tolist()
-        self._adapt_scale("v", self._scale_v(self.scale_steps["v"] * z, log_u), gain)
+        in the order the module docstring lists: ``normals`` and ``log_us``
+        hold one variate per scale move (v's, then per round "delta" and
+        "ridge"), ``gammas`` the standard Gamma variates of
+        ``gamma_shapes``."""
+        spec, fields, taus = self.spec, self.fields, self.taus
+        b = spec.precision_prior_rate
+        self._adapt_scale("v", self._scale_v(self.scale_steps["v"] * normals[0], log_us[0]), gain)
         if spec.has_svc:
             moves = _DeltaScaleMoves(self)
-            for _ in range(SCALE_ROUNDS):
-                normals = rng.standard_normal(2).tolist()
-                log_us = np.log1p(-rng.random(2)).tolist()
-                for name, z, log_u in zip(("delta", "ridge"), normals, log_us):
-                    logr = moves.move(name, self.scale_steps[name] * z, log_u)
+            for r in range(SCALE_ROUNDS):
+                for j, name in enumerate(("delta", "ridge"), start=1 + 2 * r):
+                    logr = moves.move(name, self.scale_steps[name] * normals[j], log_us[j])
                     self._adapt_scale(name, logr, gain)
-                taus["tau_delta"] = float(
-                    rng.gamma(a + moves.rank / 2.0, 1.0 / (b + moves.quad_delta / 2.0))
-                )
+                taus["tau_delta"] = gammas[r] / (b + moves.quad_delta / 2.0)
             moves.apply()
-        phi = fields["phi"]
-        for name, (quad, rank) in (
-            ("phi", (float(phi @ phi), spec.n_areas)),
-            ("v", icar.quad_form_and_rank(self.graph, fields["v"])),
-        ):
-            taus[f"tau_{name}"] = float(rng.gamma(a + rank / 2.0, 1.0 / (b + quad / 2.0)))
+        phi, v = fields["phi"], fields["v"]
+        taus["tau_phi"] = gammas[-2] / (b + float(phi @ phi) / 2.0)
+        taus["tau_v"] = gammas[-1] / (b + _quad_form(self.q, v) / 2.0)
 
     def _adapt_scale(self, name, logr, gain):
         """Move the log-step of scale move ``name`` toward ``ADAPT_TARGET``

@@ -191,9 +191,10 @@ class TestPoissonLoglik:
         )
 
 
-# the site proposals of svc._site_sweep and the field each one serves; a
-# Newton case is identified by its likelihood alone
-PROPOSALS = {"newton": ("delta", svc._newton_proposal), "walk": ("v", svc._walk_proposal)}
+# the fields of svc._site_proposal's two gradient weights: 1 gives delta's
+# Newton step, 0 v's random walk; a Newton case is identified by its
+# likelihood alone
+PROPOSALS = {"newton": ("delta", 1.0), "walk": ("v", 0.0)}
 PROPOSAL_CASES = [
     pytest.param("newton", "poisson", id="poisson"),
     pytest.param("newton", "gaussian", id="gaussian"),
@@ -203,9 +204,9 @@ PROPOSAL_CASES = [
 
 
 class TestDeltaNewtonProposal:
-    """The site proposals, each accepted with its Metropolis-Hastings ratio:
-    delta's Newton proposal N(delta + g / h, 1 / h) and v's random walk,
-    per area of a colour class."""
+    """The site proposal, accepted with its Metropolis-Hastings ratio, at
+    both gradient weights: delta's Newton proposal N(delta + g / h, 1 / h)
+    and v's random walk, per area of a colour class."""
 
     def pieces(self, likelihood, seed):
         g = build_graph(WEIGHTED_SEVEN_EDGES + [(7, 8, 1.0)], n_areas=10)  # plus an island
@@ -219,7 +220,7 @@ class TestDeltaNewtonProposal:
 
     def proposal(self, propose, g, spec, state, lik, c, z):
         """``propose``'s proposal for colour class c of the state's field."""
-        name, fn = PROPOSALS[propose]
+        name, weight = PROPOSALS[propose]
         idx, block = g.colour_classes[c], g.colour_blocks[c]
         coef = spec.covariate[idx] if name == "delta" else np.ones(len(idx))
         wplus = g.wplus_eff[idx]
@@ -230,10 +231,13 @@ class TestDeltaNewtonProposal:
         else:
             exp_theta, lik_b = None, np.where(mask, 1.0 / (2.0 * lik.noise_variance), 0.0)
         values = getattr(state, name).values
-        return fn(
+        # the walk's sd: 0.3 scaled by a factor in (0.5, 2) per area
+        steps = 0.3 * np.exp(np.linspace(-0.7, 0.7, len(idx)))
+        return svc._site_proposal(
             values[idx], z, theta, exp_theta, (block @ values) / wplus,
             getattr(state, f"tau_{name}") * wplus, coef, coef * coef,
             np.where(mask, lik.y[idx], 0.0), lik_b,
+            np.full(len(idx), weight), (1.0 - weight) / steps**2,
         )
 
     def with_class(self, propose, state, c_idx, values):
@@ -569,32 +573,34 @@ class TestScaleMoves:
 class TestScaleRounds:
     """The scale moves and precision draws of an M4 iteration, the "delta"
     and "ridge" moves on carried statistics, against the same iteration with
-    those moves made on the arrays (``helpers.array_delta_scale_move``),
-    from one state and one seed: v's move, ``SCALE_ROUNDS`` rounds of the
-    two delta moves and tau_delta's Gamma draw, then tau_phi's and tau_v's.
-    Every move's decision and log ratio, and the final state, must agree."""
+    those moves made on the arrays (``helpers.array_delta_scale_move``) and
+    the Gamma rates from ``quad_form_and_rank``, from one state and one
+    block of variates: v's move, ``SCALE_ROUNDS`` rounds of the two delta
+    moves and tau_delta's Gamma draw, then tau_phi's and tau_v's. Every
+    move's decision and log ratio, and the final state, must agree."""
 
     STEPS = {"v": 0.3, "delta": 0.6, "ridge": 0.6}
 
     @staticmethod
-    def array_iteration(chain):
-        rng, taus, spec, fields = chain.rng, chain.taus, chain.spec, chain.fields
+    def array_iteration(chain, normals, log_us, gammas):
+        taus, spec, fields = chain.taus, chain.spec, chain.fields
         a, b = spec.precision_prior_shape, spec.precision_prior_rate
-        z, log_u = rng.standard_normal(), math.log1p(-rng.random())
-        chain._scale_v(chain.scale_steps["v"] * z, log_u)
-        decisions = []
-        for _ in range(svc.SCALE_ROUNDS):
-            normals, log_us = rng.standard_normal(2), np.log1p(-rng.random(2))
-            for name, z, log_u in zip(("delta", "ridge"), normals, log_us):
-                logr = array_delta_scale_move(chain, name, chain.scale_steps[name] * z, log_u)
-                decisions.append((log_u < logr, logr))
+        chain._scale_v(chain.scale_steps["v"] * normals[0], log_us[0])
+        decisions, shapes = [], []
+        for r in range(svc.SCALE_ROUNDS):
+            for j, name in enumerate(("delta", "ridge"), start=1 + 2 * r):
+                logr = array_delta_scale_move(
+                    chain, name, chain.scale_steps[name] * normals[j], log_us[j]
+                )
+                decisions.append((log_us[j] < logr, logr))
             quad, rank = quad_form_and_rank(chain.graph, fields["delta"])
-            taus["tau_delta"] = rng.gamma(a + rank / 2, 1 / (b + quad / 2))
+            taus["tau_delta"] = gammas[r] / (b + quad / 2)
+            shapes.append(a + rank / 2)
         phi = fields["phi"]
-        taus["tau_phi"] = rng.gamma(a + spec.n_areas / 2, 1 / (b + phi @ phi / 2))
+        taus["tau_phi"] = gammas[-2] / (b + phi @ phi / 2)
         quad, rank = quad_form_and_rank(chain.graph, fields["v"])
-        taus["tau_v"] = rng.gamma(a + rank / 2, 1 / (b + quad / 2))
-        return decisions
+        taus["tau_v"] = gammas[-1] / (b + quad / 2)
+        return decisions, shapes + [a + spec.n_areas / 2, a + rank / 2]
 
     @pytest.mark.parametrize("graph", ["components-and-island", "lattice"])
     def test_carried_rounds_match_array_rounds(self, monkeypatch, graph):
@@ -611,16 +617,20 @@ class TestScaleRounds:
             return logr
 
         monkeypatch.setattr(svc._DeltaScaleMoves, "move", recording_move)
-        accepts = 0
+        accepts, n_scale = 0, 1 + 2 * svc.SCALE_ROUNDS
         for trial in range(30):
             chains = [scale_chain(g, 90 + trial, TestScaleMoves.TAUS)[1] for _ in range(2)]
             for chain in chains:
-                chain.rng = np.random.default_rng(trial)
                 chain.scale_steps.update(self.STEPS)
-            decisions.clear()
             carried, array = chains
-            carried._precision_moves(0.0)
-            expected = self.array_iteration(array)
+            rng = np.random.default_rng(trial)
+            normals = rng.standard_normal(n_scale).tolist()
+            log_us = np.log1p(-rng.random(n_scale)).tolist()
+            gammas = rng.standard_gamma(carried.gamma_shapes).tolist()
+            decisions.clear()
+            carried._precision_moves(0.0, normals, log_us, gammas)
+            expected, shapes = self.array_iteration(array, normals, log_us, gammas)
+            assert carried.gamma_shapes.tolist() == shapes
             assert [d for d, _ in decisions] == [d for d, _ in expected], trial
             for (_, got), (_, want) in zip(decisions, expected):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (trial, got, want)
@@ -633,6 +643,26 @@ class TestScaleRounds:
                 assert abs(carried.taus[name] - want) <= 1e-12 * want, (trial, name)
         # both decisions are exercised: 30 trials x SCALE_ROUNDS x 2 moves
         assert 0 < accepts < 30 * svc.SCALE_ROUNDS * 2
+
+
+class TestQuadForm:
+    """The Gamma rates' ``x' Q x`` through the chain's sparse Q, whose unit
+    island diagonal is the island policy's term, against
+    ``icar.quad_form_and_rank``'s edge sum."""
+
+    @pytest.mark.parametrize("kind", ["lattice", "components-and-islands"])
+    def test_q_product_equals_quad_form_and_rank(self, kind):
+        if kind == "lattice":
+            g = make_lattice(7, 8)
+        else:
+            edges, n = TestJointSweepSteps.GRAPHS["components"]
+            g = build_graph(edges, n_areas=n)
+        q = gmrf.icar_precision(g)
+        rng = np.random.default_rng(75)
+        for _ in range(5):
+            x = rng.standard_normal(g.n_areas)
+            want = quad_form_and_rank(g, x)[0]
+            assert abs(svc._quad_form(q, x) - want) <= 1e-12 * want
 
 
 class TestMatvec:
@@ -660,7 +690,9 @@ class TestMatvec:
 
 class TestSiteExchanges:
     """Exact Gibbs exchanges along (phi_i + c, v_i - c) and
-    (phi_i + c x_i, delta_i - c), which keep every theta_i unchanged."""
+    (phi_i + c x_i, delta_i - c), which keep every theta_i unchanged, in the
+    sweep over v alone (M3, "v") and the joint sweep over [v; delta] (M4,
+    "delta")."""
 
     GRAPHS = {
         "lattice": (list(make_lattice(4, 5).edges()), 20),
@@ -668,11 +700,12 @@ class TestSiteExchanges:
         "components": (WEIGHTED_SEVEN_EDGES + [(7, 8, 1.0), (8, 9, 2.5)], 11),
     }
     TAUS = {"tau_phi": 3.0, "tau_v": 7.0, "tau_delta": 5.0}
+    RUNGS = {"v": "M3", "delta": "M4"}
 
-    def chain(self, kind, seed):
+    def chain(self, kind, field, seed):
         edges, n = self.GRAPHS[kind]
         g = build_graph(edges, n_areas=n)
-        spec, state = convolution_pieces(g, "M4", seed=seed)
+        spec, state = convolution_pieces(g, self.RUNGS[field], seed=seed)
         counts = np.random.default_rng(seed).poisson(50.0, n).astype(float)
         config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
         chain = svc._Stage2Chain((
@@ -680,90 +713,138 @@ class TestSiteExchanges:
             (spec, PoissonLikelihood(counts, spec.offsets), g, config, False, self.TAUS),
         ))
         chain.beta[:] = state.beta
-        chain.fields.update(phi=state.phi.copy(), v=state.v.values.copy(),
-                            delta=state.delta.values.copy())
+        chain.fields.update(phi=state.phi.copy(), v=state.v.values.copy())
+        if state.delta is not None:
+            chain.fields["delta"] = state.delta.values.copy()
         return g, spec, chain
 
     @staticmethod
-    def predictor(chain, spec):
+    def predictor(chain):
         f = chain.fields
-        return chain.X @ chain.beta + f["phi"] + f["v"] + spec.covariate * f["delta"]
+        theta = chain.X @ chain.beta + f["phi"] + f["v"]
+        return theta + chain.spec.covariate * f["delta"] if "delta" in f else theta
 
     @staticmethod
-    def scale(chain, name, log_s, log_u):
-        """One scale move through the sampler's entry points: "v" on the
-        arrays, "delta" and "ridge" on carried statistics whose shifts are
-        then applied; returns the log ratio."""
-        if name == "v":
-            return chain._scale_v(log_s, log_u)
-        moves = svc._DeltaScaleMoves(chain)
-        logr = moves.move(name, log_s, log_u)
-        moves.apply()
-        return logr
+    def stacked(chain):
+        f = chain.fields
+        return np.concatenate([f[name] for name in ("v", "delta") if name in f])
 
-    def sweep(self, chain, field, log_us, seed):
-        """The field's sweep with the given log uniforms. Returns its
-        (accepted, divergent), the predictor array it kept up to date, its
-        proposal normals and its exchange normals."""
-        n = len(log_us)
-        normals, exchange_z = np.random.default_rng(seed).standard_normal((2, n))
-        theta = self.predictor(chain, chain.spec)
-        walk = field == "v"
-        accept, div, _ = svc._site_sweep(
-            chain.site_blocks[field], svc._walk_proposal if walk else svc._newton_proposal,
-            chain.fields[field], chain.fields["phi"], theta, np.exp(theta),
-            self.TAUS[f"tau_{field}"], self.TAUS["tau_phi"],
-            chain.v_steps * normals if walk else normals, exchange_z, log_us,
+    def sweep(self, chain, log_us, seed):
+        """The joint sweep with the given log uniforms (in step order), its
+        stacked field written back into the chain. Returns its (accepted,
+        divergent), the predictor array it kept up to date, its proposal
+        normals and its exchange normals."""
+        normals, exchange_z = np.random.default_rng(seed).standard_normal((2, len(log_us)))
+        theta = self.predictor(chain)
+        values = self.stacked(chain)
+        accept, div, _ = chain.sites.sweep(
+            values, chain.fields["phi"], theta, np.exp(theta), self.TAUS, normals, exchange_z,
+            log_us,
         )
+        n = chain.spec.n_areas
+        for k, name in enumerate(("v", "delta")[:len(values) // n]):
+            chain.fields[name] = values[k * n:(k + 1) * n]
         moved = int(np.count_nonzero(accept)), int(np.count_nonzero(div))
         return moved, theta, normals, exchange_z
 
     @pytest.mark.parametrize("kind", list(GRAPHS))
     @pytest.mark.parametrize("field", ["v", "delta"])
     def test_exchanges_keep_theta(self, kind, field):
-        g, spec, chain = self.chain(kind, seed=60)
-        before = self.predictor(chain, spec)
+        g, spec, chain = self.chain(kind, field, seed=60)
+        before = self.predictor(chain)
         phi = chain.fields["phi"].copy()
         # log u = inf rejects every proposal, so only the exchanges move
-        (accepted, _), theta, _, _ = self.sweep(chain, field, np.full(g.n_areas, np.inf), 61)
+        m = chain.sites.n_sites
+        (accepted, _), theta, _, _ = self.sweep(chain, np.full(m, np.inf), 61)
         assert accepted == 0
-        assert np.max(np.abs(self.predictor(chain, spec) - before)) < 1e-12
+        assert np.max(np.abs(self.predictor(chain) - before)) < 1e-12
         assert np.array_equal(theta, before)
         assert np.all(chain.fields["phi"] != phi)
 
     @pytest.mark.parametrize("kind", list(GRAPHS))
-    @pytest.mark.parametrize("field, accept", [("v", False), ("v", True), ("delta", False)])
+    @pytest.mark.parametrize(
+        "field, accept", [("v", False), ("v", True), ("delta", False), ("delta", True)]
+    )
     def test_each_exchange_draws_its_line_conditional(self, kind, field, accept):
-        # oracle: class by class and site by site, the log prior of
-        # (phi, field) evaluated densely along the site's line, and a and b
-        # of its quadratic read off at c = -1, 0, 1; with accept, every v
-        # proposal is taken first
-        g, spec, chain = self.chain(kind, seed=62)
-        tau_phi, tau = self.TAUS["tau_phi"], self.TAUS[f"tau_{field}"]
+        # oracle: step by step and site by site, the log prior of (phi, v,
+        # delta) evaluated densely along the site's line, and a and b of its
+        # quadratic read off at c = -1, 0, 1; with accept, every v proposal
+        # (a random walk of sd walk_prec^-1/2) is taken first and every
+        # delta proposal rejected
+        g, spec, chain = self.chain(kind, field, seed=62)
+        n, sites = g.n_areas, chain.sites
+        tau_phi = self.TAUS["tau_phi"]
         Q = precision_matrix(g, island_proper=True)
-        coef = np.ones(g.n_areas) if field == "v" else spec.covariate
-        phi, values = chain.fields["phi"].copy(), chain.fields[field].copy()
-        steps = chain.v_steps.copy()
-        log_us = np.full(g.n_areas, -np.inf if accept else np.inf)
-        (accepted, _), _, normals, z = self.sweep(chain, field, log_us, 63)
-        assert accepted == (g.n_areas if accept else 0)
+        phi, values = chain.fields["phi"].copy(), self.stacked(chain)
+        log_us = np.where(accept & ~sites.is_delta, -np.inf, np.inf)
+        (accepted, _), _, normals, z = self.sweep(chain, log_us, 63)
+        assert accepted == (n if accept else 0)
 
         def log_prior(p, f):
-            return -tau_phi * (p @ p) / 2 - tau * (f @ Q @ f) / 2
+            out = -tau_phi * (p @ p) / 2
+            for k, name in enumerate(("v", "delta")[:len(f) // n]):
+                x = f[k * n:(k + 1) * n]
+                out -= self.TAUS[f"tau_{name}"] * (x @ Q @ x) / 2
+            return out
 
-        for idx in g.colour_classes:
+        for sl, step_sites, areas, *_ in sites.steps:
+            pos = np.arange(sl.start, sl.stop)
             if accept:
-                values[idx] += steps[idx] * normals[idx]
-            for i in idx:
-                d_phi, d_field = np.zeros(g.n_areas), np.zeros(g.n_areas)
-                d_phi[i], d_field[i] = coef[i], -1.0
+                walk = ~sites.is_delta[sl]
+                sd = sites.walk_prec[sl][walk] ** -0.5
+                values[step_sites[walk]] += sd * normals[sl][walk]
+            for j, site, area in zip(pos, step_sites, areas):
+                d_phi, d_field = np.zeros(n), np.zeros(len(values))
+                d_phi[area], d_field[site] = sites.coef[j], -1.0
                 f = [log_prior(phi + c * d_phi, values + c * d_field) for c in (-1.0, 0.0, 1.0)]
                 a = 2 * f[1] - f[0] - f[2]
                 b = (f[2] - f[0]) / 2
-                c = b / a + z[i] / math.sqrt(a)
+                c = b / a + z[j] / math.sqrt(a)
                 phi, values = phi + c * d_phi, values + c * d_field
         assert np.allclose(chain.fields["phi"], phi, rtol=0, atol=1e-9)
-        assert np.allclose(chain.fields[field], values, rtol=0, atol=1e-9)
+        assert np.allclose(self.stacked(chain), values, rtol=0, atol=1e-9)
+
+
+class TestJointSweepSteps:
+    """The steps of the joint sweep: each site of [v; delta] once a sweep,
+    and no step holds both v_i and delta_i or two ICAR neighbours of one
+    field, so the sites of a step are conditionally independent."""
+
+    GRAPHS = {
+        "lattice": (list(make_lattice(5, 6).edges()), 30),
+        # test_gmrf.py's weighted multi-component graph with islands
+        "components": ([(0, 2, 1.5), (2, 5, 0.7), (0, 5, 2.0), (5, 7, 1.2), (1, 3, 0.9),
+                        (3, 4, 1.8), (4, 8, 0.6), (1, 8, 1.1), (8, 9, 1.3), (3, 9, 0.4),
+                        (11, 12, 0.8), (12, 13, 1.4), (11, 13, 1.0), (14, 15, 2.5)], 16),
+        # one colour class: M4 sweeps v, then delta
+        "islands": ([], 5),
+    }
+
+    @pytest.mark.parametrize("kind", list(GRAPHS))
+    @pytest.mark.parametrize("rung", ["M3", "M4"])
+    def test_steps_hold_conditionally_independent_sites(self, kind, rung):
+        edges, n = self.GRAPHS[kind]
+        g = build_graph(edges, n_areas=n)
+        spec, _ = convolution_pieces(g, rung, seed=64)
+        config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
+        chain = svc._Stage2Chain((
+            np.random.default_rng(64),
+            (spec, PoissonLikelihood(np.full(n, 40.0), spec.offsets), g, config, True, {}),
+        ))
+        sites, n_fields = chain.sites, 1 + (rung == "M4")
+        k = len(g.colour_classes)
+        assert len(sites.steps) == (2 if rung == "M4" and k == 1 else k)
+        W = g.dense_weights()
+        stacked_w = np.kron(np.eye(n_fields), W)
+        held = []
+        for sl, step_sites, areas, block, *_ in sites.steps:
+            assert np.array_equal(areas, step_sites % n)
+            assert len(np.unique(areas)) == len(areas)  # never v_i with delta_i
+            assert not np.any(stacked_w[np.ix_(step_sites, step_sites)])  # no neighbours
+            assert np.array_equal(block.toarray(), stacked_w[step_sites])
+            assert np.array_equal(sites.is_delta[sl], step_sites >= n)
+            held.append(step_sites)
+        assert sorted(np.concatenate(held).tolist()) == list(range(n_fields * n))
 
 
 class TestCenterAndAbsorb:
@@ -1214,6 +1295,54 @@ class TestMixing:
         archive = fit_stage2_mcmc(spec, counts, g, config)
         ess = effective_sample_size(archive, "tau_delta")
         assert ess >= 1.3 * self.ONE_ROUND_TAU_DELTA_ESS, ess
+
+
+class TestPoissonLaplaceOracle:
+    """Poisson M3 and M4 chains at fixed precisions against the Laplace mode
+    of ``fit_stage2_laplace`` at the same precisions: smooth data on a 10x10
+    lattice with offsets 300, whose log(y / E) reaches 1.7, so the counts
+    pin the posterior close to Gaussian and its mean close to the mode.
+    Every beta mean must lie within ``BOUND`` Laplace sds of the mode (the
+    sampler reads 0.13 at most). A Newton step on v (gradient weight 1)
+    stalls from the cold start on the high-count areas and reads beta_1
+    about 3 sds off, which the last test checks."""
+
+    TAUS = {"tau_phi": 100.0, "tau_v": 21.0, "tau_delta": 6.0}
+    BOUND = 0.5
+
+    def beta_offsets(self, rung):
+        """(chain mean - Laplace mode) / Laplace sd of every fixed effect."""
+        g = make_lattice(10, 10)
+        r, c = np.divmod(np.arange(g.n_areas), 10)
+        u, w = np.pi * r / 9, np.pi * c / 9
+        x = 0.9 * np.tanh(np.sin(2 * u) * np.cos(w) + np.cos(3 * w) * np.sin(u) / 2)
+        factor = np.cos(u + 2 * w) * np.sin(3 * u)
+        delta = 0.6 * np.cos(2 * u) * np.sin(w + 0.5) + 0.3 * np.sin(3 * w)
+        v = 0.6 * np.sin(2 * u + w) * np.cos(w)
+        factor, delta, v = (f - f.mean() for f in (factor, delta, v))
+        rng = np.random.default_rng(64)
+        theta = 0.1 - 0.8 * x + 0.4 * factor + v + x * delta + 0.1 * rng.standard_normal(100)
+        offsets = np.full(100, 300.0)
+        counts = rng.poisson(offsets * np.exp(theta)).astype(float)
+        spec = SvcModelSpec(
+            rung=rung, covariate=x, offsets=offsets, latent_factors=factor[:, None]
+        )
+        laplace = fit_stage2_laplace(spec, counts, g, self.TAUS)
+        config = McmcConfig(n_chains=2, n_iter=3000, burn_in=750, thin=2, seed=1)
+        archive = fit_stage2_mcmc(
+            spec, counts, g, config, sample_precisions=False, initial_precisions=self.TAUS
+        )
+        return (archive.get("beta").mean(axis=0) - laplace.state.beta) / laplace.beta_sd
+
+    @pytest.mark.parametrize("rung", ["M3", "M4"])
+    def test_beta_means_lie_near_the_laplace_mode(self, rung):
+        z = self.beta_offsets(rung)
+        assert np.max(np.abs(z)) < self.BOUND, z
+
+    def test_a_newton_step_on_v_misses_the_mode(self, monkeypatch):
+        monkeypatch.setitem(svc.GRADIENT_WEIGHTS, "v", 1.0)
+        z = self.beta_offsets("M4")
+        assert np.max(np.abs(z)) > 4 * self.BOUND, z
 
 
 class TestColourClasses:
