@@ -20,9 +20,7 @@ from . import fileio, icar, prep, simulate, svc
 from .errors import DimensionMismatchError, SchemaError, ValidationError
 from .factor import FactorModelSpec, fit_stage1, summarize_loadings, factor_quintiles, factor_exceedance
 from .graph import build_graph, morans_i, subgraph
-from .mcmc import (
-    McmcConfig, check_seed, effective_sample_size, gelman_rubin, posterior_summary, usable_cpus,
-)
+from .mcmc import McmcConfig, check_seed, effective_sample_size, gelman_rubin, posterior_summary
 from .svc import SvcModelSpec
 
 DEFAULT_LOADINGS = "1,1.2,-0.8,1.5,0.5"
@@ -37,7 +35,7 @@ def _add_mcmc_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=None,
                         help="worker processes for the chains and the archive write "
-                             "(default: one per chain, up to the usable CPUs)")
+                             "(default: one per chain or archive block, up to the usable CPUs)")
 
 
 def _mcmc_config(args) -> McmcConfig:
@@ -50,11 +48,9 @@ def _mcmc_config(args) -> McmcConfig:
     )
 
 
-def _n_workers(args) -> int:
-    """``--threads``, or one worker per chain up to the CPUs this process may use."""
-    if args.threads is None:
-        return min(args.chains, usable_cpus())
-    if args.threads < 1:
+def _n_workers(args) -> int | None:
+    """``--threads``, checked; None leaves the count to each pool's default."""
+    if args.threads is not None and args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     return args.threads
 

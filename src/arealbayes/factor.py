@@ -44,9 +44,10 @@ the flip multiplies them by (-1, -1, 1), the scale move by (s, s, s^2).
 The sweep's likelihood terms come from one more product with the stacked
 panel, its neighbour sums from the CSR kernel
 (:func:`arealbayes.graph.csr_matvec`), and the scale move's ``eta' Q
-eta`` from one product with W (:meth:`SpatialGraph.neighbour_sums`). So
-an iteration makes two products with the panel and one sweep, whatever
-the moves do; the random stream is the one the update order above draws.
+eta`` from :func:`arealbayes.icar.quad_form_and_rank`, one product with W
+and no stored Q. So an iteration makes two products with the panel and
+one sweep, whatever the moves do; the random stream is the one the update
+order above draws.
 
 Missing indicator cells contribute to nothing: fits are bitwise invariant
 to whatever garbage sits in masked-out entries.
@@ -68,7 +69,7 @@ from . import icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph
 from .icar import IcarField
-from .mcmc import ADAPT_TARGET, ChainArchive, McmcConfig, model_hash, run_chain, run_chains
+from .mcmc import ChainArchive, McmcConfig, adapt_step, model_hash, run_chain, run_chains
 from .prep import IndicatorPanel
 
 __all__ = [
@@ -306,14 +307,13 @@ def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, step):
     - (sum_free lambda^2 / 2 v_lambda) (s^-2 - 1)``, where the power of s is
     the Jacobian on the d free eta coordinates
     (:func:`arealbayes.icar.centered_dimension`) and the P - 1 free
-    loadings. ``eta' Q eta`` is ``eta . (w_+ eta - W eta)``, islands on
-    their unit diagonal; the anchor parts of A and B come from ``stats``,
-    eta's :func:`_panel_stats`. Returns ``(eta, lam, stats, accepted,
-    signal)``, the signal for the step's adaptation being the move's
-    acceptance probability ``min(1, exp(logr))``, accepted or not.
+    loadings. ``eta' Q eta`` is :func:`arealbayes.icar.quad_form_and_rank`'s,
+    islands on their unit diagonal; the anchor parts of A and B come from
+    ``stats``, eta's :func:`_panel_stats`. Returns ``(eta, lam, stats,
+    accepted, logr)``.
     """
     a = spec.anchor_index
-    quad = float(eta @ (graph.wplus_eff * eta - graph.neighbour_sums(eta)))
+    quad = icar.quad_form_and_rank(graph, eta)[0]
     big_a = quad / spec.eta_variance + float(stats[2][a]) / sigma2[a]
     big_b = _anchor_cross(cache, alpha, sigma2, stats, a)
     free_ss = float(lam @ lam) - 1.0  # the anchor loading is exactly 1
@@ -327,13 +327,12 @@ def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, step):
         + power * log_s
         - free_ss / (2.0 * spec.loading_prior_variance) * (1.0 / (s * s) - 1.0)
     )
-    signal = math.exp(min(logr, 0.0)) if logr > -700.0 else 0.0
     if logr >= 0.0 or math.log(rng.random()) < logr:
         lam = lam / s
         lam[a] = 1.0
         mt_eta, zc_eta, mt_eta2 = stats
-        return eta * s, lam, (s * mt_eta, s * zc_eta, (s * s) * mt_eta2), True, signal
-    return eta, lam, stats, False, signal
+        return eta * s, lam, (s * mt_eta, s * zc_eta, (s * s) * mt_eta2), True, logr
+    return eta, lam, stats, False, logr
 
 
 def gibbs_update_alpha(state, panel, spec, rng) -> FactorModelState:
@@ -431,12 +430,12 @@ def _run_stage1_chain(task):
         eta = _draw_eta(rng, cache, graph, spec.eta_variance, alpha, lam, sigma2, eta)
         stats = _panel_stats(cache, eta)
         eta, lam, stats, flipped = _signflip(rng, cache, spec, alpha, sigma2, eta, lam, stats)
-        eta, lam, stats, scaled, signal = _scale_move(
+        eta, lam, stats, scaled, logr = _scale_move(
             rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, scale_step
         )
         flips += flipped
         scales += scaled
-        scale_step *= math.exp(gain * (signal - ADAPT_TARGET))
+        scale_step = adapt_step(scale_step, logr, gain)
 
     def snapshot():
         return {"alpha": alpha, "lambda": lam, "eta": eta, "sigma2": sigma2}

@@ -16,6 +16,9 @@ the package-wide island policy gives them an independent ``N(0, sigma^2)``
 prior instead, which keeps the joint density proper and is what
 :func:`gibbs_sweep_values` and :func:`quad_form_and_rank` implement.
 
+The samplers store no Q: their ``Q x`` is ``w_{i+} x - W x``, one product
+with W. :func:`arealbayes.gmrf.icar_precision` builds Q as a matrix.
+
 The Gibbs sweep is chromatic: areas that share no edge are conditionally
 independent given the rest of the field, so the sweep draws one colour
 class of the graph (:attr:`SpatialGraph.colour_classes`) at a time, every
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gmrf
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph, csr_matvec
 
@@ -76,11 +80,12 @@ class IcarField:
 def icar_logdensity_unnormalized(field: IcarField) -> float:
     """Unnormalised ICAR log density via the pairwise-difference sum.
 
-    Equals ``-N log(sigma) - x' Q x / (2 sigma^2)`` with
-    ``Q = diag(w_{i+}) - W``; the N in the power of sigma counts all
-    areas. Invariant under adding a constant per connected component.
+    Equals ``-N log(sigma) - x' Q x / (2 sigma^2)`` with ``Q = diag(w_{i+})
+    - W``, so islands add no quadratic term; the N in the power of sigma
+    counts all areas. Invariant under adding a constant per connected component.
     """
-    quad = _edge_quad(field.graph, field.values)
+    x = field.values
+    quad = float(x @ _precision_product(field.graph, x, island_proper=False))
     n = field.graph.n_areas
     return -n * math.log(math.sqrt(field.variance)) - quad / (2.0 * field.variance)
 
@@ -145,47 +150,35 @@ def gibbs_sweep_values(
 
 
 def precision_matrix(graph: SpatialGraph, island_proper: bool = False) -> np.ndarray:
-    """Dense ICAR precision ``Q = diag(w_{i+}) - W``.
+    """Dense ICAR precision ``Q = diag(w_{i+}) - W``: :func:`gmrf.icar_precision`.
 
     With ``island_proper=True`` islands get a unit diagonal, matching the
     N(0, sigma^2) island prior; otherwise their rows are identically zero.
     Intended for oracles and simulation, not for large n.
     """
-    Q = np.diag(graph.weight_sums)
-    Q[graph.edge_i, graph.edge_j] = -graph.edge_w
-    Q[graph.edge_j, graph.edge_i] = -graph.edge_w
-    if island_proper:
-        Q[graph.island_indices, graph.island_indices] = 1.0
+    Q = gmrf.icar_precision(graph).toarray()
+    if not island_proper:
+        Q[graph.island_indices, graph.island_indices] = 0.0
     return Q
 
 
-def _edge_quad(graph: SpatialGraph, values: np.ndarray) -> float:
-    """``sum_{j<i} w_ij (x_i - x_j)^2``, summed in edge order.
-
-    The running sum adds the terms one by one in the order of
-    :meth:`SpatialGraph.edges`, so the result does not depend on how numpy
-    would block a pairwise reduction.
-    """
-    if not len(graph.edge_w):
-        return 0.0
-    d = values[graph.edge_i] - values[graph.edge_j]
-    return float(np.cumsum(graph.edge_w * d * d)[-1])
+def _precision_product(graph: SpatialGraph, x: np.ndarray, island_proper=True) -> np.ndarray:
+    """``Q x`` as ``w_{i+} x - W x``, Q as :func:`precision_matrix` gives it."""
+    diagonal = graph.wplus_eff if island_proper else graph.weight_sums
+    return diagonal * x - graph.neighbour_sums(x)
 
 
 def quad_form_and_rank(graph: SpatialGraph, values: np.ndarray) -> tuple[float, int]:
     """Quadratic form and effective rank of the ICAR prior at ``values``.
 
     Returns ``(sum_{j<i} w_ij (x_i - x_j)^2 + sum_islands x_i^2,
-    n - n_components + n_islands)``. The island terms come from the
-    island policy's proper N(0, sigma^2) prior; for graphs without
-    islands this is exactly the pairwise form with rank
-    ``n - n_components``. This pair is what a conjugate Gamma precision
-    update needs: shape gains rank/2 and rate gains quad/2.
+    n - n_components + n_islands)``, the quadratic form as ``x . (w_{i+} x
+    - W x)``. The island terms come from the island policy's proper N(0,
+    sigma^2) prior; for graphs without islands this is exactly the pairwise
+    form with rank ``n - n_components``. This pair is what a conjugate Gamma
+    precision update needs: shape gains rank/2 and rate gains quad/2.
     """
     values = np.asarray(values, dtype=float)
-    islands = graph.island_indices
-    quad = _edge_quad(graph, values)
-    if len(islands):
-        quad += float(np.sum(values[islands] ** 2))
-    rank = graph.n_areas - graph.n_components + len(islands)
+    quad = float(values @ _precision_product(graph, values))
+    rank = graph.n_areas - graph.n_components + len(graph.island_indices)
     return quad, rank

@@ -35,6 +35,15 @@ from .errors import ValidationError
 # acceptance rate toward which every adaptive random-walk step moves in burn-in
 ADAPT_TARGET = 0.44
 
+
+def adapt_step(step: float, logr: float, gain: float) -> float:
+    """``step * exp(gain * (signal - ADAPT_TARGET))`` after a proposal with
+    log ratio ``logr``, accepted or not: the signal is its acceptance
+    probability ``min(1, exp(logr))``, 0 below -700."""
+    signal = math.exp(min(logr, 0.0)) if logr > -700.0 else 0.0
+    return step * math.exp(gain * (signal - ADAPT_TARGET))
+
+
 __all__ = [
     "McmcConfig",
     "ChainArchive",
@@ -190,8 +199,8 @@ def run_chains(chain, payloads, config: McmcConfig, n_workers: int | None = None
 def run_chain(config: McmcConfig, step, snapshot) -> dict[str, np.ndarray]:
     """One chain's iteration loop: ``step(it, gain)`` for it = 1..n_iter.
 
-    The gain is ``it ** -0.6`` in burn-in and 0 after: an adaptive step is
-    multiplied by ``exp(gain * (acceptance probability - ADAPT_TARGET))``.
+    The gain is ``it ** -0.6`` in burn-in and 0 after, and an adaptive step
+    moves by it as :func:`adapt_step` says.
     After each iteration that ``config.is_retained``, the values of
     ``snapshot() -> {name: value}`` are copied into the next row of that
     name's array, shape ``(n_retained, *value shape)``, allocated at the

@@ -34,9 +34,10 @@ h of the site's log conditional, with ``p = w h + walk precision`` and the
 field's gradient weight w (``GRADIENT_WEIGHTS``). A delta site (w = 1,
 walk precision 0) takes one Newton step (Gamerman 1997), which under a
 Gaussian likelihood is the exact conditional. A v site (w = 0) takes a
-random walk of its own step, adapted after each burn-in sweep toward
-``mcmc.ADAPT_TARGET`` acceptance: a Newton step on v overshoots from the
-cold start on high-count areas and the chain stalls there.
+random walk of its own step, adapted after each burn-in sweep by
+:func:`arealbayes.mcmc.adapt_step`, like every adaptive step here: a Newton
+step on v overshoots from the cold start on high-count areas and the chain
+stalls there.
 
 phi takes no step of its own. Only the sum phi + v (+ x delta) is pinned
 by the counts, so right after each step's accept test every site of the
@@ -70,7 +71,7 @@ also ``(delta, phi, tau_delta) -> (s delta, phi - (s - 1) x delta,
 tau_delta / s^2)``, and the same scaling of delta with ``(s - 1) x delta``
 taken by v (centred per component), b0 (its mean) and phi (the spread of
 its component means). Each draws ``log s ~ N(0, step^2)`` with its own
-step, adapted toward ``mcmc.ADAPT_TARGET`` acceptance in burn-in. In M4
+step, adapted in burn-in. In M4
 the two delta moves and tau_delta's conjugate Gamma draw then run
 ``SCALE_ROUNDS`` rounds, each the "delta" move, the "ridge" move and the
 Gamma draw, on scalar statistics of the state that are formed once and
@@ -81,7 +82,7 @@ of phi and v then take their conjugate Gamma draws.
 An M3 or M4 iteration draws its variates in one block per distribution,
 at its start: standard normals, uniforms and, when the precisions are
 sampled, the standard Gamma variates that their conjugate draws divide by
-their rates (the ICAR rates take ``x' Q x`` through the sparse Q). With m
+their rates (the ICAR rates' ``x' Q x`` is one product with W). With m
 sites (n areas in M3, 2n in M4) and K fixed effects, the normals are, in
 order, one proposal normal per site, one exchange normal per site (both in
 the sweep's step order), one per translation (2K - 1 for M3, 2K for M4, or
@@ -90,8 +91,7 @@ sampled precisions, one for v's scale move and (M4) per round one each for
 the "delta" and "ridge" moves. The uniforms are one per site and one per
 scale move, in the same order. The Gamma variates are ``SCALE_ROUNDS`` of
 tau_delta's shape (M4), then tau_phi's and tau_v's; tau_delta's and
-tau_v's shapes are equal. M1 and M2 draw as before; M3 and M4 draws differ
-from versions that swept v and delta one after the other.
+tau_v's shapes are equal.
 
 A Newton-mode Laplace approximation at fixed precisions is provided as an
 independent cross-check and for empirical-Bayes selection of the
@@ -121,7 +121,7 @@ from . import gmrf, icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph, csr_matvec
 from .icar import IcarField
-from .mcmc import ADAPT_TARGET, ChainArchive, McmcConfig, model_hash, run_chain, run_chains
+from .mcmc import ADAPT_TARGET, ChainArchive, McmcConfig, adapt_step, model_hash, run_chain, run_chains
 
 __all__ = [
     "RUNGS",
@@ -303,6 +303,7 @@ class PoissonLikelihood:
 
     Areas with E = 0 (no population) carry no likelihood either, like
     suppressed areas; their observed count must then be 0 or missing.
+    ``lik_a``, ``lik_b``: y and E, zero without likelihood (:func:`_lik_slope_curvature`).
     """
 
     def __init__(self, counts: np.ndarray, offsets: np.ndarray):
@@ -328,6 +329,8 @@ class PoissonLikelihood:
         self.obs = np.flatnonzero(mask)
         self.y_obs = y[mask]
         self.e_obs = offsets[mask]
+        self.lik_a = np.where(mask, y, 0.0)
+        self.lik_b = np.where(mask, offsets, 0.0)
         self._const = float(np.sum(self.y_obs * np.log(self.e_obs) - special.gammaln(self.y_obs + 1)))
 
     def loglik(self, theta: np.ndarray) -> float:
@@ -348,14 +351,10 @@ class PoissonLikelihood:
             - special.gammaln(self.y_obs + 1)[None, :]
         )
 
-    def grad_hess_diag(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rate = np.where(self.mask, self.offsets * np.exp(np.clip(theta, -700, 700)), 0.0)
-        grad = np.where(self.mask, self.y - rate, 0.0)
-        return grad, rate
-
 
 class GaussianLikelihood:
-    """Identity-link Gaussian outcome, used for exactness cross-checks."""
+    """Identity-link Gaussian outcome, used for exactness cross-checks;
+    ``lik_a``, ``lik_b``: y and ``1 / (2 s^2)``, zero without likelihood."""
 
     def __init__(self, y: np.ndarray, noise_variance: float):
         y = np.asarray(y, dtype=float)
@@ -366,6 +365,8 @@ class GaussianLikelihood:
         self.mask = np.isfinite(y)
         self.obs = np.flatnonzero(self.mask)
         self.y_obs = y[self.mask]
+        self.lik_a = np.where(self.mask, y, 0.0)
+        self.lik_b = np.where(self.mask, 1.0 / (2.0 * self.noise_variance), 0.0)
 
     def loglik(self, theta: np.ndarray) -> float:
         r = self.y_obs - theta[self.obs]
@@ -381,11 +382,6 @@ class GaussianLikelihood:
         r = self.y_obs[None, :] - theta_matrix[:, self.obs]
         s2 = self.noise_variance
         return -0.5 * r * r / s2 - 0.5 * math.log(2 * math.pi * s2)
-
-    def grad_hess_diag(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grad = np.where(self.mask, (self.y - theta) / self.noise_variance, 0.0)
-        hess = np.where(self.mask, 1.0 / self.noise_variance, 0.0)
-        return grad, hess
 
 
 def _make_likelihood(likelihood, counts, spec, noise_variance):
@@ -508,10 +504,10 @@ class _SiteSweep:
     ``w_{i+}``, the likelihood constants of :func:`_lik_slope_curvature`,
     the gradient weight of :func:`_site_proposal` (``GRADIENT_WEIGHTS``) and
     ``walk_prec``, the random walk's precision, ``(1 - weight) /
-    SITE_STEP^2`` at the start and adapted in burn-in.
+    SITE_STEP^2`` at the start and adapted in burn-in by the chain's sweep.
     """
 
-    def __init__(self, graph, spec, lik_a, lik_b):
+    def __init__(self, graph, spec, lik):
         n, classes = graph.n_areas, graph.colour_classes
         none = np.zeros(0, dtype=np.int64)
         if not spec.has_svc:
@@ -533,8 +529,8 @@ class _SiteSweep:
         self.wplus = graph.wplus_eff[self.areas]
         weight = np.where(self.is_delta, GRADIENT_WEIGHTS["delta"], GRADIENT_WEIGHTS["v"])
         self.walk_prec = (1.0 - weight) / SITE_STEP**2
-        consts = (1.0 / self.wplus, self.coef, self.coef_sq, lik_a[self.areas],
-                  lik_b[self.areas], weight)
+        consts = (1.0 / self.wplus, self.coef, self.coef_sq, lik.lik_a[self.areas],
+                  lik.lik_b[self.areas], weight)
         self.steps, lo = [], 0
         for sites in step_sites:
             sl = slice(lo, lo + len(sites))
@@ -593,22 +589,6 @@ class _SiteSweep:
             accepted[sl], divergent[sl], log_ratios[sl] = accept, div, logr
         return accepted, divergent, log_ratios
 
-    def adapt(self, accept, logr, gain) -> None:
-        """Move each random-walk site's step toward ``ADAPT_TARGET``
-        acceptance by its proposal's acceptance probability (each site is
-        proposed once a sweep); a Newton site's walk precision stays 0."""
-        # a divergent proposal's logr is -inf
-        acc_prob = np.where(accept, 1.0, np.exp(np.minimum(logr, 0.0)))
-        # the step is walk_prec ** -0.5
-        self.walk_prec *= np.exp((-2.0 * gain) * (acc_prob - ADAPT_TARGET))
-
-
-def _quad_form(q, values) -> float:
-    """``values' Q values`` for the chain's sparse Q
-    (:func:`arealbayes.gmrf.icar_precision`), whose unit island diagonal is
-    the island policy's term: the rate of a conjugate Gamma update."""
-    return float(values @ csr_matvec(q, values))
-
 
 def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[int, int]:
     """One random-walk Metropolis pass over the fixed effects, a coordinate at a time.
@@ -616,7 +596,7 @@ def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[i
     Coordinate k proposes ``beta[k] + steps[k] * z`` under the likelihood
     and a ``N(0, prior_variance)`` prior; a proposal that moves some
     ``|theta_i|`` past ``PREDICTOR_BOUND`` is divergent and rejected. Adapts
-    the steps toward ``ADAPT_TARGET`` acceptance while ``gain`` > 0, mutates
+    each step by :func:`arealbayes.mcmc.adapt_step` with ``gain``, mutates
     its arrays and returns (accepted, divergent).
     """
     accepted = divergent = 0
@@ -625,7 +605,7 @@ def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[i
         theta_new = theta + X[:, k] * (prop - beta[k])
         if np.max(np.abs(theta_new)) > PREDICTOR_BOUND:
             divergent += 1
-            acc_prob = 0.0
+            logr = -math.inf
         else:
             logr = lik.delta_sum(theta, theta_new)
             logr += (beta[k] ** 2 - prop**2) / (2.0 * prior_variance)
@@ -633,11 +613,7 @@ def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[i
                 beta[k] = prop
                 theta[:] = theta_new
                 accepted += 1
-                acc_prob = 1.0
-            else:
-                acc_prob = math.exp(logr) if logr > -700 else 0.0
-        if gain:
-            steps[k] *= math.exp(gain * (acc_prob - ADAPT_TARGET))
+        steps[k] = adapt_step(steps[k], logr, gain)
     return accepted, divergent
 
 
@@ -694,9 +670,9 @@ class _RidgeMoves:
                 rows.append((-gamma, -means[labels], -rho, u))
                 n_blocks = 4
         self.directions = [np.array(block) for block in zip(*rows)][:n_blocks]
-        Q = gmrf.icar_precision(graph)
         maps = [self.directions[0] / beta_prior_variance, self.directions[1]]
-        maps += [(Q @ d.T).T for d in self.directions[2:]]
+        maps += [np.array([icar._precision_product(graph, x) for x in d])
+                 for d in self.directions[2:]]
         self.n_moves = len(rows)
         self.grams = np.array([(m @ d.T).ravel() for m, d in zip(maps, self.directions)])
         self.maps = np.hstack(maps)
@@ -736,11 +712,12 @@ class _DeltaScaleMoves:
     (:meth:`_Stage2Chain._scale_log_ratio`) read only the products ``w.w``,
     ``w.phi``, ``u'Q u``, ``(Q u).v``, ``r.r``, ``r.phi`` and ``w.r``, m
     and b0, and tau_delta's Gamma draw reads ``delta' Q delta``. These are
-    formed once from the chain's state; an accepted move updates them in
-    closed form (every product with delta's side twice scales by s^2, m by
-    s) and adds its shifts, as multiples of the fixed w, u and r, to
-    coefficients that :meth:`apply` writes into the chain's fields at the
-    end. The precisions of phi and v do not change meanwhile.
+    formed once from the chain's state (Q by one product with W); an
+    accepted move updates them in closed form (every product with delta's
+    side twice scales by s^2, m by s) and adds its shifts, as multiples of
+    the fixed w, u and r, to coefficients that :meth:`apply` writes into
+    the chain's fields at the end. The precisions of phi and v do not change
+    meanwhile.
     """
 
     def __init__(self, chain):
@@ -749,7 +726,7 @@ class _DeltaScaleMoves:
         delta, phi, v = fields["delta"], fields["phi"], fields["v"]
         w = chain.spec.covariate * delta
         u, means = icar.center_by_component(w, graph)
-        qu = csr_matvec(chain.q, u)
+        qu = icar._precision_product(graph, u)
         self.w, self.u, self.r = w, u, None
         self.ww, self.wphi = float(w @ w), float(w @ phi)
         self.uqu, self.quv = float(u @ qu), float(qu @ v)
@@ -758,7 +735,7 @@ class _DeltaScaleMoves:
         if len(means) > 1:
             self.r = means[graph.component_labels] - self.m
             self.rr, self.rphi, self.wr = (float(self.r @ x) for x in (self.r, phi, w))
-        self.quad_delta = _quad_form(chain.q, delta)
+        self.quad_delta = icar.quad_form_and_rank(graph, delta)[0]
         self.beta0 = float(chain.beta[0])
         # delta's overall scale, and the multiples of w and r that phi and
         # of u that v have taken since the statistics were formed
@@ -854,16 +831,10 @@ class _Stage2Chain:
             self.beta_steps = np.full(spec.n_fixed, 0.1)
             return
 
-        lik_a = np.where(lik.mask, lik.y, 0.0)
-        if self.gaussian:
-            lik_b = np.where(lik.mask, 1.0 / (2.0 * lik.noise_variance), 0.0)
-        else:
-            lik_b = np.where(lik.mask, lik.offsets, 0.0)
-        self.sites = _SiteSweep(graph, spec, lik_a, lik_b)
+        self.sites = _SiteSweep(graph, spec, lik)
         self.ridges = _RidgeMoves(
             self.X, graph, spec.beta_prior_variance, spec.covariate if spec.has_svc else None
         )
-        self.q = gmrf.icar_precision(graph)
         self.rank = icar.quad_form_and_rank(graph, np.zeros(n))[1]
         a = spec.precision_prior_shape
         self.scale_power = icar.centered_dimension(graph) - self.rank - 2.0 * a
@@ -904,7 +875,10 @@ class _Stage2Chain:
             n_accepted -= delta_accepted
         self._tally("v", n_accepted, int(np.count_nonzero(div)))
         if gain:
-            sites.adapt(accept, logr, gain)
+            # each walk step, walk_prec ** -0.5, moves by mcmc.adapt_step's rule
+            # (a Newton site's walk_prec stays 0; a divergent logr is -inf)
+            signal = np.where(logr > -700.0, np.exp(np.minimum(logr, 0.0)), 0.0)
+            sites.walk_prec *= np.exp((-2.0 * gain) * (signal - ADAPT_TARGET))
         n = self.spec.n_areas
         for k, name in enumerate(names):
             fields[name], shift = center_and_absorb(values[k * n:(k + 1) * n], graph)
@@ -959,25 +933,19 @@ class _Stage2Chain:
         ``gamma_shapes``."""
         spec, fields, taus = self.spec, self.fields, self.taus
         b = spec.precision_prior_rate
-        self._adapt_scale("v", self._scale_v(self.scale_steps["v"] * normals[0], log_us[0]), gain)
+        steps = self.scale_steps
+        steps["v"] = adapt_step(steps["v"], self._scale_v(steps["v"] * normals[0], log_us[0]), gain)
         if spec.has_svc:
             moves = _DeltaScaleMoves(self)
             for r in range(SCALE_ROUNDS):
                 for j, name in enumerate(("delta", "ridge"), start=1 + 2 * r):
-                    logr = moves.move(name, self.scale_steps[name] * normals[j], log_us[j])
-                    self._adapt_scale(name, logr, gain)
+                    logr = moves.move(name, steps[name] * normals[j], log_us[j])
+                    steps[name] = adapt_step(steps[name], logr, gain)
                 taus["tau_delta"] = gammas[r] / (b + moves.quad_delta / 2.0)
             moves.apply()
         phi, v = fields["phi"], fields["v"]
         taus["tau_phi"] = gammas[-2] / (b + float(phi @ phi) / 2.0)
-        taus["tau_v"] = gammas[-1] / (b + _quad_form(self.q, v) / 2.0)
-
-    def _adapt_scale(self, name, logr, gain):
-        """Move the log-step of scale move ``name`` toward ``ADAPT_TARGET``
-        acceptance by its proposal's acceptance probability."""
-        if gain:
-            acc_prob = math.exp(min(logr, 0.0)) if logr > -700.0 else 0.0
-            self.scale_steps[name] *= math.exp(gain * (acc_prob - ADAPT_TARGET))
+        taus["tau_v"] = gammas[-1] / (b + icar.quad_form_and_rank(self.graph, v)[0] / 2.0)
 
     def _scale_log_ratio(self, log_s, quad, lin, tau) -> float:
         """Log ratio of a scale move by ``s = exp(log_s)``.
@@ -1194,7 +1162,8 @@ def fit_stage2_laplace(
     fixed_prior = np.eye(K) / spec.beta_prior_variance
 
     z = np.zeros(d)
-    if isinstance(lik, PoissonLikelihood):
+    poisson = isinstance(lik, PoissonLikelihood)
+    if poisson:
         z[0] = math.log(max(lik.y_obs.sum(), 0.5) / lik.e_obs.sum())
 
     def objective(zvec):
@@ -1203,7 +1172,10 @@ def fit_stage2_laplace(
     obj = objective(z)
     grad_norm = math.inf
     for it in range(1, MAX_NEWTON + 1):
-        g_lik, w = lik.grad_hess_diag(A @ z)
+        theta = A @ z
+        g_lik, w = _lik_slope_curvature(
+            theta, np.exp(np.minimum(theta, 700.0)) if poisson else None, lik.lik_a, lik.lik_b
+        )
         grad = A.T @ g_lik - P @ z
         g_l = grad[lat:]
         grad_norm = float(max(

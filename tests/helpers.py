@@ -2,15 +2,17 @@
 
 Everything here is deliberately independent of the package's own
 computation paths: dense matrices, double loops and grid quadrature only.
-The one exception is :func:`recording_pool`, a stand-in for the process
-pool that the package's parallel paths share.
+The exceptions are :func:`recording_pool`, a stand-in for the process
+pool that the package's parallel paths share, and
+:func:`array_delta_scale_move`, which takes a chain's ``Q u`` from the
+package's one ICAR product.
 """
 
 import math
 
 import numpy as np
 
-from arealbayes import mcmc, svc
+from arealbayes import icar, mcmc, svc
 
 
 def recording_pool(monkeypatch) -> list:
@@ -449,7 +451,7 @@ def array_delta_scale_move(chain, name, log_s, log_u) -> float:
         labels = chain.graph.component_labels
         means = np.bincount(labels, weights=w) / np.bincount(labels)
         u = w - means[labels]
-        qu = chain.q @ u
+        qu = icar._precision_product(chain.graph, u)
         mean = float(w.sum()) / len(w)
         prec = 1.0 / spec.beta_prior_variance
         quad = taus["tau_v"] * float(u @ qu) + prec * mean * mean

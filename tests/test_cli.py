@@ -549,7 +549,9 @@ class TestThreads:
                     "--out", out, "--seed", "31", *extra])
 
     def _workers(self, full_pipeline, tmp_path, monkeypatch, *extra, config=None):
-        """The worker counts fit-stage1 hands to the fit and to the archive write."""
+        """The worker counts fit-stage1 hands to the fit and to the archive
+        write, and the sizes of the pools they start (fit first; stage 1
+        archives four parameters, so the write has four blocks per chain)."""
         seen = []
         fit, write = cli.fit_stage1, fileio.write_archive
 
@@ -563,13 +565,13 @@ class TestThreads:
 
         monkeypatch.setattr(cli, "fit_stage1", recording_fit)
         monkeypatch.setattr(fileio, "write_archive", recording_write)
-        recording_pool(monkeypatch)
+        sizes = recording_pool(monkeypatch)
         work, simulated = full_pipeline
         top = ["--config", config] if config else []
         assert run([*top, "fit-stage1", "--indicators", work / "indicators.csv",
                     "--adjacency", simulated / "adjacency.csv", "--out", tmp_path / "w.csv",
                     "--iters", "60", "--burnin", "20", "--thin", "4", *extra]) == 0
-        return seen
+        return seen, sizes
 
     @pytest.mark.parametrize("command", ["fit-stage1", "fit-stage2"])
     def test_worker_count_does_not_change_the_outputs(self, full_pipeline, tmp_path, command):
@@ -585,24 +587,30 @@ class TestThreads:
     def test_default_is_one_worker_per_chain_up_to_the_cpus(
         self, full_pipeline, tmp_path, monkeypatch, cpus, chains, expected
     ):
+        # without --threads the fit runs one worker per chain and the write
+        # one per archive block, each up to the CPUs; one worker starts no pool
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        seen = self._workers(full_pipeline, tmp_path, monkeypatch, "--chains", str(chains))
-        assert seen == [expected, expected]
+        seen, sizes = self._workers(full_pipeline, tmp_path, monkeypatch, "--chains", str(chains))
+        assert seen == [None, None]
+        assert sizes == [n for n in (expected, min(4 * chains, cpus)) if n > 1]
 
     def test_cpu_count_where_affinity_is_unknown(self, full_pipeline, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert self._workers(full_pipeline, tmp_path, monkeypatch) == [1, 1]
+        assert self._workers(full_pipeline, tmp_path, monkeypatch) == ([None, None], [])
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert self._workers(full_pipeline, tmp_path, monkeypatch, "--chains", "3") == [3, 3]
+        assert self._workers(full_pipeline, tmp_path, monkeypatch, "--chains", "3") == (
+            [None, None], [3, 8])
 
     def test_flag_and_config_win(self, full_pipeline, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert self._workers(full_pipeline, tmp_path, monkeypatch, "--threads", "1") == [1, 1]
+        assert self._workers(full_pipeline, tmp_path, monkeypatch, "--threads", "1") == (
+            [1, 1], [])
         conf = tmp_path / "run.conf"
         conf.write_text("threads = 5\n")
-        assert self._workers(full_pipeline, tmp_path, monkeypatch, config=conf) == [5, 5]
+        assert self._workers(full_pipeline, tmp_path, monkeypatch, config=conf) == (
+            [5, 5], [2, 5])
 
     @pytest.mark.parametrize("command, threads",
                              [("fit-stage1", "0"), ("fit-stage1", "-2"), ("fit-stage2", "0")])

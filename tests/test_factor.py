@@ -278,22 +278,24 @@ class TestScaleMove:
         stats = _panel_stats(cache, eta)
         n_moves, thin = 100_000, 10
         draws = np.empty(n_moves // thin)
-        signal_checked = False
+        ratio_checked = False
         for k in range(n_moves):
             lam1 = lam[1]
-            eta, lam, stats, accepted, signal = _scale_move(
+            eta, lam, stats, accepted, logr = _scale_move(
                 rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, 0.6
             )
             assert lam[0] == 1.0
-            if accepted and signal < 1.0 and not signal_checked:
-                # the adaptation signal of an accepted move is its acceptance
-                # probability, not 1
+            if accepted and logr < 0.0 and not ratio_checked:
+                # the returned log ratio, which the step adapts on, is the
+                # orbit density's
                 t_old, t_new = math.log(lam0[1] / lam1), math.log(lam0[1] / lam[1])
-                assert signal == pytest.approx(math.exp(logpdf(t_new) - logpdf(t_old)), rel=1e-9)
-                signal_checked = True
+                assert math.exp(logr) == pytest.approx(
+                    math.exp(logpdf(t_new) - logpdf(t_old)), rel=1e-9
+                )
+                ratio_checked = True
             if k % thin == thin - 1:
                 draws[k // thin] = math.log(lam0[1] / lam[1])
-        assert signal_checked
+        assert ratio_checked
         assert np.allclose(eta, eta0 * math.exp(draws[-1]))
         xs, cdf = grid_logpdf_to_cdf(logpdf, draws.min() - 1, draws.max() + 1)
         assert ks_statistic(draws, xs, cdf) < 0.02

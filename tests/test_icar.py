@@ -47,6 +47,20 @@ class TestLogDensity:
             IcarField(g, shifted)
         ) == pytest.approx(icar_logdensity_unnormalized(field), abs=1e-9)
 
+    def test_islands_add_no_quadratic_term(self):
+        # the pairwise convention: an island's value enters only through
+        # the power of sigma, unlike quad_form_and_rank's proper island term
+        g = build_graph([(0, 1, 2.0), (1, 2, 0.5)], n_areas=5)
+        x = np.array([1.0, -1.0, 0.5, 3.0, -7.0])
+        moved = x.copy()
+        moved[[3, 4]] = [40.0, 0.0]
+        s2 = 0.7
+        want = -5 * math.log(math.sqrt(s2)) - (2.0 * 4.0 + 0.5 * 2.25) / (2 * s2)
+        for values in (x, moved):
+            assert icar_logdensity_unnormalized(IcarField(g, values, s2)) == pytest.approx(
+                want, rel=1e-14
+            )
+
     def test_pairwise_sum_equals_quadratic_form(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
@@ -271,6 +285,22 @@ class TestPrecisionMatrix:
         q = precision_matrix(g, island_proper=True)
         assert q[2, 2] == 1.0
         assert precision_matrix(g)[2, 2] == 0.0
+
+    @pytest.mark.parametrize("island_proper", [False, True])
+    def test_bytes_equal_the_edge_array_construction(self, island_proper):
+        # the dense view of gmrf.icar_precision, byte for byte as built from
+        # the edge arrays: seeded ICAR data are drawn through eigh of Q
+        edges = [(0, 2, 1.5), (2, 5, 0.7), (0, 5, 2.0), (5, 7, 1.2), (1, 3, 0.9),
+                 (3, 4, 1.8), (4, 8, 0.6), (1, 8, 1.1), (11, 12, 0.8), (12, 13, 1.4)]
+        for g in (build_graph(edges, n_areas=16), make_lattice(4, 5)):
+            want = np.diag(g.weight_sums)
+            want[g.edge_i, g.edge_j] = -g.edge_w
+            want[g.edge_j, g.edge_i] = -g.edge_w
+            if island_proper:
+                want[g.island_indices, g.island_indices] = 1.0
+            got = precision_matrix(g, island_proper=island_proper)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestQuadFormAndRank:

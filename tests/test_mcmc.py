@@ -10,6 +10,7 @@ from arealbayes.errors import ValidationError
 from arealbayes.mcmc import (
     ChainArchive,
     McmcConfig,
+    adapt_step,
     effective_sample_size,
     gelman_rubin,
     gelman_rubin_sequences,
@@ -334,3 +335,18 @@ class TestRunChain:
             it ** -0.6 if it <= 20 else 0.0 for it in range(1, 51)
         ]
         assert calls[0][1] == 1.0
+
+
+class TestAdaptStep:
+    @pytest.mark.parametrize("logr, signal", [
+        (0.3, 1.0), (0.0, 1.0), (-0.5, np.exp(-0.5)), (-699.0, np.exp(-699.0)),
+        (-701.0, 0.0), (-np.inf, 0.0), (np.nan, 0.0),
+    ])
+    def test_signal_is_the_acceptance_probability(self, logr, signal):
+        # an accepted proposal with logr < 0 signals its probability, not 1
+        gain = 0.37
+        step = adapt_step(0.2, logr, gain)
+        assert step == pytest.approx(0.2 * np.exp(gain * (signal - mcmc.ADAPT_TARGET)), rel=1e-15)
+
+    def test_no_gain_keeps_the_step(self):
+        assert adapt_step(0.2, -0.1, 0.0) == 0.2

@@ -225,18 +225,14 @@ class TestDeltaNewtonProposal:
         coef = spec.covariate[idx] if name == "delta" else np.ones(len(idx))
         wplus = g.wplus_eff[idx]
         theta = linear_predictor_vector(state, spec)[idx]
-        mask = lik.mask[idx]
-        if isinstance(lik, PoissonLikelihood):
-            exp_theta, lik_b = np.exp(theta), np.where(mask, lik.offsets[idx], 0.0)
-        else:
-            exp_theta, lik_b = None, np.where(mask, 1.0 / (2.0 * lik.noise_variance), 0.0)
+        exp_theta = np.exp(theta) if isinstance(lik, PoissonLikelihood) else None
         values = getattr(state, name).values
         # the walk's sd: 0.3 scaled by a factor in (0.5, 2) per area
         steps = 0.3 * np.exp(np.linspace(-0.7, 0.7, len(idx)))
         return svc._site_proposal(
             values[idx], z, theta, exp_theta, (block @ values) / wplus,
             getattr(state, f"tau_{name}") * wplus, coef, coef * coef,
-            np.where(mask, lik.y[idx], 0.0), lik_b,
+            lik.lik_a[idx], lik.lik_b[idx],
             np.full(len(idx), weight), (1.0 - weight) / steps**2,
         )
 
@@ -646,9 +642,10 @@ class TestScaleRounds:
 
 
 class TestQuadForm:
-    """The Gamma rates' ``x' Q x`` through the chain's sparse Q, whose unit
-    island diagonal is the island policy's term, against
-    ``icar.quad_form_and_rank``'s edge sum."""
+    """``icar.quad_form_and_rank``'s ``x' Q x``, which the scale moves and
+    the Gamma rates read, against the dense product with
+    ``precision_matrix(g, island_proper=True)``, whose unit island diagonal
+    is the island policy's term."""
 
     @pytest.mark.parametrize("kind", ["lattice", "components-and-islands"])
     def test_q_product_equals_quad_form_and_rank(self, kind):
@@ -657,12 +654,12 @@ class TestQuadForm:
         else:
             edges, n = TestJointSweepSteps.GRAPHS["components"]
             g = build_graph(edges, n_areas=n)
-        q = gmrf.icar_precision(g)
+        Q = precision_matrix(g, island_proper=True)
         rng = np.random.default_rng(75)
         for _ in range(5):
             x = rng.standard_normal(g.n_areas)
-            want = quad_form_and_rank(g, x)[0]
-            assert abs(svc._quad_form(q, x) - want) <= 1e-12 * want
+            want = x @ Q @ x
+            assert abs(quad_form_and_rank(g, x)[0] - want) <= 1e-12 * want
 
 
 class TestMatvec:
@@ -1408,6 +1405,32 @@ class TestFitStage2:
         fit_stage2_mcmc(spec, counts, g, config, n_workers=64)
         assert sizes == [3]
 
+
+    # pre-registered band for the burn-in-adapted acceptance shares; steps
+    # that adapted on 1 for every accepted proposal settled at 0.36-0.38
+    # for beta and v on these data
+    ADAPTED_ACCEPTANCE = (0.39, 0.50)
+    ADAPTED_MOVES = {"M1": {"beta"}, "M2": {"beta"}, "M3": {"v", "scale_v"},
+                     "M4": {"v", "scale_v", "scale_delta", "scale_ridge"}}
+
+    def test_adapted_steps_reach_the_target_acceptance(self):
+        # every adaptive step moves toward ADAPT_TARGET = 0.44 on its
+        # proposals' acceptance probability: beta's walk (M1, M2), v's
+        # per-site walk (M3, M4) and every scale move
+        g, m4, counts = TestMixing.lattice_m4_data()
+        config = McmcConfig(n_chains=2, n_iter=2500, burn_in=1000, thin=3, seed=66)
+        lo, hi = self.ADAPTED_ACCEPTANCE
+        for rung in svc.RUNGS:
+            spec = SvcModelSpec(rung=rung, covariate=m4.covariate, offsets=m4.offsets,
+                                latent_factors=None if rung == "M1" else m4.latent_factors)
+            archive = fit_stage2_mcmc(spec, counts, g, config)
+            for c in range(2):
+                shares = dict(item.split("=") for item in
+                              archive.metadata[f"chain{c}_acceptance"].split(";"))
+                adapted = {key: float(value) for key, value in shares.items() if key != "delta"}
+                assert set(adapted) == self.ADAPTED_MOVES[rung]
+                for key, share in adapted.items():
+                    assert lo <= share <= hi, (rung, c, key, share)
 
     def test_suppressed_areas_stay_in_graph(self):
         g = make_lattice(3, 3)
