@@ -270,6 +270,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_prep(args) -> int:
     from pathlib import Path
 
+    if args.factor_scores and not args.extremes:
+        raise ValidationError("--factor-scores needs --extremes, whose area ids the scores join")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     area_ids = None
@@ -287,20 +289,6 @@ def _cmd_prep(args) -> int:
             panel = prep.impute_by_group(panel, stat=args.impute_stat)
         fileio.write_indicators(outdir / "indicators.csv", panel)
         print(f"wrote {outdir / 'indicators.csv'}")
-
-    ice = None
-    ice_ids = None
-    if args.extremes:
-        rows = fileio._open_rows(args.extremes)
-        columns = ("area_id", "privileged", "deprived", "total")
-        fileio._require_header(args.extremes, rows[0], columns)
-        ice_ids, a, p, t = [], [], [], []
-        for lineno, row in fileio._data_rows(args.extremes, rows, columns):
-            ice_ids.append(row[0].strip())
-            a.append(fileio._parse_float(args.extremes, lineno, "privileged", row[1]))
-            p.append(fileio._parse_float(args.extremes, lineno, "deprived", row[2]))
-            t.append(fileio._parse_float(args.extremes, lineno, "total", row[3], allow_empty=True))
-        ice = prep.compute_ice(np.array(a), np.array(p), np.array(t))
 
     if args.strata:
         table = fileio.read_strata(args.strata)
@@ -320,28 +308,17 @@ def _cmd_prep(args) -> int:
         fileio.write_counts(outdir / "counts.csv", table.area_ids, observed, expected)
         print(f"wrote {outdir / 'counts.csv'}")
 
-    if ice is not None:
-        factors = []
-        factor_names = []
+    if args.extremes:
+        ice_ids, privileged, deprived, total = fileio.read_extremes(args.extremes)
+        ice = prep.compute_ice(privileged, deprived, total)
+        factors, factor_names = [], []
         for path in args.factor_scores:
-            rows = fileio._open_rows(path)
-            header = [h.strip() for h in rows[0]]
-            if header[0] != "area_id" or len(header) < 2:
-                raise SchemaError(f"{path}:1: expected header area_id,<score>")
-            scores = list(fileio._data_rows(path, rows, header[:2]))
-            _check_ids([r[0].strip() for _, r in scores], ice_ids, path, args.extremes)
-            factors.append(np.array([
-                fileio._parse_float(path, lineno, header[1], r[1], allow_empty=True)
-                for lineno, r in scores
-            ]))
-            factor_names.append(header[1])
-        fileio.write_covariates(
-            outdir / "covariates.csv",
-            ice_ids,
-            ice,
-            np.column_stack(factors) if factors else None,
-            factor_names or None,
-        )
+            ids, scores, name = fileio.read_scores(path)
+            _check_ids(ids, ice_ids, path, args.extremes)
+            factors.append(scores)
+            factor_names.append(name)
+        fileio.write_covariates(outdir / "covariates.csv", ice_ids, ice,
+                                np.column_stack(factors) if factors else None, factor_names)
         print(f"wrote {outdir / 'covariates.csv'}")
     return 0
 
@@ -479,15 +456,7 @@ def _cmd_diagnose(args) -> int:
     if args.morans_i:
         if not (args.input and args.column and args.adjacency):
             raise ValidationError("--morans-i needs --input, --column and --adjacency")
-        table = fileio._open_rows(args.input)
-        header = [h.strip() for h in table[0]]
-        if args.column not in header:
-            raise SchemaError(f"{args.input}:1: no column named {args.column!r}")
-        col = header.index(args.column)
-        x = np.array([
-            fileio._parse_float(args.input, lineno, args.column, r[col], allow_empty=True)
-            for lineno, r in fileio._data_rows(args.input, table, header[:col + 1])
-        ])
+        _, x = fileio.read_column(args.input, args.column)
         graph = _load_graph(args.adjacency, len(x))
         res = morans_i(graph, x)
         rows.append((args.column, res.statistic, res.z_score, res.p_value))
@@ -519,7 +488,7 @@ def _cmd_diagnose(args) -> int:
     else:
         print(",".join(header_out))
         for row in rows:
-            print(",".join(fileio._fmt(c) for c in row))
+            print(",".join(fileio.format_cell(c) for c in row))
     return 0
 
 

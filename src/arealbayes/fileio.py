@@ -6,13 +6,15 @@ directory, then rename) and format floats with ``repr``, so a fixed seed
 yields byte-identical files. Schema violations raise
 :class:`~arealbayes.errors.SchemaError` naming file, line and column.
 
-Pinned formats:
+Pinned formats, each read here by its ``read_*`` function:
 
     adjacency:  src,dst,weight          (0-based, each undirected edge once)
     areas:      area_id,name,group
     indicators: area_id,<col1>,...      (empty cell = missing)
     counts:     area_id,observed,expected   (empty observed = suppressed)
     covariates: area_id,ice,factor1..factorM
+    extremes:   area_id,privileged,deprived,total   (for ICE)
+    scores:     area_id,<score>         (one factor's scores)
     strata:     area_id,stratum,population[,deaths]
     rates:      stratum,rate
     archive:    chain,iter,param,index,value  plus "<path>.meta" key = value
@@ -65,10 +67,14 @@ __all__ = [
     "write_strata",
     "read_rates",
     "write_rates",
+    "read_extremes",
+    "read_scores",
+    "read_column",
     "read_archive",
     "write_archive",
     "read_config",
     "write_table",
+    "format_cell",
 ]
 
 
@@ -88,7 +94,8 @@ def atomic_write(path, binary=False):
         raise
 
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
+    """A cell as the writers spell it: ``repr`` for floats, empty for NaN or None."""
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
@@ -113,7 +120,9 @@ def _open_rows(path):
 
 
 def _require_header(path, header, expected):
-    if [h.strip() for h in header[: len(expected)]] != list(expected):
+    """``header`` must start with ``expected``, where ``<name>`` matches any name."""
+    names = [e if e.startswith("<") else h.strip() for e, h in zip(expected, header)]
+    if names != list(expected):
         raise SchemaError(
             f"{path}:1: header must start with {','.join(expected)}, "
             f"got {','.join(header)}"
@@ -148,13 +157,41 @@ def _parse_float(path, lineno, column, cell, allow_empty=False):
         ) from None
 
 
+def _read_floats(path, columns, required=(), open_ended=False, column=None):
+    """``(names, ids, values)``: the header names read (all of them when
+    ``open_ended``, else as many as ``columns``, which the header must
+    start with, or up to ``column``), each row's first cell and a row of
+    its numbers in ``names[1:]`` (in ``column`` alone). An empty cell is
+    NaN unless its column is ``required``; a row narrower than ``names``,
+    or wider when ``open_ended``, and a file without rows are errors."""
+    rows = _open_rows(path)
+    header = [h.strip() for h in rows[0]]
+    if column is not None:
+        if column not in header:
+            raise SchemaError(f"{path}:1: no column named {column!r}")
+        columns = header[: header.index(column) + 1]
+    _require_header(path, rows[0], columns)
+    names = header if open_ended else header[: len(columns)]
+    first = len(names) - 1 if column is not None else 1
+    ids, data = [], []
+    for lineno, row in _data_rows(path, rows, names):
+        if open_ended and len(row) != len(names):
+            raise SchemaError(f"{path}:{lineno}: expected {len(names)} columns, got {len(row)}")
+        ids.append(row[0].strip())
+        data.append([_parse_float(path, lineno, name, cell, allow_empty=name not in required)
+                     for name, cell in zip(names[first:], row[first:])])
+    if not ids:
+        raise SchemaError(f"{path}: no data rows")
+    return names, ids, np.array(data, dtype=float)
+
+
 def write_table(path, header, rows) -> None:
     """Generic CSV writer used by all the writers below."""
     with atomic_write(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+            writer.writerow([format_cell(cell) for cell in row])
 
 
 # -- adjacency ---------------------------------------------------------------
@@ -226,27 +263,10 @@ def write_areas(path, area_ids, names=None, groups=None) -> None:
 
 
 def read_indicators(path) -> IndicatorPanel:
-    rows = _open_rows(path)
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0] != "area_id":
-        raise SchemaError(f"{path}:1: first column must be area_id")
-    columns = header[1:]
-    if not columns:
+    names, ids, values = _read_floats(path, ("area_id",), open_ended=True)
+    if len(names) < 2:
         raise SchemaError(f"{path}:1: no indicator columns")
-    ids, data = [], []
-    for lineno, row in _data_rows(path, rows, header):
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-            )
-        ids.append(row[0].strip())
-        data.append(
-            [
-                _parse_float(path, lineno, col, cell, allow_empty=True)
-                for col, cell in zip(columns, row[1:])
-            ]
-        )
-    return IndicatorPanel(ids, columns, np.array(data, dtype=float))
+    return IndicatorPanel(ids, names[1:], values)
 
 
 def write_indicators(path, panel: IndicatorPanel) -> None:
@@ -261,14 +281,9 @@ def write_indicators(path, panel: IndicatorPanel) -> None:
 
 
 def read_counts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    rows = _open_rows(path)
-    _require_header(path, rows[0], ("area_id", "observed", "expected"))
-    ids, observed, expected = [], [], []
-    for lineno, row in _data_rows(path, rows, ("area_id", "observed", "expected")):
-        ids.append(row[0].strip())
-        observed.append(_parse_float(path, lineno, "observed", row[1], allow_empty=True))
-        expected.append(_parse_float(path, lineno, "expected", row[2]))
-    return ids, np.array(observed), np.array(expected)
+    _, ids, values = _read_floats(path, ("area_id", "observed", "expected"),
+                                  required=("expected",))
+    return (ids, *values.T.copy())
 
 
 def write_counts(path, area_ids, observed, expected) -> None:
@@ -280,31 +295,8 @@ def write_counts(path, area_ids, observed, expected) -> None:
 
 
 def read_covariates(path) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
-    rows = _open_rows(path)
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 2 or header[0] != "area_id" or header[1] != "ice":
-        raise SchemaError(f"{path}:1: header must start with area_id,ice")
-    factor_names = header[2:]
-    ids, ice, factors = [], [], []
-    for lineno, row in _data_rows(path, rows, header):
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-            )
-        ids.append(row[0].strip())
-        ice.append(_parse_float(path, lineno, "ice", row[1], allow_empty=True))
-        factors.append(
-            [
-                _parse_float(path, lineno, col, cell, allow_empty=True)
-                for col, cell in zip(factor_names, row[2:])
-            ]
-        )
-    return (
-        ids,
-        np.array(ice),
-        np.array(factors, dtype=float).reshape(len(ids), len(factor_names)),
-        factor_names,
-    )
+    names, ids, values = _read_floats(path, ("area_id", "ice"), open_ended=True)
+    return ids, values[:, 0].copy(), values[:, 1:].copy(), names[2:]
 
 
 def write_covariates(path, area_ids, ice, factors=None, factor_names=None) -> None:
@@ -367,18 +359,31 @@ def write_strata(path, strata: StrataTable) -> None:
 
 
 def read_rates(path) -> tuple[list[str], np.ndarray]:
-    rows = _open_rows(path)
-    columns = ("stratum", "rate")
-    _require_header(path, rows[0], columns)
-    strata, rates = [], []
-    for lineno, row in _data_rows(path, rows, columns):
-        strata.append(row[0].strip())
-        rates.append(_parse_float(path, lineno, "rate", row[1]))
-    return strata, np.array(rates)
+    _, strata, values = _read_floats(path, ("stratum", "rate"), required=("rate",))
+    return strata, values[:, 0]
 
 
 def write_rates(path, strata, rates) -> None:
     write_table(path, ("stratum", "rate"), zip(strata, np.asarray(rates, float)))
+
+
+def read_extremes(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """``(ids, privileged, deprived, total)``, the inputs of ICE."""
+    _, ids, values = _read_floats(path, ("area_id", "privileged", "deprived", "total"),
+                                  required=("privileged", "deprived"))
+    return (ids, *values.T.copy())
+
+
+def read_scores(path) -> tuple[list[str], np.ndarray, str]:
+    """``(ids, scores, name)`` of an ``area_id,<score>`` file."""
+    names, ids, values = _read_floats(path, ("area_id", "<score>"))
+    return ids, values[:, 0], names[1]
+
+
+def read_column(path, column) -> tuple[list[str], np.ndarray]:
+    """``(ids, values)``: the first column and the numbers in ``column`` of a CSV."""
+    _, ids, values = _read_floats(path, (), column=column)
+    return ids, values[:, 0]
 
 
 # -- chain archives ----------------------------------------------------------

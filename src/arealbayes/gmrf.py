@@ -57,10 +57,7 @@ __all__ = ["icar_precision", "sum_to_zero_columns", "ConstrainedFactor"]
 def icar_precision(graph: SpatialGraph) -> sparse.csr_matrix:
     """Sparse ``Q = diag(w_{i+}) - W``, islands on a unit diagonal (their
     proper prior)."""
-    W = sparse.csr_matrix(
-        (graph.weights, graph.indices, graph.indptr), shape=(graph.n_areas,) * 2
-    )
-    return (sparse.diags(graph.wplus_eff) - W).tocsr()
+    return (sparse.diags(graph.wplus_eff) - graph.weight_matrix).tocsr()
 
 
 def sum_to_zero_columns(graph: SpatialGraph, n_rows: int, starts) -> sparse.csc_matrix:

@@ -75,14 +75,18 @@ class SpatialGraph:
         lower-indexed neighbours holds. No edge joins two areas of one
         class, so under an ICAR prior the areas of a class are
         conditionally independent given the rest of the field.
+    weight_matrix : scipy.sparse.csr_matrix
+        The weight matrix W over the CSR arrays, read-only: the one sparse
+        W of the package, which the samplers and the precision Q slice
+        and combine rather than rebuild.
     colour_blocks : list[scipy.sparse.csr_matrix]
-        The rows ``colour_classes[c]`` of the weight matrix W, so
+        The rows ``colour_classes[c]`` of W, so
         ``colour_blocks[c] @ x`` gives ``sum_j w_ij x_j`` for every area
         ``i`` of class ``c``.
     neighbor_lists, neighbor_weights : list[list]
         The CSR rows as Python lists, rebuilt in full on every access.
 
-    :meth:`neighbour_sums` gives ``W @ x`` from the CSR arrays themselves.
+    :meth:`neighbour_sums` gives ``W @ x``.
     """
 
     def __init__(self, n_areas, indptr, indices, weights):
@@ -103,7 +107,7 @@ class SpatialGraph:
         self.island_mask = degrees == 0
         self.island_indices = np.flatnonzero(self.island_mask)
         self.wplus_eff = np.where(self.island_mask, 1.0, self.weight_sums)
-        W = sparse.csr_matrix(
+        W = self.weight_matrix = sparse.csr_matrix(
             (self.weights, self.indices, self.indptr), shape=(n, n)
         )
         labels = csgraph.connected_components(W, directed=False)[1]
@@ -125,7 +129,7 @@ class SpatialGraph:
             self.edge_w, self.weight_sums, self.wplus_eff, self.island_mask,
             self.island_indices, self.component_labels, self.component_sizes,
             *self._components, *self.colour_classes,
-            *(a for b in self.colour_blocks for a in (b.data, b.indices, b.indptr)),
+            *(a for b in (W, *self.colour_blocks) for a in (b.data, b.indices, b.indptr)),
         ):
             arr.flags.writeable = False
 
@@ -151,9 +155,7 @@ class SpatialGraph:
 
     def neighbour_sums(self, x: np.ndarray) -> np.ndarray:
         """``W @ x``: ``sum_j w_ij x_j`` for every area, 0 for islands."""
-        return _csr_product(
-            (self.n_areas, self.n_areas), self.indptr, self.indices, self.weights, x
-        )
+        return csr_matvec(self.weight_matrix, x)
 
     def degree(self, i: int) -> int:
         return int(self.indptr[i + 1] - self.indptr[i])
@@ -192,16 +194,6 @@ class SpatialGraph:
         )
 
 
-def _csr_product(shape, indptr, indices, data, x: np.ndarray) -> np.ndarray:
-    if x.shape != (shape[1],):
-        raise DimensionMismatchError(f"vector of shape {x.shape} for a matrix of shape {shape}")
-    if _csr_matvec is None:  # pragma: no cover
-        return sparse.csr_matrix((data, indices, indptr), shape=shape) @ x
-    out = np.zeros(shape[0])
-    _csr_matvec(shape[0], shape[1], indptr, indices, data, x, out)
-    return out
-
-
 def csr_matvec(A, x: np.ndarray) -> np.ndarray:
     """``A @ x`` for a CSR matrix A and a float vector x, bit for bit.
 
@@ -211,7 +203,14 @@ def csr_matvec(A, x: np.ndarray) -> np.ndarray:
     calls the kernel called here. The kernel reads x without a bounds
     check, so its length is checked first.
     """
-    return _csr_product(A.shape, A.indptr, A.indices, A.data, x)
+    rows, cols = A.shape
+    if x.shape != (cols,):
+        raise DimensionMismatchError(f"vector of shape {x.shape} for a matrix of shape {A.shape}")
+    if _csr_matvec is None:  # pragma: no cover
+        return A @ x
+    out = np.zeros(rows)
+    _csr_matvec(rows, cols, A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 def _colour_classes(neighbor_lists) -> list[np.ndarray]:

@@ -32,9 +32,6 @@ class IndicatorPanel:
 
     ``groups`` carries the label (state) used by group-level imputation.
     ``imputed`` flags cells that were filled rather than observed.
-    ``direction`` is optional per-column metadata (+1 "higher is worse",
-    -1 "higher is better"); it is carried through but never applied, since
-    the factor model learns signs through its loadings.
     """
 
     area_ids: list[str]
@@ -43,7 +40,6 @@ class IndicatorPanel:
     groups: list[str] | None = None
     imputed: np.ndarray | None = None
     missing: np.ndarray | None = None
-    direction: dict[str, int] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -516,7 +516,7 @@ class _SiteSweep:
             pairs = [(classes[0], none), (none, classes[0])]
         else:
             pairs = [(c, classes[(s + 1) % len(classes)]) for s, c in enumerate(classes)]
-        W = sparse.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n))
+        W = graph.weight_matrix
         if spec.has_svc:
             W = sparse.block_diag((W, W), format="csr")
         step_sites = [np.concatenate((v_idx, n + d_idx)) for v_idx, d_idx in pairs]

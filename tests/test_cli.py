@@ -116,6 +116,58 @@ class TestShortRows:
         )
 
 
+class TestBlankFirstLine:
+    """Each CSV a command reads as ids and numbers, starting with a blank
+    line: the header is missing, so the error names line 1."""
+
+    GOOD = {
+        **TestShortRows.GOOD,
+        "indicators_raw.csv": "area_id,x\na,1.0\nb,2.0\n",
+        "counts.csv": "area_id,observed,expected\na,3,2.5\nb,1,1.5\n",
+        "covariates.csv": "area_id,ice\na,0.1\nb,-0.2\n",
+        "rates.csv": "stratum,rate\nyoung,0.01\n",
+        "scores.csv": "area_id,score\na,0.5\nb,-0.5\n",
+        "x.csv": "area_id,x\na,1.0\nb,2.0\n",
+    }
+    STAGE2 = ["fit-stage2", "--model", "M1", "--adjacency", "adj.csv", "--out", "out.csv"]
+
+    @pytest.mark.parametrize("flags, name", [
+        (["prep", "--indicators-raw"], "indicators_raw.csv"),
+        (STAGE2 + ["--covariates", "covariates.csv", "--counts"], "counts.csv"),
+        (STAGE2 + ["--counts", "counts.csv", "--covariates"], "covariates.csv"),
+        (["prep", "--strata", "strata.csv", "--rates"], "rates.csv"),
+        (["prep", "--extremes"], "extremes.csv"),
+        (["prep", "--extremes", "extremes.csv", "--factor-scores"], "scores.csv"),
+        (["diagnose", "--morans-i", "--column", "x", "--adjacency", "adj.csv", "--input"],
+         "x.csv"),
+    ], ids=["indicators", "counts", "covariates", "rates", "extremes", "factor-scores",
+            "morans-i"])
+    def test_blank_first_line_is_one_line_schema_error(self, tmp_path, capsys, flags, name):
+        for good, content in self.GOOD.items():
+            (tmp_path / good).write_text(content)
+        bad = tmp_path / f"blank_{name}"
+        bad.write_text("\n" + self.GOOD[name])
+        argv = [tmp_path / f if f.endswith(".csv") else f for f in flags] + [bad]
+        if argv[0] == "prep":
+            argv[1:1] = ["--outdir", tmp_path / "out"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: SchemaError: {bad}:1: ")
+
+    def test_factor_scores_without_extremes_is_an_error(self, tmp_path, capsys):
+        (tmp_path / "scores.csv").write_text(self.GOOD["scores.csv"])
+        capsys.readouterr()
+        assert run(["prep", "--outdir", tmp_path / "out",
+                    "--factor-scores", tmp_path / "scores.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ValidationError: --factor-scores needs --extremes, "
+            "whose area ids the scores join\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
 class TestFitStage1:
     def test_retained_draw_arithmetic(self, simulated, tmp_path):
         prep_dir = tmp_path / "prep"

@@ -227,6 +227,62 @@ class TestCovariatesAndStrata:
         assert rates.tolist() == [0.01, 0.03]
 
 
+class TestIdKeyedReaders:
+    def test_extremes_with_an_empty_total(self, tmp_path):
+        path = tmp_path / "extremes.csv"
+        path.write_text("area_id,privileged,deprived,total\na,10,5,20\nb,4,9,\n")
+        ids, privileged, deprived, total = fileio.read_extremes(path)
+        assert ids == ["a", "b"]
+        assert privileged.tolist() == [10.0, 4.0] and deprived.tolist() == [5.0, 9.0]
+        assert total[0] == 20.0 and np.isnan(total[1])
+        assert all(a.flags.c_contiguous for a in (privileged, deprived, total))
+        path.write_text("area_id,privileged,deprived,total\na,,5,20\n")
+        with pytest.raises(SchemaError,
+                           match=r"extremes.csv:2: column 'privileged': value required"):
+            fileio.read_extremes(path)
+
+    def test_scores_take_their_name_from_the_header(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("area_id,health,note\na,0.5,x\nb,,y\n")
+        ids, scores, name = fileio.read_scores(path)
+        assert (ids, name) == (["a", "b"], "health")
+        assert scores[0] == 0.5 and np.isnan(scores[1])
+        path.write_text("area_id\na\n")
+        with pytest.raises(SchemaError,
+                           match=r"scores.csv:1: header must start with area_id,<score>"):
+            fileio.read_scores(path)
+
+    def test_column_reads_only_the_named_column(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("area_id,name,x,y\na,first,1.5,oops\nb,second,,2\n")
+        ids, x = fileio.read_column(path, "x")
+        assert ids == ["a", "b"]
+        assert x[0] == 1.5 and np.isnan(x[1])
+        with pytest.raises(SchemaError, match=r"table.csv:1: no column named 'z'"):
+            fileio.read_column(path, "z")
+        with pytest.raises(SchemaError, match=r"table.csv:2: column 'y': expected a number"):
+            fileio.read_column(path, "y")
+
+    @pytest.mark.parametrize("reader, header", [
+        (fileio.read_indicators, "area_id,x"), (fileio.read_counts, "area_id,observed,expected"),
+        (fileio.read_covariates, "area_id,ice"), (fileio.read_rates, "stratum,rate"),
+    ])
+    def test_a_file_without_rows_is_rejected(self, tmp_path, reader, header):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n\n")
+        with pytest.raises(SchemaError, match="empty.csv: no data rows"):
+            reader(path)
+
+    def test_counts_and_covariates_are_contiguous(self, tmp_path):
+        fileio.write_counts(tmp_path / "counts.csv", ["a", "b"], [3.0, 1.0], [2.5, 1.5])
+        fileio.write_covariates(tmp_path / "cov.csv", ["a", "b"], [0.1, -0.2],
+                                np.array([[1.0, 2.0], [3.0, 4.0]]))
+        _, observed, expected = fileio.read_counts(tmp_path / "counts.csv")
+        _, ice, factors, _ = fileio.read_covariates(tmp_path / "cov.csv")
+        assert all(a.flags.c_contiguous for a in (observed, expected, ice, factors))
+        assert factors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 class TestArchive:
     def _archive(self):
         config = McmcConfig(n_chains=2, n_iter=40, burn_in=10, thin=10, seed=7)

@@ -54,6 +54,16 @@ class TestBuildGraph:
             assert np.array_equal(block.toarray(), W[idx])
             assert not idx.flags.writeable and not block.data.flags.writeable
 
+    def test_weight_matrix_is_the_read_only_weights(self):
+        g = build_graph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (4, 5, 0.25)], n_areas=6)
+        W = g.weight_matrix
+        assert np.array_equal(W.toarray(), g.dense_weights())
+        assert not any(a.flags.writeable for a in (W.data, W.indices, W.indptr))
+        with pytest.raises(ValueError):
+            W.data[0] = 3.0
+        x = np.arange(6.0)
+        assert np.array_equal(g.neighbour_sums(x), W @ x)
+
     def test_empty_graph_has_no_colour_classes(self):
         g = build_graph([], n_areas=0)
         assert g.colour_classes == [] and g.colour_blocks == []
