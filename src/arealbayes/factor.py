@@ -11,19 +11,21 @@ N(0, 1000) and sigma2_p ~ inverse-gamma(shape 0.5, rate 0.0005), rate
 meaning the coefficient of 1/x in the exponent (so the conjugate update
 is shape + n/2, rate + rss/2).
 
-One iteration, a step of :func:`arealbayes.mcmc.run_chain`, runs in order:
+A chain is a :class:`_Stage1Chain`, which :func:`arealbayes.mcmc.run_chains`
+runs: it holds the chain's state, and its ``step`` is one iteration, one
+method per update, in order:
 
-* alpha, the free lambda and sigma2, each drawn from its exact full
-  conditional;
-* a sweep of eta through :mod:`arealbayes.icar`, which draws one colour
-  class of non-adjacent areas at a time from its exact site conditionals,
-  followed by per-component centering
+* alpha, the free lambda and sigma2 (``draw_alpha``, ``draw_lambda``,
+  ``draw_sigma2``), each drawn from its exact full conditional;
+* a sweep of eta (``draw_eta``) through :mod:`arealbayes.icar`, which
+  draws one colour class of non-adjacent areas at a time from its exact
+  site conditionals, followed by per-component centering
   (:func:`arealbayes.icar.center_by_component`). Sweep-then-centre is not
   an exact draw of the constrained field: it matches the constrained
   posterior on the scalars but not every eta mean in small components;
-* a sign flip, a Metropolis step that negates eta and the free loadings
-  together;
-* a scale move (:func:`_scale_move`), a Metropolis step along the orbit
+* a sign flip (``signflip``), a Metropolis step that negates eta and the
+  free loadings together;
+* a scale move (``scale_move``), a Metropolis step along the orbit
   (eta, free lambda) -> (s eta, free lambda / s) whose step adapts toward
   ``mcmc.ADAPT_TARGET`` acceptance during burn-in. Single-site eta
   updates change the field's amplitude only slowly, and the free loadings
@@ -69,18 +71,13 @@ from . import icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph
 from .icar import IcarField
-from .mcmc import ChainArchive, McmcConfig, adapt_step, model_hash, run_chain, run_chains
+from .mcmc import ChainArchive, McmcConfig, adapt_step, model_hash, run_chains
 from .prep import IndicatorPanel
 
 __all__ = [
     "FactorModelSpec",
     "FactorModelState",
     "loglik_stage1",
-    "gibbs_update_alpha",
-    "gibbs_update_lambda",
-    "gibbs_update_sigma2",
-    "gibbs_update_eta",
-    "gibbs_update_signflip",
     "fit_stage1",
     "summarize_loadings",
     "factor_quintiles",
@@ -189,26 +186,10 @@ def loglik_stage1(state: FactorModelState, panel: IndicatorPanel) -> float:
     return float(cell[mask].sum())
 
 
-def _draw_alpha(rng, cache, lam, sigma2, stats, spec):
-    """Intercepts given the rest."""
-    prec = cache.n_obs / sigma2 + 1.0 / spec.alpha_prior_variance
-    rhs = (cache.colsum_z - lam * stats[0]) / sigma2
-    return rhs / prec + rng.standard_normal(spec.n_indicators) / np.sqrt(prec)
-
-
 def _cross(cache, alpha, stats):
     """``sum_i m_ip (z_ip - alpha_p) eta_i`` per indicator p."""
     mt_eta, zc_eta, _ = stats
     return zc_eta + (cache.zbar - alpha) * mt_eta
-
-
-def _draw_lambda(rng, cache, alpha, sigma2, stats, spec):
-    """Loadings given the rest, the anchor reset to 1."""
-    prec = stats[2] / sigma2 + 1.0 / spec.loading_prior_variance
-    rhs = _cross(cache, alpha, stats) / sigma2
-    lam = rhs / prec + rng.standard_normal(spec.n_indicators) / np.sqrt(prec)
-    lam[spec.anchor_index] = 1.0
-    return lam
 
 
 def _sigma2_rate(cache, alpha, lam, stats, spec):
@@ -225,22 +206,6 @@ def _sigma2_rate(cache, alpha, lam, stats, spec):
     cross = _cross(cache, alpha, stats)
     rss = cache.szz + cache.n_obs * d * d + lam * (lam * stats[2] - 2.0 * cross)
     return spec.sigma2_prior_rate + np.maximum(rss, 0.0) / 2.0
-
-
-def _draw_sigma2(rng, cache, alpha, lam, stats, spec):
-    shape = spec.sigma2_prior_shape + cache.n_obs / 2.0
-    rate = _sigma2_rate(cache, alpha, lam, stats, spec)
-    draw = 1.0 / (rng.standard_gamma(shape) * (1.0 / rate))
-    floored = int(np.count_nonzero(draw < SIGMA2_FLOOR))
-    if floored:
-        draw = np.maximum(draw, SIGMA2_FLOOR)
-    return draw, floored
-
-
-def _warn_floored(floored: int) -> None:
-    """One warning for ``floored`` sigma2 values raised to the floor."""
-    if floored:
-        warnings.warn(f"sigma2 draw underflowed {floored} time(s); floored at 1e-12")
 
 
 def _eta_likelihood_terms(cache, alpha, lam, sigma2):
@@ -260,121 +225,9 @@ def _eta_likelihood_terms(cache, alpha, lam, sigma2):
     return prec, pwm
 
 
-def _draw_eta(rng, cache, graph, variance, alpha, lam, sigma2, eta):
-    """One colour-class sweep of ``eta`` (mutated), then centering."""
-    prec, pwm = _eta_likelihood_terms(cache, alpha, lam, sigma2)
-    icar.gibbs_sweep_values(
-        eta, graph, variance, prec, pwm, rng.standard_normal(graph.n_areas)
-    )
-    return icar.center_by_component(eta, graph)[0]
-
-
 def _anchor_cross(cache, alpha, sigma2, stats, a) -> float:
     """``sum_i m_ia (z_ia - alpha_a) eta_i / sigma2_a`` for the anchor a."""
     return float(_cross(cache, alpha, stats)[a]) / sigma2[a]
-
-
-def _signflip(rng, cache, spec, alpha, sigma2, eta, lam, stats):
-    """Metropolis step that jointly negates eta and the free loadings.
-
-    With the anchor loading pinned at +1, the flip only changes the anchor
-    indicator's fit; every prior involved is symmetric, so the log ratio
-    is ``-2 * _anchor_cross``. The move lets a chain that latched onto the
-    sign-mirrored mode cross back in one step instead of waiting out an
-    essentially infinite tunneling time. ``stats`` are eta's
-    :func:`_panel_stats`. Returns ``(eta, lam, stats, accepted)``.
-    """
-    logr = -2.0 * _anchor_cross(cache, alpha, sigma2, stats, spec.anchor_index)
-    u = rng.random()
-    if logr >= 0.0 or math.log(u) < logr:
-        lam = -lam
-        lam[spec.anchor_index] = 1.0
-        mt_eta, zc_eta, mt_eta2 = stats
-        return -eta, lam, (-mt_eta, -zc_eta, mt_eta2), True
-    return eta, lam, stats, False
-
-
-def _scale_move(rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, step):
-    """Metropolis step along the orbit (eta, free lambda) -> (s eta, lambda / s).
-
-    The anchor loading stays at 1 and log s ~ N(0, step^2). The free
-    indicators' likelihood is unchanged by the map, so with
-
-        A = eta' Q eta / eta_variance + sum_i m_ia eta_i^2 / sigma2_a
-        B = sum_i m_ia (z_ia - alpha_a) eta_i / sigma2_a
-
-    the log ratio is ``-(s^2 - 1) A / 2 + (s - 1) B + (d - (P - 1)) log s
-    - (sum_free lambda^2 / 2 v_lambda) (s^-2 - 1)``, where the power of s is
-    the Jacobian on the d free eta coordinates
-    (:func:`arealbayes.icar.centered_dimension`) and the P - 1 free
-    loadings. ``eta' Q eta`` is :func:`arealbayes.icar.quad_form_and_rank`'s,
-    islands on their unit diagonal; the anchor parts of A and B come from
-    ``stats``, eta's :func:`_panel_stats`. Returns ``(eta, lam, stats,
-    accepted, logr)``.
-    """
-    a = spec.anchor_index
-    quad = icar.quad_form_and_rank(graph, eta)[0]
-    big_a = quad / spec.eta_variance + float(stats[2][a]) / sigma2[a]
-    big_b = _anchor_cross(cache, alpha, sigma2, stats, a)
-    free_ss = float(lam @ lam) - 1.0  # the anchor loading is exactly 1
-    power = icar.centered_dimension(graph) - (spec.n_indicators - 1)
-
-    log_s = step * rng.standard_normal()
-    s = math.exp(log_s)
-    logr = (
-        -0.5 * (s * s - 1.0) * big_a
-        + (s - 1.0) * big_b
-        + power * log_s
-        - free_ss / (2.0 * spec.loading_prior_variance) * (1.0 / (s * s) - 1.0)
-    )
-    if logr >= 0.0 or math.log(rng.random()) < logr:
-        lam = lam / s
-        lam[a] = 1.0
-        mt_eta, zc_eta, mt_eta2 = stats
-        return eta * s, lam, (s * mt_eta, s * zc_eta, (s * s) * mt_eta2), True, logr
-    return eta, lam, stats, False, logr
-
-
-def gibbs_update_alpha(state, panel, spec, rng) -> FactorModelState:
-    cache = _PanelCache(panel)
-    stats = _panel_stats(cache, state.eta.values)
-    alpha = _draw_alpha(rng, cache, state.loadings, state.sigma2, stats, spec)
-    return replace(state, alpha=alpha)
-
-
-def gibbs_update_lambda(state, panel, spec, rng) -> FactorModelState:
-    cache = _PanelCache(panel)
-    stats = _panel_stats(cache, state.eta.values)
-    lam = _draw_lambda(rng, cache, state.alpha, state.sigma2, stats, spec)
-    return replace(state, loadings=lam)
-
-
-def gibbs_update_sigma2(state, panel, spec, rng) -> FactorModelState:
-    cache = _PanelCache(panel)
-    stats = _panel_stats(cache, state.eta.values)
-    s2, floored = _draw_sigma2(rng, cache, state.alpha, state.loadings, stats, spec)
-    _warn_floored(floored)
-    return replace(state, sigma2=s2)
-
-
-def gibbs_update_eta(state, panel, spec, rng) -> FactorModelState:
-    cache = _PanelCache(panel)
-    field = state.eta
-    eta = _draw_eta(
-        rng, cache, field.graph, field.variance,
-        state.alpha, state.loadings, state.sigma2, field.values.copy(),
-    )
-    return replace(state, eta=replace(field, values=eta))
-
-
-def gibbs_update_signflip(state, panel, spec, rng) -> FactorModelState:
-    cache = _PanelCache(panel)
-    eta = state.eta.values
-    eta, lam, _, _ = _signflip(
-        rng, cache, spec, state.alpha, state.sigma2, eta, state.loadings,
-        _panel_stats(cache, eta),
-    )
-    return replace(state, loadings=lam, eta=replace(state.eta, values=eta))
 
 
 def _initial_state(cache, graph, spec) -> FactorModelState:
@@ -411,41 +264,139 @@ def _override(state, overrides, graph, spec) -> FactorModelState:
     return replace(state, **values)
 
 
-def _run_stage1_chain(task):
-    """Draws, the count of floored sigma2 draws, and the chain's
-    ``acceptance`` and ``scale_log_step`` metadata values."""
-    rng, (cache, graph, spec, config, state) = task
-    alpha, lam, sigma2 = state.alpha, state.loadings, state.sigma2
-    eta = state.eta.values.copy()
-    stats = _panel_stats(cache, eta)
-    scale_step = SCALE_STEP
-    floored = flips = scales = 0
+class _Stage1Chain:
+    """One stage-1 chain for :func:`arealbayes.mcmc.run_chains`: its state,
+    one method per update in the order the module docstring lists, and
+    the moves' counts.
 
-    def step(it, gain):
-        nonlocal alpha, lam, sigma2, eta, stats, scale_step, floored, flips, scales
-        alpha = _draw_alpha(rng, cache, lam, sigma2, stats, spec)
-        lam = _draw_lambda(rng, cache, alpha, sigma2, stats, spec)
-        sigma2, n = _draw_sigma2(rng, cache, alpha, lam, stats, spec)
-        floored += n
-        eta = _draw_eta(rng, cache, graph, spec.eta_variance, alpha, lam, sigma2, eta)
-        stats = _panel_stats(cache, eta)
-        eta, lam, stats, flipped = _signflip(rng, cache, spec, alpha, sigma2, eta, lam, stats)
-        eta, lam, stats, scaled, logr = _scale_move(
-            rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, scale_step
+    ``payload`` is ``(cache, graph, spec, state)``: the :class:`_PanelCache`,
+    the graph, the spec and the chain's start. Every update reads eta
+    through ``stats``, its :func:`_panel_stats`, and leaves them current.
+    ``extra`` counts the sigma2 draws raised to ``SIGMA2_FLOOR``.
+    """
+
+    def __init__(self, rng, config, payload):
+        self.cache, self.graph, self.spec, state = payload
+        self.rng, self.config = rng, config
+        self.alpha, self.lam, self.sigma2 = state.alpha, state.loadings, state.sigma2
+        self.eta = state.eta.values.copy()
+        self.stats = _panel_stats(self.cache, self.eta)
+        self.scale_step = SCALE_STEP
+        self.extra = self.flips = self.scales = 0
+
+    def step(self, it, gain):
+        self.draw_alpha()
+        self.draw_lambda()
+        self.draw_sigma2()
+        self.draw_eta()
+        self.signflip()
+        self.scale_step = adapt_step(self.scale_step, self.scale_move(), gain)
+
+    def draw_alpha(self):
+        """Intercepts given the rest."""
+        cache, sigma2 = self.cache, self.sigma2
+        prec = cache.n_obs / sigma2 + 1.0 / self.spec.alpha_prior_variance
+        rhs = (cache.colsum_z - self.lam * self.stats[0]) / sigma2
+        self.alpha = rhs / prec + self.rng.standard_normal(self.spec.n_indicators) / np.sqrt(prec)
+
+    def draw_lambda(self):
+        """Loadings given the rest, the anchor reset to 1."""
+        spec, sigma2 = self.spec, self.sigma2
+        prec = self.stats[2] / sigma2 + 1.0 / spec.loading_prior_variance
+        rhs = _cross(self.cache, self.alpha, self.stats) / sigma2
+        self.lam = rhs / prec + self.rng.standard_normal(spec.n_indicators) / np.sqrt(prec)
+        self.lam[spec.anchor_index] = 1.0
+
+    def draw_sigma2(self):
+        """Noise variances given the rest, raised to ``SIGMA2_FLOOR`` where
+        they fall below it."""
+        shape = self.spec.sigma2_prior_shape + self.cache.n_obs / 2.0
+        rate = _sigma2_rate(self.cache, self.alpha, self.lam, self.stats, self.spec)
+        draw = 1.0 / (self.rng.standard_gamma(shape) * (1.0 / rate))
+        floored = int(np.count_nonzero(draw < SIGMA2_FLOOR))
+        self.extra += floored
+        self.sigma2 = np.maximum(draw, SIGMA2_FLOOR) if floored else draw
+
+    def draw_eta(self):
+        """One colour-class sweep of eta, then centering."""
+        prec, pwm = _eta_likelihood_terms(self.cache, self.alpha, self.lam, self.sigma2)
+        icar.gibbs_sweep_values(
+            self.eta, self.graph, self.spec.eta_variance, prec, pwm,
+            self.rng.standard_normal(self.graph.n_areas),
         )
-        flips += flipped
-        scales += scaled
-        scale_step = adapt_step(scale_step, logr, gain)
+        self.eta = icar.center_by_component(self.eta, self.graph)[0]
+        self.stats = _panel_stats(self.cache, self.eta)
 
-    def snapshot():
-        return {"alpha": alpha, "lambda": lam, "eta": eta, "sigma2": sigma2}
+    def signflip(self):
+        """Metropolis step that jointly negates eta and the free loadings.
 
-    draws = run_chain(config, step, snapshot)
-    meta = {
-        "acceptance": f"scale={scales / config.n_iter:.3f};signflip={flips / config.n_iter:.3f}",
-        "scale_log_step": f"scale={scale_step:.4f}",
-    }
-    return draws, (floored, meta)
+        With the anchor loading pinned at +1, the flip only changes the anchor
+        indicator's fit; every prior involved is symmetric, so the log ratio
+        is ``-2 * _anchor_cross``. The move lets a chain that latched onto the
+        sign-mirrored mode cross back in one step instead of waiting out an
+        essentially infinite tunneling time.
+        """
+        a = self.spec.anchor_index
+        logr = -2.0 * _anchor_cross(self.cache, self.alpha, self.sigma2, self.stats, a)
+        u = self.rng.random()
+        if logr >= 0.0 or math.log(u) < logr:
+            self.eta, self.lam = -self.eta, -self.lam
+            self.lam[a] = 1.0
+            mt_eta, zc_eta, mt_eta2 = self.stats
+            self.stats = (-mt_eta, -zc_eta, mt_eta2)
+            self.flips += 1
+
+    def scale_move(self) -> float:
+        """Metropolis step along the orbit (eta, free lambda) -> (s eta, lambda / s).
+
+        The anchor loading stays at 1 and log s ~ N(0, scale_step^2). The free
+        indicators' likelihood is unchanged by the map, so with
+
+            A = eta' Q eta / eta_variance + sum_i m_ia eta_i^2 / sigma2_a
+            B = sum_i m_ia (z_ia - alpha_a) eta_i / sigma2_a
+
+        the log ratio is ``-(s^2 - 1) A / 2 + (s - 1) B + (d - (P - 1)) log s
+        - (sum_free lambda^2 / 2 v_lambda) (s^-2 - 1)``, where the power of s is
+        the Jacobian on the d free eta coordinates
+        (:func:`arealbayes.icar.centered_dimension`) and the P - 1 free
+        loadings. ``eta' Q eta`` is :func:`arealbayes.icar.quad_form_and_rank`'s,
+        islands on their unit diagonal; the anchor parts of A and B come from
+        ``stats``. Returns the log ratio, which the step adapts on.
+        """
+        spec, sigma2, stats, a = self.spec, self.sigma2, self.stats, self.spec.anchor_index
+        quad = icar.quad_form_and_rank(self.graph, self.eta)[0]
+        big_a = quad / spec.eta_variance + float(stats[2][a]) / sigma2[a]
+        big_b = _anchor_cross(self.cache, self.alpha, sigma2, stats, a)
+        free_ss = float(self.lam @ self.lam) - 1.0  # the anchor loading is exactly 1
+        power = icar.centered_dimension(self.graph) - (spec.n_indicators - 1)
+
+        log_s = self.scale_step * self.rng.standard_normal()
+        s = math.exp(log_s)
+        logr = (
+            -0.5 * (s * s - 1.0) * big_a
+            + (s - 1.0) * big_b
+            + power * log_s
+            - free_ss / (2.0 * spec.loading_prior_variance) * (1.0 / (s * s) - 1.0)
+        )
+        if logr >= 0.0 or math.log(self.rng.random()) < logr:
+            self.eta, self.lam = self.eta * s, self.lam / s
+            self.lam[a] = 1.0
+            mt_eta, zc_eta, mt_eta2 = stats
+            self.stats = (s * mt_eta, s * zc_eta, (s * s) * mt_eta2)
+            self.scales += 1
+        return logr
+
+    def snapshot(self):
+        return {"alpha": self.alpha, "lambda": self.lam, "eta": self.eta, "sigma2": self.sigma2}
+
+    def metadata(self):
+        """The accepted share of iterations for each move and the scale
+        move's final log-step."""
+        n_iter = self.config.n_iter
+        return {
+            "acceptance": f"scale={self.scales / n_iter:.3f};signflip={self.flips / n_iter:.3f}",
+            "scale_log_step": f"scale={self.scale_step:.4f}",
+        }
 
 
 def fit_stage1(
@@ -481,6 +432,8 @@ def fit_stage1(
         raise DimensionMismatchError(
             f"panel has {panel.n_areas} areas, graph has {graph.n_areas}"
         )
+    if graph.n_areas == 0:
+        raise ValidationError("stage 1 needs at least one area; the panel and graph have none")
     if init_overrides is not None and len(init_overrides) != config.n_chains:
         raise ValidationError(
             f"init_overrides has {len(init_overrides)} entries for "
@@ -499,19 +452,18 @@ def fit_stage1(
     cache = _PanelCache(panel)
     start = _initial_state(cache, graph, spec)
     payloads = [
-        (cache, graph, spec, config,
+        (cache, graph, spec,
          start if init_overrides is None else _override(start, init_overrides[c], graph, spec))
         for c in range(config.n_chains)
     ]
-    archive, extras = run_chains(_run_stage1_chain, payloads, config, n_workers)
-    _warn_floored(sum(floored for floored, _ in extras))
+    archive, floored = run_chains(_Stage1Chain, payloads, config, n_workers)
+    if sum(floored):
+        warnings.warn(f"sigma2 draw underflowed {sum(floored)} time(s); floored at 1e-12")
     archive.metadata.update(
         model="stage1_factor",
         model_hash=model_hash("stage1_factor", spec, graph.n_areas, graph.n_edges, config),
         anchor_index=str(spec.anchor_index),
     )
-    for c, (_, meta) in enumerate(extras):
-        archive.metadata.update({f"chain{c}_{key}": value for key, value in meta.items()})
     return archive
 
 

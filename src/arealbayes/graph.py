@@ -379,7 +379,7 @@ def morans_i(
     ``method="analytic"`` uses the mean ``-1/(n-1)`` and variance of I
     under the normality null; ``method="permutation"`` instead compares
     against ``permutations`` seeded random relabellings (recommended for
-    small n).
+    small n; at least 2, so that their variance is defined).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (graph.n_areas,):
@@ -416,6 +416,8 @@ def morans_i(
         pvalue = 2.0 * stats.norm.sf(abs(zscore))
         return MoranResult(stat, zscore, pvalue, e_i, var, n)
     if method == "permutation":
+        if permutations < 2:
+            raise ValidationError(f"permutations must be at least 2, got {permutations}")
         rng = np.random.default_rng(seed)
         sims = np.empty(permutations)
         for k in range(permutations):

@@ -8,7 +8,12 @@ operate on archives only, never on live sampler state.
 Both stages run their chains here: :func:`run_chains` seeds the chains
 and runs them on worker processes, and :func:`run_chain` owns a chain's
 iteration loop, burn-in adaptation gain and retention. A stage supplies
-only one iteration step and a snapshot of its state.
+one chain class, ``factor._Stage1Chain`` or ``svc._Stage2Chain``, built
+per chain as ``chain_class(rng, config, payload)``. Its ``step(it,
+gain)`` runs one iteration, ``snapshot()`` names the state to retain,
+``metadata()`` gives the chain's ``{key: str}`` values, which
+:func:`run_chains` stamps as ``chain<c>_<key>``, and its ``extra``
+attribute is handed back to the stage as it is.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import tempfile
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -155,44 +160,58 @@ def worker_map(fn, tasks, n_workers: int | None = None):
         yield map(fn, tasks)
 
 
-def _chain_to_files(chain, directory, task):
-    """Run ``chain`` on ``(c, task)`` and save its draws as
-    ``<directory>/<c>.<name>.npy``; returns the names and the extra."""
-    c, task = task
-    draws, extra = chain(task)
-    for name, values in draws.items():
-        np.save(os.path.join(directory, f"{c}.{name}.npy"), values)
-    return list(draws), extra
+def _run_one(chain_class, config, directory, task):
+    """Run chain c of :func:`run_chains` on ``task = (c, (rng, payload))``.
+
+    Returns its draws, its metadata values and its extra; with a
+    ``directory``, the draws are saved as ``<directory>/<c>.<name>.npy``
+    and only their names are returned.
+    """
+    c, (rng, payload) = task
+    chain = chain_class(rng, config, payload)
+    draws = run_chain(config, chain.step, chain.snapshot)
+    if directory is not None:
+        for name, values in draws.items():
+            np.save(os.path.join(directory, f"{c}.{name}.npy"), values)
+        draws = list(draws)
+    return draws, chain.metadata(), chain.extra
 
 
-def run_chains(chain, payloads, config: McmcConfig, n_workers: int | None = None):
-    """Run every chain c as ``chain((rng, payloads[c])) -> (draws, extra)``.
+def run_chains(chain_class, payloads, config: McmcConfig, n_workers: int | None = None):
+    """Run chain c as ``chain_class(rng, config, payloads[c])`` through
+    :func:`run_chain`, with its ``step`` and ``snapshot``.
 
     ``rng`` is ``spawn_generators(config.seed, config.n_chains)[c]``, and
     the chains run on :func:`worker_map` with ``n_workers``, which does not
     change the draws. Chains on a pool hand their draws back as ``.npy``
     files in a temporary directory of the fit, not through the pool's
-    result pipe. A config that retains no draw raises
-    :class:`ValidationError`. Returns the archive, its metadata holding the
-    ``wall_time_s``, and the extras in chain order.
+    result pipe. After its last step, each chain's ``metadata() ->
+    {key: str}`` is stamped into the archive's metadata as
+    ``chain<c>_<key>``, and its ``extra`` attribute is handed back. A
+    config that retains no draw raises :class:`ValidationError`. Returns
+    the archive, its metadata also holding the ``wall_time_s``, and the
+    extras in chain order.
     """
     if config.n_retained < 1:
         raise ValidationError(
             f"n_iter - burn_in = {config.n_iter - config.burn_in} is below "
             f"thin = {config.thin}, so the fit would retain no draws"
         )
-    tasks = list(zip(spawn_generators(config.seed, config.n_chains), payloads, strict=True))
+    tasks = list(enumerate(zip(spawn_generators(config.seed, config.n_chains), payloads,
+                               strict=True)))
     started = time.time()
-    if _pool_size(n_workers, len(tasks)):
-        with tempfile.TemporaryDirectory(prefix="arealbayes-") as directory:
-            handoff = functools.partial(_chain_to_files, chain, directory)
-            with worker_map(handoff, list(enumerate(tasks)), n_workers) as results:
-                names, extras = zip(*results)
-            draws = [{name: np.load(os.path.join(directory, f"{c}.{name}.npy"))
-                      for name in chain_names} for c, chain_names in enumerate(names)]
-    else:
-        draws, extras = zip(*map(chain, tasks))
+    pooled = _pool_size(n_workers, len(tasks))
+    handoff = tempfile.TemporaryDirectory(prefix="arealbayes-") if pooled else nullcontext()
+    with handoff as directory:
+        run = functools.partial(_run_one, chain_class, config, directory)
+        with worker_map(run, tasks, n_workers) as results:
+            draws, chain_meta, extras = zip(*results)
+        if pooled:
+            draws = [{name: np.load(os.path.join(directory, f"{c}.{name}.npy")) for name in names}
+                     for c, names in enumerate(draws)]
     metadata = {"wall_time_s": f"{time.time() - started:.3f}"}
+    for c, values in enumerate(chain_meta):
+        metadata.update({f"chain{c}_{key}": value for key, value in values.items()})
     return ChainArchive(list(draws), config.retained_iterations(), config, metadata), list(extras)
 
 

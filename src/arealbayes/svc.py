@@ -121,7 +121,7 @@ from . import gmrf, icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph, csr_matvec
 from .icar import IcarField
-from .mcmc import ADAPT_TARGET, ChainArchive, McmcConfig, adapt_step, model_hash, run_chain, run_chains
+from .mcmc import ADAPT_TARGET, ChainArchive, McmcConfig, adapt_step, model_hash, run_chains
 
 __all__ = [
     "RUNGS",
@@ -793,12 +793,16 @@ class _DeltaScaleMoves:
 
 
 class _Stage2Chain:
-    """One stage-2 chain: its state, one iteration of the moves the module
-    docstring lists, their counts and the divergence abort.
+    """One stage-2 chain for :func:`arealbayes.mcmc.run_chains`: its state,
+    one iteration of the moves the module docstring lists, their counts and
+    the divergence abort. ``payload`` is ``(spec, lik, graph,
+    sample_precisions, taus)``.
     """
 
-    def __init__(self, task):
-        rng, (spec, lik, graph, config, sample_precisions, taus) = task
+    extra = None  # nothing beside the draws and the metadata
+
+    def __init__(self, rng, config, payload):
+        spec, lik, graph, sample_precisions, taus = payload
         self.rng, self.spec, self.graph, self.lik = rng, spec, graph, lik
         self.sample_precisions, self.taus = sample_precisions, dict(taus)
         self.gaussian = isinstance(lik, GaussianLikelihood)
@@ -988,26 +992,24 @@ class _Stage2Chain:
         taus = {f"tau_{name}": self.taus[f"tau_{name}"] for name in self.fields}
         return {"beta": self.beta, **self.fields, **taus}
 
-
-def _run_stage2_chain(task):
-    """Draws, and the ``chain<c>_acceptance`` and ``chain<c>_divergent`` values."""
-    chain = _Stage2Chain(task)
-    draws = run_chain(chain.config, chain.step, chain.snapshot)
-    n_iter = chain.config.n_iter
-    rates = {block: accepted / (n_iter * chain.block_size)
-             for block, accepted in chain.accepted.items()}
-    # "delta" and "ridge" propose SCALE_ROUNDS times an iteration
-    rates.update((f"scale_{name}", accepted / (n_iter * (1 if name == "v" else SCALE_ROUNDS)))
-                 for name, accepted in chain.scale_accepted.items())
-    meta = {
-        "acceptance": ";".join(f"{key}={rate:.3f}" for key, rate in sorted(rates.items())),
-        "divergent": str(chain.divergent),
-    }
-    if chain.scale_steps:
-        meta["scale_log_step"] = ";".join(
-            f"{name}={step:.4f}" for name, step in sorted(chain.scale_steps.items())
-        )
-    return draws, meta
+    def metadata(self):
+        """Each block's acceptance rate, the divergence count and, with
+        sampled precisions, the scale moves' final log-steps."""
+        n_iter = self.config.n_iter
+        rates = {block: accepted / (n_iter * self.block_size)
+                 for block, accepted in self.accepted.items()}
+        # "delta" and "ridge" propose SCALE_ROUNDS times an iteration
+        rates.update((f"scale_{name}", accepted / (n_iter * (1 if name == "v" else SCALE_ROUNDS)))
+                     for name, accepted in self.scale_accepted.items())
+        meta = {
+            "acceptance": ";".join(f"{key}={rate:.3f}" for key, rate in sorted(rates.items())),
+            "divergent": str(self.divergent),
+        }
+        if self.scale_steps:
+            meta["scale_log_step"] = ";".join(
+                f"{name}={step:.4f}" for name, step in sorted(self.scale_steps.items())
+            )
+        return meta
 
 
 def fit_stage2_mcmc(
@@ -1045,10 +1047,8 @@ def fit_stage2_mcmc(
         )
     lik = _fit_likelihood(likelihood, counts, spec, noise_variance)
     taus = _checked_precisions(initial_precisions)
-    payload = (spec, lik, graph, config, sample_precisions, taus)
-    archive, chain_meta = run_chains(
-        _run_stage2_chain, [payload] * config.n_chains, config, n_workers
-    )
+    payload = (spec, lik, graph, sample_precisions, taus)
+    archive, _ = run_chains(_Stage2Chain, [payload] * config.n_chains, config, n_workers)
     archive.metadata.update(
         model=f"stage2_svc_{spec.rung}",
         model_hash=model_hash(
@@ -1058,8 +1058,6 @@ def fit_stage2_mcmc(
         ),
         likelihood=likelihood,
     )
-    for c, meta in enumerate(chain_meta):
-        archive.metadata.update({f"chain{c}_{key}": value for key, value in meta.items()})
     return archive
 
 

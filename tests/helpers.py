@@ -3,16 +3,17 @@
 Everything here is deliberately independent of the package's own
 computation paths: dense matrices, double loops and grid quadrature only.
 The exceptions are :func:`recording_pool`, a stand-in for the process
-pool that the package's parallel paths share, and
+pool that the package's parallel paths share,
 :func:`array_delta_scale_move`, which takes a chain's ``Q u`` from the
-package's one ICAR product.
+package's one ICAR product, and :func:`stage1_chain`, which builds the
+stage-1 chain whose single updates the conditional tests draw.
 """
 
 import math
 
 import numpy as np
 
-from arealbayes import icar, mcmc, svc
+from arealbayes import factor, icar, mcmc, svc
 
 
 def recording_pool(monkeypatch) -> list:
@@ -35,6 +36,14 @@ def recording_pool(monkeypatch) -> list:
 
     monkeypatch.setattr(mcmc, "ProcessPoolExecutor", Pool)
     return sizes
+
+
+def stage1_chain(state, panel, spec, rng):
+    """A stage-1 chain at ``state`` (a ``FactorModelState``) on ``panel``
+    that draws from ``rng``; each of its update methods draws one update."""
+    return factor._Stage1Chain(
+        rng, mcmc.McmcConfig(), (factor._PanelCache(panel), state.eta.graph, spec, state)
+    )
 
 
 def dense_morans_i(W: np.ndarray, x: np.ndarray) -> float:

@@ -11,7 +11,13 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from helpers import dense_morans_i, grid_logpdf_to_cdf, ks_statistic, random_connected_graph
+from helpers import (
+    dense_morans_i,
+    grid_logpdf_to_cdf,
+    ks_statistic,
+    random_connected_graph,
+    stage1_chain,
+)
 from scipy import stats
 
 from arealbayes.cli import main as cli_main
@@ -21,8 +27,6 @@ from arealbayes.factor import (
     _eta_likelihood_terms,
     _PanelCache,
     fit_stage1,
-    gibbs_update_lambda,
-    gibbs_update_sigma2,
 )
 from arealbayes.graph import build_graph, morans_i
 from arealbayes.icar import IcarField, gibbs_sweep_values, icar_logdensity_unnormalized, precision_matrix
@@ -89,8 +93,10 @@ def test_criterion_02_stage1_conditionals():
 
         # lambda_2: sampler redraws against grid integration of the density
         draws = np.empty(n_draws)
+        chain = stage1_chain(state, panel, spec, rng)
         for s in range(n_draws):
-            draws[s] = gibbs_update_lambda(state, panel, spec, rng).loadings[1]
+            chain.draw_lambda()
+            draws[s] = chain.lam[1]
 
         def lam_logpdf(value):
             ll = -np.sum((z[:, 1] - alpha[1] - value * eta) ** 2) / (2 * 0.16)
@@ -101,8 +107,10 @@ def test_criterion_02_stage1_conditionals():
 
         # sigma2_1: sampler redraws against the closed-form inverse gamma
         draws = np.empty(n_draws)
+        chain = stage1_chain(state, panel, spec, rng)
         for s in range(n_draws):
-            draws[s] = gibbs_update_sigma2(state, panel, spec, rng).sigma2[0]
+            chain.draw_sigma2()
+            draws[s] = chain.sigma2[0]
         resid = z[:, 0] - alpha[0] - lam[0] * eta
         shape = spec.sigma2_prior_shape + 3.0
         rate = spec.sigma2_prior_rate + float(resid @ resid) / 2.0

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import grid_logpdf_to_cdf, ks_statistic, recording_pool
+from helpers import grid_logpdf_to_cdf, ks_statistic, recording_pool, stage1_chain
 from scipy import stats
 
 from arealbayes import factor, fileio
@@ -15,11 +15,6 @@ from arealbayes.factor import (
     factor_exceedance,
     factor_quintiles,
     fit_stage1,
-    gibbs_update_alpha,
-    gibbs_update_eta,
-    gibbs_update_lambda,
-    gibbs_update_sigma2,
-    gibbs_update_signflip,
     loglik_stage1,
     summarize_loadings,
 )
@@ -125,11 +120,12 @@ class TestConditionals:
         self.state = toy_state(self.graph, alpha, lam, self.eta_true, [0.16, 0.16, 0.16])
 
     def test_lambda_conditional_ks_against_grid(self):
-        rng = np.random.default_rng(5)
+        chain = stage1_chain(self.state, self.panel, self.spec, np.random.default_rng(5))
         n_draws = 100_000
         draws = np.empty(n_draws)
         for s in range(n_draws):
-            draws[s] = gibbs_update_lambda(self.state, self.panel, self.spec, rng).loadings[1]
+            chain.draw_lambda()
+            draws[s] = chain.lam[1]
 
         z = self.panel.values
         eta = self.state.eta.values
@@ -143,11 +139,12 @@ class TestConditionals:
         assert ks_statistic(draws, xs, cdf) < 0.01
 
     def test_sigma2_conditional_moments(self):
-        rng = np.random.default_rng(6)
+        chain = stage1_chain(self.state, self.panel, self.spec, np.random.default_rng(6))
         n_draws = 100_000
         draws = np.empty(n_draws)
         for s in range(n_draws):
-            draws[s] = gibbs_update_sigma2(self.state, self.panel, self.spec, rng).sigma2[0]
+            chain.draw_sigma2()
+            draws[s] = chain.sigma2[0]
         resid = (
             self.panel.values[:, 0]
             - self.state.alpha[0]
@@ -210,22 +207,23 @@ class TestConditionals:
         spec = FactorModelSpec(n_indicators=1)
         eta = sample_icar(g, 1.0, np.random.default_rng(3))
         state = toy_state(g, [0.0], [1.0], eta, [1.0])
-        rng = np.random.default_rng(8)
-        draws = np.array(
-            [gibbs_update_alpha(state, panel, spec, rng).alpha[0] for _ in range(20_000)]
-        )
+        chain = stage1_chain(state, panel, spec, np.random.default_rng(8))
+        draws = np.empty(20_000)
+        for s in range(len(draws)):
+            chain.draw_alpha()
+            draws[s] = chain.alpha[0]
         # posterior mean is -lambda * mean(eta) * shrinkage ~ 0 for centered eta
         assert abs(draws.mean()) < 3 * draws.std() / math.sqrt(len(draws))
 
     def test_anchor_is_never_updated(self):
-        rng = np.random.default_rng(9)
-        new = gibbs_update_lambda(self.state, self.panel, self.spec, rng)
-        assert new.loadings[0] == 1.0
+        chain = stage1_chain(self.state, self.panel, self.spec, np.random.default_rng(9))
+        chain.draw_lambda()
+        assert chain.lam[0] == 1.0
 
     def test_eta_update_centers_components(self):
-        rng = np.random.default_rng(10)
-        new = gibbs_update_eta(self.state, self.panel, self.spec, rng)
-        assert abs(new.eta.values.sum()) < 1e-8
+        chain = stage1_chain(self.state, self.panel, self.spec, np.random.default_rng(10))
+        chain.draw_eta()
+        assert abs(chain.eta.sum()) < 1e-8
 
 
 class TestScaleMove:
@@ -233,8 +231,6 @@ class TestScaleMove:
     posterior restricted to its orbit (s eta, free lambda / s)."""
 
     def test_log_s_matches_orbit_density(self):
-        from arealbayes.factor import _PanelCache, _panel_stats, _scale_move
-
         # two multi-area components, two islands
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (5, 6), (6, 7), (7, 8)]
         graph = build_graph(edges, n_areas=11)
@@ -273,19 +269,17 @@ class TestScaleMove:
                 + t * (d - 2)
             )
 
-        cache = _PanelCache(panel)
-        eta, lam = eta0.copy(), lam0.copy()
-        stats = _panel_stats(cache, eta)
+        chain = stage1_chain(toy_state(graph, alpha, lam0, eta0, sigma2), panel, spec, rng)
+        chain.scale_step = 0.6
         n_moves, thin = 100_000, 10
         draws = np.empty(n_moves // thin)
         ratio_checked = False
         for k in range(n_moves):
-            lam1 = lam[1]
-            eta, lam, stats, accepted, logr = _scale_move(
-                rng, cache, graph, spec, alpha, lam, sigma2, eta, stats, 0.6
-            )
+            lam1, scales = chain.lam[1], chain.scales
+            logr = chain.scale_move()
+            lam = chain.lam
             assert lam[0] == 1.0
-            if accepted and logr < 0.0 and not ratio_checked:
+            if chain.scales > scales and logr < 0.0 and not ratio_checked:
                 # the returned log ratio, which the step adapts on, is the
                 # orbit density's
                 t_old, t_new = math.log(lam0[1] / lam1), math.log(lam0[1] / lam[1])
@@ -296,7 +290,7 @@ class TestScaleMove:
             if k % thin == thin - 1:
                 draws[k // thin] = math.log(lam0[1] / lam[1])
         assert ratio_checked
-        assert np.allclose(eta, eta0 * math.exp(draws[-1]))
+        assert np.allclose(chain.eta, eta0 * math.exp(draws[-1]))
         xs, cdf = grid_logpdf_to_cdf(logpdf, draws.min() - 1, draws.max() + 1)
         assert ks_statistic(draws, xs, cdf) < 0.02
 
@@ -358,9 +352,9 @@ class TestCarriedStatistics:
         )
 
     def test_moves_carry_the_statistics_of_a_fresh_product(self):
-        from arealbayes.factor import _draw_eta, _panel_stats, _scale_move, _signflip
+        from arealbayes.factor import _panel_stats
 
-        cache, spec, graph = self.cache, self.spec, self.graph
+        cache, spec = self.cache, self.spec
 
         def check(stats, eta):
             # each statistic to 1e-12 of the sum of its terms' magnitudes
@@ -370,25 +364,22 @@ class TestCarriedStatistics:
             for got, want, size in zip(stats, fresh, (bound[:p, 0], bound[p:, 0], bound[:p, 1])):
                 assert np.all(np.abs(got - want) <= 1e-12 * size), (got, want)
 
-        rng = np.random.default_rng(43)
-        eta = _draw_eta(rng, cache, graph, 1.0, self.alpha, self.lam, self.sigma2, self.eta.copy())
-        stats = _panel_stats(cache, eta)
+        state = toy_state(self.graph, self.alpha, self.lam, self.eta, self.sigma2)
+        chain = stage1_chain(state, self.panel, spec, np.random.default_rng(43))
+        chain.draw_eta()
         # the mirrored field fits the anchor worse: the flip always accepts
-        lam = self.lam.copy()
-        lam[1:] *= -1
-        eta, lam, stats, flipped = _signflip(
-            rng, cache, spec, self.alpha, self.sigma2, -eta, lam, _panel_stats(cache, -eta)
-        )
-        assert flipped
-        check(stats, eta)
-        accepted = 0
+        chain.lam = self.lam.copy()
+        chain.lam[1:] *= -1
+        chain.eta = -chain.eta
+        chain.stats = _panel_stats(cache, chain.eta)
+        chain.signflip()
+        assert chain.flips == 1
+        check(chain.stats, chain.eta)
+        chain.scale_step = 0.1
         for _ in range(20):
-            eta, lam, stats, scaled, _ = _scale_move(
-                rng, cache, graph, spec, self.alpha, lam, self.sigma2, eta, stats, 0.1
-            )
-            accepted += scaled
-            check(stats, eta)
-        assert accepted >= 3
+            chain.scale_move()
+            check(chain.stats, chain.eta)
+        assert chain.scales >= 3
 
 
 class TestGewekeStylePriorCheck:
@@ -422,22 +413,23 @@ class TestGewekeStylePriorCheck:
         lam_draws = np.empty(n_draws)
         sig_draws = np.empty(n_draws)
         alpha_draws = np.empty(n_draws)
-        state = FactorModelState(alpha, lam, IcarField(graph, eta), sigma2)
         for s in range(n_draws):
             z = (
-                state.alpha[None, :]
-                + state.eta.values[:, None] * state.loadings[None, :]
-                + rng.standard_normal((6, 2)) * np.sqrt(state.sigma2)[None, :]
+                alpha[None, :]
+                + eta[:, None] * lam[None, :]
+                + rng.standard_normal((6, 2)) * np.sqrt(sigma2)[None, :]
             )
-            panel = toy_panel(z)
-            state = gibbs_update_alpha(state, panel, spec, rng)
-            state = gibbs_update_lambda(state, panel, spec, rng)
-            state = gibbs_update_sigma2(state, panel, spec, rng)
-            state = gibbs_update_eta(state, panel, spec, rng)
-            state = gibbs_update_signflip(state, panel, spec, rng)
-            lam_draws[s] = state.loadings[1]
-            sig_draws[s] = state.sigma2[0]
-            alpha_draws[s] = state.alpha[0]
+            state = FactorModelState(alpha, lam, IcarField(graph, eta), sigma2)
+            chain = stage1_chain(state, toy_panel(z), spec, rng)
+            chain.draw_alpha()
+            chain.draw_lambda()
+            chain.draw_sigma2()
+            chain.draw_eta()
+            chain.signflip()
+            alpha, lam, sigma2, eta = chain.alpha, chain.lam, chain.sigma2, chain.eta
+            lam_draws[s] = lam[1]
+            sig_draws[s] = sigma2[0]
+            alpha_draws[s] = alpha[0]
 
         u_lam = stats.norm.cdf(lam_draws, scale=math.sqrt(spec.loading_prior_variance))
         u_sig = stats.invgamma.cdf(
@@ -487,6 +479,16 @@ class TestFitStage1:
         a2 = fit_stage1(garbage, g, config=config)
         for name in a1.param_names:
             assert np.array_equal(a1.chains[0][name], a2.chains[0][name])
+
+    def test_no_areas_is_rejected_before_any_chain(self, monkeypatch):
+        sizes = recording_pool(monkeypatch)
+        panel = IndicatorPanel([], ["a", "b"], np.zeros((0, 2)))
+        config = McmcConfig(n_chains=2, n_iter=20, burn_in=5, thin=1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="needs at least one area"):
+                fit_stage1(panel, build_graph([], n_areas=0), config=config, n_workers=2)
+        assert sizes == []
 
     def test_warns_on_unstandardized_panel(self):
         g = make_lattice(2, 2)
@@ -571,6 +573,40 @@ class TestFitStage1:
         # every value of every draw: 2 chains x 30 iterations x 2 indicators
         assert floored == ["sigma2 draw underflowed 120 time(s); floored at 1e-12"]
         assert (archive.get("sigma2") == 1e300).all()
+
+
+class TestFreeIslands:
+    """An island's eta is free under its proper N(0, eta_variance) prior."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 1A: center_by_component centres one-area components too, "
+        "which pins every island's eta at 0",
+    )
+    def test_island_sd_matches_the_rao_blackwell_sd(self):
+        # a 3x3 lattice plus 2 islands (9 and 10), one island missing a cell
+        g = build_graph(list(make_lattice(3, 3).edges()), n_areas=11)
+        islands = [9, 10]
+        assert g.island_indices.tolist() == islands
+        panel, _ = simulate_stage1(g, np.array([1.0, 1.2, -0.8]), np.full(3, 0.3), seed=12)
+        values = panel.values.copy()
+        values[10, 1] = np.nan
+        panel = toy_panel(values)
+        spec = FactorModelSpec(n_indicators=3)
+        config = McmcConfig(n_chains=2, n_iter=6_000, burn_in=1_000, thin=2, seed=13)
+        archive = fit_stage1(panel, g, spec, config, n_workers=1)
+        alpha, lam, sigma2, eta = (archive.get(p) for p in ("alpha", "lambda", "sigma2", "eta"))
+        for i in islands:
+            # an island's eta given the rest is Gaussian: its prior precision
+            # plus the observed cells' lambda^2 / sigma2
+            observed = ~np.isnan(values[i])
+            w = lam[:, observed] / sigma2[:, observed]
+            precision = 1.0 / spec.eta_variance + np.sum(w * lam[:, observed], axis=1)
+            mean = np.sum(w * (values[i, observed] - alpha[:, observed]), axis=1) / precision
+            rao_blackwell = math.sqrt(np.mean(1.0 / precision) + np.var(mean))
+            sd = eta[:, i].std()
+            assert sd > 0.0, f"island {i}'s eta never moves"
+            assert abs(sd - rao_blackwell) < 0.1 * rao_blackwell, (i, sd, rao_blackwell)
 
 
 class TestDefaultWorkers:

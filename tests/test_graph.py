@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import dense_morans_i, oracle_graph, random_connected_graph
@@ -330,3 +332,14 @@ class TestMoransI:
         res2 = morans_i(g, x, method="permutation", permutations=499, seed=9)
         assert res1 == res2
         assert res1.p_value < 0.01
+
+    @pytest.mark.parametrize("permutations", [-1, 0, 1])
+    def test_fewer_than_two_permutations_rejected(self, permutations):
+        # the permutation variance, and with it z, needs at least 2 draws
+        g = make_lattice(3, 3)
+        x = np.arange(9, dtype=float)
+        message = f"permutations must be at least 2, got {permutations}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                morans_i(g, x, method="permutation", permutations=permutations)

@@ -22,14 +22,27 @@ from arealbayes.mcmc import (
 )
 
 
-def first_draws(task):
-    """A chain for :func:`run_chains` whose extra is its label and first three uniforms."""
-    rng, (config, label) = task
-    return {"x": np.zeros(config.n_retained)}, (label, rng.random(3).tolist())
+class FirstDraws:
+    """A chain class for :func:`run_chains` whose extra is its label and
+    first three uniforms, and whose metadata counts its steps."""
+
+    def __init__(self, rng, config, label):
+        self.extra = (label, rng.random(3).tolist())
+        self.label, self.steps = label, 0
+
+    def step(self, it, gain):
+        self.steps += 1
+
+    def snapshot(self):
+        return {"x": 0.0}
+
+    def metadata(self):
+        return {"label": self.label, "steps": str(self.steps)}
 
 
-def must_not_run(task):
-    raise AssertionError("a chain ran")
+class MustNotRun:
+    def __init__(self, rng, config, payload):
+        raise AssertionError("a chain ran")
 
 
 def archive_from_chains(chains, **config_kwargs):
@@ -282,18 +295,25 @@ class TestRunChains:
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_chain_c_gets_spawned_generator_c(self, n_workers):
         config = McmcConfig(n_chains=3, n_iter=10, burn_in=5, thin=1, seed=71)
-        payloads = [(config, label) for label in "abc"]
-        archive, extras = run_chains(first_draws, payloads, config, n_workers)
+        archive, extras = run_chains(FirstDraws, list("abc"), config, n_workers)
         expected = [rng.random(3).tolist() for rng in spawn_generators(71, 3)]
         assert extras == list(zip("abc", expected))
         assert archive.n_chains == 3
         assert archive.iterations.tolist() == config.retained_iterations().tolist()
+        assert archive.get("x").tolist() == [0.0] * 15
+        # each chain's metadata values, stamped once per chain
+        stamped = {key: value for key, value in archive.metadata.items()
+                   if key.startswith("chain")}
+        assert stamped == {
+            **{f"chain{c}_label": label for c, label in enumerate("abc")},
+            **{f"chain{c}_steps": "10" for c in range(3)},
+        }
         assert float(archive.metadata["wall_time_s"]) >= 0.0
 
     def test_payload_count_must_match_the_chains(self):
         config = McmcConfig(n_chains=2, n_iter=10, burn_in=5, thin=1, seed=71)
         with pytest.raises(ValueError):
-            run_chains(first_draws, [(config, "a")], config, 1)
+            run_chains(FirstDraws, ["a"], config, 1)
 
     def test_config_retaining_no_draw_is_rejected_before_any_chain(self, monkeypatch):
         sizes = recording_pool(monkeypatch)
@@ -301,7 +321,7 @@ class TestRunChains:
         assert config.n_retained == 0
         message = "n_iter - burn_in = 5 is below thin = 10, so the fit would retain no draws"
         with pytest.raises(ValidationError, match=message):
-            run_chains(must_not_run, [None, None], config, 2)
+            run_chains(MustNotRun, [None, None], config, 2)
         assert sizes == []
 
 

@@ -456,10 +456,10 @@ def scale_chain(g, seed, taus):
     spec.precision_prior_shape, spec.precision_prior_rate = 2.5, 1.5
     counts = np.random.default_rng(seed).poisson(50.0, g.n_areas).astype(float)
     config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
-    chain = svc._Stage2Chain((
-        np.random.default_rng(seed),
-        (spec, PoissonLikelihood(counts, spec.offsets), g, config, True, taus),
-    ))
+    chain = svc._Stage2Chain(
+        np.random.default_rng(seed), config,
+        (spec, PoissonLikelihood(counts, spec.offsets), g, True, taus),
+    )
     # the chain's fields: zero sum on every component, islands at 0
     chain.beta[:] = state.beta
     chain.fields.update(
@@ -705,10 +705,10 @@ class TestSiteExchanges:
         spec, state = convolution_pieces(g, self.RUNGS[field], seed=seed)
         counts = np.random.default_rng(seed).poisson(50.0, n).astype(float)
         config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
-        chain = svc._Stage2Chain((
-            np.random.default_rng(seed),
-            (spec, PoissonLikelihood(counts, spec.offsets), g, config, False, self.TAUS),
-        ))
+        chain = svc._Stage2Chain(
+            np.random.default_rng(seed), config,
+            (spec, PoissonLikelihood(counts, spec.offsets), g, False, self.TAUS),
+        )
         chain.beta[:] = state.beta
         chain.fields.update(phi=state.phi.copy(), v=state.v.values.copy())
         if state.delta is not None:
@@ -824,10 +824,10 @@ class TestJointSweepSteps:
         g = build_graph(edges, n_areas=n)
         spec, _ = convolution_pieces(g, rung, seed=64)
         config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
-        chain = svc._Stage2Chain((
-            np.random.default_rng(64),
-            (spec, PoissonLikelihood(np.full(n, 40.0), spec.offsets), g, config, True, {}),
-        ))
+        chain = svc._Stage2Chain(
+            np.random.default_rng(64), config,
+            (spec, PoissonLikelihood(np.full(n, 40.0), spec.offsets), g, True, {}),
+        )
         sites, n_fields = chain.sites, 1 + (rung == "M4")
         k = len(g.colour_classes)
         assert len(sites.steps) == (2 if rung == "M4" and k == 1 else k)
@@ -1221,6 +1221,37 @@ class TestPrecisionOracle:
                         n_areas=19)
         z = self.z_scores(g, 12_000, np.where(np.arange(19) >= 16, -1.5, 0.0))
         assert np.max(np.abs(z)) < 4.0, z
+
+
+class TestFreeIslands:
+    """An island's v is free under its proper N(0, 1 / tau_v) prior."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 1A: center_by_component centres one-area components too, "
+        "which pins every island's v at 0",
+    )
+    def test_gaussian_m3_island_means_match_the_exact_posterior(self):
+        # a 4-cycle plus 2 islands (4 and 5), fixed precisions: under a
+        # Gaussian likelihood the Laplace mode is the exact posterior mean
+        g = build_graph([(0, 1), (1, 2), (2, 3), (0, 3)], n_areas=6)
+        islands = [4, 5]
+        assert g.island_indices.tolist() == islands
+        y = np.log(np.array([48.0, 55.0, 51.0, 46.0, 95.0, 25.0]) / 50.0)
+        spec = SvcModelSpec(rung="M3", covariate=np.linspace(-1.0, 1.0, 6),
+                            offsets=np.ones(6), latent_factors=np.zeros((6, 0)))
+        taus = {"tau_phi": 5.0, "tau_v": 1.0}
+        exact = fit_stage2_laplace(spec, y, g, taus, likelihood="gaussian",
+                                   noise_variance=0.05).state.v.values[islands]
+        assert np.all(np.abs(exact) > 0.4), exact  # 0.582 and -0.457
+        config = McmcConfig(n_chains=2, n_iter=10_000, burn_in=1_000, thin=2, seed=91)
+        archive = fit_stage2_mcmc(spec, y, g, config, likelihood="gaussian", noise_variance=0.05,
+                                  sample_precisions=False, initial_precisions=taus)
+        for i, mean in zip(islands, exact):
+            draws = [c[:, i] for c in archive.per_chain("v")]
+            assert np.ptp(np.concatenate(draws)) > 0.0, f"island {i}'s v never moves"
+            z = batch_means_z(draws, mean)
+            assert abs(z) < 4.0, (i, z)
 
 
 class TestMixing:
