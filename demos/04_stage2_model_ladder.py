@@ -59,7 +59,7 @@ for rung in ("M1", "M2", "M3", "M4"):
     )
 
 spec4, archive4 = fits["M4"]
-rr = rate_ratio(archive4.get("beta")[:, 1])
+rr = rate_ratio(archive4.get("beta", 1))
 print("\nsegregation effect:", format_rate_ratio(rr, label="beta"))
 
 delta_hat = archive4.get("delta").mean(axis=0)

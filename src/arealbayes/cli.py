@@ -354,7 +354,9 @@ def _apply_factor_exclusions(factors, factor_names, args):
     return factors[:, keep], [factor_names[k] for k in keep]
 
 
-def _load_stage2_inputs(args):
+def _load_stage2_inputs(args, policy, precision_prior_rate=0.5):
+    """The stage-2 inputs, areas missing a covariate handled by ``policy``,
+    and the policy if some area was, else None."""
     count_ids, observed, expected = fileio.read_counts(args.counts)
     cov_ids, ice, factors, factor_names = fileio.read_covariates(args.covariates)
     _check_ids(count_ids, cov_ids, args.counts, args.covariates)
@@ -364,12 +366,11 @@ def _load_stage2_inputs(args):
     missing = ~np.isfinite(ice)
     if factors.size:
         missing |= ~np.isfinite(factors).all(axis=1)
-    policy = getattr(args, "missing_covariate", "error")
     if missing.any():
         if policy == "error":
             raise ValidationError(
-                f"{int(missing.sum())} area(s) have missing covariates; choose "
-                "--missing-covariate impute or drop"
+                f"{int(missing.sum())} area(s) have missing covariates; fit-stage2 "
+                "handles them with --missing-covariate impute or drop"
             )
         if policy == "impute":
             ice = np.where(missing & ~np.isfinite(ice), np.nanmean(ice), ice)
@@ -392,9 +393,9 @@ def _load_stage2_inputs(args):
         latent_factors=factors if args.model != "M1" and factors.size else (
             np.zeros((len(count_ids), 0)) if args.model != "M1" else None
         ),
-        precision_prior_rate=0.0005 if getattr(args, "diffuse_precision_prior", False) else 0.5,
+        precision_prior_rate=precision_prior_rate,
     )
-    return spec, observed, graph, count_ids, factor_names
+    return spec, observed, graph, count_ids, factor_names, policy if missing.any() else None
 
 
 def _cmd_fit_stage2(args) -> int:
@@ -413,7 +414,8 @@ def _cmd_fit_stage2(args) -> int:
             raise ValidationError(
                 f"--tau-grid must be a comma list of numbers, got {args.tau_grid!r}"
             ) from None
-    spec, observed, graph, count_ids, factor_names = _load_stage2_inputs(args)
+    spec, observed, graph, count_ids, factor_names, applied = _load_stage2_inputs(
+        args, args.missing_covariate, 0.0005 if args.diffuse_precision_prior else 0.5)
     if args.laplace:
         if args.tau_grid is not None:
             if not spec.has_convolution:
@@ -443,6 +445,8 @@ def _cmd_fit_stage2(args) -> int:
     config, n_workers = _mcmc_config(args), _n_workers(args)
     archive = svc.fit_stage2_mcmc(spec, observed, graph, config, n_workers=n_workers)
     archive.metadata["factor_names"] = ";".join(factor_names)
+    if applied is not None:
+        archive.metadata["missing_covariate"] = applied
     fileio.write_archive(archive, args.out, n_workers)
     print(
         f"stage 2 fit ({spec.rung}): {archive.n_chains} chains x "
@@ -551,13 +555,16 @@ def _cmd_summarize(args) -> int:
             raise ValidationError(
                 f"--what {what} needs --counts, --covariates, --adjacency and --model"
             )
-        spec, observed, graph, count_ids, factor_names = _load_stage2_inputs(args)
+        # the fit's missing-covariate policy, as fit-stage2 recorded it
+        policy = archive.metadata.get("missing_covariate", "error")
+        spec, observed, graph, count_ids, factor_names, _ = _load_stage2_inputs(args, policy)
+        spec.check_draws(archive)
         if what == "fixed-effects":
-            names = ["intercept", "ice"] + factor_names
+            names = ["intercept", "ice"] + factor_names[:spec.n_factors]
             rows = []
             for k, name in enumerate(names):
                 summ = posterior_summary(archive, "beta", k)
-                rr = svc.rate_ratio(archive.get("beta")[:, k])
+                rr = svc.rate_ratio(archive.get("beta", k))
                 rows.append(
                     (name, summ.mean, summ.sd, summ.q025, summ.q975,
                      rr.point, rr.lower, rr.upper)
@@ -593,8 +600,6 @@ def _cmd_summarize(args) -> int:
             )
             fileio.write_table(args.out, header, rows)
         elif what == "delta":
-            if "delta" not in archive.param_names:
-                raise ValidationError("archive has no delta draws (not an M4 fit)")
             draws = archive.get("delta")
             lo, hi = np.quantile(draws, [0.025, 0.975], axis=0)
             fileio.write_table(

@@ -71,7 +71,7 @@ from . import icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph
 from .icar import IcarField
-from .mcmc import ChainArchive, McmcConfig, adapt_step, model_hash, run_chains
+from .mcmc import MAX_LOG_SCALE, ChainArchive, McmcConfig, adapt_step, model_hash, run_chains
 from .prep import IndicatorPanel
 
 __all__ = [
@@ -361,7 +361,10 @@ class _Stage1Chain:
         (:func:`arealbayes.icar.centered_dimension`) and the P - 1 free
         loadings. ``eta' Q eta`` is :func:`arealbayes.icar.quad_form_and_rank`'s,
         islands on their unit diagonal; the anchor parts of A and B come from
-        ``stats``. Returns the log ratio, which the step adapts on.
+        ``stats``. ``|log s|`` past ``mcmc.MAX_LOG_SCALE`` gives ``-inf``. This
+        is :func:`arealbayes.mcmc.scale_log_ratio` at quad A, lin B - A, kept
+        in the form above, whose rounding the draws and the adapted step
+        follow. Returns the log ratio, which the step adapts on.
         """
         spec, sigma2, stats, a = self.spec, self.sigma2, self.stats, self.spec.anchor_index
         quad = icar.quad_form_and_rank(self.graph, self.eta)[0]
@@ -371,13 +374,15 @@ class _Stage1Chain:
         power = icar.centered_dimension(self.graph) - (spec.n_indicators - 1)
 
         log_s = self.scale_step * self.rng.standard_normal()
-        s = math.exp(log_s)
-        logr = (
-            -0.5 * (s * s - 1.0) * big_a
-            + (s - 1.0) * big_b
-            + power * log_s
-            - free_ss / (2.0 * spec.loading_prior_variance) * (1.0 / (s * s) - 1.0)
-        )
+        logr = -math.inf
+        if abs(log_s) <= MAX_LOG_SCALE:
+            s = math.exp(log_s)
+            logr = (
+                -0.5 * (s * s - 1.0) * big_a
+                + (s - 1.0) * big_b
+                + power * log_s
+                - free_ss / (2.0 * spec.loading_prior_variance) * (1.0 / (s * s) - 1.0)
+            )
         if logr >= 0.0 or math.log(self.rng.random()) < logr:
             self.eta, self.lam = self.eta * s, self.lam / s
             self.lam[a] = 1.0
@@ -416,7 +421,9 @@ def fit_stage1(
     checks. Only eta and sigma2 disperse a start: the first alpha draw
     reads neither the previous alpha nor, for a centred eta on a complete
     panel, the loadings. ``n_workers`` is as in
-    :func:`arealbayes.mcmc.run_chains`. Floored sigma2 draws are counted in
+    :func:`arealbayes.mcmc.run_chains`. An anchor indicator with no
+    observed cell raises :class:`ValidationError` before any chain runs:
+    no data would set the factor's scale. Floored sigma2 draws are counted in
     the chains and warned about once, here. The archive metadata records
     per chain c the accepted share of iterations for each move
     (``chain<c>_acceptance``, ``scale=...;signflip=...``) and the scale
@@ -440,6 +447,9 @@ def fit_stage1(
             f"{config.n_chains} chains; give one dict per chain"
         )
     mask = panel.observed_mask
+    if not mask[:, spec.anchor_index].any():
+        raise ValidationError(f"anchor indicator {panel.columns[spec.anchor_index]!r} has no "
+                              "observed cell to set the factor's scale; choose another anchor")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         col_means = np.nanmean(np.where(mask, panel.values, np.nan), axis=0)
@@ -482,10 +492,7 @@ def summarize_loadings(
 
     The anchored loading is reported as exactly 1 with no interval.
     """
-    draws = archive.get("lambda")
-    if draws.size == 0:
-        raise ValidationError("archive is empty")
-    p = draws.shape[1]
+    p = archive.shape("lambda")[0]
     anchor = int(archive.metadata.get("anchor_index", 0))
     if names is None:
         names = [f"indicator_{k}" for k in range(p)]
@@ -494,10 +501,9 @@ def summarize_loadings(
         if k == anchor:
             rows.append(LoadingSummary(names[k], 1.0, None, None, True))
             continue
-        lo, hi = np.quantile(draws[:, k], [0.025, 0.975])
-        rows.append(
-            LoadingSummary(names[k], float(draws[:, k].mean()), float(lo), float(hi), False)
-        )
+        draws = archive.get("lambda", k)
+        lo, hi = np.quantile(draws, [0.025, 0.975])
+        rows.append(LoadingSummary(names[k], float(draws.mean()), float(lo), float(hi), False))
     return rows
 
 
@@ -510,8 +516,6 @@ def factor_quintiles(archive: ChainArchive) -> tuple[np.ndarray, np.ndarray]:
     consistent quintile deterministically.
     """
     draws = archive.get("eta")
-    if draws.size == 0:
-        raise ValidationError("archive is empty")
     means = draws.mean(axis=0)
     cuts = np.quantile(means, [0.2, 0.4, 0.6, 0.8])
     quintiles = 1 + (means[:, None] > cuts[None, :]).sum(axis=1)
@@ -527,7 +531,5 @@ def factor_exceedance(archive: ChainArchive, percentile: float = 0.80) -> np.nda
     if not 0.0 < percentile < 1.0:
         raise ValidationError("percentile must lie in (0, 1)")
     draws = archive.get("eta")
-    if draws.size == 0:
-        raise ValidationError("archive is empty")
     bar = np.quantile(draws, percentile, axis=1, keepdims=True)
     return (draws > bar).mean(axis=0)

@@ -3,7 +3,9 @@
 Every sampler in the package reports its retained draws through a
 :class:`ChainArchive`: per-chain named parameter draws with iteration
 stamps, plus the configuration that produced them. Diagnostics here
-operate on archives only, never on live sampler state.
+operate on archives only, never on live sampler state, and every summary
+and diagnostic takes a parameter's draws through the archive's one
+lookup, :meth:`ChainArchive.per_chain` or :meth:`ChainArchive.get`.
 
 Both stages run their chains here: :func:`run_chains` seeds the chains
 and runs them on worker processes, and :func:`run_chain` owns a chain's
@@ -47,6 +49,22 @@ def adapt_step(step: float, logr: float, gain: float) -> float:
     probability ``min(1, exp(logr))``, 0 below -700."""
     signal = math.exp(min(logr, 0.0)) if logr > -700.0 else 0.0
     return step * math.exp(gain * (signal - ADAPT_TARGET))
+
+
+# the largest |log s| whose scale-move ratio is computed
+MAX_LOG_SCALE = 300.0
+
+
+def scale_log_ratio(log_s: float, quad: float, lin: float, power: float,
+                    prior: float) -> float:
+    """Log ratio ``-t^2 quad / 2 + t lin + power log s - prior (s^-2 - 1)``
+    of a scale move by ``s = exp(log_s)``, ``t = s - 1``: the compensating
+    blocks' priors, the Jacobian and scaled priors' power of s, and a prior
+    term in ``s^-2``. ``|log_s|`` past ``MAX_LOG_SCALE`` gives ``-inf``."""
+    if abs(log_s) > MAX_LOG_SCALE:
+        return -math.inf
+    t = math.expm1(log_s)
+    return -0.5 * t * t * quad + t * lin + power * log_s - prior * math.expm1(-2.0 * log_s)
 
 
 __all__ = [
@@ -256,6 +274,8 @@ class ChainArchive:
     All chains share parameter names, shapes and iteration stamps.
     ``metadata`` carries provenance (model hash, wall time, ...) as plain
     strings; persisted copies keep only deterministic keys.
+    :meth:`per_chain`, :meth:`get` and :meth:`shape` refuse an unknown
+    name with a :class:`ValidationError` that lists the parameters.
     """
 
     chains: list[dict[str, np.ndarray]]
@@ -294,14 +314,30 @@ class ChainArchive:
         return self.n_chains * self.n_retained
 
     def shape(self, param: str) -> tuple[int, ...]:
+        if param not in self.chains[0]:
+            raise ValidationError(
+                f"archive has no parameter {param!r}; it has {', '.join(self.param_names)}"
+            )
         return self.chains[0][param].shape[1:]
 
-    def per_chain(self, param: str) -> list[np.ndarray]:
-        return [ch[param] for ch in self.chains]
+    def per_chain(self, param: str, index=None) -> list[np.ndarray]:
+        """Each chain's draws of ``param``, or of its column ``index``, taken
+        from each chain before any pooling. An index on a scalar or outside
+        a vector, and an archive without draws: :class:`ValidationError`."""
+        shape = self.shape(param)
+        if not len(self.chains[0][param]):
+            raise ValidationError(f"archive is empty: it holds no draws of {param!r}")
+        if index is None:
+            return [ch[param] for ch in self.chains]
+        if not (shape and isinstance(index, numbers.Integral) and not isinstance(index, bool)
+                and 0 <= index < shape[0]):
+            raise ValidationError(f"index {index!r} is outside {param!r}, of shape {shape}")
+        return [ch[param][:, index] for ch in self.chains]
 
-    def get(self, param: str) -> np.ndarray:
-        """All chains' draws pooled, chain-major: shape (total_draws, ...)."""
-        return np.concatenate([ch[param] for ch in self.chains], axis=0)
+    def get(self, param: str, index=None) -> np.ndarray:
+        """:meth:`per_chain`'s draws pooled, chain-major: shape
+        ``(total_draws, ...)``."""
+        return np.concatenate(self.per_chain(param, index), axis=0)
 
     def reordered(self, order) -> "ChainArchive":
         """Same archive with chains permuted; summaries must not change."""
@@ -309,15 +345,6 @@ class ChainArchive:
             [self.chains[c] for c in order], self.iterations, self.config,
             dict(self.metadata),
         )
-
-
-def _component(draws: np.ndarray, param: str, index) -> np.ndarray:
-    if draws.ndim == 1:
-        return draws
-    flat = draws.reshape(draws.shape[0], -1)
-    if index is None:
-        return flat
-    return flat[:, int(index)]
 
 
 def gelman_rubin(archive: ChainArchive, param: str, index=None, split: bool = True) -> float:
@@ -332,13 +359,9 @@ def gelman_rubin(archive: ChainArchive, param: str, index=None, split: bool = Tr
         raise ValidationError("gelman_rubin needs at least 2 chains")
     if archive.n_retained < 10:
         raise ValidationError("gelman_rubin needs at least 10 retained draws per chain")
-    draws = [_component(ch, param, index) for ch in archive.per_chain(param)]
-    if draws[0].ndim == 2 and index is None:
-        return max(
-            gelman_rubin_sequences([d[:, k] for d in draws], split)
-            for k in range(draws[0].shape[1])
-        )
-    return gelman_rubin_sequences(draws, split)
+    if index is None and archive.shape(param):
+        return max(gelman_rubin(archive, param, k, split) for k in range(archive.shape(param)[0]))
+    return gelman_rubin_sequences(archive.per_chain(param, index), split)
 
 
 def gelman_rubin_sequences(chains: list[np.ndarray], split: bool = True) -> float:
@@ -370,7 +393,7 @@ def effective_sample_size(archive: ChainArchive, param: str, index=None) -> floa
     warning is emitted and 0.0 returned rather than an infinite value.
     Always capped at the total number of retained draws.
     """
-    chains = [_component(ch, param, index) for ch in archive.per_chain(param)]
+    chains = archive.per_chain(param, index)
     if chains[0].ndim != 1:
         raise ValidationError("pass index= to select a component of a vector parameter")
     total = sum(len(c) for c in chains)
@@ -423,7 +446,7 @@ def posterior_summary(archive: ChainArchive, param: str, index=None) -> Posterio
     Mean and sd use exact summation, so the result is bitwise invariant
     to chain ordering.
     """
-    draws = _component(archive.get(param), param, index)
+    draws = archive.get(param, index)
     if draws.ndim != 1:
         raise ValidationError("pass index= to select a component of a vector parameter")
     q = np.quantile(draws, [0.025, 0.5, 0.975])

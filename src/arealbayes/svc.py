@@ -121,7 +121,8 @@ from . import gmrf, icar
 from .errors import DimensionMismatchError, ValidationError
 from .graph import SpatialGraph, csr_matvec
 from .icar import IcarField
-from .mcmc import ADAPT_TARGET, ChainArchive, McmcConfig, adapt_step, model_hash, run_chains
+from .mcmc import (ADAPT_TARGET, MAX_LOG_SCALE, ChainArchive, McmcConfig, adapt_step,
+                   model_hash, run_chains, scale_log_ratio)
 
 __all__ = [
     "RUNGS",
@@ -150,11 +151,10 @@ __all__ = [
 RUNGS = ("M1", "M2", "M3", "M4")
 PREDICTOR_BOUND = 50.0
 PRECISION_NAMES = ("tau_phi", "tau_v", "tau_delta")
-# the theta-preserving scale moves of M3 ("v") and M4 (all three), their
-# initial log-step, and the largest |log s| whose ratio is computed
+# the theta-preserving scale moves of M3 ("v") and M4 (all three) and their
+# initial log-step; mcmc.MAX_LOG_SCALE bounds their |log s|
 SCALE_MOVES = ("v", "delta", "ridge")
 SCALE_STEP = 0.1
-MAX_LOG_SCALE = 300.0
 # rounds of M4's "delta" and "ridge" moves and tau_delta's draw per iteration
 SCALE_ROUNDS = 4
 # the gradient's weight in each field's site proposal (0: a random walk, 1:
@@ -226,6 +226,16 @@ class SvcModelSpec:
     @property
     def n_fixed(self) -> int:
         return 2 + self.n_factors
+
+    def check_draws(self, archive: ChainArchive) -> None:
+        """:class:`DimensionMismatchError` unless the archive's beta has one
+        column per fixed effect and its phi, v and delta one per area."""
+        for name, width in (("beta", self.n_fixed), ("phi", self.n_areas),
+                            ("v", self.n_areas), ("delta", self.n_areas)):
+            if name in archive.param_names and archive.shape(name) != (width,):
+                raise DimensionMismatchError(
+                    f"archive's {name} draws have shape {archive.shape(name)}; the inputs "
+                    f"give {width} {'fixed effects' if name == 'beta' else 'areas'}")
 
     def fixed_design(self) -> np.ndarray:
         """Design of the fixed effects: intercept, covariate, factor scores."""
@@ -709,7 +719,7 @@ class _DeltaScaleMoves:
     and moves v by ``-t u`` (u: w centred per component), b0 by ``-t m``
     (m: the mean of w) and phi by ``-t r`` (r: the spread of w's component
     means, zero on a connected graph). Their log ratios
-    (:meth:`_Stage2Chain._scale_log_ratio`) read only the products ``w.w``,
+    (:func:`arealbayes.mcmc.scale_log_ratio`) read only the products ``w.w``,
     ``w.phi``, ``u'Q u``, ``(Q u).v``, ``r.r``, ``r.phi`` and ``w.r``, m
     and b0, and tau_delta's Gamma draw reads ``delta' Q delta``. These are
     formed once from the chain's state (Q by one product with W); an
@@ -753,7 +763,8 @@ class _DeltaScaleMoves:
             prec, tau_v, m = 1.0 / chain.spec.beta_prior_variance, taus["tau_v"], self.m
             quad = tau_v * self.uqu + prec * m * m + tau_phi * self.rr
             lin = tau_v * self.quv + prec * m * self.beta0 + tau_phi * self.rphi
-        logr = chain._scale_log_ratio(log_s, quad, lin, taus["tau_delta"])
+        logr = scale_log_ratio(log_s, quad, lin, chain.scale_power,
+                               chain.spec.precision_prior_rate * taus["tau_delta"])
         if log_u < logr:
             t, s = math.expm1(log_s), math.exp(log_s)
             shift = t * self.scale
@@ -840,6 +851,8 @@ class _Stage2Chain:
             self.X, graph, spec.beta_prior_variance, spec.covariate if spec.has_svc else None
         )
         self.rank = icar.quad_form_and_rank(graph, np.zeros(n))[1]
+        # a scale move's power of s: the field's Jacobian s^d, and s^(-r - 2a)
+        # from its precision's Gamma(a, b) prior and update rank r
         a = spec.precision_prior_shape
         self.scale_power = icar.centered_dimension(graph) - self.rank - 2.0 * a
         # the iteration's variates, one block per distribution (module docstring)
@@ -951,26 +964,6 @@ class _Stage2Chain:
         taus["tau_phi"] = gammas[-2] / (b + float(phi @ phi) / 2.0)
         taus["tau_v"] = gammas[-1] / (b + icar.quad_form_and_rank(self.graph, v)[0] / 2.0)
 
-    def _scale_log_ratio(self, log_s, quad, lin, tau) -> float:
-        """Log ratio of a scale move by ``s = exp(log_s)``.
-
-        Each move scales an ICAR field by s and its precision ``tau`` by
-        ``1 / s^2`` and keeps theta fixed by subtracting ``t w``, ``t = s -
-        1``, from blocks that compensate (:meth:`_scale_v` and
-        :class:`_DeltaScaleMoves`). The compensating priors change by
-        ``-t^2 quad / 2 + t lin``, and with the field's Jacobian, the
-        precision's Gamma(a, b) prior and the Gamma update's rank r the log
-        ratio is that plus ``(d - r - 2 a) log s - b tau (s^-2 - 1)``, d
-        being :func:`arealbayes.icar.centered_dimension`: s^d is the field's
-        Jacobian and ``s^-2`` the precision's. A ``|log_s|`` past
-        ``MAX_LOG_SCALE`` gives ``-inf``, which every move rejects.
-        """
-        if abs(log_s) > MAX_LOG_SCALE:
-            return -math.inf
-        t = math.expm1(log_s)
-        return (-0.5 * t * t * quad + t * lin + self.scale_power * log_s
-                - self.spec.precision_prior_rate * tau * math.expm1(-2.0 * log_s))
-
     def _scale_v(self, log_s, log_u) -> float:
         """The "v" scale move by ``s = exp(log_s)``: v scales by s, tau_v by
         ``1 / s^2`` and phi takes ``-(s - 1) v``. Taken when ``log_u`` is
@@ -978,9 +971,8 @@ class _Stage2Chain:
         fields, taus = self.fields, self.taus
         phi, v = fields["phi"], fields["v"]
         tau_phi = taus["tau_phi"]
-        logr = self._scale_log_ratio(
-            log_s, tau_phi * float(v @ v), tau_phi * float(v @ phi), taus["tau_v"]
-        )
+        logr = scale_log_ratio(log_s, tau_phi * float(v @ v), tau_phi * float(v @ phi),
+                               self.scale_power, self.spec.precision_prior_rate * taus["tau_v"])
         if log_u < logr:
             phi -= math.expm1(log_s) * v
             v *= math.exp(log_s)
@@ -1282,9 +1274,11 @@ def laplace_precision_grid(
 
 
 def predictor_draws(archive: ChainArchive, spec: SvcModelSpec) -> np.ndarray:
-    """(draws, n_areas) linear predictors reconstructed from the archive."""
-    theta = archive.get("beta") @ spec.fixed_design().T
+    """(draws, n_areas) linear predictors reconstructed from the archive,
+    checked by :meth:`SvcModelSpec.check_draws`."""
+    spec.check_draws(archive)
     names = archive.param_names
+    theta = archive.get("beta") @ spec.fixed_design().T
     if "phi" in names:
         theta = theta + archive.get("phi") + archive.get("v")
     if "delta" in names:

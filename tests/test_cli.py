@@ -382,11 +382,11 @@ class TestFitStage2AndSummaries:
         ]) == 0
         assert seen == [{"tau_v": 5.0}]
         # the precision not given is the library's default
-        spec, observed, graph, _, _ = cli._load_stage2_inputs(cli._build_parser().parse_args(
+        spec, observed, graph, _, _, _ = cli._load_stage2_inputs(cli._build_parser().parse_args(
             ["fit-stage2", "--counts", str(work / "counts.csv"),
              "--covariates", str(work / "covariates.csv"),
              "--adjacency", str(simulated / "adjacency.csv"), "--model", "M3", "--out", "x"]
-        ))
+        ), "error")
         expected = fit(spec, observed, graph, {"tau_phi": 2.0, "tau_v": 5.0})
         estimates = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert estimates == expected.state.beta.tolist()
@@ -405,7 +405,8 @@ class TestFitStage2AndSummaries:
         assert run(argv) == 0
         printed = capsys.readouterr().out
 
-        spec, observed, graph, _, _ = cli._load_stage2_inputs(cli._build_parser().parse_args(argv))
+        spec, observed, graph, _, _, _ = cli._load_stage2_inputs(
+            cli._build_parser().parse_args(argv), "error")
         grid = [{"tau_phi": a, "tau_v": b} for a in (1.0, 10.0, 40.0) for b in (1.0, 10.0, 40.0)]
         best, table = svc.laplace_precision_grid(spec, observed, graph, grid)
         assert [point for point, _ in table] == grid
@@ -517,6 +518,124 @@ class TestFitStage2AndSummaries:
         ]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "variable,morans_i,z_score,p_value"
+
+
+class TestArchiveLookupErrors:
+    """A name, a column or inputs that the archive does not hold are one
+    ``error:`` line and exit 2."""
+
+    def _one_line_error(self, capsys, argv, kind, text):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {kind}:") and text in err
+
+    def test_diagnose_unknown_parameter(self, full_pipeline, tmp_path, capsys):
+        work, _ = full_pipeline
+        self._one_line_error(
+            capsys, ["diagnose", "--archive", work / "stage2.csv", "--params", "beta,nosuch"],
+            "ValidationError", "no parameter 'nosuch'; it has beta, phi, tau_phi, tau_v, v")
+
+    @pytest.mark.parametrize("what, name", [
+        ("loadings", "lambda"), ("factor-scores", "eta"), ("quintiles", "eta"),
+        ("exceedance", "eta"),
+    ])
+    def test_stage1_summary_of_a_stage2_archive(self, full_pipeline, tmp_path, capsys, what, name):
+        work, _ = full_pipeline
+        self._one_line_error(
+            capsys, ["summarize", "--archive", work / "stage2.csv", "--what", what,
+                     "--out", tmp_path / "out.csv"],
+            "ValidationError", f"no parameter {name!r}")
+
+    def test_m1_fixed_effects_leave_out_the_factor_columns(self, full_pipeline, tmp_path):
+        # M1 fits no factor, though the covariates carry one
+        work, simulated = full_pipeline
+        inputs = ["--counts", work / "counts.csv", "--covariates", work / "covariates.csv",
+                  "--adjacency", simulated / "adjacency.csv", "--model", "M1"]
+        assert run(["fit-stage2", *inputs, "--out", tmp_path / "m1.csv", "--iters", "60",
+                    "--burnin", "20", "--thin", "2", "--chains", "1", "--seed", "6"]) == 0
+        assert run(["summarize", "--archive", tmp_path / "m1.csv", "--what", "fixed-effects",
+                    "--out", tmp_path / "fx.csv", *inputs]) == 0
+        rows = (tmp_path / "fx.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["intercept", "ice"]
+
+    def test_delta_of_an_m3_archive(self, full_pipeline, tmp_path, capsys):
+        work, simulated = full_pipeline
+        self._one_line_error(
+            capsys, ["summarize", "--archive", work / "stage2.csv", "--what", "delta",
+                     "--out", tmp_path / "out.csv", "--counts", work / "counts.csv",
+                     "--covariates", work / "covariates.csv",
+                     "--adjacency", simulated / "adjacency.csv", "--model", "M3"],
+            "ValidationError", "no parameter 'delta'")
+
+
+@pytest.fixture(scope="module")
+def gappy(tmp_path_factory):
+    """A 5x5 simulation whose covariates miss one ICE cell, and M3 fits of
+    it that drop and that impute the area."""
+    work = tmp_path_factory.mktemp("gappy")
+    assert run(["simulate", "--outdir", work, "--rows", "5", "--cols", "5", "--seed", "4",
+                "--model", "M3"]) == 0
+    assert run(["prep", "--outdir", work, "--extremes", work / "extremes.csv",
+                "--strata", work / "strata.csv"]) == 0
+    complete = work / "covariates_complete.csv"
+    complete.write_bytes((work / "covariates.csv").read_bytes())
+    header, *rows = (work / "covariates.csv").read_text().splitlines()
+    rows[7] = rows[7].split(",")[0] + ","  # area 7's ICE is blank
+    (work / "covariates.csv").write_text("\n".join([header, *rows]) + "\n")
+    inputs = ["--counts", work / "counts.csv", "--covariates", work / "covariates.csv",
+              "--adjacency", work / "adjacency.csv", "--model", "M3"]
+    for policy in ("drop", "impute"):
+        assert run(["fit-stage2", *inputs, "--missing-covariate", policy,
+                    "--out", work / f"{policy}.csv", "--iters", "60", "--burnin", "20",
+                    "--thin", "2", "--chains", "1", "--seed", "5"]) == 0
+    assert run(["fit-stage2", *inputs[:2], "--covariates", complete, *inputs[4:],
+                "--out", work / "complete.csv", "--iters", "60", "--burnin", "20",
+                "--thin", "2", "--chains", "1", "--seed", "5"]) == 0
+    return work, inputs
+
+
+class TestMissingCovariate:
+    def test_the_fit_records_the_policy_it_applied(self, gappy):
+        work, _ = gappy
+        assert "missing_covariate = drop\n" in (work / "drop.csv.meta").read_text()
+        assert "missing_covariate = impute\n" in (work / "impute.csv.meta").read_text()
+        assert "missing_covariate" not in (work / "complete.csv.meta").read_text()
+
+    @pytest.mark.parametrize("policy, n_areas", [("drop", 24), ("impute", 25)])
+    @pytest.mark.parametrize("what", ["relative-risk", "fixed-effects"])
+    def test_summaries_follow_the_recorded_policy(self, gappy, tmp_path, policy, n_areas, what):
+        work, inputs = gappy
+        out = tmp_path / "out.csv"
+        assert run(["summarize", "--archive", work / f"{policy}.csv", "--what", what,
+                    "--out", out, *inputs]) == 0
+        rows = out.read_text().splitlines()[1:]
+        if what == "fixed-effects":
+            assert [row.split(",")[0] for row in rows] == ["intercept", "ice"]
+        else:
+            ids = [row.split(",")[0] for row in rows]
+            assert len(ids) == n_areas and ("7" in ids) == (policy == "impute")
+
+    def test_no_recorded_policy_is_one_line_error(self, gappy, tmp_path, capsys):
+        work, inputs = gappy
+        assert run(["summarize", "--archive", work / "complete.csv", "--what", "relative-risk",
+                    "--out", tmp_path / "out.csv", *inputs]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError: 1 area(s) have missing covariates; "
+                              "fit-stage2 handles them with --missing-covariate")
+
+    @pytest.mark.parametrize("what", ["relative-risk", "risk-exceedance", "fixed-effects", "delta"])
+    def test_inputs_that_disagree_with_the_archive(self, gappy, tmp_path, capsys, what):
+        # the drop fit holds 24 areas; the complete covariates give 25
+        work, inputs = gappy
+        assert run(["summarize", "--archive", work / "drop.csv", "--what", what,
+                    "--out", tmp_path / "out.csv", *inputs[:2],
+                    "--covariates", work / "covariates_complete.csv", *inputs[4:]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: DimensionMismatchError: archive's phi draws have shape "
+                              "(24,); the inputs give 25 areas")
 
 
 class TestBadAdjacency:

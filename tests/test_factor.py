@@ -294,6 +294,21 @@ class TestScaleMove:
         xs, cdf = grid_logpdf_to_cdf(logpdf, draws.min() - 1, draws.max() + 1)
         assert ks_statistic(draws, xs, cdf) < 0.02
 
+    def test_log_s_past_the_bound_is_rejected(self):
+        # |log s| past mcmc.MAX_LOG_SCALE: -inf, which the move rejects, not
+        # an overflow of s or a division by s^2 = 0
+        graph = build_graph(SIX_NODE_EDGES, n_areas=6)
+        rng = np.random.default_rng(12)
+        eta = sample_icar(graph, 1.0, rng)
+        panel = toy_panel(eta[:, None] * np.array([1.0, 0.8]) + 0.1 * rng.standard_normal((6, 2)))
+        state = toy_state(graph, [0.0, 0.0], [1.0, 0.8], eta, [0.1, 0.1])
+        chain = stage1_chain(state, panel, FactorModelSpec(n_indicators=2), rng)
+        chain.scale_step = 1e5
+        for _ in range(10):
+            assert chain.scale_move() == -math.inf
+        assert chain.scales == 0
+        assert np.array_equal(chain.eta, eta) and chain.lam.tolist() == [1.0, 0.8]
+
 
 class TestCarriedStatistics:
     """An iteration reads ``(Mt eta, Zct eta, Mt eta^2)`` from one panel
@@ -488,6 +503,17 @@ class TestFitStage1:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="needs at least one area"):
                 fit_stage1(panel, build_graph([], n_areas=0), config=config, n_workers=2)
+        assert sizes == []
+
+    def test_anchor_without_an_observed_cell_is_rejected_before_any_chain(self, monkeypatch):
+        # a 3-area path whose anchor column is all missing: no data would
+        # tie the factor's scale, and the anchor sigma2 would come from its prior
+        sizes = recording_pool(monkeypatch)
+        panel = toy_panel([[np.nan, 0.5, -0.2], [np.nan, -1.0, 0.4], [np.nan, 0.5, -0.2]])
+        config = McmcConfig(n_chains=2, n_iter=20, burn_in=5, thin=1, seed=0)
+        with pytest.raises(ValidationError, match="anchor indicator 'c0' has no observed cell"):
+            fit_stage1(panel, build_graph([(0, 1), (1, 2)], n_areas=3), config=config,
+                       n_workers=2)
         assert sizes == []
 
     def test_warns_on_unstandardized_panel(self):

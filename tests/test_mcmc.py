@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -238,6 +239,59 @@ class TestArchive:
         arch = archive_from_chains(chains)
         assert arch.get("x").tolist() == [1.0, 2.0, 3.0, 4.0]
         assert arch.total_draws == 4
+
+    @pytest.mark.parametrize("lookup", ["get", "per_chain", "shape"])
+    def test_unknown_name_lists_the_parameters(self, lookup):
+        arch = archive_from_chains([{"x": np.zeros(4), "y": np.zeros((4, 2))}])
+        with pytest.raises(ValidationError, match="no parameter 'z'; it has x, y"):
+            getattr(arch, lookup)("z")
+
+    def test_column_is_taken_from_each_chain_before_pooling(self):
+        chains = [{"x": np.arange(6.0).reshape(3, 2)}, {"x": 10.0 + np.arange(6.0).reshape(3, 2)}]
+        arch = archive_from_chains(chains)
+        assert [c.tolist() for c in arch.per_chain("x", 0)] == [[0, 2, 4], [10, 12, 14]]
+        assert arch.get("x", np.int64(1)).tolist() == [1, 3, 5, 11, 13, 15]
+        assert np.array_equal(arch.get("x", 1), arch.get("x")[:, 1])
+
+    @pytest.mark.parametrize("param, index, message", [
+        ("y", 2, "outside 'y'"), ("y", -1, "outside 'y'"), ("y", 1.0, "outside 'y'"),
+        ("y", True, "outside 'y'"), ("x", 0, r"outside 'x', of shape \(\)"),
+    ])
+    def test_index_outside_the_parameter_is_rejected(self, param, index, message):
+        arch = archive_from_chains([{"x": np.zeros(4), "y": np.zeros((4, 2))}])
+        for read in (arch.get, arch.per_chain):
+            with pytest.raises(ValidationError, match=message):
+                read(param, index)
+
+    def test_archive_without_draws_is_refused(self):
+        config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
+        arch = ChainArchive([{"x": np.zeros(0)}], np.arange(0), config)
+        with pytest.raises(ValidationError, match="archive is empty"):
+            arch.get("x")
+
+    @pytest.mark.parametrize("diagnostic", [gelman_rubin, effective_sample_size, posterior_summary])
+    def test_diagnostics_read_through_the_lookup(self, diagnostic):
+        rng = np.random.default_rng(3)
+        arch = archive_from_chains([{"x": rng.standard_normal((60, 3))} for _ in range(2)])
+        with pytest.raises(ValidationError, match="no parameter 'w'"):
+            diagnostic(arch, "w")
+        with pytest.raises(ValidationError, match="outside 'x'"):
+            diagnostic(arch, "x", 3)
+
+
+class TestScaleLogRatio:
+    def test_closed_form(self):
+        log_s, quad, lin, power, prior = 0.3, 2.0, -0.5, 7.0, 0.25
+        s = math.exp(log_s)
+        expected = (-0.5 * (s - 1.0) ** 2 * quad + (s - 1.0) * lin + power * log_s
+                    - prior * (s ** -2 - 1.0))
+        assert mcmc.scale_log_ratio(log_s, quad, lin, power, prior) == pytest.approx(
+            expected, rel=1e-12)
+
+    @pytest.mark.parametrize("log_s", [300.5, -301.0, 1e6])
+    def test_past_the_bound_every_move_is_rejected(self, log_s):
+        assert abs(log_s) > mcmc.MAX_LOG_SCALE
+        assert mcmc.scale_log_ratio(log_s, 1.0, 1.0, 3.0, 1.0) == -math.inf
 
 
 class TestWorkerMap:

@@ -18,7 +18,7 @@ from scipy import stats
 from scipy.linalg import block_diag, null_space
 
 from arealbayes import fileio, gmrf, svc
-from arealbayes.errors import ValidationError
+from arealbayes.errors import DimensionMismatchError, ValidationError
 from arealbayes.graph import build_graph, csr_matvec
 from arealbayes.icar import IcarField, center_by_component, precision_matrix, quad_form_and_rank
 from arealbayes.mcmc import ChainArchive, McmcConfig, effective_sample_size
@@ -997,6 +997,19 @@ class TestRiskSummaries:
             rank_rr = np.argsort(np.quantile(np.exp(theta), q, axis=0))
             rank_theta = np.argsort(np.quantile(theta, q, axis=0))
             assert (rank_rr == rank_theta).all()
+
+    @pytest.mark.parametrize("widths, message", [
+        ({"beta": 3, "phi": 4, "v": 4}, r"beta draws have shape \(3,\); the inputs give 2 fixed"),
+        ({"beta": 2, "phi": 4, "v": 4}, r"phi draws have shape \(4,\); the inputs give 5 areas"),
+        ({"beta": 2, "phi": 5, "v": 5, "delta": 4}, r"delta draws have shape \(4,\)"),
+    ])
+    def test_archive_fit_on_other_inputs_is_a_dimension_mismatch(self, widths, message):
+        spec = SvcModelSpec(rung="M4", covariate=np.linspace(-1, 1, 5), offsets=np.ones(5),
+                            latent_factors=np.zeros((5, 0)))
+        archive = archive_from_draws({name: np.zeros((6, w)) for name, w in widths.items()})
+        for summary in (relative_risk_summary, risk_exceedance):
+            with pytest.raises(DimensionMismatchError, match=message):
+                summary(archive, spec)
 
     def test_exceedance_all_unit_rr(self):
         spec = m1_spec(n=3, seed=21)
