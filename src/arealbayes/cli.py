@@ -575,10 +575,13 @@ def _cmd_summarize(args) -> int:
                 rows,
             )
         elif what == "hyperparameters":
+            names = [name for name in archive.param_names if name.startswith("tau")]
+            if not names:
+                raise ValidationError(
+                    f"rung {spec.rung} samples no precisions; --what hyperparameters "
+                    "needs an M3 or M4 archive")
             rows = []
-            for name in archive.param_names:
-                if not name.startswith("tau"):
-                    continue
+            for name in names:
                 s = svc.precision_summary(archive, name)
                 rows.append((name, s["mean"], s["mode"], s["lower"], s["upper"]))
             fileio.write_table(

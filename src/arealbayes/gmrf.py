@@ -2,9 +2,12 @@
 
 The ICAR precision ``Q = diag(w_{i+}) - W`` of a graph (islands on a unit
 diagonal, their proper prior), the sum-to-zero constraint columns C of
-its multi-area components, and :class:`ConstrainedFactor`, which factors
-a symmetric matrix H on the constraint set ``null(C')`` and gives the
-constrained solve, log determinant and fixed-effect covariance.
+its multi-area components, the smooth directions of those components
+(:func:`smooth_directions`, the lowest non-constant eigenvectors of Q,
+along which stage 2 translates its ICAR fields), and
+:class:`ConstrainedFactor`, which factors a symmetric matrix H on the
+constraint set ``null(C')`` and gives the constrained solve, log
+determinant and fixed-effect covariance.
 
 H is ordered ``(fixed, latent)``: a few dense fixed-effect rows and a
 sparse latent block ``H_ll``. Only the latent block is factored, by
@@ -44,14 +47,22 @@ graph has.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, splu
 
 from .graph import SpatialGraph
 
-__all__ = ["icar_precision", "sum_to_zero_columns", "ConstrainedFactor"]
+__all__ = ["icar_precision", "sum_to_zero_columns", "smooth_directions", "ConstrainedFactor"]
+
+# a component of m >= SMOOTH_MIN_AREAS areas gets min(SMOOTH_MAX,
+# ceil(sqrt(m) / 2)) smooth directions, fewer where that count would split
+# a set of tied eigenvalues
+SMOOTH_MIN_AREAS = 16
+SMOOTH_MAX = 16
 
 
 def icar_precision(graph: SpatialGraph) -> sparse.csr_matrix:
@@ -78,6 +89,45 @@ def sum_to_zero_columns(graph: SpatialGraph, n_rows: int, starts) -> sparse.csc_
     return sparse.csc_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(n_rows, k * len(starts))
     )
+
+
+def smooth_directions(graph: SpatialGraph) -> np.ndarray:
+    """The low-frequency directions of every component of at least
+    ``SMOOTH_MIN_AREAS`` areas, as the rows of an ``(r, n_areas)`` array.
+
+    A component of m areas gets its r lowest non-constant unit
+    eigenvectors of Q, ``r = min(SMOOTH_MAX, ceil(sqrt(m) / 2))``, in
+    ascending eigenvalue order, components in label order. A set of tied
+    eigenvalues (within ``1e-8`` of the largest eigenvalue found) that r
+    would split is left out whole, so the rows span an invariant subspace
+    of Q whatever basis of a tied set the eigensolver returns. Each row
+    sums to zero on its component and is zero elsewhere, islands included.
+
+    The eigenpairs come from ``scipy.sparse.linalg.eigsh`` in shift-invert
+    mode (sigma ``-1e-3``) from the fixed start ``linspace(1, 2, m)``, so the
+    rows are a deterministic function of the graph; the basis of a tied set
+    can still follow the BLAS thread count on large graphs (README,
+    Reproducibility).
+    """
+    n = graph.n_areas
+    Q = icar_precision(graph)
+    rows = [np.zeros((0, n))]
+    for members in graph.components():
+        m = len(members)
+        if m < SMOOTH_MIN_AREAS:
+            continue
+        r = min(SMOOTH_MAX, math.ceil(math.sqrt(m) / 2))
+        # the constant, r directions and the next eigenpair, to see a tie
+        lam, vec = eigsh(Q[members][:, members].tocsc(), r + 2, sigma=-1e-3, which="LM",
+                         v0=np.linspace(1.0, 2.0, m))
+        order = np.argsort(lam, kind="stable")[1:]
+        lam, vec = lam[order], vec[:, order]
+        while r and lam[r] - lam[r - 1] <= 1e-8 * lam[-1]:
+            r -= 1
+        b = np.zeros((r, n))
+        b[:, members] = (vec[:, :r] - vec[:, :r].mean(axis=0)).T
+        rows.append(b)
+    return np.vstack(rows)
 
 
 class ConstrainedFactor:

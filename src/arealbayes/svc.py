@@ -59,8 +59,15 @@ column X_k centred per component (so v keeps its zero sums) and r_k the
 rest of X_k, zero on a connected graph. M4 adds one line that moves
 delta, ``(delta + c u, beta - c gamma, v - c rho, phi - c r)`` with u the
 covariate centred per component (see :class:`_RidgeMoves`), which trades
-mean(x delta) against b0. Along such a line only the priors change, so c
-has a Gaussian conditional and is drawn exactly.
+mean(x delta) against b0. Last come the smooth-subspace translations, the
+coarse-direction update of multigrid Monte Carlo (Goodman & Sokal 1989):
+for each of the r_c lowest non-constant eigenvectors b of a component's Q
+(:func:`gmrf.smooth_directions`: r_c = min(16, ceil(sqrt(m) / 2)) for a
+component of m >= 16 areas, found once per fit before the chains start),
+``(v + c b, phi - c b)`` and, in M4, ``(delta + c b, phi - c x b)``. They
+move the fields' low-frequency modes, which single-site updates cross
+slowly. Along such a line only the priors change, so c has a Gaussian
+conditional and is drawn exactly.
 
 When the precisions are sampled, M3 and M4 then make Metropolis scale
 moves that keep every linear predictor fixed, so the likelihood cancels
@@ -71,13 +78,14 @@ also ``(delta, phi, tau_delta) -> (s delta, phi - (s - 1) x delta,
 tau_delta / s^2)``, and the same scaling of delta with ``(s - 1) x delta``
 taken by v (centred per component), b0 (its mean) and phi (the spread of
 its component means). Each draws ``log s ~ N(0, step^2)`` with its own
-step, adapted in burn-in. In M4
-the two delta moves and tau_delta's conjugate Gamma draw then run
-``SCALE_ROUNDS`` rounds, each the "delta" move, the "ridge" move and the
-Gamma draw, on scalar statistics of the state that are formed once and
-carried in closed form (:class:`_DeltaScaleMoves`); their shifts of phi,
-v, delta and b0 are applied once, after the last round. The precisions
-of phi and v then take their conjugate Gamma draws.
+step, adapted in burn-in. v's move and tau_v's conjugate Gamma draw run
+``SCALE_ROUNDS`` rounds, each the move and then the draw; in M4 the two
+delta moves and tau_delta's Gamma draw then run ``SCALE_ROUNDS`` rounds,
+each the "delta" move, the "ridge" move and the draw. Both sets of rounds
+work on scalar statistics of the state that are formed once and carried
+in closed form (:class:`_VScaleMoves`, :class:`_DeltaScaleMoves`); their
+shifts of phi, v, delta and b0 are applied once, after their last round.
+The precision of phi then takes its conjugate Gamma draw.
 
 An M3 or M4 iteration draws its variates in one block per distribution,
 at its start: standard normals, uniforms and, when the precisions are
@@ -85,13 +93,14 @@ sampled, the standard Gamma variates that their conjugate draws divide by
 their rates (the ICAR rates' ``x' Q x`` is one product with W). With m
 sites (n areas in M3, 2n in M4) and K fixed effects, the normals are, in
 order, one proposal normal per site, one exchange normal per site (both in
-the sweep's step order), one per translation (2K - 1 for M3, 2K for M4, or
-2K - 1 when the covariate is constant on every component) and, with
-sampled precisions, one for v's scale move and (M4) per round one each for
-the "delta" and "ridge" moves. The uniforms are one per site and one per
-scale move, in the same order. The Gamma variates are ``SCALE_ROUNDS`` of
-tau_delta's shape (M4), then tau_phi's and tau_v's; tau_delta's and
-tau_v's shapes are equal.
+the sweep's step order), one per translation (2K - 1 + sum r_c for M3,
+2K + 2 sum r_c for M4, or one fewer when the covariate is constant on
+every component) and, with sampled precisions, one per round for v's scale
+move, then (M4) per round one each for the "delta" and "ridge" moves. The
+uniforms are one per site and one per scale move, in the same order. The
+Gamma variates are ``SCALE_ROUNDS`` of tau_v's shape, ``SCALE_ROUNDS`` of
+tau_delta's (M4), then tau_phi's; tau_v's and tau_delta's shapes are
+equal.
 
 A Newton-mode Laplace approximation at fixed precisions is provided as an
 independent cross-check and for empirical-Bayes selection of the
@@ -116,6 +125,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse, special, stats
+from scipy.linalg import lapack
 
 from . import gmrf, icar
 from .errors import DimensionMismatchError, ValidationError
@@ -155,7 +165,8 @@ PRECISION_NAMES = ("tau_phi", "tau_v", "tau_delta")
 # initial log-step; mcmc.MAX_LOG_SCALE bounds their |log s|
 SCALE_MOVES = ("v", "delta", "ridge")
 SCALE_STEP = 0.1
-# rounds of M4's "delta" and "ridge" moves and tau_delta's draw per iteration
+# rounds per iteration of v's scale move and tau_v's draw, then of M4's
+# "delta" and "ridge" moves and tau_delta's draw
 SCALE_ROUNDS = 4
 # the gradient's weight in each field's site proposal (0: a random walk, 1:
 # a Newton step), and the walk's initial step
@@ -628,7 +639,7 @@ def _beta_walk(rng, lik, X, beta, theta, steps, prior_variance, gain) -> tuple[i
 
 
 class _RidgeMoves:
-    """Exact Gibbs translations of the fixed effects that leave theta unchanged.
+    """Exact Gibbs translations along directions that leave theta unchanged.
 
     Each move translates the state (beta, phi, v[, delta]) along a fixed
     direction d, ``state + c d``, with X beta + phi + v (+ x delta)
@@ -638,28 +649,34 @@ class _RidgeMoves:
     mean of X_k, u_k is X_k centred per component (zero on islands, so v
     keeps its zero component sums) and ``r_k = X_k - u_k - m_k`` is the
     spread of the component means, zero on a connected graph. Given the
-    covariate x (M4), a last direction moves delta:
+    covariate x (M4), a delta direction follows:
     ``(delta + c u, beta - c gamma, v - c rho, phi - c r)``, with u the
     covariate centred per component, gamma the least-squares coefficients
     of ``x u`` on X, rho the residual ``x u - X gamma`` centred per
     component and r its component means. It trades mean(x delta) against
     the intercept, which no other line of constant theta reaches; it is
     left out when the covariate is constant on every component (u = 0).
-    Only the Gaussian priors change along a direction, so the log density
-    of c is ``-a c^2 / 2 + b c`` and c is drawn exactly from
-    ``N(b / a, 1 / a)``.
+    Last, for every smooth direction b (:func:`gmrf.smooth_directions`:
+    a low-frequency eigenvector of a component's Q, summing to zero on it
+    and zero elsewhere) the translation ``(v + c b, phi - c b)`` and, given
+    the covariate, ``(delta + c b, phi - c x b)`` move the fields' slow
+    modes, which single-site updates cross slowly (the coarse-direction
+    update of multigrid Monte Carlo, Goodman & Sokal 1989). Only the
+    Gaussian priors change along a direction, so the log density of c is
+    ``-a c^2 / 2 + b c`` and c is drawn exactly from ``N(b / a, 1 / a)``.
 
     The moves run one after another. In the coordinates c of all
     directions the prior is Gaussian with precision
     ``A = D_beta' D_beta / sigma_beta^2 + tau_phi D_phi' D_phi
     + tau_v D_v' Q D_v + tau_delta D_delta' Q D_delta``, so move m has
     ``a = A_mm`` and ``b = b0_m - sum_{l<m} A_ml c_l``, b0 being the linear
-    term at the start. The blocks' Gram matrices and the stacked maps
-    ``D' P`` (P a block's prior precision without its tau) are computed
-    once, and the small triangular recursion runs on Python floats.
+    term at the start: the scan solves ``tril(A) c = sqrt(diag(A)) z - lin``
+    with ``lin = -b0``, one LAPACK triangular solve. The blocks' Gram
+    matrices and the stacked maps ``D' P`` (P a block's prior precision
+    without its tau) are computed once.
     """
 
-    def __init__(self, X, graph, beta_prior_variance, covariate=None):
+    def __init__(self, X, graph, beta_prior_variance, smooth, covariate=None):
         n, K = X.shape
         labels, zero = graph.component_labels, np.zeros(n)
         rows = []  # (d_beta, d_phi, d_v, d_delta) of every direction
@@ -670,7 +687,6 @@ class _RidgeMoves:
             d_beta = np.eye(K)[k]
             d_beta[0] = -X[:, k].mean()
             rows.append((d_beta, -d_beta[0] - means[labels], -u, zero))
-        n_blocks = 3
         if covariate is not None:
             u = icar.center_by_component(covariate, graph)[0]
             if np.abs(u).max() > 1e-12 * np.abs(covariate).max():
@@ -678,7 +694,12 @@ class _RidgeMoves:
                 gamma = np.linalg.lstsq(X, xu, rcond=None)[0]
                 rho, means = icar.center_by_component(xu - X @ gamma, graph)
                 rows.append((-gamma, -means[labels], -rho, u))
-                n_blocks = 4
+        for b in smooth:
+            rows.append((np.zeros(K), -b, b, zero))
+            if covariate is not None:
+                rows.append((np.zeros(K), -covariate * b, zero, b))
+        # the delta block only when some direction moves delta
+        n_blocks = 3 + any(np.any(row[3]) for row in rows)
         self.directions = [np.array(block) for block in zip(*rows)][:n_blocks]
         maps = [self.directions[0] / beta_prior_variance, self.directions[1]]
         maps += [np.array([icar._precision_product(graph, x) for x in d])
@@ -695,18 +716,60 @@ class _RidgeMoves:
         """
         states = (beta, phi, v, delta)[:len(self.directions)]
         taus = (1.0, tau_phi, tau_v, tau_delta)[:len(self.directions)]
-        gram = (np.array(taus) @ self.grams).reshape(self.n_moves, -1).tolist()
+        gram = (np.array(taus) @ self.grams).reshape(self.n_moves, -1)
         scaled = [beta, *(tau * s for tau, s in zip(taus[1:], states[1:]))]
-        lin = self.maps @ np.concatenate(scaled)
-        c = []
-        for m, (b, row, z) in enumerate(zip(lin.tolist(), gram, normals.tolist())):
-            b = -b
-            for a_ml, c_l in zip(row, c):
-                b -= a_ml * c_l
-            c.append(b / row[m] + z / math.sqrt(row[m]))
-        c = np.array(c)
+        rhs = np.sqrt(np.diagonal(gram)) * normals - self.maps @ np.concatenate(scaled)
+        c = lapack.dtrtrs(gram, rhs, lower=1)[0]
         for state, d in zip(states, self.directions):
             state += c @ d
+
+
+class _VScaleMoves:
+    """v's scale move on scalar statistics carried in closed form.
+
+    The move scales v by s and tau_v by ``1 / s^2`` and moves phi by
+    ``-(s - 1) v``, which keeps theta fixed. Its log ratio
+    (:func:`arealbayes.mcmc.scale_log_ratio`) reads only ``v.v`` and
+    ``v.phi``, and tau_v's Gamma draw reads ``v' Q v``. These are formed once
+    from the chain's state; an accepted move with ``t = s - 1`` takes
+    ``v.v -> s^2 v.v``, ``v.phi -> s (v.phi - t v.v)`` and ``v'Q v -> s^2
+    v'Q v`` and adds its shift of phi, a multiple of the v it started
+    from, to a coefficient that :meth:`apply` writes into the fields at the
+    end. The precision of phi does not change meanwhile.
+    """
+
+    def __init__(self, chain):
+        self.chain = chain
+        phi, v = chain.fields["phi"], chain.fields["v"]
+        self.vv, self.vphi = float(v @ v), float(v @ phi)
+        self.quad_v = icar.quad_form_and_rank(chain.graph, v)[0]
+        # v's overall scale, and the multiple of v that phi has taken
+        self.scale, self.phi_v = 1.0, 0.0
+
+    def move(self, log_s, log_u) -> float:
+        """The move by ``s = exp(log_s)``, taken when ``log_u`` is below its
+        log ratio, which it returns."""
+        chain = self.chain
+        taus = chain.taus
+        tau_phi = taus["tau_phi"]
+        logr = scale_log_ratio(log_s, tau_phi * self.vv, tau_phi * self.vphi, chain.scale_power,
+                               chain.spec.precision_prior_rate * taus["tau_v"])
+        if log_u < logr:
+            t, s = math.expm1(log_s), math.exp(log_s)
+            self.phi_v += t * self.scale
+            self.vphi = s * (self.vphi - t * self.vv)
+            self.vv *= s * s
+            self.quad_v *= s * s
+            self.scale *= s
+            taus["tau_v"] *= math.exp(-2.0 * log_s)
+            chain.scale_accepted["v"] += 1
+        return logr
+
+    def apply(self) -> None:
+        """Write the accepted moves' shifts into phi and v."""
+        fields = self.chain.fields
+        fields["phi"] -= self.phi_v * fields["v"]
+        fields["v"] *= self.scale
 
 
 class _DeltaScaleMoves:
@@ -807,13 +870,14 @@ class _Stage2Chain:
     """One stage-2 chain for :func:`arealbayes.mcmc.run_chains`: its state,
     one iteration of the moves the module docstring lists, their counts and
     the divergence abort. ``payload`` is ``(spec, lik, graph,
-    sample_precisions, taus)``.
+    sample_precisions, taus, smooth)``, ``smooth`` the rows of
+    :func:`gmrf.smooth_directions` (read by M3 and M4).
     """
 
     extra = None  # nothing beside the draws and the metadata
 
     def __init__(self, rng, config, payload):
-        spec, lik, graph, sample_precisions, taus = payload
+        spec, lik, graph, sample_precisions, taus, smooth = payload
         self.rng, self.spec, self.graph, self.lik = rng, spec, graph, lik
         self.sample_precisions, self.taus = sample_precisions, dict(taus)
         self.gaussian = isinstance(lik, GaussianLikelihood)
@@ -848,7 +912,8 @@ class _Stage2Chain:
 
         self.sites = _SiteSweep(graph, spec, lik)
         self.ridges = _RidgeMoves(
-            self.X, graph, spec.beta_prior_variance, spec.covariate if spec.has_svc else None
+            self.X, graph, spec.beta_prior_variance, smooth,
+            spec.covariate if spec.has_svc else None,
         )
         self.rank = icar.quad_form_and_rank(graph, np.zeros(n))[1]
         # a scale move's power of s: the field's Jacobian s^d, and s^(-r - 2a)
@@ -856,13 +921,12 @@ class _Stage2Chain:
         a = spec.precision_prior_shape
         self.scale_power = icar.centered_dimension(graph) - self.rank - 2.0 * a
         # the iteration's variates, one block per distribution (module docstring)
-        n_scale = 1 + 2 * SCALE_ROUNDS * spec.has_svc if scale_names else 0
+        n_scale = SCALE_ROUNDS * len(scale_names)
         self.n_normals = 2 * self.sites.n_sites + self.ridges.n_moves + n_scale
         self.n_uniforms = self.sites.n_sites + n_scale
-        # standard Gamma shapes: tau_delta's rounds, then tau_phi and tau_v
-        icar_shape = a + self.rank / 2.0
+        # standard Gamma shapes: tau_v's rounds, tau_delta's rounds, then tau_phi
         self.gamma_shapes = np.array(
-            [icar_shape] * (SCALE_ROUNDS * spec.has_svc) + [a + n / 2.0, icar_shape]
+            [a + self.rank / 2.0] * (SCALE_ROUNDS * (1 + spec.has_svc)) + [a + n / 2.0]
         )
 
     def _tally(self, block, accepted, divergent):
@@ -945,40 +1009,27 @@ class _Stage2Chain:
     def _precision_moves(self, gain, normals, log_us, gammas):
         """The scale moves and the conjugate Gamma draws of the precisions,
         in the order the module docstring lists: ``normals`` and ``log_us``
-        hold one variate per scale move (v's, then per round "delta" and
-        "ridge"), ``gammas`` the standard Gamma variates of
+        hold one variate per scale move (per round v's, then per round
+        "delta" and "ridge"), ``gammas`` the standard Gamma variates of
         ``gamma_shapes``."""
-        spec, fields, taus = self.spec, self.fields, self.taus
+        spec, taus, steps = self.spec, self.taus, self.scale_steps
         b = spec.precision_prior_rate
-        steps = self.scale_steps
-        steps["v"] = adapt_step(steps["v"], self._scale_v(steps["v"] * normals[0], log_us[0]), gain)
+        moves = _VScaleMoves(self)
+        for r in range(SCALE_ROUNDS):
+            logr = moves.move(steps["v"] * normals[r], log_us[r])
+            steps["v"] = adapt_step(steps["v"], logr, gain)
+            taus["tau_v"] = gammas[r] / (b + moves.quad_v / 2.0)
+        moves.apply()
         if spec.has_svc:
             moves = _DeltaScaleMoves(self)
             for r in range(SCALE_ROUNDS):
-                for j, name in enumerate(("delta", "ridge"), start=1 + 2 * r):
+                for j, name in enumerate(("delta", "ridge"), start=SCALE_ROUNDS + 2 * r):
                     logr = moves.move(name, steps[name] * normals[j], log_us[j])
                     steps[name] = adapt_step(steps[name], logr, gain)
-                taus["tau_delta"] = gammas[r] / (b + moves.quad_delta / 2.0)
+                taus["tau_delta"] = gammas[SCALE_ROUNDS + r] / (b + moves.quad_delta / 2.0)
             moves.apply()
-        phi, v = fields["phi"], fields["v"]
-        taus["tau_phi"] = gammas[-2] / (b + float(phi @ phi) / 2.0)
-        taus["tau_v"] = gammas[-1] / (b + icar.quad_form_and_rank(self.graph, v)[0] / 2.0)
-
-    def _scale_v(self, log_s, log_u) -> float:
-        """The "v" scale move by ``s = exp(log_s)``: v scales by s, tau_v by
-        ``1 / s^2`` and phi takes ``-(s - 1) v``. Taken when ``log_u`` is
-        below the log ratio, which it returns."""
-        fields, taus = self.fields, self.taus
-        phi, v = fields["phi"], fields["v"]
-        tau_phi = taus["tau_phi"]
-        logr = scale_log_ratio(log_s, tau_phi * float(v @ v), tau_phi * float(v @ phi),
-                               self.scale_power, self.spec.precision_prior_rate * taus["tau_v"])
-        if log_u < logr:
-            phi -= math.expm1(log_s) * v
-            v *= math.exp(log_s)
-            taus["tau_v"] *= math.exp(-2.0 * log_s)
-            self.scale_accepted["v"] += 1
-        return logr
+        phi = self.fields["phi"]
+        taus["tau_phi"] = gammas[-1] / (b + float(phi @ phi) / 2.0)
 
     def snapshot(self):
         taus = {f"tau_{name}": self.taus[f"tau_{name}"] for name in self.fields}
@@ -990,8 +1041,8 @@ class _Stage2Chain:
         n_iter = self.config.n_iter
         rates = {block: accepted / (n_iter * self.block_size)
                  for block, accepted in self.accepted.items()}
-        # "delta" and "ridge" propose SCALE_ROUNDS times an iteration
-        rates.update((f"scale_{name}", accepted / (n_iter * (1 if name == "v" else SCALE_ROUNDS)))
+        # every scale move proposes SCALE_ROUNDS times an iteration
+        rates.update((f"scale_{name}", accepted / (n_iter * SCALE_ROUNDS))
                      for name, accepted in self.scale_accepted.items())
         meta = {
             "acceptance": ";".join(f"{key}={rate:.3f}" for key, rate in sorted(rates.items())),
@@ -1039,7 +1090,9 @@ def fit_stage2_mcmc(
         )
     lik = _fit_likelihood(likelihood, counts, spec, noise_variance)
     taus = _checked_precisions(initial_precisions)
-    payload = (spec, lik, graph, sample_precisions, taus)
+    # the smooth directions are found once, before the chains start
+    smooth = gmrf.smooth_directions(graph) if spec.has_convolution else None
+    payload = (spec, lik, graph, sample_precisions, taus, smooth)
     archive, _ = run_chains(_Stage2Chain, [payload] * config.n_chains, config, n_workers)
     archive.metadata.update(
         model=f"stage2_svc_{spec.rung}",

@@ -4,7 +4,7 @@ Everything here is deliberately independent of the package's own
 computation paths: dense matrices, double loops and grid quadrature only.
 The exceptions are :func:`recording_pool`, a stand-in for the process
 pool that the package's parallel paths share,
-:func:`array_delta_scale_move`, which takes a chain's ``Q u`` from the
+:func:`array_scale_move`, which takes a chain's ``Q u`` from the
 package's one ICAR product, and :func:`stage1_chain`, which builds the
 stage-1 chain whose single updates the conditional tests draw.
 """
@@ -437,23 +437,25 @@ def bordered_laplace_reference(spec, counts, graph, taus, max_newton=100, grad_t
     )
 
 
-def array_delta_scale_move(chain, name, log_s, log_u) -> float:
-    """The "delta" or "ridge" scale move of a stage-2 M4 chain made on its
-    arrays, for reference: the move's w, u, r and products are formed from
-    the current state and the shifts are applied at once.
+def array_scale_move(chain, name, log_s, log_u) -> float:
+    """The "v", "delta" or "ridge" scale move of a stage-2 chain made on its
+    arrays, for reference: the move's products are formed from the current
+    state and the shifts are applied at once.
 
-    With ``w = x delta`` and ``t = s - 1``, both scale delta by s and
-    tau_delta by ``1 / s^2``; "delta" moves phi by ``-t w``, "ridge" moves
-    v by ``-t u`` (w centred per component), b0 by ``-t mean(w)`` and phi
-    by ``-t r`` (the spread of w's component means). Taken when ``log_u``
-    is below the log ratio, which it returns; ``|log_s|`` past
-    ``svc.MAX_LOG_SCALE`` is rejected outright.
+    With ``t = s - 1``, "v" scales v by s and tau_v by ``1 / s^2`` and
+    moves phi by ``-t v``. With ``w = x delta``, "delta" and "ridge" scale
+    delta by s and tau_delta by ``1 / s^2``; "delta" moves phi by ``-t w``,
+    "ridge" moves v by ``-t u`` (w centred per component), b0 by ``-t
+    mean(w)`` and phi by ``-t r`` (the spread of w's component means).
+    Taken when ``log_u`` is below the log ratio, which it returns;
+    ``|log_s|`` past ``svc.MAX_LOG_SCALE`` is rejected outright.
     """
     if abs(log_s) > svc.MAX_LOG_SCALE:
         return -math.inf
     fields, taus, beta, spec = chain.fields, chain.taus, chain.beta, chain.spec
-    phi, v, delta = fields["phi"], fields["v"], fields["delta"]
-    w = spec.covariate * delta
+    phi, v = fields["phi"], fields["v"]
+    scaled, tau_name = (v, "tau_v") if name == "v" else (fields["delta"], "tau_delta")
+    w = scaled if name == "v" else spec.covariate * scaled
     tau_phi = taus["tau_phi"]
     mean = 0.0
     if name == "ridge":
@@ -476,11 +478,11 @@ def array_delta_scale_move(chain, name, log_s, log_u) -> float:
         shifts = [(phi, w)]
     t = math.expm1(log_s)
     logr = (-0.5 * t * t * quad + t * lin + chain.scale_power * log_s
-            - spec.precision_prior_rate * taus["tau_delta"] * math.expm1(-2.0 * log_s))
+            - spec.precision_prior_rate * taus[tau_name] * math.expm1(-2.0 * log_s))
     if log_u < logr:
         for block, shift in shifts:
             block -= t * shift
         beta[0] -= t * mean
-        delta *= math.exp(log_s)
-        taus["tau_delta"] *= math.exp(-2.0 * log_s)
+        scaled *= math.exp(log_s)
+        taus[tau_name] *= math.exp(-2.0 * log_s)
     return logr

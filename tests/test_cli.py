@@ -559,6 +559,22 @@ class TestArchiveLookupErrors:
         rows = (tmp_path / "fx.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["intercept", "ice"]
 
+    @pytest.mark.parametrize("rung", ["M1", "M2"])
+    def test_hyperparameters_of_a_rung_without_precisions(self, full_pipeline, tmp_path,
+                                                          capsys, rung):
+        work, simulated = full_pipeline
+        inputs = ["--counts", work / "counts.csv", "--covariates", work / "covariates.csv",
+                  "--adjacency", simulated / "adjacency.csv", "--model", rung]
+        assert run(["fit-stage2", *inputs, "--out", tmp_path / "fit.csv", "--iters", "40",
+                    "--burnin", "10", "--thin", "2", "--chains", "1", "--seed", "6"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        self._one_line_error(
+            capsys, ["summarize", "--archive", tmp_path / "fit.csv", "--what", "hyperparameters",
+                     "--out", out, *inputs],
+            "ValidationError", f"rung {rung} samples no precisions")
+        assert not out.exists()
+
     def test_delta_of_an_m3_archive(self, full_pipeline, tmp_path, capsys):
         work, simulated = full_pipeline
         self._one_line_error(

@@ -1,5 +1,6 @@
 """The sparse GMRF algebra against dense oracles: the ICAR precision, the
-sum-to-zero columns, and the constrained factor's log determinant, solve
+sum-to-zero columns, the smooth directions against a dense
+eigendecomposition, and the constrained factor's log determinant, solve
 and fixed-effect covariance computed in an orthonormal basis of the
 constraint set."""
 
@@ -9,8 +10,10 @@ from scipy import sparse
 from scipy.linalg import null_space
 
 from arealbayes import build_graph
-from arealbayes.gmrf import ConstrainedFactor, icar_precision, sum_to_zero_columns
+from arealbayes.gmrf import (ConstrainedFactor, icar_precision, smooth_directions,
+                             sum_to_zero_columns)
 from arealbayes.icar import precision_matrix
+from arealbayes.simulate import make_lattice
 
 # weighted multi-area components {0, 2, 5, 7} and {1, 3, 4, 8, 9}, islands
 # 6 and 10, the 3-cycle {11, 12, 13} with every area suppressed and the
@@ -73,6 +76,83 @@ class TestSumToZeroColumns:
                 expected = np.zeros(3 + 2 * N)
                 expected[start + idx] = 1.0
                 np.testing.assert_array_equal(C[:, b * len(multi) + c], expected)
+
+
+def smooth_graph():
+    """A weighted 4x5 lattice (areas 0-19, distinct eigenvalues), a 20-cycle
+    (20-39, every non-constant eigenvalue below the top one doubled), a
+    4-cycle (40-43, below the size threshold) and an island (44)."""
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, 31)
+    edges = [(i, j, w) for (i, j, _), w in zip(make_lattice(4, 5).edges(), weights)]
+    edges += [(20 + k, 20 + (k + 1) % 20, 1.0) for k in range(20)]
+    edges += [(40 + k, 40 + (k + 1) % 4, 1.0) for k in range(4)]
+    return build_graph(edges, n_areas=45)
+
+
+def check_smooth_directions(graph, B, counts):
+    """Each row of B lies on one component of at least 16 areas and sums to
+    zero there; a component's rows are orthonormal, in ascending order of
+    ``b' Q b``, and span the eigenspace of its ``counts[c]`` lowest
+    non-constant eigenvalues of the dense Q, which must not share a value
+    with the next one."""
+    Q = precision_matrix(graph, island_proper=True)
+    labels = graph.component_labels
+    owner = [np.unique(labels[np.flatnonzero(row)]) for row in B]
+    assert all(len(c) == 1 for c in owner)
+    owner = np.array([c[0] for c in owner], dtype=int)
+    assert np.all(np.diff(owner) >= 0)
+    for c, members in enumerate(graph.components()):
+        rows = B[owner == c][:, members]
+        assert len(rows) == counts.get(c, 0), (c, len(rows))
+        if not len(rows):
+            continue
+        assert len(members) >= 16
+        assert np.max(np.abs(rows.sum(axis=1))) < 1e-12
+        np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
+        lam, vec = np.linalg.eigh(Q[np.ix_(members, members)])
+        k = len(rows)
+        assert lam[k + 1] - lam[k] > 1e-6 * lam[-1], "a tied set is split"
+        np.testing.assert_allclose(np.diag(rows @ Q[np.ix_(members, members)] @ rows.T),
+                                   lam[1:k + 1], rtol=1e-9)
+        span = vec[:, 1:k + 1]
+        assert np.max(np.abs(rows - rows @ span @ span.T)) < 1e-10
+
+
+class TestSmoothDirections:
+    # r = min(16, ceil(sqrt(m) / 2)): 3 for the lattice; 3 for the cycle,
+    # whose third would split a tied pair, so 2; none below 16 areas
+    COUNTS = {0: 3, 1: 2}
+
+    def test_match_the_dense_eigenspaces(self):
+        g = smooth_graph()
+        B = smooth_directions(g)
+        assert B.shape == (5, 45)
+        assert np.all(B[:, 40:] == 0.0)
+        check_smooth_directions(g, B, self.COUNTS)
+
+    def test_check_rejects_a_direction_off_zero_sum_or_a_split_tie(self):
+        g = smooth_graph()
+        B = smooth_directions(g)
+        shifted = B.copy()
+        shifted[0, :20] += 1e-6
+        with pytest.raises(AssertionError):
+            check_smooth_directions(g, shifted, self.COUNTS)
+        # the cycle's third direction: one of a tied pair
+        Q = precision_matrix(g, island_proper=True)[20:40, 20:40]
+        third = np.zeros((1, 45))
+        third[0, 20:40] = np.linalg.eigh(Q)[1][:, 3]
+        split = np.vstack([B, third])
+        with pytest.raises(AssertionError, match="a tied set is split"):
+            check_smooth_directions(g, split, {0: 3, 1: 3})
+
+    @pytest.mark.parametrize("side, r", [(4, 2), (10, 5), (15, 8)])
+    def test_lattice_counts(self, side, r):
+        g = make_lattice(side, side)
+        B = smooth_directions(g)
+        check_smooth_directions(g, B, {0: r})
+
+    def test_no_component_of_16_areas(self, graph):
+        assert smooth_directions(graph).shape == (0, N)
 
 
 class TestConstrainedFactor:

@@ -1,10 +1,13 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import (
-    array_delta_scale_move,
+    array_scale_move,
     batch_means_z,
     bordered_laplace_reference,
     gaussian_m4_posterior_means,
@@ -343,7 +346,7 @@ class TestRidgeMoves:
     def test_translations_keep_theta_and_component_sums(self, kind):
         g, spec, beta, phi, v = self.pieces(kind, seed=50)
         X = spec.fixed_design()
-        ridges = svc._RidgeMoves(X, g, spec.beta_prior_variance)
+        ridges = svc._RidgeMoves(X, g, spec.beta_prior_variance, gmrf.smooth_directions(g))
         theta = X @ beta + phi + v
         before = beta.copy()
         ridges.move(beta, phi, v, 3.0, 7.0, np.random.default_rng(51).standard_normal(7) * 3)
@@ -388,7 +391,8 @@ class TestRidgeMoves:
             c = b / a + zm / math.sqrt(a)
             expected = [s + c * d for s, d in zip(expected, (d_beta, d_phi, d_v))]
 
-        svc._RidgeMoves(X, g, spec.beta_prior_variance).move(beta, phi, v, tau_phi, tau_v, z)
+        ridges = svc._RidgeMoves(X, g, spec.beta_prior_variance, gmrf.smooth_directions(g))
+        ridges.move(beta, phi, v, tau_phi, tau_v, z)
         for got, want in zip((beta, phi, v), expected):
             assert np.allclose(got, want, rtol=0, atol=1e-8)
 
@@ -422,14 +426,15 @@ class TestRidgeMoves:
                     - taus[1] * (w @ Q @ w) / 2 - taus[2] * (d @ Q @ d) / 2)
 
         expected = [beta.copy(), phi.copy(), v.copy(), delta.copy()]
-        svc._RidgeMoves(X, g, spec.beta_prior_variance).move(*expected[:3], *taus[:2], z[:-1])
+        svc._RidgeMoves(X, g, spec.beta_prior_variance, gmrf.smooth_directions(g)).move(
+            *expected[:3], *taus[:2], z[:-1])
         f = [log_prior(*(s + c * d for s, d in zip(expected, direction)))
              for c in (-1.0, 0.0, 1.0)]
         a = 2 * f[1] - f[0] - f[2]
         c = (f[2] - f[0]) / 2 / a + z[-1] / math.sqrt(a)
         expected = [s + c * d for s, d in zip(expected, direction)]
 
-        ridges = svc._RidgeMoves(X, g, spec.beta_prior_variance, x)
+        ridges = svc._RidgeMoves(X, g, spec.beta_prior_variance, gmrf.smooth_directions(g), x)
         assert ridges.n_moves == 2 * K
         ridges.move(beta, phi, v, *taus[:2], z, delta, taus[2])
         for got, want in zip((beta, phi, v, delta), expected):
@@ -444,9 +449,100 @@ class TestRidgeMoves:
     def test_no_delta_direction_for_a_covariate_constant_on_every_component(self):
         g, spec, _, _, _ = self.pieces("components", seed=57)
         x = np.where(g.component_labels == 0, 0.3, -0.2)
-        ridges = svc._RidgeMoves(spec.fixed_design(), g, spec.beta_prior_variance, x)
+        ridges = svc._RidgeMoves(spec.fixed_design(), g, spec.beta_prior_variance,
+                                 gmrf.smooth_directions(g), x)
         assert ridges.n_moves == 2 * spec.n_fixed - 1
         assert len(ridges.directions) == 3
+
+
+class TestSmoothTranslations:
+    """The full direction table of M4, with the smooth-direction rows
+    ``(v + c b, phi - c b)`` and ``(delta + c b, phi - c x b)`` after the
+    ridge rows, on a weighted 4x5 lattice (20 areas: 3 smooth directions),
+    a 5-area component (too small for any) and an island."""
+
+    def pieces(self, seed):
+        weights = np.random.default_rng(seed).uniform(0.5, 2.0, 31)
+        edges = [(i, j, w) for (i, j, _), w in zip(make_lattice(4, 5).edges(), weights)]
+        edges += [(20, 21, 1.0), (21, 22, 0.8), (22, 23, 1.3), (23, 24, 0.6), (20, 24, 1.1)]
+        g = build_graph(edges, n_areas=26)
+        spec, state = convolution_pieces(g, "M4", seed=seed, n_factors=2)
+        rng = np.random.default_rng(seed + 1)
+        v, delta = (center_by_component(rng.standard_normal(26), g)[0] for _ in range(2))
+        return g, spec, [state.beta.copy(), state.phi.copy(), v, delta]
+
+    @staticmethod
+    def hand_directions(g, spec):
+        """Every row of the table, built densely: phi-ridges, v-ridges, the
+        delta direction, then per smooth direction b (the dense eigenvectors
+        of the lattice's Q, ascending) its v row and its delta row."""
+        X, x = spec.fixed_design(), spec.covariate
+        n, K = X.shape
+        zero, labels = np.zeros(n), g.component_labels
+        rows = [(np.eye(K)[k], -X[:, k], zero, zero) for k in range(K)]
+
+        def centred(f):
+            means = np.bincount(labels, weights=f) / np.bincount(labels)
+            return f - means[labels], means[labels]
+
+        for k in range(1, K):
+            u, means = centred(X[:, k])
+            d_beta = np.eye(K)[k]
+            d_beta[0] = -X[:, k].mean()
+            rows.append((d_beta, -(means - X[:, k].mean()), -u, zero))
+        u = centred(x)[0]
+        gamma = np.linalg.lstsq(X, x * u, rcond=None)[0]
+        rho, r = centred(x * u - X @ gamma)
+        rows.append((-gamma, -r, -rho, u))
+        Q = precision_matrix(g, island_proper=True)
+        vec = np.linalg.eigh(Q[:20, :20])[1]
+        for j in range(1, 4):
+            b = np.zeros(n)
+            b[:20] = vec[:, j]
+            rows.append((np.zeros(K), -b, b, zero))
+            rows.append((np.zeros(K), -x * b, zero, b))
+        return rows
+
+    def test_sequential_scan_matches_the_dense_oracle(self):
+        g, spec, state = self.pieces(seed=58)
+        X, x = spec.fixed_design(), spec.covariate
+        taus = (3.0, 7.0, 5.0)
+        smooth = gmrf.smooth_directions(g)
+        rows = self.hand_directions(g, spec)
+        # an eigenvector is defined up to sign: take the package's
+        hand, rows = rows[-6:], rows[:-6]
+        for b, v_row, delta_row in zip(smooth, hand[::2], hand[1::2]):
+            sign = np.sign(b @ v_row[2])
+            np.testing.assert_allclose(sign * v_row[2], b, rtol=0, atol=1e-10)
+            rows += [tuple(sign * d for d in row) for row in (v_row, delta_row)]
+        Q = precision_matrix(g, island_proper=True)
+
+        def log_prior(b, p, w, d):
+            return (-(b @ b) / (2 * spec.beta_prior_variance) - taus[0] * (p @ p) / 2
+                    - taus[1] * (w @ Q @ w) / 2 - taus[2] * (d @ Q @ d) / 2)
+
+        z = np.random.default_rng(59).standard_normal(len(rows))
+        expected = [s.copy() for s in state]
+        for zm, direction in zip(z, rows):
+            f = [log_prior(*(s + c * d for s, d in zip(expected, direction)))
+                 for c in (-1.0, 0.0, 1.0)]
+            a = 2 * f[1] - f[0] - f[2]
+            c = (f[2] - f[0]) / 2 / a + zm / math.sqrt(a)
+            expected = [s + c * d for s, d in zip(expected, direction)]
+
+        ridges = svc._RidgeMoves(X, g, spec.beta_prior_variance, smooth, x)
+        assert ridges.n_moves == len(rows) == 2 * spec.n_fixed + 6
+        beta, phi, v, delta = state
+        theta = X @ beta + phi + v + x * delta
+        before = [s.copy() for s in state]
+        ridges.move(beta, phi, v, *taus[:2], z, delta, taus[2])
+        for got, want in zip(state, expected):
+            assert np.allclose(got, want, rtol=0, atol=1e-8)
+        assert np.max(np.abs(X @ beta + phi + v + x * delta - theta)) < 1e-12
+        for field, old in zip((v, delta), before[2:]):
+            sums = np.bincount(g.component_labels, weights=field, minlength=g.n_components)
+            assert np.max(np.abs(sums)) < 1e-12
+            assert np.array_equal(field[g.island_indices], old[g.island_indices])
 
 
 def scale_chain(g, seed, taus):
@@ -458,7 +554,7 @@ def scale_chain(g, seed, taus):
     config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
     chain = svc._Stage2Chain(
         np.random.default_rng(seed), config,
-        (spec, PoissonLikelihood(counts, spec.offsets), g, True, taus),
+        (spec, PoissonLikelihood(counts, spec.offsets), g, True, taus, gmrf.smooth_directions(g)),
     )
     # the chain's fields: zero sum on every component, islands at 0
     chain.beta[:] = state.beta
@@ -492,13 +588,14 @@ class TestScaleMoves:
 
     @staticmethod
     def scale(chain, name, log_s, log_u):
-        """One scale move through the sampler's entry points: "v" on the
-        arrays, "delta" and "ridge" on carried statistics whose shifts are
-        then applied; returns the log ratio."""
+        """One scale move through the sampler's entry points, on carried
+        statistics whose shifts are then applied; returns the log ratio."""
         if name == "v":
-            return chain._scale_v(log_s, log_u)
-        moves = svc._DeltaScaleMoves(chain)
-        logr = moves.move(name, log_s, log_u)
+            moves = svc._VScaleMoves(chain)
+            logr = moves.move(log_s, log_u)
+        else:
+            moves = svc._DeltaScaleMoves(chain)
+            logr = moves.move(name, log_s, log_u)
         moves.apply()
         return logr
 
@@ -567,13 +664,14 @@ class TestScaleMoves:
 
 
 class TestScaleRounds:
-    """The scale moves and precision draws of an M4 iteration, the "delta"
-    and "ridge" moves on carried statistics, against the same iteration with
-    those moves made on the arrays (``helpers.array_delta_scale_move``) and
-    the Gamma rates from ``quad_form_and_rank``, from one state and one
-    block of variates: v's move, ``SCALE_ROUNDS`` rounds of the two delta
-    moves and tau_delta's Gamma draw, then tau_phi's and tau_v's. Every
-    move's decision and log ratio, and the final state, must agree."""
+    """The scale moves and precision draws of an M4 iteration on carried
+    statistics, against the same iteration with those moves made on the
+    arrays (``helpers.array_scale_move``) and the Gamma rates from
+    ``quad_form_and_rank``, from one state and one block of variates:
+    ``SCALE_ROUNDS`` rounds of v's move and tau_v's Gamma draw, then
+    ``SCALE_ROUNDS`` rounds of the two delta moves and tau_delta's Gamma
+    draw, then tau_phi's. Every move's decision and log ratio, and the final
+    state, must agree."""
 
     STEPS = {"v": 0.3, "delta": 0.6, "ridge": 0.6}
 
@@ -581,22 +679,23 @@ class TestScaleRounds:
     def array_iteration(chain, normals, log_us, gammas):
         taus, spec, fields = chain.taus, chain.spec, chain.fields
         a, b = spec.precision_prior_shape, spec.precision_prior_rate
-        chain._scale_v(chain.scale_steps["v"] * normals[0], log_us[0])
+        rounds = svc.SCALE_ROUNDS
         decisions, shapes = [], []
-        for r in range(svc.SCALE_ROUNDS):
-            for j, name in enumerate(("delta", "ridge"), start=1 + 2 * r):
-                logr = array_delta_scale_move(
-                    chain, name, chain.scale_steps[name] * normals[j], log_us[j]
-                )
+        moves = [["v"]] * rounds + [["delta", "ridge"]] * rounds
+        j = 0
+        for r, names in enumerate(moves):
+            for name in names:
+                logr = array_scale_move(chain, name, chain.scale_steps[name] * normals[j],
+                                        log_us[j])
                 decisions.append((log_us[j] < logr, logr))
-            quad, rank = quad_form_and_rank(chain.graph, fields["delta"])
-            taus["tau_delta"] = gammas[r] / (b + quad / 2)
+                j += 1
+            field, tau = ("v", "tau_v") if r < rounds else ("delta", "tau_delta")
+            quad, rank = quad_form_and_rank(chain.graph, fields[field])
+            taus[tau] = gammas[r] / (b + quad / 2)
             shapes.append(a + rank / 2)
         phi = fields["phi"]
-        taus["tau_phi"] = gammas[-2] / (b + phi @ phi / 2)
-        quad, rank = quad_form_and_rank(chain.graph, fields["v"])
-        taus["tau_v"] = gammas[-1] / (b + quad / 2)
-        return decisions, shapes + [a + spec.n_areas / 2, a + rank / 2]
+        taus["tau_phi"] = gammas[-1] / (b + phi @ phi / 2)
+        return decisions, shapes + [a + spec.n_areas / 2]
 
     @pytest.mark.parametrize("graph", ["components-and-island", "lattice"])
     def test_carried_rounds_match_array_rounds(self, monkeypatch, graph):
@@ -605,15 +704,17 @@ class TestScaleRounds:
         else:
             g = build_graph(TestScaleMoves.EDGES, n_areas=TestScaleMoves.N)
         decisions = []
-        move = svc._DeltaScaleMoves.move
 
-        def recording_move(moves, name, log_s, log_u):
-            logr = move(moves, name, log_s, log_u)
-            decisions.append((log_u < logr, logr))
-            return logr
+        def recording(move):
+            def recording_move(moves, *args):  # args end with log_s, log_u
+                logr = move(moves, *args)
+                decisions.append((args[-1] < logr, logr))
+                return logr
+            return recording_move
 
-        monkeypatch.setattr(svc._DeltaScaleMoves, "move", recording_move)
-        accepts, n_scale = 0, 1 + 2 * svc.SCALE_ROUNDS
+        for cls in (svc._VScaleMoves, svc._DeltaScaleMoves):
+            monkeypatch.setattr(cls, "move", recording(cls.move))
+        accepts, n_scale = {"v": 0, "delta": 0}, 3 * svc.SCALE_ROUNDS
         for trial in range(30):
             chains = [scale_chain(g, 90 + trial, TestScaleMoves.TAUS)[1] for _ in range(2)]
             for chain in chains:
@@ -630,15 +731,18 @@ class TestScaleRounds:
             assert [d for d, _ in decisions] == [d for d, _ in expected], trial
             for (_, got), (_, want) in zip(decisions, expected):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (trial, got, want)
-            accepts += sum(d for d, _ in expected)
+            accepts["v"] += sum(d for d, _ in expected[:svc.SCALE_ROUNDS])
+            accepts["delta"] += sum(d for d, _ in expected[svc.SCALE_ROUNDS:])
             for name in ("phi", "v", "delta"):
                 got, want = carried.fields[name], array.fields[name]
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (trial, name)
             assert abs(carried.beta[0] - array.beta[0]) <= 1e-12 * abs(array.beta[0])
             for name, want in array.taus.items():
                 assert abs(carried.taus[name] - want) <= 1e-12 * want, (trial, name)
-        # both decisions are exercised: 30 trials x SCALE_ROUNDS x 2 moves
-        assert 0 < accepts < 30 * svc.SCALE_ROUNDS * 2
+        # both decisions are exercised: 30 trials x SCALE_ROUNDS x (1 v and
+        # 2 delta moves)
+        assert 0 < accepts["v"] < 30 * svc.SCALE_ROUNDS, accepts
+        assert 0 < accepts["delta"] < 30 * svc.SCALE_ROUNDS * 2, accepts
 
 
 class TestQuadForm:
@@ -707,7 +811,8 @@ class TestSiteExchanges:
         config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
         chain = svc._Stage2Chain(
             np.random.default_rng(seed), config,
-            (spec, PoissonLikelihood(counts, spec.offsets), g, False, self.TAUS),
+            (spec, PoissonLikelihood(counts, spec.offsets), g, False, self.TAUS,
+             gmrf.smooth_directions(g)),
         )
         chain.beta[:] = state.beta
         chain.fields.update(phi=state.phi.copy(), v=state.v.values.copy())
@@ -826,7 +931,8 @@ class TestJointSweepSteps:
         config = McmcConfig(n_chains=1, n_iter=10, burn_in=5, thin=1, seed=0)
         chain = svc._Stage2Chain(
             np.random.default_rng(64), config,
-            (spec, PoissonLikelihood(np.full(n, 40.0), spec.offsets), g, True, {}),
+            (spec, PoissonLikelihood(np.full(n, 40.0), spec.offsets), g, True, {},
+             gmrf.smooth_directions(g)),
         )
         sites, n_fields = chain.sites, 1 + (rung == "M4")
         k = len(g.colour_classes)
@@ -1284,6 +1390,13 @@ class TestMixing:
     # of the delta scale moves and tau_delta's draw per iteration
     ONE_ROUND_TAU_DELTA_ESS = 1632.7
 
+    # median worst-scalar ESS (beta, tau_phi, tau_v, tau_delta) of the fits
+    # at the pre-registered chain seeds 602-607 before the smooth-direction
+    # translations and the rounds of v's scale move: 296.4, 324.3, 264.9,
+    # 373.2, 220.2 and 262.5
+    BEFORE_SMOOTH_MEDIAN_WORST_ESS = 280.65
+    SMOOTH_SEEDS = range(602, 608)
+
     @staticmethod
     def lattice_m4_data(ramp=False):
         """M4 on a 15x15 lattice with smooth deterministic x, factor, delta
@@ -1327,6 +1440,19 @@ class TestMixing:
         median = float(np.median(ess))
         assert median >= self.RAMP_BETA0_ESS_BOUND > 2 * self.RAMP_BETA0_ESS_BEFORE, ess
 
+    def test_worst_scalar_mixes_with_smooth_translations(self):
+        # the smooth-direction translations move the fields' slow modes, and
+        # the rounds of v's scale move then keep tau_v from trailing
+        g, spec, counts = self.lattice_m4_data()
+        worst = []
+        for seed in self.SMOOTH_SEEDS:
+            config = McmcConfig(n_chains=2, n_iter=2500, burn_in=1000, thin=3, seed=seed)
+            archive = fit_stage2_mcmc(spec, counts, g, config)
+            ess = [effective_sample_size(archive, "beta", k) for k in range(3)]
+            ess += [effective_sample_size(archive, name) for name in svc.PRECISION_NAMES]
+            worst.append(min(ess))
+        assert np.median(worst) >= 1.2 * self.BEFORE_SMOOTH_MEDIAN_WORST_ESS, worst
+
     def test_tau_delta_mixes_with_scale_rounds(self):
         # the rounds of the delta scale moves and tau_delta's draw move
         # (|delta|, tau_delta) several times an iteration; unthinned, so the
@@ -1336,6 +1462,51 @@ class TestMixing:
         archive = fit_stage2_mcmc(spec, counts, g, config)
         ess = effective_sample_size(archive, "tau_delta")
         assert ess >= 1.3 * self.ONE_ROUND_TAU_DELTA_ESS, ess
+
+
+class TestDeterminism:
+    """An M4 archive on the 15x15 lattice, whose smooth directions come from
+    an eigensolver, is the same bytes at 1 and 2 BLAS threads and at 1 and
+    2 workers. Each thread count runs in its own interpreter, since OpenBLAS
+    reads it at import."""
+
+    SCRIPT = """
+import sys
+import numpy as np
+from arealbayes import fileio, gmrf, svc
+from arealbayes.mcmc import McmcConfig
+from arealbayes.simulate import make_lattice
+
+data, out = sys.argv[1:]
+d = np.load(data)
+g = make_lattice(15, 15)
+spec = svc.SvcModelSpec(rung="M4", covariate=d["x"], offsets=d["offsets"],
+                        latent_factors=d["factor"])
+np.save(out + "-directions.npy", gmrf.smooth_directions(g))
+config = McmcConfig(n_chains=2, n_iter=300, burn_in=100, thin=2, seed=602)
+for workers in (1, 2):
+    archive = svc.fit_stage2_mcmc(spec, d["counts"], g, config, n_workers=workers)
+    fileio.write_archive(archive, f"{out}-{workers}.csv")
+"""
+
+    def test_archive_bytes_do_not_depend_on_blas_threads_or_workers(self, tmp_path):
+        _, spec, counts = TestMixing.lattice_m4_data()
+        data = tmp_path / "data.npz"
+        np.savez(data, x=spec.covariate, offsets=spec.offsets,
+                 factor=spec.latent_factors, counts=counts)
+        path = [str(Path(svc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            subprocess.run([sys.executable, "-c", self.SCRIPT, str(data),
+                            str(tmp_path / str(threads))], env=env, check=True)
+        directions = [(tmp_path / f"{t}-directions.npy").read_bytes() for t in (1, 2)]
+        assert directions[0] == directions[1]
+        assert np.load(tmp_path / "1-directions.npy").shape == (8, 225)
+        for suffix in ("", ".meta"):
+            files = [(tmp_path / f"{t}-{w}.csv{suffix}").read_bytes()
+                     for t in (1, 2) for w in (1, 2)]
+            assert all(f == files[0] for f in files[1:]), suffix
 
 
 class TestPoissonLaplaceOracle:
